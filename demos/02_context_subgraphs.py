@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from dkge import entity_context, load_snapshot_dir, relation_context
-from dkge.contexts import cap_and_pad
 
 data = Path(__file__).parent / "data"
 g = load_snapshot_dir(data / "t1").train
@@ -21,7 +20,7 @@ g = load_snapshot_dir(data / "t1").train
 sub = entity_context(g, g.entity_id("e1"))
 names = [g.entity_names[v.members[0]] for v in sub.vertices]
 print("entity context of e1:", names)
-adj = sub.adjacency[:len(sub.vertices), :len(sub.vertices)].astype(int)
+adj = sub.adjacency.astype(int)
 print(np.array2string(adj))
 for i, j in sorted(sub.edge_set()):
     print(f"  edge {names[i]} - {names[j]}")
@@ -35,14 +34,12 @@ print("\nrelation context of r1:", labels)
 for i, j in sorted(sub.edge_set()):
     print(f"  edge {labels[i]} - {labels[j]}")
 
-# contexts are capped and padded before entering the encoder: at most
-# `cap` vertices survive (the owner always does) and the adjacency is
-# zero-padded to a fixed square size so batches share one shape
+# contexts are capped before entering the encoder: at most `cap` vertices
+# survive (the owner always does), drawn from the given rng
 rng = np.random.default_rng(0)
-sub = cap_and_pad(entity_context(g, g.entity_id("e1")), 3, 8, rng)
+sub = entity_context(g, g.entity_id("e1"), cap=3, rng=rng)
 kept = [g.entity_names[v.members[0]] for v in sub.vertices]
 print("\ncapped to 3 of 5 vertices:", kept)
-print("padded adjacency shape:", sub.adjacency.shape)
 
 # the signature hashes the uncapped context by name; equal surroundings
 # give equal signatures no matter how the triple file was ordered

@@ -13,16 +13,15 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .contexts import (ContextSubgraph, ContextTable, ContextVertex, ENTITY,
                        RELATION, RELATION_PATH, build_context,
                        changed_context_objects, context_signature,
-                       entity_context, load_context_cache, relation_context,
-                       save_context_cache)
+                       entity_context, relation_context)
 from .errors import (ConfigError, DkgeError, EmptySnapshotError,
                      IntegrityError, ParseError, UnknownObjectError)
 from .evaluation import (JointCache, MetricsReport, RankResult,
                          TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          rank_entity)
 from .kg_store import (Snapshot, SnapshotDiff, Triple, diff_snapshots,
-                       load_snapshot, load_snapshot_dir, neighbors,
-                       parse_triple_file, save_snapshot)
+                       load_snapshot, load_snapshot_dir, parse_triple_file,
+                       save_snapshot)
 from .model import (ParameterStore, RelationStats, bernoulli_corrupt,
                     forward_triple, init_params, joint_embedding, margin_loss,
                     object_forward, relation_stats, score_triple)
@@ -41,10 +40,9 @@ __all__ = [
     "bernoulli_corrupt", "build_context", "changed_context_objects",
     "collect_retrain_set", "context_signature", "diff_snapshots",
     "entity_context", "evaluate", "forward_triple", "init_params",
-    "joint_embedding", "load_checkpoint", "load_context_cache",
-    "load_snapshot", "load_snapshot_dir", "margin_loss", "neighbors",
-    "object_forward", "parse_triple_file", "rank_entity", "relation_context",
-    "relation_stats", "save_checkpoint", "save_context_cache",
+    "joint_embedding", "load_checkpoint", "load_snapshot",
+    "load_snapshot_dir", "margin_loss", "object_forward", "parse_triple_file",
+    "rank_entity", "relation_context", "relation_stats", "save_checkpoint",
     "save_snapshot", "score_triple", "train_from_scratch", "train_online",
     "__version__",
 ]

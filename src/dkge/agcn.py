@@ -5,11 +5,10 @@ Forward pass, for a context with feature rows h0 and adjacency A:
     S    = D^{-1/2} (A + I) D^{-1/2}        with D the degree matrix of A + I
     H^l  = relu(S H^{l-1} W^l)              l = 1..x, x in {1, 2}
     s_i  = u . relu(v_i * o_k)              v_i = rows of H^x, * elementwise
-    a    = softmax over real vertices of s
+    a    = softmax over the vertices of s
     out  = sum_i a_i v_i
 
-The owner's knowledge embedding o_k steers the attention; padded rows take
-no part anywhere (their attention weight is exactly zero).  The backward
+The owner's knowledge embedding o_k steers the attention.  The backward
 pass is derived by hand and returns gradients for h0, the layer weights,
 the attention vector u, and o_k.  relu'(0) is taken as 0.
 """
@@ -45,20 +44,18 @@ class AgcnParams:
 
 @dataclass
 class AgcnCache:
-    """Forward intermediates needed by the backward pass (real block only)."""
+    """Forward intermediates needed by the backward pass."""
 
     norm_adj: np.ndarray          # (m, m)
     hs: list[np.ndarray]          # x + 1 arrays of shape (m, d): h0 .. H^x
     pooled: list[np.ndarray]      # x arrays S @ H^{l-1}
     relu_attn: np.ndarray         # (m, d) relu(v_i * o_k)
     alpha: np.ndarray             # (m,)
-    real_count: int
-    padded_size: int
 
 
 @dataclass
 class AgcnGrads:
-    h0: np.ndarray                # zero on padded rows
+    h0: np.ndarray
     weights: list[np.ndarray]
     attention: np.ndarray
     owner_knowledge: np.ndarray
@@ -83,26 +80,19 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def agcn_forward(h0: np.ndarray, adjacency: np.ndarray, params: AgcnParams,
-                 owner_knowledge: np.ndarray, real_count: int) -> tuple[np.ndarray, AgcnCache]:
-    """Encode a context into a d-vector; returns (embedding, cache).
-
-    The computation runs on the leading real_count block, so the result is
-    bit-identical for any amount of trailing zero padding.
-    """
+                 owner_knowledge: np.ndarray) -> tuple[np.ndarray, AgcnCache]:
+    """Encode a context of n >= 1 vertices into a d-vector; returns
+    (embedding, cache)."""
     n, d = h0.shape
+    if n < 1:
+        raise ValueError("a context needs at least one vertex")
     if adjacency.shape != (n, n):
         raise ValueError(f"adjacency shape {adjacency.shape} != ({n}, {n})")
     if owner_knowledge.shape != (d,) or params.dim != d:
         raise ValueError("dimension mismatch between features and parameters")
-    if not 1 <= real_count <= n:
-        raise ValueError(f"real_count {real_count} out of range for {n} rows")
-    if np.any(h0[real_count:]) or np.any(adjacency[real_count:]) \
-            or np.any(adjacency[:, real_count:]):
-        raise ValueError("padded rows must be zero")
 
-    m = real_count
-    s = normalize_adjacency(adjacency[:m, :m])
-    hs = [h0[:m]]
+    s = normalize_adjacency(adjacency)
+    hs = [h0]
     pooled = []
     for w in params.weights:
         p = s @ hs[-1]
@@ -116,14 +106,13 @@ def agcn_forward(h0: np.ndarray, adjacency: np.ndarray, params: AgcnParams,
     alpha = exp / exp.sum()
     out = alpha @ v
     cache = AgcnCache(norm_adj=s, hs=hs, pooled=pooled, relu_attn=relu_attn,
-                      alpha=alpha, real_count=m, padded_size=n)
+                      alpha=alpha)
     return out, cache
 
 
 def agcn_backward(cache: AgcnCache, params: AgcnParams, owner_knowledge: np.ndarray,
                   grad_out: np.ndarray) -> AgcnGrads:
     """Gradients of (grad_out . output) w.r.t. h0, weights, u, and o_k."""
-    m, d = cache.real_count, grad_out.shape[0]
     v = cache.hs[-1]
     alpha = cache.alpha
     relu_attn = cache.relu_attn
@@ -144,7 +133,5 @@ def agcn_backward(cache: AgcnCache, params: AgcnParams, owner_knowledge: np.ndar
         d_weights[l] = cache.pooled[l].T @ d_z
         d_h = cache.norm_adj @ (d_z @ params.weights[l].T)
 
-    d_h0 = np.zeros((cache.padded_size, d), dtype=np.float64)
-    d_h0[:m] = d_h
-    return AgcnGrads(h0=d_h0, weights=d_weights, attention=d_attention,
+    return AgcnGrads(h0=d_h, weights=d_weights, attention=d_attention,
                      owner_knowledge=d_owner)

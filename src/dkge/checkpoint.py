@@ -18,7 +18,7 @@ from .agcn import AgcnParams
 from .errors import IntegrityError
 from .model import ParameterStore
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(store: ParameterStore, path) -> None:
@@ -38,9 +38,8 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         "ent_gate_pre": np.ascontiguousarray(store.ent_gate_pre),
         "rel_gate_pre": np.ascontiguousarray(store.rel_gate_pre),
         "cap": store.cap,
-        "pad_entities": store.pad_entities,
-        "pad_relations": store.pad_relations,
         "seed": store.seed,
+        "max_midpoints": store.max_midpoints,
         "signatures": sorted(
             (kind, name, sig) for (kind, name), sig in store.signatures.items()),
     }
@@ -76,8 +75,7 @@ def load_checkpoint(path) -> ParameterStore:
         ent_gate_pre=payload["ent_gate_pre"],
         rel_gate_pre=payload["rel_gate_pre"],
         cap=payload["cap"],
-        pad_entities=payload["pad_entities"],
-        pad_relations=payload["pad_relations"],
         seed=payload["seed"],
+        max_midpoints=payload["max_midpoints"],
         signatures={(kind, name): sig for kind, name, sig in payload["signatures"]},
     )

@@ -38,8 +38,6 @@ CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "eval_every": (int, 10),
     "seed": (int, 0),
     "cap": (int, 35),
-    "pad_entities": (int, 40),
-    "pad_relations": (int, 40),
     "max_midpoints": (int, 1000),
     "threads": (int, 0),
     "filter_mode": (str, "train"),
@@ -47,7 +45,7 @@ CONFIG_KEYS: dict[str, tuple[type, object]] = {
 }
 TRAIN_KEYS = ("dim", "learning_rate", "batch_size", "margin", "entity_layers",
               "relation_layers", "max_epochs", "patience", "eval_every",
-              "seed", "cap", "pad_entities", "pad_relations", "max_midpoints")
+              "seed", "cap", "max_midpoints")
 
 
 def parse_config_file(path: str) -> dict:
@@ -73,8 +71,10 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def effective_config(args: argparse.Namespace) -> dict:
+def effective_config(args: argparse.Namespace, inherited: dict | None = None) -> dict:
+    """Defaults, then ``inherited`` values, then the config file, then flags."""
     merged = {key: default for key, (_, default) in CONFIG_KEYS.items()}
+    merged.update(inherited or {})
     path = getattr(args, "config", None) or os.environ.get("DKGE_CONFIG")
     if path:
         merged.update(parse_config_file(path))
@@ -115,8 +115,6 @@ def _add_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-every", dest="eval_every", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--cap", type=int)
-    p.add_argument("--pad-e", dest="pad_entities", type=int)
-    p.add_argument("--pad-r", dest="pad_relations", type=int)
     p.add_argument("--max-midpoints", dest="max_midpoints", type=int)
     p.add_argument("--threads", type=int)
     p.add_argument("--filter-mode", dest="filter_mode", choices=("train", "all"))
@@ -157,13 +155,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_update(args: argparse.Namespace) -> int:
-    merged = effective_config(args)
+    # omitted model settings come from the checkpoint; train_online rejects
+    # an explicit one that disagrees with it
+    store = load_checkpoint(args.checkpoint_in)
+    merged = effective_config(args, inherited=store.model_config())
     print(run_header(merged))
     cfg = train_config(merged)
     old_sd = load_snapshot_dir(args.old_dir)
     new_sd = load_snapshot_dir(args.new_dir)
     g_new = new_sd.train
-    store = load_checkpoint(args.checkpoint_in)
     valid = _resolved_or_empty(new_sd.valid, g_new)
     with contextlib.ExitStack() as stack:
         log = sys.stdout

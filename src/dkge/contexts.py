@@ -7,8 +7,8 @@ context of a relation r contains r plus every relation path of length 1 or 2
 by r; r is adjacent to every path vertex, and two path vertices are adjacent
 iff some pair is connected by both.
 
-Contexts above the vertex cap are sampled down (owner always kept) and the
-adjacency is zero-padded to a fixed size before entering the graph encoder.
+Contexts above the vertex cap are sampled down (owner always kept) before
+entering the graph encoder.
 Signatures are content hashes of the *uncapped* context, computed over names
 rather than ids so they are comparable across snapshots and file orderings.
 """
@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import pickle
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, UnknownObjectError
+from .errors import ConfigError
 from .kg_store import Snapshot, SnapshotDiff, diff_snapshots
 
 logger = logging.getLogger(__name__)
@@ -35,8 +33,6 @@ RELATION_PATH = "relation-path"
 ObjectRef = tuple[str, int]
 
 DEFAULT_CAP = 35
-DEFAULT_PAD_ENTITIES = 40
-DEFAULT_PAD_RELATIONS = 40
 DEFAULT_MAX_MIDPOINTS = 1000
 
 
@@ -57,12 +53,11 @@ class ContextSubgraph:
     owner: ObjectRef
     vertices: tuple[ContextVertex, ...]
     adjacency: np.ndarray  # (n, n) float64 entries in {0, 1}, symmetric
-    real_count: int
     signature: int
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        """Edges of the real block as (i, j) index pairs with i <= j."""
-        m = self.real_count
+        """Edges as (i, j) index pairs with i <= j."""
+        m = len(self.vertices)
         out = set()
         for i in range(m):
             for j in range(i, m):
@@ -83,9 +78,9 @@ def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
     Names, not ids, enter the hash, so two snapshots of the same graph loaded
     from differently ordered files produce identical signatures.
     """
-    keys = [_vertex_name_key(v, snapshot) for v in subgraph.vertices[:subgraph.real_count]]
+    keys = [_vertex_name_key(v, snapshot) for v in subgraph.vertices]
     edges = []
-    m = subgraph.real_count
+    m = len(keys)
     for i in range(m):
         for j in range(i, m):
             if subgraph.adjacency[i, j]:
@@ -98,9 +93,9 @@ def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
 def _finish(owner: ObjectRef, vertices: list[ContextVertex], adjacency: np.ndarray,
             snapshot: Snapshot, cap: int | None, rng) -> ContextSubgraph:
     sub = ContextSubgraph(owner=owner, vertices=tuple(vertices), adjacency=adjacency,
-                          real_count=len(vertices), signature=0)
+                          signature=0)
     sub.signature = context_signature(sub, snapshot)
-    if cap is not None and sub.real_count > cap:
+    if cap is not None and len(vertices) > cap:
         if rng is None:
             raise ConfigError("capping a context requires an rng")
         sub = _sample(sub, cap, rng)
@@ -115,33 +110,15 @@ def _sample(sub: ContextSubgraph, cap: int, rng: np.random.Generator) -> Context
     """
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")
-    n = sub.real_count
+    n = len(sub.vertices)
     keep_rest = rng.choice(np.arange(1, n), size=cap - 1, replace=False)
     keep = np.concatenate(([0], np.sort(keep_rest)))
     return ContextSubgraph(
         owner=sub.owner,
         vertices=tuple(sub.vertices[i] for i in keep),
         adjacency=sub.adjacency[np.ix_(keep, keep)].copy(),
-        real_count=cap,
         signature=sub.signature,
     )
-
-
-def cap_and_pad(subgraph: ContextSubgraph, cap: int, padded_size: int,
-                rng: np.random.Generator | None = None) -> ContextSubgraph:
-    """Sample an oversized context down to ``cap`` and zero-pad to ``padded_size``."""
-    sub = subgraph
-    if sub.real_count > cap:
-        if rng is None:
-            raise ConfigError("capping a context requires an rng")
-        sub = _sample(sub, cap, rng)
-    if padded_size < sub.real_count:
-        raise ConfigError(
-            f"padded size {padded_size} smaller than context size {sub.real_count}")
-    adj = np.zeros((padded_size, padded_size), dtype=np.float64)
-    m = sub.real_count
-    adj[:m, :m] = sub.adjacency[:m, :m]
-    return replace(sub, adjacency=adj)
 
 
 def entity_context(snapshot: Snapshot, e: int, cap: int | None = None,
@@ -327,14 +304,8 @@ def _object_seed(seed: int, kind: str, name: str) -> list[int]:
     return [seed, int.from_bytes(digest, "big")]
 
 
-def snapshot_digest(snapshot: Snapshot) -> str:
-    """Content hash of a snapshot's triple set, independent of file order."""
-    payload = repr(sorted(snapshot.name_triples())).encode("utf-8")
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
 class ContextTable:
-    """Lazy per-snapshot cache of capped, padded contexts.
+    """Lazy per-snapshot cache of capped contexts, each at its real size.
 
     Sampling of oversized contexts draws from an rng derived from the run
     seed and the owner's name, so a context does not depend on the order in
@@ -343,16 +314,9 @@ class ContextTable:
     """
 
     def __init__(self, snapshot: Snapshot, *, cap: int = DEFAULT_CAP,
-                 pad_entities: int = DEFAULT_PAD_ENTITIES,
-                 pad_relations: int = DEFAULT_PAD_RELATIONS,
                  seed: int = 0, max_midpoints: int = DEFAULT_MAX_MIDPOINTS):
-        if cap > min(pad_entities, pad_relations):
-            raise ConfigError(f"cap {cap} exceeds padded size "
-                              f"{min(pad_entities, pad_relations)}")
         self.snapshot = snapshot
         self.cap = cap
-        self.pad_entities = pad_entities
-        self.pad_relations = pad_relations
         self.seed = seed
         self.max_midpoints = max_midpoints
         self._cache: dict[ObjectRef, ContextSubgraph] = {}
@@ -364,9 +328,8 @@ class ContextTable:
             name = (self.snapshot.entity_names[obj] if kind == ENTITY
                     else self.snapshot.relation_names[obj])
             rng = np.random.default_rng(_object_seed(self.seed, kind, name))
-            raw = build_context(self.snapshot, ref, max_midpoints=self.max_midpoints)
-            pad = self.pad_entities if kind == ENTITY else self.pad_relations
-            sub = cap_and_pad(raw, self.cap, pad, rng)
+            sub = build_context(self.snapshot, ref, cap=self.cap, rng=rng,
+                                max_midpoints=self.max_midpoints)
             self._cache[ref] = sub
         return sub
 
@@ -393,72 +356,3 @@ class ContextTable:
                     else self.snapshot.relation_names[obj])
             out[(kind, name)] = sub.signature
         return out
-
-
-# -- optional on-disk context cache ------------------------------------------
-
-_CACHE_VERSION = 1
-
-
-def save_context_cache(table: ContextTable, path) -> None:
-    """Persist a context table, keyed by snapshot content and sampling config."""
-    snap = table.snapshot
-
-    def member_names(v: ContextVertex) -> tuple[str, ...]:
-        table_names = snap.entity_names if v.kind == ENTITY else snap.relation_names
-        return tuple(table_names[m] for m in v.members)
-
-    entries = {}
-    for (kind, obj), sub in table._cache.items():
-        name = snap.entity_names[obj] if kind == ENTITY else snap.relation_names[obj]
-        entries[(kind, name)] = (
-            tuple((v.kind, member_names(v)) for v in sub.vertices),
-            sub.adjacency,
-            sub.real_count,
-            sub.signature,
-        )
-    payload = {
-        "version": _CACHE_VERSION,
-        "snapshot": snapshot_digest(snap),
-        "cap": table.cap,
-        "pad_entities": table.pad_entities,
-        "pad_relations": table.pad_relations,
-        "seed": table.seed,
-        "max_midpoints": table.max_midpoints,
-        "entries": entries,
-    }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        pickle.dump(payload, fh, protocol=4)
-    tmp.replace(path)
-
-
-def load_context_cache(path, snapshot: Snapshot) -> ContextTable:
-    """Load a context table; fails if the snapshot or config do not match."""
-    with Path(path).open("rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("version") != _CACHE_VERSION:
-        raise IntegrityError(f"unsupported context cache version: {payload.get('version')}")
-    if payload["snapshot"] != snapshot_digest(snapshot):
-        raise IntegrityError("context cache was built from a different snapshot")
-    table = ContextTable(snapshot, cap=payload["cap"],
-                         pad_entities=payload["pad_entities"],
-                         pad_relations=payload["pad_relations"],
-                         seed=payload["seed"], max_midpoints=payload["max_midpoints"])
-    def member_ids(kind: str, names: tuple[str, ...]) -> tuple[int, ...]:
-        if kind == ENTITY:
-            return tuple(snapshot.entity_id(n) for n in names)
-        return tuple(snapshot.relation_id(n) for n in names)
-
-    for (kind, name), (vertices, adjacency, real_count, signature) in payload["entries"].items():
-        obj = (snapshot.entity_id(name) if kind == ENTITY
-               else snapshot.relation_id(name))
-        table._cache[(kind, obj)] = ContextSubgraph(
-            owner=(kind, obj),
-            vertices=tuple(ContextVertex(k, member_ids(k, m)) for k, m in vertices),
-            adjacency=adjacency,
-            real_count=real_count,
-            signature=signature,
-        )
-    return table

@@ -321,7 +321,3 @@ def diff_snapshots(g_old: Snapshot, g_new: Snapshot) -> SnapshotDiff:
         removed_relations=frozenset(g_old.relation_ids[n] for n in old_r - new_r),
     )
 
-
-def neighbors(snapshot: Snapshot, e: int) -> frozenset[int]:
-    """One-hop neighbor entities of e, ignoring direction and self-loops."""
-    return snapshot.neighbors(e)

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import expit
 
 from .agcn import AgcnCache, AgcnParams, agcn_backward, agcn_forward
-from .contexts import ContextSubgraph, ContextTable, ENTITY, RELATION, ObjectRef
+from .contexts import (ContextSubgraph, ContextTable, DEFAULT_CAP,
+                       DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, ObjectRef)
 from .errors import IntegrityError
 from .kg_store import Snapshot, Triple
 
@@ -40,9 +41,8 @@ class ParameterStore:
     ent_gate_pre: np.ndarray  # (d,) pre-logistic gate, shared by all entities
     rel_gate_pre: np.ndarray  # (d,)
     cap: int
-    pad_entities: int
-    pad_relations: int
     seed: int
+    max_midpoints: int
     signatures: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @property
@@ -67,9 +67,8 @@ class ParameterStore:
             ent_gate_pre=self.ent_gate_pre.copy(),
             rel_gate_pre=self.rel_gate_pre.copy(),
             cap=self.cap,
-            pad_entities=self.pad_entities,
-            pad_relations=self.pad_relations,
             seed=self.seed,
+            max_midpoints=self.max_midpoints,
             signatures=dict(self.signatures),
         )
 
@@ -90,19 +89,25 @@ class ParameterStore:
             total += agcn.attention.size + sum(w.size for w in agcn.weights)
         return total
 
-    def context_table(self, snapshot: Snapshot,
-                      max_midpoints: int | None = None) -> ContextTable:
-        """Context table reproducing the sampling this store was trained with."""
+    def model_config(self) -> dict[str, int]:
+        """The settings an online update must share with the training run."""
+        return {"dim": self.dim,
+                "entity_layers": len(self.entity_agcn.weights),
+                "relation_layers": len(self.relation_agcn.weights),
+                "cap": self.cap, "seed": self.seed,
+                "max_midpoints": self.max_midpoints}
+
+    def context_table(self, snapshot: Snapshot) -> ContextTable:
+        """Context table reproducing the contexts this store was trained with."""
         self.require_snapshot(snapshot)
-        kwargs = {} if max_midpoints is None else {"max_midpoints": max_midpoints}
-        return ContextTable(snapshot, cap=self.cap, pad_entities=self.pad_entities,
-                            pad_relations=self.pad_relations, seed=self.seed, **kwargs)
+        return ContextTable(snapshot, cap=self.cap, seed=self.seed,
+                            max_midpoints=self.max_midpoints)
 
 
 def init_params(snapshot: Snapshot, d: int, rng: np.random.Generator, *,
                 entity_layers: int = 1, relation_layers: int = 1,
-                cap: int = 35, pad_entities: int = 40, pad_relations: int = 40,
-                seed: int = 0) -> ParameterStore:
+                cap: int = DEFAULT_CAP, seed: int = 0,
+                max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ParameterStore:
     """Fresh parameters: embeddings and encoder weights from U(-6/sqrt(d),
     6/sqrt(d)), gates at zero so each blend starts at one half."""
     if d < 1:
@@ -127,8 +132,7 @@ def init_params(snapshot: Snapshot, d: int, rng: np.random.Generator, *,
         rel_know=rel_know, rel_ctx=rel_ctx,
         entity_agcn=entity_agcn, relation_agcn=relation_agcn,
         ent_gate_pre=np.zeros(d), rel_gate_pre=np.zeros(d),
-        cap=cap, pad_entities=pad_entities, pad_relations=pad_relations,
-        seed=seed,
+        cap=cap, seed=seed, max_midpoints=max_midpoints,
     )
 
 
@@ -224,10 +228,9 @@ def context_features(subgraph: ContextSubgraph, store: ParameterStore) -> np.nda
     """Initial feature rows: sum of member contextual element embeddings.
 
     Entity vertices read from the entity table, relation and relation-path
-    vertices from the relation table; padded rows stay zero.
+    vertices from the relation table; one row per vertex.
     """
-    n = subgraph.adjacency.shape[0]
-    h0 = np.zeros((n, store.dim), dtype=np.float64)
+    h0 = np.zeros((len(subgraph.vertices), store.dim), dtype=np.float64)
     for i, vertex in enumerate(subgraph.vertices):
         table = store.ent_ctx if vertex.kind == ENTITY else store.rel_ctx
         for m in vertex.members:
@@ -248,7 +251,7 @@ def object_forward(ref: ObjectRef, store: ParameterStore,
         gate_pre = store.rel_gate_pre
     sub = contexts.get(ref)
     h0 = context_features(sub, store)
-    sg, cache = agcn_forward(h0, sub.adjacency, agcn, know, sub.real_count)
+    sg, cache = agcn_forward(h0, sub.adjacency, agcn, know)
     gate = expit(gate_pre)
     star = gate * know + (1.0 - gate) * sg
     return ObjectForward(ref=ref, star=star, sg=sg, gate=gate, knowledge=know,
@@ -320,10 +323,7 @@ def object_backward(fwd: ObjectForward, d_star: np.ndarray, store: ParameterStor
         for acc, dw in zip(buffer.rel_weights, grads.weights):
             acc += dw
 
-    sub = fwd.subgraph
-    for i in range(sub.real_count):
-        vertex = sub.vertices[i]
-        row = grads.h0[i]
+    for vertex, row in zip(fwd.subgraph.vertices, grads.h0):
         target = buffer.ent_ctx if vertex.kind == ENTITY else buffer.rel_ctx
         for m in vertex.members:
             target[m] += row

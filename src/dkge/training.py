@@ -41,8 +41,6 @@ class TrainConfig:
     eval_every: int = 10
     seed: int = 0
     cap: int = 35
-    pad_entities: int = 40
-    pad_relations: int = 40
     max_midpoints: int = 1000
 
     def __post_init__(self):
@@ -66,8 +64,8 @@ class TrainConfig:
             raise ConfigError(f"eval cadence must be >= 1, got {self.eval_every}")
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
-        if self.cap > min(self.pad_entities, self.pad_relations):
-            raise ConfigError("cap exceeds padded context size")
+        if self.max_midpoints < 0:
+            raise ConfigError(f"max midpoints must be >= 0, got {self.max_midpoints}")
 
 
 @dataclass
@@ -219,11 +217,9 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
     store = init_params(snapshot, config.dim, np.random.default_rng(init_ss),
                         entity_layers=config.entity_layers,
                         relation_layers=config.relation_layers,
-                        cap=config.cap, pad_entities=config.pad_entities,
-                        pad_relations=config.pad_relations, seed=config.seed)
-    table = ContextTable(snapshot, cap=config.cap, pad_entities=config.pad_entities,
-                         pad_relations=config.pad_relations, seed=config.seed,
-                         max_midpoints=config.max_midpoints)
+                        cap=config.cap, seed=config.seed,
+                        max_midpoints=config.max_midpoints)
+    table = store.context_table(snapshot)
     store.signatures = table.signatures_by_name()
     stats = relation_stats(snapshot)
     store, losses, best_hits, best_epoch, epochs = _sgd_loop(
@@ -251,9 +247,10 @@ def collect_retrain_set(g_new: Snapshot, diff: SnapshotDiff,
 
 
 def _migrate_store(store: ParameterStore, g_old: Snapshot, g_new: Snapshot,
-                   config: TrainConfig, rng: np.random.Generator) -> ParameterStore:
+                   rng: np.random.Generator) -> ParameterStore:
     """Re-key parameters to the new snapshot: drop removed objects, copy the
-    survivors by name, and initialize emerging ones from the uniform prior."""
+    survivors by name, and initialize emerging ones from the uniform prior.
+    The encoders, gates and context settings carry over unchanged."""
     d = store.dim
     bound = 6.0 / np.sqrt(d)
     n_e, n_r = g_new.num_entities, g_new.num_relations
@@ -282,16 +279,15 @@ def _migrate_store(store: ParameterStore, g_old: Snapshot, g_new: Snapshot,
         ent_know=ent_know, ent_ctx=ent_ctx, rel_know=rel_know, rel_ctx=rel_ctx,
         entity_agcn=store.entity_agcn.copy(), relation_agcn=store.relation_agcn.copy(),
         ent_gate_pre=store.ent_gate_pre.copy(), rel_gate_pre=store.rel_gate_pre.copy(),
-        cap=config.cap, pad_entities=config.pad_entities,
-        pad_relations=config.pad_relations, seed=config.seed,
+        cap=store.cap, seed=store.seed, max_midpoints=store.max_midpoints,
         signatures=dict(store.signatures))
 
 
 def _detect_changed(store: ParameterStore, g_old: Snapshot, g_new: Snapshot,
-                    diff: SnapshotDiff, table: ContextTable) -> frozenset[ObjectRef]:
+                    ent_cand: set[str], rel_cand: set[str],
+                    table: ContextTable) -> frozenset[ObjectRef]:
     """Signature comparison against the stored signatures of the old run,
     restricted to the sound candidate set."""
-    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
     changed: set[ObjectRef] = set()
     for kind, cand, old_ids, new_ids in (
             (ENTITY, ent_cand, g_old.entity_ids, g_new.entity_ids),
@@ -352,25 +348,25 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     Retrains only the triples touching emerging or changed-context objects.
     Emerging objects train both embeddings; changed-context objects train
     the knowledge embedding only; all other parameters are left untouched.
+    The config's model settings (``ParameterStore.model_config``) must equal
+    the store's; only the optimiser settings are free.
     """
     t_start = time.perf_counter()
     store.require_snapshot(g_old)
-    if store.dim != config.dim:
-        raise ConfigError(
-            f"config dim {config.dim} does not match checkpoint dim {store.dim}")
+    for key, stored in store.model_config().items():
+        if getattr(config, key) != stored:
+            raise ConfigError(f"config {key}={getattr(config, key)} does not "
+                              f"match checkpoint {key}={stored}")
     seq = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss, neg_ss, holdout_ss = seq.spawn(4)
     diff = diff_snapshots(g_old, g_new)
-    store = _migrate_store(store, g_old, g_new, config,
-                           np.random.default_rng(init_ss))
-    table = ContextTable(g_new, cap=config.cap, pad_entities=config.pad_entities,
-                         pad_relations=config.pad_relations, seed=config.seed,
-                         max_midpoints=config.max_midpoints)
-    changed = _detect_changed(store, g_old, g_new, diff, table)
+    store = _migrate_store(store, g_old, g_new, np.random.default_rng(init_ss))
+    table = store.context_table(g_new)
+    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
+    changed = _detect_changed(store, g_old, g_new, ent_cand, rel_cand, table)
     t_ol = collect_retrain_set(g_new, diff, changed)
 
     recomputed: set[tuple[str, str]] = set()
-    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
     recomputed.update((ENTITY, n) for n in ent_cand if n in g_new.entity_ids)
     recomputed.update((RELATION, n) for n in rel_cand if n in g_new.relation_ids)
     _refresh_signatures(store, g_new, table, recomputed)

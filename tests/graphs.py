@@ -101,8 +101,7 @@ def churned_triples(rng: np.random.Generator, base: list[NameTriple],
 
 def tiny_store(snapshot: Snapshot, d=6, seed=0, **kwargs) -> tuple[ParameterStore, ContextTable]:
     store = init_params(snapshot, d, np.random.default_rng(seed), seed=seed, **kwargs)
-    table = ContextTable(snapshot, cap=store.cap, pad_entities=store.pad_entities,
-                         pad_relations=store.pad_relations, seed=seed)
+    table = store.context_table(snapshot)
     store.signatures = table.signatures_by_name()
     return store, table
 

@@ -21,18 +21,6 @@ def random_adjacency(rng, n):
     return a
 
 
-def pad(arr, full):
-    out = np.zeros((full,) + arr.shape[1:])
-    out[:arr.shape[0]] = arr
-    return out
-
-
-def pad_square(a, full):
-    out = np.zeros((full, full))
-    out[:a.shape[0], :a.shape[0]] = a
-    return out
-
-
 # -- normalization ------------------------------------------------------------
 
 def test_normalize_path_graph_oracle():
@@ -77,10 +65,10 @@ def test_forward_single_vertex_oracle():
     rng = np.random.default_rng(1)
     d = 5
     params = make_params(rng, d, 1)
-    h0 = pad(rng.normal(size=(1, d)), 8)
-    adj = pad_square(np.zeros((1, 1)), 8)
+    h0 = rng.normal(size=(1, d))
+    adj = np.zeros((1, 1))
     o_k = rng.normal(size=d)
-    out, cache = agcn_forward(h0, adj, params, o_k, real_count=1)
+    out, cache = agcn_forward(h0, adj, params, o_k)
     v = np.maximum(h0[0] @ params.weights[0], 0.0)  # S is the identity here
     assert np.allclose(out, v, atol=1e-12)
     assert np.allclose(cache.alpha, [1.0])
@@ -89,10 +77,10 @@ def test_forward_single_vertex_oracle():
 def test_forward_two_vertices_hand_computed():
     d = 2
     params = AgcnParams(weights=[np.eye(2)], attention=np.array([1.0, 1.0]))
-    h0 = pad(np.array([[1.0, 0.0], [0.0, 1.0]]), 4)
-    adj = pad_square(np.array([[0.0, 1.0], [1.0, 0.0]]), 4)
+    h0 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
     o_k = np.array([1.0, 1.0])
-    out, cache = agcn_forward(h0, adj, params, o_k, real_count=2)
+    out, cache = agcn_forward(h0, adj, params, o_k)
     # S = [[.5,.5],[.5,.5]], H1 = S @ H0 = [[.5,.5],[.5,.5]], scores equal
     assert np.allclose(cache.hs[1], [[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(cache.alpha, [0.5, 0.5])
@@ -102,46 +90,23 @@ def test_forward_two_vertices_hand_computed():
 def test_forward_attention_prefers_aligned_vertex():
     d = 3
     params = AgcnParams(weights=[np.eye(3)], attention=np.ones(3))
-    h0 = pad(np.array([[1.0, 1.0, 1.0], [0.1, 0.1, 0.1]]), 4)
-    adj = pad_square(np.zeros((2, 2)), 4)
+    h0 = np.array([[1.0, 1.0, 1.0], [0.1, 0.1, 0.1]])
+    adj = np.zeros((2, 2))
     o_k = np.ones(3)
-    out, cache = agcn_forward(h0, adj, params, o_k, real_count=2)
+    out, cache = agcn_forward(h0, adj, params, o_k)
     assert cache.alpha[0] > cache.alpha[1]
 
 
-def test_forward_padding_neutral():
-    """Identical output regardless of how much zero padding follows."""
-    rng = np.random.default_rng(2)
-    d, n = 4, 5
-    params = make_params(rng, d, 2)
-    h = rng.normal(size=(n, d))
-    a = random_adjacency(rng, n)
-    o_k = rng.normal(size=d)
-    out_small, _ = agcn_forward(pad(h, n + 1), pad_square(a, n + 1), params, o_k, n)
-    out_big, _ = agcn_forward(pad(h, 40), pad_square(a, 40), params, o_k, n)
-    assert out_small.tobytes() == out_big.tobytes()
-
-
-def test_forward_rejects_nonzero_padding():
-    rng = np.random.default_rng(3)
-    d = 3
-    params = make_params(rng, d, 1)
-    h0 = rng.normal(size=(4, d))  # rows beyond real_count not zero
-    adj = pad_square(np.zeros((2, 2)), 4)
-    with pytest.raises(ValueError):
-        agcn_forward(h0, adj, params, np.zeros(d), real_count=2)
-
-
-def test_forward_rejects_bad_real_count():
+def test_forward_rejects_bad_shapes():
     rng = np.random.default_rng(4)
     d = 3
     params = make_params(rng, d, 1)
-    h0 = pad(rng.normal(size=(2, d)), 4)
-    adj = pad_square(np.zeros((2, 2)), 4)
     with pytest.raises(ValueError):
-        agcn_forward(h0, adj, params, np.zeros(d), real_count=0)
+        agcn_forward(np.zeros((0, d)), np.zeros((0, 0)), params, np.zeros(d))
     with pytest.raises(ValueError):
-        agcn_forward(h0, adj, params, np.zeros(d), real_count=5)
+        agcn_forward(rng.normal(size=(2, d)), np.zeros((3, 3)), params, np.zeros(d))
+    with pytest.raises(ValueError):
+        agcn_forward(rng.normal(size=(2, d)), np.zeros((2, 2)), params, np.zeros(d + 1))
 
 
 def test_params_validation():
@@ -155,8 +120,8 @@ def test_params_validation():
 
 # -- backward -----------------------------------------------------------------
 
-def scalar_out(h0, adj, params, o_k, n, probe):
-    out, _ = agcn_forward(h0, adj, params, o_k, n)
+def scalar_out(h0, adj, params, o_k, probe):
+    out, _ = agcn_forward(h0, adj, params, o_k)
     return float(out @ probe)
 
 
@@ -164,24 +129,23 @@ def scalar_out(h0, adj, params, o_k, n, probe):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_backward_matches_finite_differences(layers, seed):
     rng = np.random.default_rng(seed)
-    d, n, full = 4, 5, 9
+    d, n = 4, 5
     params = make_params(rng, d, layers)
-    h_real = rng.normal(size=(n, d))
-    h0 = pad(h_real, full)
-    adj = pad_square(random_adjacency(rng, n), full)
+    h0 = rng.normal(size=(n, d))
+    adj = random_adjacency(rng, n)
     o_k = rng.normal(size=d)
     probe = rng.normal(size=d)
 
-    out, cache = agcn_forward(h0, adj, params, o_k, n)
+    out, cache = agcn_forward(h0, adj, params, o_k)
     grads = agcn_backward(cache, params, o_k, probe)
     eps = 1e-6
 
     def fd(write, read):
         orig = read()
         write(orig + eps)
-        up = scalar_out(h0, adj, params, o_k, n, probe)
+        up = scalar_out(h0, adj, params, o_k, probe)
         write(orig - eps)
-        down = scalar_out(h0, adj, params, o_k, n, probe)
+        down = scalar_out(h0, adj, params, o_k, probe)
         write(orig)
         return (up - down) / (2 * eps)
 
@@ -191,7 +155,7 @@ def test_backward_matches_finite_differences(layers, seed):
             want = fd(lambda v, i=i, j=j: h0.__setitem__((i, j), v),
                       lambda i=i, j=j: h0[i, j])
             assert got == pytest.approx(want, abs=2e-5)
-    assert not grads.h0[n:].any()
+    assert grads.h0.shape == (n, d)
 
     for layer in range(layers):
         w = params.weights[layer]
@@ -215,10 +179,10 @@ def test_backward_dead_relu_blocks_gradient():
     """Zero pre-activations stay zero: the derivative convention at 0 is 0."""
     d = 3
     params = AgcnParams(weights=[np.zeros((d, d))], attention=np.ones(d))
-    h0 = pad(np.ones((2, d)), 4)
-    adj = pad_square(np.zeros((2, 2)), 4)
+    h0 = np.ones((2, d))
+    adj = np.zeros((2, 2))
     o_k = np.ones(d)
-    out, cache = agcn_forward(h0, adj, params, o_k, 2)
+    out, cache = agcn_forward(h0, adj, params, o_k)
     assert np.array_equal(out, np.zeros(d))
     grads = agcn_backward(cache, params, o_k, np.ones(d))
     assert not grads.weights[0].any()

@@ -31,8 +31,7 @@ def test_round_trip_exact(tmp_path, store):
     assert loaded.entity_agcn.attention.tobytes() == store.entity_agcn.attention.tobytes()
     assert loaded.relation_agcn.attention.tobytes() == store.relation_agcn.attention.tobytes()
     assert loaded.signatures == store.signatures
-    assert (loaded.cap, loaded.pad_entities, loaded.pad_relations, loaded.seed) \
-        == (store.cap, store.pad_entities, store.pad_relations, store.seed)
+    assert loaded.model_config() == store.model_config()
 
 
 def test_rewrite_is_byte_identical(tmp_path, store):

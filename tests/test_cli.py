@@ -2,13 +2,19 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from dkge.checkpoint import load_checkpoint
 from dkge.cli import main, parse_config_file
+from dkge.contexts import ContextTable, changed_context_objects, entity_context
 from dkge.errors import ConfigError
+from dkge.evaluation import answer
+from dkge.kg_store import diff_snapshots, load_snapshot_dir
+from dkge.model import forward_triple
+from dkge.training import collect_retrain_set
 
-from graphs import TOY_T1, TOY_T2, write_snapshot_dir
+from graphs import TOY_T1, TOY_T2, random_name_triples, write_snapshot_dir
 
 FAST_FLAGS = ["--d", "8", "--lr", "0.01", "--batch", "8", "--margin", "2",
               "--max-epochs", "4"]
@@ -140,6 +146,91 @@ def test_update_mismatched_checkpoint_fails(dirs, capsys):
                        str(tmp / "m1.pkl"), str(tmp / "m2.pkl"), *FAST_FLAGS)
     assert code == 1
     assert "error:" in err
+
+
+# -- update takes the model settings from the checkpoint ---------------------
+
+CAPPED_MODEL = ["--d", "8", "--cap", "10", "--seed", "3"]
+OPTIMISER_FLAGS = ["--lr", "0.01", "--batch", "100", "--margin", "4.0",
+                   "--max-epochs", "1"]
+
+
+@pytest.fixture()
+def capped_run(tmp_path, capsys):
+    """A model trained with a non-default cap and seed on a 400-triple graph
+    whose entity contexts exceed the cap, and that graph plus one triple."""
+    rng = np.random.default_rng(400)
+    base = random_name_triples(rng, 400, 40, 8)
+    have = set(base)
+    extra = next(t for t in random_name_triples(rng, 50, 40, 8) if t not in have)
+    old, new = tmp_path / "f0", tmp_path / "f1"
+    write_snapshot_dir(old, base)
+    write_snapshot_dir(new, base + [extra])
+    code, _, _ = run(capsys, "train", str(old), str(tmp_path / "c0.pkl"),
+                     *CAPPED_MODEL, *OPTIMISER_FLAGS)
+    assert code == 0
+    return tmp_path, old, new
+
+
+def test_update_inherits_model_config(capped_run, capsys):
+    tmp, old, new = capped_run
+    code, out, _ = run(capsys, "update", str(old), str(new), str(tmp / "c0.pkl"),
+                       str(tmp / "c1.pkl"), *OPTIMISER_FLAGS)
+    assert code == 0
+    header = out.splitlines()[0].split()
+    assert {"dim=8", "cap=10", "seed=3"} <= set(header)
+
+    g_old = load_snapshot_dir(old).train
+    g_new = load_snapshot_dir(new).train
+    assert max(len(entity_context(g_old, e).vertices)
+               for e in range(g_old.num_entities)) > 10
+    diff = diff_snapshots(g_old, g_new)
+    retrain = collect_retrain_set(g_new, diff, changed_context_objects(g_old, g_new, diff))
+    before, after = load_checkpoint(tmp / "c0.pkl"), load_checkpoint(tmp / "c1.pkl")
+    table_old, table_new = before.context_table(g_old), after.context_table(g_new)
+    memo_old, memo_new = {}, {}
+    old_names = set(g_old.name_triples())
+    stable = [t for t in g_new.triples
+              if t not in retrain and g_new.triple_names(t) in old_names]
+    assert len(stable) > 100
+    for t in stable:
+        f_before = forward_triple(g_old.resolve(g_new.triple_names(t)), before,
+                                  table_old, memo_old).f
+        assert forward_triple(t, after, table_new, memo_new).f == f_before
+
+
+def test_update_rejects_model_flag_that_disagrees(capped_run, capsys):
+    tmp, old, new = capped_run
+    code, _, err = run(capsys, "update", str(old), str(new), str(tmp / "c0.pkl"),
+                       str(tmp / "c1.pkl"), "--cap", "35", *OPTIMISER_FLAGS)
+    assert code == 1
+    assert "cap=35" in err and "cap=10" in err
+    assert not (tmp / "c1.pkl").exists()
+
+
+def test_answer_uses_trained_max_midpoints(tmp_path, capsys):
+    """Relation r has six two-step paths; training keeps two of them, and
+    answer must rebuild r's context the same way."""
+    triples = [("a", "r", "b")]
+    for i in range(6):
+        triples += [("a", f"g{i}", f"m{i}"), (f"m{i}", f"h{i}", "b")]
+    write_snapshot_dir(tmp_path / "s", triples)
+    ckpt = tmp_path / "m.pkl"
+    code, _, _ = run(capsys, "train", str(tmp_path / "s"), str(ckpt),
+                     "--max-midpoints", "2", *FAST_FLAGS)
+    assert code == 0
+    code, out, _ = run(capsys, "answer", str(tmp_path / "s"), str(ckpt), "a", "r",
+                       "-k", "5")
+    assert code == 0
+
+    g = load_snapshot_dir(tmp_path / "s").train
+    store = load_checkpoint(ckpt)
+    assert len(store.context_table(g).relation(g.relation_id("r")).vertices) == 3
+    trained = ContextTable(g, cap=store.cap, seed=store.seed, max_midpoints=2)
+    want = [f"{rank} {g.entity_names[e]} {score:.6f}" for rank, (e, score) in enumerate(
+        answer(g.entity_id("a"), g.relation_id("r"), 5, store, g, contexts=trained),
+        start=1)]
+    assert out.splitlines() == want
 
 
 # -- eval ---------------------------------------------------------------------

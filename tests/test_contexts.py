@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkge.contexts import (ContextTable, ENTITY, RELATION, RELATION_PATH,
-                           build_context, candidate_changed_names, cap_and_pad,
+                           build_context, candidate_changed_names,
                            changed_context_objects, context_signature,
-                           entity_context, load_context_cache, relation_context,
-                           save_context_cache, signatures_by_name)
-from dkge.errors import ConfigError, IntegrityError
+                           entity_context, relation_context, signatures_by_name)
 from dkge.kg_store import Snapshot, diff_snapshots
 
 from graphs import TOY_T1, TOY_T2, churned_triples, random_name_triples, toy_snapshot
 
 
 def entity_vertex_names(sub, g):
-    return [g.entity_names[v.members[0]] for v in sub.vertices[:sub.real_count]]
+    return [g.entity_names[v.members[0]] for v in sub.vertices]
 
 
 def relation_vertex_names(sub, g):
-    return [tuple(g.relation_names[m] for m in v.members)
-            for v in sub.vertices[:sub.real_count]]
+    return [tuple(g.relation_names[m] for m in v.members) for v in sub.vertices]
 
 
 def named_edges(sub, names):
@@ -59,7 +56,7 @@ def test_entity_context_vertices_sorted_by_name(g1):
 def test_entity_context_isolated_owner():
     g = Snapshot.from_name_triples([("a", "r", "a"), ("b", "r", "c")])
     sub = entity_context(g, g.entity_id("a"))
-    assert sub.real_count == 1
+    assert len(sub.vertices) == 1
     assert sub.adjacency[0, 0] == 1.0  # self-loop triple keeps the diagonal
 
 
@@ -71,8 +68,7 @@ def test_entity_context_no_self_loop_without_triple(g1):
 def test_entity_context_adjacency_symmetric(g1):
     for name in g1.entity_names:
         sub = entity_context(g1, g1.entity_id(name))
-        a = sub.adjacency[:sub.real_count, :sub.real_count]
-        assert np.array_equal(a, a.T)
+        assert np.array_equal(sub.adjacency, sub.adjacency.T)
 
 
 # -- relation contexts --------------------------------------------------------
@@ -98,7 +94,7 @@ def test_relation_context_length_one_paths_exclude_owner():
 def test_relation_context_no_paths():
     g = Snapshot.from_name_triples([("a", "r", "b"), ("c", "s", "d")])
     sub = relation_context(g, g.relation_id("r"))
-    assert sub.real_count == 1
+    assert len(sub.vertices) == 1
     assert sub.adjacency[0, 0] == 0.0
 
 
@@ -150,7 +146,7 @@ def test_relation_context_midpoint_truncation(caplog):
         small = relation_context(g, g.relation_id("r"), max_midpoints=3)
     assert any("midpoint" in rec.message for rec in caplog.records)
     full = relation_context(g, g.relation_id("r"))
-    assert small.real_count <= full.real_count
+    assert len(small.vertices) <= len(full.vertices)
     # truncation is canonical: same call, same result
     again = relation_context(g, g.relation_id("r"), max_midpoints=3)
     assert small.signature == again.signature
@@ -197,7 +193,7 @@ def test_signature_unchanged_for_distant_edit(g1, g2):
         assert sigs1[(RELATION, name)] == sigs2[(RELATION, name)]
 
 
-# -- capping and padding ------------------------------------------------------
+# -- capping ------------------------------------------------------------------
 
 def hub_snapshot(n=60):
     triples = [("hub", "r", f"leaf{i:03d}") for i in range(n)]
@@ -207,40 +203,20 @@ def hub_snapshot(n=60):
 def test_cap_keeps_owner_and_size():
     g = hub_snapshot()
     raw = entity_context(g, g.entity_id("hub"))
-    assert raw.real_count == 61
-    capped = cap_and_pad(raw, 35, 40, np.random.default_rng(0))
-    assert capped.real_count == 35
+    assert len(raw.vertices) == 61
+    capped = entity_context(g, g.entity_id("hub"), cap=35, rng=np.random.default_rng(0))
+    assert len(capped.vertices) == 35
+    assert capped.adjacency.shape == (35, 35)
     assert capped.vertices[0] == raw.vertices[0]
     assert capped.signature == raw.signature  # hash covers the uncapped context
 
 
 def test_cap_sample_depends_on_rng():
     g = hub_snapshot()
-    raw = entity_context(g, g.entity_id("hub"))
-    a = cap_and_pad(raw, 35, 40, np.random.default_rng(1))
-    b = cap_and_pad(raw, 35, 40, np.random.default_rng(2))
+    hub = g.entity_id("hub")
+    a = entity_context(g, hub, cap=35, rng=np.random.default_rng(1))
+    b = entity_context(g, hub, cap=35, rng=np.random.default_rng(2))
     assert a.vertices != b.vertices
-
-
-def test_pad_region_is_zero(g1):
-    table = ContextTable(g1)
-    sub = table.entity(g1.entity_id("e1"))
-    assert sub.adjacency.shape == (40, 40)
-    n = sub.real_count
-    assert not sub.adjacency[n:, :].any()
-    assert not sub.adjacency[:, n:].any()
-    assert len(sub.vertices) == n  # only the adjacency carries padding
-
-
-def test_pad_too_small_rejected(g1):
-    raw = entity_context(g1, g1.entity_id("e1"))
-    with pytest.raises(ConfigError):
-        cap_and_pad(raw, 35, raw.real_count - 1, np.random.default_rng(0))
-
-
-def test_table_rejects_cap_above_pad(g1):
-    with pytest.raises(ConfigError):
-        ContextTable(g1, cap=41, pad_entities=40, pad_relations=40)
 
 
 def test_table_sampling_reproducible_across_instances():
@@ -260,10 +236,8 @@ def test_table_sampling_stable_across_snapshots_sharing_object():
         list(g.name_triples()) + [("other", "s", "thing")])
     a = ContextTable(g, seed=3).entity(g.entity_id("hub"))
     b = ContextTable(grown, seed=3).entity(grown.entity_id("hub"))
-    a_names = [tuple(g.entity_names[m] for m in v.members)
-               for v in a.vertices[:a.real_count]]
-    b_names = [tuple(grown.entity_names[m] for m in v.members)
-               for v in b.vertices[:b.real_count]]
+    a_names = [tuple(g.entity_names[m] for m in v.members) for v in a.vertices]
+    b_names = [tuple(grown.entity_names[m] for m in v.members) for v in b.vertices]
     assert a_names == b_names
     assert np.array_equal(a.adjacency, b.adjacency)
 
@@ -308,51 +282,3 @@ def test_candidate_overapproximation_sound(seed):
             assert g_new.entity_names[obj] in ent_cand
         else:
             assert g_new.relation_names[obj] in rel_cand
-
-
-# -- on-disk cache ------------------------------------------------------------
-
-def test_context_cache_round_trip(tmp_path, g1):
-    table = ContextTable(g1, seed=5)
-    table.build_all()
-    path = tmp_path / "ctx.pkl"
-    save_context_cache(table, path)
-    loaded = load_context_cache(path, g1)
-    for e in range(g1.num_entities):
-        a, b = table.entity(e), loaded.entity(e)
-        assert a.vertices == b.vertices
-        assert np.array_equal(a.adjacency, b.adjacency)
-        assert a.signature == b.signature
-
-
-def test_context_cache_survives_reordered_file(tmp_path, g1):
-    table = ContextTable(g1, seed=5)
-    table.build_all()
-    path = tmp_path / "ctx.pkl"
-    save_context_cache(table, path)
-    g1b = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
-    loaded = load_context_cache(path, g1b)
-    fresh = ContextTable(g1b, seed=5)
-    for name in g1b.entity_names:
-        e = g1b.entity_id(name)
-        assert loaded.entity(e).signature == fresh.entity(e).signature
-        assert np.array_equal(loaded.entity(e).adjacency, fresh.entity(e).adjacency)
-
-
-def test_context_cache_rejects_other_snapshot(tmp_path, g1, g2):
-    table = ContextTable(g1)
-    table.build_all()
-    path = tmp_path / "ctx.pkl"
-    save_context_cache(table, path)
-    with pytest.raises(IntegrityError):
-        load_context_cache(path, g2)
-
-
-def test_context_cache_carries_config(tmp_path, g1):
-    table = ContextTable(g1, cap=20, pad_entities=25, pad_relations=22, seed=5)
-    table.build_all()
-    path = tmp_path / "ctx.pkl"
-    save_context_cache(table, path)
-    loaded = load_context_cache(path, g1)
-    assert (loaded.cap, loaded.pad_entities, loaded.pad_relations, loaded.seed) \
-        == (20, 25, 22, 5)

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from dkge.contexts import ContextTable, ENTITY, RELATION, changed_context_objects
+from dkge.contexts import (ContextTable, ENTITY, RELATION, candidate_changed_names,
+                           changed_context_objects)
 from dkge.errors import ConfigError, IntegrityError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.training import (TrainConfig, collect_retrain_set, train_from_scratch,
@@ -34,7 +35,7 @@ def all_param_bytes(store):
 @pytest.mark.parametrize("bad", [
     dict(dim=0), dict(learning_rate=0.0), dict(batch_size=0), dict(margin=0.0),
     dict(entity_layers=3), dict(relation_layers=0), dict(max_epochs=0),
-    dict(patience=0), dict(eval_every=0), dict(cap=0), dict(cap=50)])
+    dict(patience=0), dict(eval_every=0), dict(cap=0), dict(max_midpoints=-1)])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
         TrainConfig(**bad)
@@ -45,7 +46,7 @@ def test_config_defaults():
     assert (cfg.dim, cfg.learning_rate, cfg.batch_size, cfg.margin) \
         == (100, 0.005, 500, 10.0)
     assert (cfg.max_epochs, cfg.patience, cfg.eval_every) == (800, 5, 10)
-    assert (cfg.cap, cfg.pad_entities, cfg.pad_relations) == (35, 40, 40)
+    assert (cfg.cap, cfg.max_midpoints) == (35, 1000)
 
 
 # -- scratch training ---------------------------------------------------------
@@ -88,8 +89,7 @@ def test_scratch_seed_changes_result(g1):
 
 def test_scratch_fills_signatures(g1):
     store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
-    fresh = ContextTable(g1, cap=store.cap, pad_entities=store.pad_entities,
-                         pad_relations=store.pad_relations, seed=store.seed)
+    fresh = ContextTable(g1, cap=store.cap, seed=store.seed)
     assert store.signatures == fresh.signatures_by_name()
 
 
@@ -217,8 +217,7 @@ def test_online_emerging_rows_initialized_in_bounds(g1, g2):
 
 def test_online_refreshes_signatures(g1, g2):
     before, after, report = run_online(g1, g2)
-    fresh = ContextTable(g2, cap=after.cap, pad_entities=after.pad_entities,
-                         pad_relations=after.pad_relations, seed=after.seed)
+    fresh = ContextTable(g2, cap=after.cap, seed=after.seed)
     assert after.signatures == fresh.signatures_by_name()
     assert after.matches_snapshot(g2)
 
@@ -236,11 +235,29 @@ def test_online_detection_matches_pure_diff():
         changed = changed_context_objects(g_old, g_new, diff)
         t_ol = collect_retrain_set(g_new, diff, changed)
         assert report.retrained_triples == len(t_ol)
-        fresh = ContextTable(g_new, cap=new_store.cap,
-                             pad_entities=new_store.pad_entities,
-                             pad_relations=new_store.pad_relations,
-                             seed=new_store.seed)
+        fresh = ContextTable(g_new, cap=new_store.cap, seed=new_store.seed)
         assert new_store.signatures == fresh.signatures_by_name()
+
+
+def test_online_computes_candidates_once(g1, g2, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return candidate_changed_names(*args)
+
+    monkeypatch.setattr("dkge.training.candidate_changed_names", counted)
+    run_online(g1, g2)
+    assert len(calls) == 1
+
+
+def test_online_rejects_model_config_mismatch(g1, g2):
+    store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
+    for key, value in (("cap", 10), ("seed", 1), ("max_midpoints", 2),
+                       ("entity_layers", 2)):
+        with pytest.raises(ConfigError, match=key):
+            train_online(g1, g2, store.copy(), set(),
+                         TrainConfig(**{**FAST, key: value}), log=None)
 
 
 def test_online_is_seed_deterministic(g1, g2):
