@@ -1,6 +1,6 @@
-"""Attentive graph convolution over a context subgraph.
+"""Attentive graph convolution over a batch of context subgraphs.
 
-Forward pass, for a context with feature rows h0 and adjacency A:
+Forward pass, for one context with feature rows h0 and adjacency A:
 
     S    = D^{-1/2} (A + I) D^{-1/2}        with D the degree matrix of A + I
     H^l  = relu(S H^{l-1} W^l)              l = 1..x, x in {1, 2}
@@ -8,15 +8,29 @@ Forward pass, for a context with feature rows h0 and adjacency A:
     a    = softmax over the vertices of s
     out  = sum_i a_i v_i
 
-The owner's knowledge embedding o_k steers the attention.  The backward
-pass is derived by hand and returns gradients for h0, the layer weights,
-the attention vector u, and o_k.  relu'(0) is taken as 0.
+The owner's knowledge embedding o_k steers the attention.
+
+A batch encodes B contexts at once as their disjoint union: the feature rows
+are stacked, context b owning one contiguous segment of rows, and the S
+matrices form one block-diagonal CSR matrix, so each layer is a single
+sparse product.  The softmax and the pooling run per segment with
+``np.maximum.reduceat`` and ``np.add.reduceat``.  The dense per-vertex
+products of the forward pass (``P W`` and the scores ``. u``) use
+``np.einsum``, whose rows do not depend on how many rows are stacked, where a
+BLAS product's rows do; a context's encoding is therefore bit-identical
+whatever else shares its batch.
+
+The backward pass is derived by hand and returns gradients for h0, each
+owner's o_k, and the layer weights and attention vector u summed over the
+batch.  relu'(0) is taken as 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 
 @dataclass
@@ -42,96 +56,143 @@ class AgcnParams:
         return AgcnParams([w.copy() for w in self.weights], self.attention.copy())
 
 
+def normalize_adjacency(adjacencies: Sequence[np.ndarray]) -> sparse.csr_array:
+    """Block-diagonal S = D^{-1/2} (A + I) D^{-1/2} of a batch of contexts.
+
+    Each adjacency must be a non-empty, square, symmetric matrix with entries
+    in {0, 1}.  Degrees are integer counts, so S is exact and exactly
+    symmetric; a zero row still gets degree 1 from the added self-connection.
+    """
+    if not adjacencies:
+        raise ValueError("a batch needs at least one context")
+    for a in adjacencies:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {a.shape}")
+        if a.shape[0] < 1:
+            raise ValueError("a context needs at least one vertex")
+    # the blocks' rows back to back; row i of the union starts at flat
+    # offset row_start[i] and its block at column first_col[i]
+    flat = np.concatenate([a.ravel() for a in adjacencies], dtype=np.float64)
+    if not np.all((flat == 0.0) | (flat == 1.0)):
+        raise ValueError("adjacency entries must be 0 or 1")
+    sizes = np.array([a.shape[0] for a in adjacencies])
+    width = np.repeat(sizes, sizes)
+    first_col = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row_start = np.cumsum(width) - width
+    n = width.size
+    flat[row_start + np.arange(n) - first_col] += 1.0      # A + I
+
+    nz = np.flatnonzero(flat)
+    indptr = np.searchsorted(nz, np.append(row_start, flat.size))
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(n), counts)
+    cols = nz - np.repeat(row_start - first_col, counts)
+    if not np.array_equal(rows * n + cols, np.sort(cols * n + rows)):
+        raise ValueError("adjacency must be symmetric")
+    a_hat = flat[nz]
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, indptr[:-1]))
+    return sparse.csr_array((a_hat * inv_sqrt[rows] * inv_sqrt[cols], cols, indptr),
+                            shape=(n, n))
+
+
+class ContextBatch:
+    """Disjoint union of B contexts: block-diagonal S plus row segments."""
+
+    def __init__(self, adjacencies: Sequence[np.ndarray]):
+        self.norm_adj = normalize_adjacency(adjacencies)
+        sizes = [a.shape[0] for a in adjacencies]
+        self.starts = np.cumsum(sizes) - sizes                  # (B,) first rows
+        self.segment = np.repeat(np.arange(len(sizes)), sizes)  # (n,) context of a row
+
+    @property
+    def size(self) -> int:
+        return self.starts.shape[0]
+
+    @property
+    def rows(self) -> int:
+        return self.segment.shape[0]
+
+    def softmax(self, scores: np.ndarray) -> np.ndarray:
+        top = np.maximum.reduceat(scores, self.starts)
+        exp = np.exp(scores - top[self.segment])
+        return exp / np.add.reduceat(exp, self.starts)[self.segment]
+
+    def pool(self, values: np.ndarray) -> np.ndarray:
+        """Per-context sums of the rows of ``values``."""
+        return np.add.reduceat(values, self.starts, axis=0)
+
+
 @dataclass
 class AgcnCache:
     """Forward intermediates needed by the backward pass."""
 
-    norm_adj: np.ndarray          # (m, m)
-    hs: list[np.ndarray]          # x + 1 arrays of shape (m, d): h0 .. H^x
+    batch: ContextBatch
+    hs: list[np.ndarray]          # x + 1 arrays of shape (n, d): h0 .. H^x
     pooled: list[np.ndarray]      # x arrays S @ H^{l-1}
-    relu_attn: np.ndarray         # (m, d) relu(v_i * o_k)
-    alpha: np.ndarray             # (m,)
+    alpha: np.ndarray             # (n,)
 
 
 @dataclass
 class AgcnGrads:
-    h0: np.ndarray
-    weights: list[np.ndarray]
-    attention: np.ndarray
-    owner_knowledge: np.ndarray
+    h0: np.ndarray                # (n, d)
+    weights: list[np.ndarray]     # summed over the batch
+    attention: np.ndarray         # summed over the batch
+    owner_knowledge: np.ndarray   # (B, d)
 
 
-def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization of A + I.
-
-    Requires a square, symmetric matrix with entries in {0, 1}.  A zero row
-    still gets degree 1 from the added self-connection.
-    """
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise ValueError("adjacency must be symmetric")
-    if not np.all((a == 0.0) | (a == 1.0)):
-        raise ValueError("adjacency entries must be 0 or 1")
-    a_hat = a + np.eye(a.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def agcn_forward(h0: np.ndarray, adjacency: np.ndarray, params: AgcnParams,
+def agcn_forward(h0: np.ndarray, batch: ContextBatch, params: AgcnParams,
                  owner_knowledge: np.ndarray) -> tuple[np.ndarray, AgcnCache]:
-    """Encode a context of n >= 1 vertices into a d-vector; returns
-    (embedding, cache)."""
+    """Encode each context of the batch into a d-vector.
+
+    ``h0`` stacks the feature rows of all contexts and ``owner_knowledge``
+    holds one row per context; returns ((B, d) embeddings, cache).
+    """
     n, d = h0.shape
-    if n < 1:
-        raise ValueError("a context needs at least one vertex")
-    if adjacency.shape != (n, n):
-        raise ValueError(f"adjacency shape {adjacency.shape} != ({n}, {n})")
-    if owner_knowledge.shape != (d,) or params.dim != d:
+    if n != batch.rows:
+        raise ValueError(f"{n} feature rows for a batch of {batch.rows} vertices")
+    if owner_knowledge.shape != (batch.size, d) or params.dim != d:
         raise ValueError("dimension mismatch between features and parameters")
 
-    s = normalize_adjacency(adjacency)
     hs = [h0]
     pooled = []
     for w in params.weights:
-        p = s @ hs[-1]
+        p = batch.norm_adj @ hs[-1]
         pooled.append(p)
-        hs.append(np.maximum(p @ w, 0.0))
+        hs.append(np.maximum(np.einsum("nd,de->ne", p, w, optimize=False), 0.0))
     v = hs[-1]
-    relu_attn = np.maximum(v * owner_knowledge[None, :], 0.0)
-    scores = relu_attn @ params.attention
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    alpha = exp / exp.sum()
-    out = alpha @ v
-    cache = AgcnCache(norm_adj=s, hs=hs, pooled=pooled, relu_attn=relu_attn,
-                      alpha=alpha)
-    return out, cache
+    relu_attn = np.maximum(v * owner_knowledge[batch.segment], 0.0)
+    alpha = batch.softmax(np.einsum("nd,d->n", relu_attn, params.attention,
+                                    optimize=False))
+    out = batch.pool(alpha[:, None] * v)
+    return out, AgcnCache(batch=batch, hs=hs, pooled=pooled, alpha=alpha)
 
 
 def agcn_backward(cache: AgcnCache, params: AgcnParams, owner_knowledge: np.ndarray,
                   grad_out: np.ndarray) -> AgcnGrads:
-    """Gradients of (grad_out . output) w.r.t. h0, weights, u, and o_k."""
+    """Gradients of sum_b (grad_out[b] . output[b]) w.r.t. h0, weights, u,
+    and each o_k."""
+    batch = cache.batch
     v = cache.hs[-1]
     alpha = cache.alpha
-    relu_attn = cache.relu_attn
+    owner = owner_knowledge[batch.segment]
+    grad = grad_out[batch.segment]
+    relu_attn = np.maximum(v * owner, 0.0)
 
-    # attention pooling: out = sum_i alpha_i v_i
-    d_alpha = v @ grad_out
-    d_scores = alpha * (d_alpha - alpha @ d_alpha)
+    # attention pooling: out_b = sum_{i in b} alpha_i v_i
+    d_alpha = (v * grad).sum(axis=1)
+    d_scores = alpha * (d_alpha - batch.pool(alpha * d_alpha)[batch.segment])
     d_attention = relu_attn.T @ d_scores
     d_pre = (d_scores[:, None] * params.attention[None, :]) * (relu_attn > 0.0)
-    d_owner = (d_pre * v).sum(axis=0)
-    d_v = alpha[:, None] * grad_out[None, :] + d_pre * owner_knowledge[None, :]
+    d_owner = batch.pool(d_pre * v)
+    d_v = alpha[:, None] * grad + d_pre * owner
 
-    # convolution layers, top down
+    # convolution layers, top down; S is symmetric
     d_weights: list[np.ndarray] = [np.empty(0)] * len(params.weights)
     d_h = d_v
     for l in range(len(params.weights) - 1, -1, -1):
         d_z = d_h * (cache.hs[l + 1] > 0.0)
         d_weights[l] = cache.pooled[l].T @ d_z
-        d_h = cache.norm_adj @ (d_z @ params.weights[l].T)
+        d_h = batch.norm_adj @ (d_z @ params.weights[l].T)
 
     return AgcnGrads(h0=d_h, weights=d_weights, attention=d_attention,
                      owner_knowledge=d_owner)

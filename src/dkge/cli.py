@@ -46,6 +46,8 @@ CONFIG_KEYS: dict[str, tuple[type, object]] = {
 TRAIN_KEYS = ("dim", "learning_rate", "batch_size", "margin", "entity_layers",
               "relation_layers", "max_epochs", "patience", "eval_every",
               "seed", "cap", "max_midpoints")
+# what eval uses: the model settings plus these
+EVAL_KEYS = ("threads", "filter_mode", "tie_mode")
 
 
 def parse_config_file(path: str) -> dict:
@@ -90,8 +92,8 @@ def effective_config(args: argparse.Namespace, inherited: dict | None = None) ->
     return merged
 
 
-def run_header(merged: dict) -> str:
-    return "config: " + " ".join(f"{key}={merged[key]}" for key in CONFIG_KEYS)
+def run_header(merged: dict, keys=tuple(CONFIG_KEYS)) -> str:
+    return "config: " + " ".join(f"{key}={merged[key]}" for key in keys)
 
 
 def train_config(merged: dict) -> TrainConfig:
@@ -180,13 +182,17 @@ def cmd_update(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    merged = effective_config(args)
-    print(run_header(merged))
+    # the model settings come from the checkpoint; a flag or config value
+    # that disagrees with them is an error
+    store = load_checkpoint(args.checkpoint)
+    model = store.model_config()
+    merged = effective_config(args, inherited=model)
+    store.require_model_config(merged)
+    print(run_header(merged, (*model, *EVAL_KEYS)))
     sd = load_snapshot_dir(args.snapshot_dir)
     if sd.test is None:
         raise ConfigError(
             f"no {TEST_FILE} in {args.snapshot_dir}; evaluation needs one")
-    store = load_checkpoint(args.checkpoint)
     store.require_snapshot(sd.train)
     if merged["filter_mode"] == "train":
         filter_triples = sd.train.triple_set

@@ -17,7 +17,7 @@ import numpy as np
 
 from .contexts import ContextTable, ENTITY, RELATION
 from .kg_store import NameTriple, Snapshot, Triple
-from .model import ParameterStore, object_forward
+from .model import ParameterStore, encode_passes
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +56,9 @@ class JointCache:
     """Joint embeddings of all entities plus relations on demand.
 
     Candidate scoring reuses one (n_e, d) matrix instead of re-encoding each
-    candidate; the per-object computation is identical, so ranks match the
-    uncached path exactly.
+    candidate.  The matrix is encoded in batched passes; an object's row does
+    not depend on its pass, so it equals ``object_forward`` bit for bit and
+    ranks match the uncached path exactly.
     """
 
     def __init__(self, store: ParameterStore, contexts: ContextTable):
@@ -68,17 +69,23 @@ class JointCache:
 
     def entities(self) -> np.ndarray:
         if self._entities is None:
-            stars = [object_forward((ENTITY, e), self.store, self.contexts).star
-                     for e in range(self.store.num_entities)]
-            self._entities = np.vstack(stars) if stars else np.zeros((0, self.store.dim))
+            ids = np.arange(self.store.num_entities)
+            stars = [enc.star for enc in encode_passes(ENTITY, ids, self.store,
+                                                       self.contexts)]
+            self._entities = (np.concatenate(stars) if stars
+                              else np.zeros((0, self.store.dim)))
         return self._entities
 
     def relation(self, r: int) -> np.ndarray:
-        star = self._relations.get(r)
-        if star is None:
-            star = object_forward((RELATION, r), self.store, self.contexts).star
-            self._relations[r] = star
-        return star
+        if r not in self._relations:
+            self.add_relations([r])
+        return self._relations[r]
+
+    def add_relations(self, ids: Iterable[int]) -> None:
+        """Encode the relations among ``ids`` not cached yet, in batched passes."""
+        todo = np.array(sorted(set(ids) - self._relations.keys()), dtype=np.intp)
+        for enc in encode_passes(RELATION, todo, self.store, self.contexts):
+            self._relations.update(zip(enc.ids.tolist(), enc.star))
 
 
 def _filter_index(filter_triples: frozenset[Triple] | set[Triple]):
@@ -174,6 +181,7 @@ def evaluate(test: Sequence[Triple | NameTriple], store: ParameterStore,
     resolved, skipped = resolve_test_triples(test, snapshot)
     cache = JointCache(store, contexts)
     cache.entities()
+    cache.add_relations(t.relation for t in resolved)
     filter_idx = _filter_index(filter_triples)
     queries = [(d, t) for t in resolved for d in (HEAD, TAIL)]
 
@@ -181,8 +189,6 @@ def evaluate(test: Sequence[Triple | NameTriple], store: ParameterStore,
         return _rank_one(q[0], q[1], cache, filter_idx, tie_mode)
 
     if threads > 1 and len(queries) > 1:
-        for t in resolved:
-            cache.relation(t.relation)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, queries))
     else:

@@ -10,18 +10,29 @@ context through a logistic gate shared per object class:
 Triples are scored with the L1 translation distance f = |h* + r* - t*|_1;
 lower is better.  Training minimizes a margin loss over corrupted pairs with
 Bernoulli head/tail corruption.
+
+Objects are encoded in batches.  ``encode`` stacks the contexts of objects of
+one kind into one block-diagonal graph and runs the encoder once over it
+(see ``agcn``); ``batch_loss`` encodes a batch's distinct objects in passes of
+at most ENCODE_PASS per kind, scores all pairs as arrays, and runs one
+backward pass per encoder pass.  ``object_forward`` is a pass of one, and
+an object's joint embedding is bit-identical whichever pass encodes it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .agcn import AgcnCache, AgcnParams, agcn_backward, agcn_forward
+from .agcn import (AgcnCache, AgcnParams, ContextBatch, agcn_backward,
+                   agcn_forward)
 from .contexts import (ContextSubgraph, ContextTable, DEFAULT_CAP,
                        DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, ObjectRef)
-from .errors import IntegrityError
+from .errors import ConfigError, IntegrityError
 from .kg_store import Snapshot, Triple
 
 
@@ -96,6 +107,13 @@ class ParameterStore:
                 "relation_layers": len(self.relation_agcn.weights),
                 "cap": self.cap, "seed": self.seed,
                 "max_midpoints": self.max_midpoints}
+
+    def require_model_config(self, settings: Mapping[str, object]) -> None:
+        """Raise ConfigError naming the first model setting that differs."""
+        for key, stored in self.model_config().items():
+            if settings[key] != stored:
+                raise ConfigError(f"config {key}={settings[key]} does not "
+                                  f"match checkpoint {key}={stored}")
 
     def context_table(self, snapshot: Snapshot) -> ContextTable:
         """Context table reproducing the contexts this store was trained with."""
@@ -201,6 +219,110 @@ def bernoulli_corrupt(triple: Triple, stats: RelationStats, snapshot: Snapshot,
     return candidate
 
 
+# -- batched encoder ------------------------------------------------------------
+
+# Most objects one encoder pass stacks; bounds the memory of a pass.
+ENCODE_PASS = 128
+
+
+@dataclass
+class EncodedPass:
+    """One encoder pass over objects of one kind: their joint embeddings plus
+    what the backward pass needs."""
+
+    kind: str
+    ids: np.ndarray           # (B,) object ids
+    knowledge: np.ndarray     # (B, d)
+    sg: np.ndarray            # (B, d) encoded contexts
+    gate: np.ndarray          # (d,)
+    star: np.ndarray          # (B, d) joint embeddings
+    member_rows: np.ndarray   # (M,) feature row of each context member
+    member_ids: np.ndarray    # (M,) contextual-embedding row of that member
+    cache: AgcnCache
+
+
+def context_features(kind: str, subgraphs: Sequence[ContextSubgraph],
+                     store: ParameterStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked initial feature rows of contexts owned by objects of ``kind``.
+
+    A vertex's row is the sum of its members' contextual element embeddings.
+    Entity contexts hold entity vertices and read the entity table; relation
+    contexts hold relation and relation-path vertices and read the relation
+    table.  Returns (h0, member_rows, member_ids): h0[member_rows[j]] sums
+    table[member_ids[j]] over j.
+    """
+    table = store.ent_ctx if kind == ENTITY else store.rel_ctx
+    members = list(map(attrgetter("members"),
+                       chain.from_iterable(sub.vertices for sub in subgraphs)))
+    member_ids = np.fromiter(chain.from_iterable(members), dtype=np.intp)
+    member_rows = np.repeat(np.arange(len(members)), list(map(len, members)))
+    h0 = _scatter_rows(member_rows, table[member_ids], len(members))
+    return h0, member_rows, member_ids
+
+
+def _scatter_rows(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) array whose row i sums the rows of ``values`` at rows == i,
+    added from 0.0 in input order."""
+    d = values.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
+
+
+def _kind_params(store: ParameterStore, kind: str):
+    if kind == ENTITY:
+        return store.ent_know, store.entity_agcn, store.ent_gate_pre
+    return store.rel_know, store.relation_agcn, store.rel_gate_pre
+
+
+def encode(kind: str, ids: Sequence[int], store: ParameterStore,
+           contexts: ContextTable) -> EncodedPass:
+    """Joint embeddings of objects of one kind, encoded in one pass over the
+    disjoint union of their contexts.  A row does not depend on the other
+    objects of the pass."""
+    ids = np.asarray(ids, dtype=np.intp)
+    subgraphs = [contexts.get((kind, obj)) for obj in ids.tolist()]
+    h0, member_rows, member_ids = context_features(kind, subgraphs, store)
+    know_table, agcn, gate_pre = _kind_params(store, kind)
+    know = know_table[ids]
+    batch = ContextBatch([sub.adjacency for sub in subgraphs])
+    sg, cache = agcn_forward(h0, batch, agcn, know)
+    gate = expit(gate_pre)
+    star = gate * know + (1.0 - gate) * sg
+    return EncodedPass(kind=kind, ids=ids, knowledge=know, sg=sg, gate=gate,
+                       star=star, member_rows=member_rows, member_ids=member_ids,
+                       cache=cache)
+
+
+def encode_passes(kind: str, ids: np.ndarray, store: ParameterStore,
+                  contexts: ContextTable) -> Iterator[EncodedPass]:
+    """``encode`` over ``ids`` in passes of at most ENCODE_PASS objects."""
+    for start in range(0, len(ids), ENCODE_PASS):
+        yield encode(kind, ids[start:start + ENCODE_PASS], store, contexts)
+
+
+def backward_pass(enc: EncodedPass, d_star: np.ndarray, store: ParameterStore,
+                  buffer: GradBuffer) -> None:
+    """Accumulate the gradients of sum_b (d_star[b] . o*_b) into the buffer.
+
+    The knowledge embedding receives both the gate path and the attention
+    path; context members collect the rows of the h0 gradient.
+    """
+    gate = enc.gate
+    d_know = d_star * gate
+    d_sg = d_star * (1.0 - gate)
+    d_gate_pre = d_star * (enc.knowledge - enc.sg) * gate * (1.0 - gate)
+    _, agcn, _ = _kind_params(store, enc.kind)
+    grads = agcn_backward(enc.cache, agcn, enc.knowledge, d_sg)
+    know, ctx, weights, attention, gate_pre = buffer.of_kind(enc.kind)
+    know[enc.ids] += d_know + grads.owner_knowledge
+    gate_pre += d_gate_pre.sum(axis=0)
+    attention += grads.attention
+    for acc, dw in zip(weights, grads.weights):
+        acc += dw
+    ids, at = np.unique(enc.member_ids, return_inverse=True)
+    ctx[ids] += _scatter_rows(at, grads.h0[enc.member_rows], ids.size)
+
+
 # -- forward / backward over triples -------------------------------------------
 
 
@@ -211,7 +333,6 @@ class ObjectForward:
     sg: np.ndarray
     gate: np.ndarray
     knowledge: np.ndarray
-    subgraph: ContextSubgraph
     cache: AgcnCache
 
 
@@ -224,43 +345,18 @@ class TripleForward:
     tail: ObjectForward
 
 
-def context_features(subgraph: ContextSubgraph, store: ParameterStore) -> np.ndarray:
-    """Initial feature rows: sum of member contextual element embeddings.
-
-    Entity vertices read from the entity table, relation and relation-path
-    vertices from the relation table; one row per vertex.
-    """
-    h0 = np.zeros((len(subgraph.vertices), store.dim), dtype=np.float64)
-    for i, vertex in enumerate(subgraph.vertices):
-        table = store.ent_ctx if vertex.kind == ENTITY else store.rel_ctx
-        for m in vertex.members:
-            h0[i] += table[m]
-    return h0
-
-
 def object_forward(ref: ObjectRef, store: ParameterStore,
                    contexts: ContextTable) -> ObjectForward:
+    """One object through the batched encoder, as a pass of one."""
     kind, obj = ref
-    if kind == ENTITY:
-        know = store.ent_know[obj]
-        agcn = store.entity_agcn
-        gate_pre = store.ent_gate_pre
-    else:
-        know = store.rel_know[obj]
-        agcn = store.relation_agcn
-        gate_pre = store.rel_gate_pre
-    sub = contexts.get(ref)
-    h0 = context_features(sub, store)
-    sg, cache = agcn_forward(h0, sub.adjacency, agcn, know)
-    gate = expit(gate_pre)
-    star = gate * know + (1.0 - gate) * sg
-    return ObjectForward(ref=ref, star=star, sg=sg, gate=gate, knowledge=know,
-                         subgraph=sub, cache=cache)
+    enc = encode(kind, [obj], store, contexts)
+    return ObjectForward(ref=ref, star=enc.star[0], sg=enc.sg[0], gate=enc.gate,
+                         knowledge=enc.knowledge[0], cache=enc.cache)
 
 
 def forward_triple(triple: Triple, store: ParameterStore, contexts: ContextTable,
                    memo: dict[ObjectRef, ObjectForward] | None = None) -> TripleForward:
-    """Score one triple; ``memo`` shares per-object work inside a batch."""
+    """Score one triple; ``memo`` shares per-object work between calls."""
     if memo is None:
         memo = {}
 
@@ -293,40 +389,13 @@ class GradBuffer:
         self.ent_gate_pre = np.zeros_like(store.ent_gate_pre)
         self.rel_gate_pre = np.zeros_like(store.rel_gate_pre)
 
-
-def object_backward(fwd: ObjectForward, d_star: np.ndarray, store: ParameterStore,
-                    buffer: GradBuffer) -> None:
-    """Accumulate gradients of (d_star . o*) into the buffer.
-
-    The knowledge embedding receives both the gate path and the attention
-    path; context member embeddings collect the rows of the h0 gradient.
-    """
-    kind, obj = fwd.ref
-    gate = fwd.gate
-    d_know = d_star * gate
-    d_sg = d_star * (1.0 - gate)
-    d_gate_pre = d_star * (fwd.knowledge - fwd.sg) * gate * (1.0 - gate)
-
-    agcn = store.entity_agcn if kind == ENTITY else store.relation_agcn
-    grads = agcn_backward(fwd.cache, agcn, fwd.knowledge, d_sg)
-
-    if kind == ENTITY:
-        buffer.ent_know[obj] += d_know + grads.owner_knowledge
-        buffer.ent_gate_pre += d_gate_pre
-        buffer.ent_attention += grads.attention
-        for acc, dw in zip(buffer.ent_weights, grads.weights):
-            acc += dw
-    else:
-        buffer.rel_know[obj] += d_know + grads.owner_knowledge
-        buffer.rel_gate_pre += d_gate_pre
-        buffer.rel_attention += grads.attention
-        for acc, dw in zip(buffer.rel_weights, grads.weights):
-            acc += dw
-
-    for vertex, row in zip(fwd.subgraph.vertices, grads.h0):
-        target = buffer.ent_ctx if vertex.kind == ENTITY else buffer.rel_ctx
-        for m in vertex.members:
-            target[m] += row
+    def of_kind(self, kind: str):
+        """(knowledge, context, weights, attention, gate) accumulators."""
+        if kind == ENTITY:
+            return (self.ent_know, self.ent_ctx, self.ent_weights,
+                    self.ent_attention, self.ent_gate_pre)
+        return (self.rel_know, self.rel_ctx, self.rel_weights,
+                self.rel_attention, self.rel_gate_pre)
 
 
 def batch_loss(pairs: list[tuple[Triple, Triple]], store: ParameterStore,
@@ -334,29 +403,45 @@ def batch_loss(pairs: list[tuple[Triple, Triple]], store: ParameterStore,
                buffer: GradBuffer | None = None) -> float:
     """Summed margin loss over (positive, corrupted) pairs.
 
-    With a buffer, also accumulates the gradient of the summed loss.  Each
-    distinct object is encoded once per call and its upstream gradients are
-    merged before the single backward pass.
+    With a buffer, also accumulates the gradient of the summed loss.  The
+    distinct objects of the batch are encoded once per call, grouped by kind
+    in passes of at most ENCODE_PASS objects; the pairs are scored as arrays,
+    the upstream gradients of each object are merged, and each pass runs one
+    backward pass.
     """
-    memo: dict[ObjectRef, ObjectForward] = {}
-    d_star: dict[ObjectRef, np.ndarray] = {}
-    total = 0.0
-    for pos, neg in pairs:
-        fwd_pos = forward_triple(pos, store, contexts, memo)
-        fwd_neg = forward_triple(neg, store, contexts, memo)
-        loss = margin_loss(fwd_pos.f, fwd_neg.f, margin)
-        total += loss
-        if buffer is None or loss <= 0.0:
-            continue
-        sign_pos = np.sign(fwd_pos.head.star + fwd_pos.relation.star - fwd_pos.tail.star)
-        sign_neg = np.sign(fwd_neg.head.star + fwd_neg.relation.star - fwd_neg.tail.star)
-        for fwd, sgn in ((fwd_pos, sign_pos), (fwd_neg, -sign_neg)):
-            for part, direction in ((fwd.head, 1.0), (fwd.relation, 1.0), (fwd.tail, -1.0)):
-                acc = d_star.get(part.ref)
-                if acc is None:
-                    acc = d_star[part.ref] = np.zeros(store.dim)
-                acc += sgn * direction
-    if buffer is not None:
-        for ref, grad in d_star.items():
-            object_backward(memo[ref], grad, store, buffer)
+    if not pairs:
+        return 0.0
+    triples = np.array(pairs, dtype=np.intp)              # (P, 2, 3)
+    ent_ids, ent_at = np.unique(triples[:, :, [0, 2]], return_inverse=True)
+    rel_ids, rel_at = np.unique(triples[:, :, 1], return_inverse=True)
+    ent_at = ent_at.reshape(len(pairs), 2, 2)             # (pair, pos/neg, head/tail)
+    rel_at = rel_at.reshape(len(pairs), 2)
+    ent_passes = list(encode_passes(ENTITY, ent_ids, store, contexts))
+    rel_passes = list(encode_passes(RELATION, rel_ids, store, contexts))
+    ent_star = np.concatenate([p.star for p in ent_passes])
+    rel_star = np.concatenate([p.star for p in rel_passes])
+
+    residual = ent_star[ent_at[:, :, 0]] + rel_star[rel_at] - ent_star[ent_at[:, :, 1]]
+    f = np.abs(residual).sum(axis=2)                      # (P, 2)
+    losses = np.maximum(f[:, 0] + margin - f[:, 1], 0.0)
+    total = float(losses.sum())
+    if buffer is None:
+        return total
+
+    # d loss / d f is +1 for the positive and -1 for the negative; the sums
+    # are small integers, exact in any order
+    active = losses > 0.0
+    sign = np.sign(residual[active])                      # (A, 2, d)
+    sign[:, 1] *= -1.0
+    sign = sign.reshape(-1, store.dim)
+    heads = ent_at[active][:, :, 0].ravel()
+    tails = ent_at[active][:, :, 1].ravel()
+    d_ent = _scatter_rows(np.concatenate((heads, tails)),
+                          np.concatenate((sign, -sign)), len(ent_ids))
+    d_rel = _scatter_rows(rel_at[active].ravel(), sign, len(rel_ids))
+    for passes, d_star in ((ent_passes, d_ent), (rel_passes, d_rel)):
+        offset = 0
+        for enc in passes:
+            backward_pass(enc, d_star[offset:offset + len(enc.ids)], store, buffer)
+            offset += len(enc.ids)
     return total

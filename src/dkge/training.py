@@ -353,10 +353,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     """
     t_start = time.perf_counter()
     store.require_snapshot(g_old)
-    for key, stored in store.model_config().items():
-        if getattr(config, key) != stored:
-            raise ConfigError(f"config {key}={getattr(config, key)} does not "
-                              f"match checkpoint {key}={stored}")
+    store.require_model_config(vars(config))
     seq = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss, neg_ss, holdout_ss = seq.spawn(4)
     diff = diff_snapshots(g_old, g_new)

@@ -1,8 +1,11 @@
-"""Attentive graph convolution: normalization, forward, hand-derived backward."""
+"""Attentive graph convolution: normalization, forward, hand-derived backward.
+
+Most tests encode one context, the smallest batch; the batch tests at the end
+stack several."""
 import numpy as np
 import pytest
 
-from dkge.agcn import (AgcnParams, agcn_backward, agcn_forward,
+from dkge.agcn import (AgcnParams, ContextBatch, agcn_backward, agcn_forward,
                        normalize_adjacency)
 
 
@@ -21,12 +24,18 @@ def random_adjacency(rng, n):
     return a
 
 
+def forward_one(h0, adj, params, o_k):
+    """Encode one context: (embedding, cache)."""
+    out, cache = agcn_forward(h0, ContextBatch([adj]), params, o_k[None, :])
+    return out[0], cache
+
+
 # -- normalization ------------------------------------------------------------
 
 def test_normalize_path_graph_oracle():
     """3-vertex path: degrees with self-loops are 2,3,2."""
     a = np.array([[0., 1., 0.], [1., 0., 1.], [0., 1., 0.]])
-    s = normalize_adjacency(a)
+    s = normalize_adjacency([a]).toarray()
     expected = np.array([
         [1 / 2, 1 / np.sqrt(6), 0],
         [1 / np.sqrt(6), 1 / 3, 1 / np.sqrt(6)],
@@ -35,7 +44,7 @@ def test_normalize_path_graph_oracle():
 
 
 def test_normalize_isolated_vertex():
-    s = normalize_adjacency(np.zeros((1, 1)))
+    s = normalize_adjacency([np.zeros((1, 1))]).toarray()
     assert s.shape == (1, 1)
     assert s[0, 0] == 1.0  # self-loop only
 
@@ -43,19 +52,19 @@ def test_normalize_isolated_vertex():
 def test_normalize_is_exactly_symmetric():
     rng = np.random.default_rng(0)
     a = random_adjacency(rng, 7)
-    s = normalize_adjacency(a)
+    s = normalize_adjacency([a]).toarray()
     assert np.array_equal(s, s.T)
 
 
 def test_normalize_rejects_asymmetric():
     a = np.array([[0., 1.], [0., 0.]])
     with pytest.raises(ValueError):
-        normalize_adjacency(a)
+        normalize_adjacency([a])
 
 
 def test_normalize_rejects_nonbinary():
     with pytest.raises(ValueError):
-        normalize_adjacency(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        normalize_adjacency([np.array([[0.0, 0.5], [0.5, 0.0]])])
 
 
 # -- forward ------------------------------------------------------------------
@@ -68,7 +77,7 @@ def test_forward_single_vertex_oracle():
     h0 = rng.normal(size=(1, d))
     adj = np.zeros((1, 1))
     o_k = rng.normal(size=d)
-    out, cache = agcn_forward(h0, adj, params, o_k)
+    out, cache = forward_one(h0, adj, params, o_k)
     v = np.maximum(h0[0] @ params.weights[0], 0.0)  # S is the identity here
     assert np.allclose(out, v, atol=1e-12)
     assert np.allclose(cache.alpha, [1.0])
@@ -80,7 +89,7 @@ def test_forward_two_vertices_hand_computed():
     h0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
     o_k = np.array([1.0, 1.0])
-    out, cache = agcn_forward(h0, adj, params, o_k)
+    out, cache = forward_one(h0, adj, params, o_k)
     # S = [[.5,.5],[.5,.5]], H1 = S @ H0 = [[.5,.5],[.5,.5]], scores equal
     assert np.allclose(cache.hs[1], [[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(cache.alpha, [0.5, 0.5])
@@ -93,7 +102,7 @@ def test_forward_attention_prefers_aligned_vertex():
     h0 = np.array([[1.0, 1.0, 1.0], [0.1, 0.1, 0.1]])
     adj = np.zeros((2, 2))
     o_k = np.ones(3)
-    out, cache = agcn_forward(h0, adj, params, o_k)
+    out, cache = forward_one(h0, adj, params, o_k)
     assert cache.alpha[0] > cache.alpha[1]
 
 
@@ -102,11 +111,11 @@ def test_forward_rejects_bad_shapes():
     d = 3
     params = make_params(rng, d, 1)
     with pytest.raises(ValueError):
-        agcn_forward(np.zeros((0, d)), np.zeros((0, 0)), params, np.zeros(d))
+        forward_one(np.zeros((0, d)), np.zeros((0, 0)), params, np.zeros(d))
     with pytest.raises(ValueError):
-        agcn_forward(rng.normal(size=(2, d)), np.zeros((3, 3)), params, np.zeros(d))
+        forward_one(rng.normal(size=(2, d)), np.zeros((3, 3)), params, np.zeros(d))
     with pytest.raises(ValueError):
-        agcn_forward(rng.normal(size=(2, d)), np.zeros((2, 2)), params, np.zeros(d + 1))
+        forward_one(rng.normal(size=(2, d)), np.zeros((2, 2)), params, np.zeros(d + 1))
 
 
 def test_params_validation():
@@ -121,7 +130,7 @@ def test_params_validation():
 # -- backward -----------------------------------------------------------------
 
 def scalar_out(h0, adj, params, o_k, probe):
-    out, _ = agcn_forward(h0, adj, params, o_k)
+    out, _ = forward_one(h0, adj, params, o_k)
     return float(out @ probe)
 
 
@@ -136,8 +145,8 @@ def test_backward_matches_finite_differences(layers, seed):
     o_k = rng.normal(size=d)
     probe = rng.normal(size=d)
 
-    out, cache = agcn_forward(h0, adj, params, o_k)
-    grads = agcn_backward(cache, params, o_k, probe)
+    out, cache = forward_one(h0, adj, params, o_k)
+    grads = agcn_backward(cache, params, o_k[None, :], probe[None, :])
     eps = 1e-6
 
     def fd(write, read):
@@ -172,7 +181,7 @@ def test_backward_matches_finite_differences(layers, seed):
 
     for j in range(d):
         want = fd(lambda v, j=j: o_k.__setitem__(j, v), lambda j=j: o_k[j])
-        assert grads.owner_knowledge[j] == pytest.approx(want, abs=2e-5)
+        assert grads.owner_knowledge[0, j] == pytest.approx(want, abs=2e-5)
 
 
 def test_backward_dead_relu_blocks_gradient():
@@ -182,9 +191,74 @@ def test_backward_dead_relu_blocks_gradient():
     h0 = np.ones((2, d))
     adj = np.zeros((2, 2))
     o_k = np.ones(d)
-    out, cache = agcn_forward(h0, adj, params, o_k)
+    out, cache = forward_one(h0, adj, params, o_k)
     assert np.array_equal(out, np.zeros(d))
-    grads = agcn_backward(cache, params, o_k, np.ones(d))
+    grads = agcn_backward(cache, params, o_k[None, :], np.ones((1, d)))
     assert not grads.weights[0].any()
     assert not grads.h0.any()
     assert not grads.attention.any()
+
+
+# -- batches --------------------------------------------------------------------
+
+def test_normalize_block_diagonal_matches_blocks():
+    rng = np.random.default_rng(7)
+    blocks = [random_adjacency(rng, n) for n in (1, 4, 3, 6)]
+    blocks[1][2, 2] = 1.0  # a self-loop triple weighs 2 on the diagonal of A + I
+    s = normalize_adjacency(blocks).toarray()
+    offset = 0
+    for a in blocks:
+        n = a.shape[0]
+        want = normalize_adjacency([a]).toarray()
+        assert np.array_equal(s[offset:offset + n, offset:offset + n], want)
+        assert not s[offset:offset + n, offset + n:].any()
+        offset += n
+    assert s.shape == (offset, offset)
+    deg = blocks[1].sum(axis=1) + 1.0
+    assert s[1 + 2, 1 + 2] == pytest.approx(2.0 / deg[2])
+
+
+def test_normalize_checks_every_block():
+    good = np.array([[0., 1.], [1., 0.]])
+    with pytest.raises(ValueError):
+        normalize_adjacency([good, np.array([[0., 1.], [0., 0.]])])
+    with pytest.raises(ValueError):
+        normalize_adjacency([good, np.array([[0., 2.], [2., 0.]])])
+    with pytest.raises(ValueError):
+        normalize_adjacency([good, np.zeros((2, 3))])
+    with pytest.raises(ValueError):
+        normalize_adjacency([good, np.zeros((0, 0))])
+    with pytest.raises(ValueError):
+        normalize_adjacency([])
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_batch_matches_contexts_encoded_alone(layers):
+    """Forward rows are bit-identical to one-context batches; backward rows
+    and the summed weight gradients agree to rounding."""
+    rng = np.random.default_rng(10 + layers)
+    d = 5
+    params = make_params(rng, d, layers)
+    sizes = (3, 1, 7, 2, 12)
+    adjs = [random_adjacency(rng, n) for n in sizes]
+    h0s = [rng.normal(size=(n, d)) for n in sizes]
+    o_k = rng.normal(size=(len(sizes), d))
+    probe = rng.normal(size=(len(sizes), d))
+    out, cache = agcn_forward(np.vstack(h0s), ContextBatch(adjs), params, o_k)
+    grads = agcn_backward(cache, params, o_k, probe)
+    assert out.shape == (len(sizes), d)
+    start = 0
+    weight_sum = [np.zeros((d, d)) for _ in range(layers)]
+    for b, (adj, h0) in enumerate(zip(adjs, h0s)):
+        alone, alone_cache = forward_one(h0, adj, params, o_k[b])
+        assert alone.tobytes() == out[b].tobytes()
+        one = agcn_backward(alone_cache, params, o_k[b:b + 1], probe[b:b + 1])
+        n = h0.shape[0]
+        assert np.allclose(grads.h0[start:start + n], one.h0, rtol=1e-12, atol=1e-12)
+        assert np.allclose(grads.owner_knowledge[b], one.owner_knowledge[0],
+                           rtol=1e-12, atol=1e-12)
+        for acc, dw in zip(weight_sum, one.weights):
+            acc += dw
+        start += n
+    for got, want in zip(grads.weights, weight_sum):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -252,6 +252,37 @@ def test_eval_prints_metrics_block(dirs, capsys):
     assert metrics["queries"] == 4
 
 
+def test_eval_header_shows_checkpoint_settings(capped_run, capsys):
+    tmp, old, _ = capped_run
+    triples = load_snapshot_dir(old).train.name_triples()
+    write_snapshot_dir(tmp / "e", triples, test=triples[:1])
+    code, out, _ = run(capsys, "eval", str(tmp / "e"), str(tmp / "c0.pkl"))
+    assert code == 0
+    header = out.splitlines()[0]
+    assert header == ("config: dim=8 entity_layers=1 relation_layers=1 cap=10 "
+                      "seed=3 max_midpoints=1000 threads=0 filter_mode=train "
+                      "tie_mode=optimistic")
+
+
+def test_eval_rejects_model_flag_that_disagrees(dirs, capsys):
+    tmp, _, new = dirs
+    run(capsys, "train", str(new), str(tmp / "m.pkl"), *FAST_FLAGS)
+    code, out, err = run(capsys, "eval", str(new), str(tmp / "m.pkl"), "--d", "50")
+    assert code == 1
+    assert "dim=50" in err and "dim=8" in err
+    assert not any(l.startswith("mr=") for l in out.splitlines())
+
+    cfg = tmp / "eval.cfg"
+    cfg.write_text("cap = 3\n")
+    code, _, err = run(capsys, "eval", str(new), str(tmp / "m.pkl"), "--config", str(cfg))
+    assert code == 1
+    assert "cap=3" in err and "cap=35" in err
+
+    code, out, _ = run(capsys, "eval", str(new), str(tmp / "m.pkl"), "--d", "8")
+    assert code == 0
+    assert "dim=8" in out.splitlines()[0].split()
+
+
 def test_eval_requires_test_file(dirs, capsys):
     tmp, old, _ = dirs
     run(capsys, "train", str(old), str(tmp / "m1.pkl"), *FAST_FLAGS)
