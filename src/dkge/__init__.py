@@ -16,15 +16,15 @@ from .contexts import (ContextSubgraph, ContextTable, ContextVertex, ENTITY,
                        entity_context, relation_context)
 from .errors import (ConfigError, DkgeError, EmptySnapshotError,
                      IntegrityError, ParseError, UnknownObjectError)
-from .evaluation import (JointCache, MetricsReport, RankResult,
-                         TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
-                         rank_entity)
+from .evaluation import (MetricsReport, RankResult, TIE_OPTIMISTIC,
+                         TIE_PESSIMISTIC, answer, evaluate, rank_entity)
 from .kg_store import (Snapshot, SnapshotDiff, Triple, diff_snapshots,
                        load_snapshot, load_snapshot_dir, parse_triple_file,
                        save_snapshot)
-from .model import (ParameterStore, RelationStats, bernoulli_corrupt,
-                    forward_triple, init_params, joint_embedding, margin_loss,
-                    object_forward, relation_stats, score_triple)
+from .model import (JointCache, ParameterStore, RelationStats,
+                    bernoulli_corrupt, forward_triple, init_params,
+                    joint_embedding, joint_table, margin_loss, object_forward,
+                    relation_stats, score_triple)
 from .training import (TrainConfig, TrainReport, collect_retrain_set,
                        train_from_scratch, train_online)
 
@@ -40,7 +40,7 @@ __all__ = [
     "bernoulli_corrupt", "build_context", "changed_context_objects",
     "collect_retrain_set", "context_signature", "diff_snapshots",
     "entity_context", "evaluate", "forward_triple", "init_params",
-    "joint_embedding", "load_checkpoint", "load_snapshot",
+    "joint_embedding", "joint_table", "load_checkpoint", "load_snapshot",
     "load_snapshot_dir", "margin_loss", "object_forward", "parse_triple_file",
     "rank_entity", "relation_context", "relation_stats", "save_checkpoint",
     "save_snapshot", "score_triple", "train_from_scratch", "train_online",

@@ -4,6 +4,14 @@ The payload is a plain pickled dict of arrays and metadata, written through
 a temp file and renamed into place, so a reader never sees a half-written
 checkpoint.  Two runs that produce the same parameters produce byte-identical
 files: nothing time- or path-dependent enters the payload.
+
+Besides the parameters, the model settings and the context signatures, a
+checkpoint holds the joint embedding of every object, ``ent_star`` (n_e, d)
+and ``rel_star`` (n_r, d), with the digest of the snapshot they were encoded
+on.  That adds (n_e + n_r) * d * 8 bytes and lets ``eval`` and ``answer`` on
+that snapshot score without building a context.  A store that never had
+them saves ``None`` in their place.  Format version 3; other versions raise
+IntegrityError.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ from .agcn import AgcnParams
 from .errors import IntegrityError
 from .model import ParameterStore
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_checkpoint(store: ParameterStore, path) -> None:
@@ -42,6 +50,9 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         "max_midpoints": store.max_midpoints,
         "signatures": sorted(
             (kind, name, sig) for (kind, name), sig in store.signatures.items()),
+        "ent_star": store.ent_star,
+        "rel_star": store.rel_star,
+        "joint_digest": store.joint_digest,
     }
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."),
@@ -78,4 +89,7 @@ def load_checkpoint(path) -> ParameterStore:
         seed=payload["seed"],
         max_midpoints=payload["max_midpoints"],
         signatures={(kind, name): sig for kind, name, sig in payload["signatures"]},
+        ent_star=payload["ent_star"],
+        rel_star=payload["rel_star"],
+        joint_digest=payload["joint_digest"],
     )

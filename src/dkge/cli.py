@@ -15,7 +15,7 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .contexts import changed_context_objects
+from .contexts import DEFAULT_MAX_MIDPOINTS, detect_context_changes
 from .errors import ConfigError, DkgeError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
@@ -39,7 +39,6 @@ CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "seed": (int, 0),
     "cap": (int, 35),
     "max_midpoints": (int, 1000),
-    "threads": (int, 0),
     "filter_mode": (str, "train"),
     "tie_mode": (str, TIE_OPTIMISTIC),
 }
@@ -47,7 +46,7 @@ TRAIN_KEYS = ("dim", "learning_rate", "batch_size", "margin", "entity_layers",
               "relation_layers", "max_epochs", "patience", "eval_every",
               "seed", "cap", "max_midpoints")
 # what eval uses: the model settings plus these
-EVAL_KEYS = ("threads", "filter_mode", "tie_mode")
+EVAL_KEYS = ("filter_mode", "tie_mode")
 
 
 def parse_config_file(path: str) -> dict:
@@ -100,10 +99,6 @@ def train_config(merged: dict) -> TrainConfig:
     return TrainConfig(**{key: merged[key] for key in TRAIN_KEYS})
 
 
-def resolve_threads(n: int) -> int:
-    return n if n >= 1 else (os.cpu_count() or 1)
-
-
 def _add_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--d", dest="dim", type=int)
@@ -118,7 +113,6 @@ def _add_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--cap", type=int)
     p.add_argument("--max-midpoints", dest="max_midpoints", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--filter-mode", dest="filter_mode", choices=("train", "all"))
     p.add_argument("--tie-mode", dest="tie_mode",
                    choices=(TIE_OPTIMISTIC, TIE_PESSIMISTIC))
@@ -201,8 +195,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                  + _resolved_or_empty(sd.test, sd.train))
         filter_triples = sd.train.triple_set | set(extra)
     report = evaluate(sd.test, store, sd.train, filter_triples,
-                      tie_mode=merged["tie_mode"],
-                      threads=resolve_threads(merged["threads"]))
+                      tie_mode=merged["tie_mode"])
     print(report.format_block())
     if args.report_file:
         _write_report({"mr": report.mr, "mrr": report.mrr,
@@ -227,8 +220,11 @@ def cmd_answer(args: argparse.Namespace) -> int:
 def cmd_diff(args: argparse.Namespace) -> int:
     g_old = load_snapshot_dir(args.old_dir).train
     g_new = load_snapshot_dir(args.new_dir).train
+    max_midpoints = DEFAULT_MAX_MIDPOINTS
+    if args.checkpoint:
+        max_midpoints = load_checkpoint(args.checkpoint).model_config()["max_midpoints"]
     diff = diff_snapshots(g_old, g_new)
-    changed = changed_context_objects(g_old, g_new, diff)
+    changed = detect_context_changes(g_old, g_new, diff, max_midpoints=max_midpoints)
     t_ol = collect_retrain_set(g_new, diff, changed)
     print(f"added_triples={len(diff.added_triples)} "
           f"deleted_triples={len(diff.deleted_triples)} "
@@ -291,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="compare two snapshots and report the retrain set")
     p.add_argument("old_dir")
     p.add_argument("new_dir")
+    p.add_argument("--checkpoint",
+                   help="take max_midpoints from this model's settings")
     p.set_defaults(func=cmd_diff)
     return parser
 

@@ -259,6 +259,28 @@ def changed_context_objects(g_old: Snapshot, g_new: Snapshot,
     return frozenset(changed)
 
 
+def detect_context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff, *,
+                           max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> frozenset[ObjectRef]:
+    """The set ``changed_context_objects`` defines, found by comparing the
+    signatures of ``candidate_changed_names`` only, built with
+    ``max_midpoints`` on both snapshots.  Ids refer to the new snapshot."""
+    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
+    changed: set[ObjectRef] = set()
+    for kind, cand, old_ids, new_ids in (
+            (ENTITY, ent_cand, g_old.entity_ids, g_new.entity_ids),
+            (RELATION, rel_cand, g_old.relation_ids, g_new.relation_ids)):
+        for name in cand:
+            if name not in old_ids or name not in new_ids:
+                continue
+            old_sig = build_context(g_old, (kind, old_ids[name]),
+                                    max_midpoints=max_midpoints).signature
+            new_sig = build_context(g_new, (kind, new_ids[name]),
+                                    max_midpoints=max_midpoints).signature
+            if old_sig != new_sig:
+                changed.add((kind, new_ids[name]))
+    return frozenset(changed)
+
+
 def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
                             diff: SnapshotDiff) -> tuple[set[str], set[str]]:
     """Sound overapproximation of the objects whose context may have changed.
@@ -324,12 +346,13 @@ class ContextTable:
     def get(self, ref: ObjectRef) -> ContextSubgraph:
         sub = self._cache.get(ref)
         if sub is None:
-            kind, obj = ref
-            name = (self.snapshot.entity_names[obj] if kind == ENTITY
-                    else self.snapshot.relation_names[obj])
-            rng = np.random.default_rng(_object_seed(self.seed, kind, name))
-            sub = build_context(self.snapshot, ref, cap=self.cap, rng=rng,
-                                max_midpoints=self.max_midpoints)
+            sub = build_context(self.snapshot, ref, max_midpoints=self.max_midpoints)
+            if len(sub.vertices) > self.cap:
+                kind, obj = ref
+                name = (self.snapshot.entity_names[obj] if kind == ENTITY
+                        else self.snapshot.relation_names[obj])
+                rng = np.random.default_rng(_object_seed(self.seed, kind, name))
+                sub = _sample(sub, self.cap, rng)
             self._cache[ref] = sub
         return sub
 

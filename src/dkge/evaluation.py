@@ -5,19 +5,24 @@ entity.  Filtered ranking removes candidates that would form a different
 known-true triple; the true entity itself is never filtered.  Ranks use the
 optimistic rule by default (1 + number of strictly better candidates); the
 pessimistic rule also counts ties.
+
+Scores come from the joint embeddings of every object (``joint_table``).  A
+store that ``train`` or ``update`` produced on the snapshot carries them, so
+ranking and answering on it build no context and run no encoder; any other
+store, or the same store on another snapshot, is encoded in full first.  Each
+query scores all candidates into one reused (n_e, d) buffer.
 """
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contexts import ContextTable, ENTITY, RELATION
+from .contexts import ContextTable
 from .kg_store import NameTriple, Snapshot, Triple
-from .model import ParameterStore, encode_passes
+from .model import JointCache, ParameterStore, joint_table
 
 logger = logging.getLogger(__name__)
 
@@ -52,42 +57,6 @@ class MetricsReport:
         return " ".join(parts)
 
 
-class JointCache:
-    """Joint embeddings of all entities plus relations on demand.
-
-    Candidate scoring reuses one (n_e, d) matrix instead of re-encoding each
-    candidate.  The matrix is encoded in batched passes; an object's row does
-    not depend on its pass, so it equals ``object_forward`` bit for bit and
-    ranks match the uncached path exactly.
-    """
-
-    def __init__(self, store: ParameterStore, contexts: ContextTable):
-        self.store = store
-        self.contexts = contexts
-        self._entities: np.ndarray | None = None
-        self._relations: dict[int, np.ndarray] = {}
-
-    def entities(self) -> np.ndarray:
-        if self._entities is None:
-            ids = np.arange(self.store.num_entities)
-            stars = [enc.star for enc in encode_passes(ENTITY, ids, self.store,
-                                                       self.contexts)]
-            self._entities = (np.concatenate(stars) if stars
-                              else np.zeros((0, self.store.dim)))
-        return self._entities
-
-    def relation(self, r: int) -> np.ndarray:
-        if r not in self._relations:
-            self.add_relations([r])
-        return self._relations[r]
-
-    def add_relations(self, ids: Iterable[int]) -> None:
-        """Encode the relations among ``ids`` not cached yet, in batched passes."""
-        todo = np.array(sorted(set(ids) - self._relations.keys()), dtype=np.intp)
-        for enc in encode_passes(RELATION, todo, self.store, self.contexts):
-            self._relations.update(zip(enc.ids.tolist(), enc.star))
-
-
 def _filter_index(filter_triples: frozenset[Triple] | set[Triple]):
     by_hr: dict[tuple[int, int], set[int]] = {}
     by_rt: dict[tuple[int, int], set[int]] = {}
@@ -116,35 +85,34 @@ def _rank_from_scores(scores: np.ndarray, true_id: int, excluded: Iterable[int],
 
 def rank_entity(query: tuple[str, Triple], store: ParameterStore, snapshot: Snapshot,
                 filter_triples: frozenset[Triple] | set[Triple] = frozenset(), *,
-                contexts: ContextTable | None = None, cache: JointCache | None = None,
+                contexts: ContextTable | None = None,
                 tie_mode: str = TIE_OPTIMISTIC) -> RankResult:
     """Filtered rank of the true entity for one (direction, triple) query."""
     direction, triple = query
-    if cache is None:
-        if contexts is None:
-            contexts = store.context_table(snapshot)
-        cache = JointCache(store, contexts)
-    by_hr, by_rt = _filter_index(filter_triples)
-    return _rank_one(direction, triple, cache, (by_hr, by_rt), tie_mode)
+    cache = joint_table(store, snapshot, contexts)
+    buf = np.empty_like(cache.ent_star)
+    return _rank_one(direction, triple, cache, _filter_index(filter_triples),
+                     tie_mode, buf)
 
 
 def _rank_one(direction: str, triple: Triple, cache: JointCache, filter_idx,
-              tie_mode: str) -> RankResult:
+              tie_mode: str, buf: np.ndarray) -> RankResult:
+    """Rank one query, scoring every candidate into ``buf``, an (n_e, d)
+    scratch array; the scores equal |h* + r* - t*|_1 bit for bit."""
     by_hr, by_rt = filter_idx
-    ent = cache.entities()
-    r_star = cache.relation(triple.relation)
+    ent = cache.ent_star
+    r_star = cache.rel_star[triple.relation]
     if direction == TAIL:
-        base = ent[triple.head] + r_star
-        scores = np.abs(base[None, :] - ent).sum(axis=1)
+        np.subtract(ent[triple.head] + r_star, ent, out=buf)
         excluded = by_hr.get((triple.head, triple.relation), ())
         true_id = triple.tail
     elif direction == HEAD:
-        base = r_star - ent[triple.tail]
-        scores = np.abs(ent + base[None, :]).sum(axis=1)
+        np.add(ent, r_star - ent[triple.tail], out=buf)
         excluded = by_rt.get((triple.relation, triple.tail), ())
         true_id = triple.head
     else:
         raise ValueError(f"unknown direction: {direction}")
+    scores = np.abs(buf, out=buf).sum(axis=1)
     rank, true_score = _rank_from_scores(scores, true_id, excluded, tie_mode)
     return RankResult(direction=direction, triple=triple, rank=rank,
                       true_score=true_score)
@@ -173,27 +141,15 @@ def resolve_test_triples(test: Iterable[Triple | NameTriple],
 def evaluate(test: Sequence[Triple | NameTriple], store: ParameterStore,
              snapshot: Snapshot, filter_triples: frozenset[Triple] | set[Triple], *,
              ks: Sequence[int] = (1, 3, 10), tie_mode: str = TIE_OPTIMISTIC,
-             contexts: ContextTable | None = None, threads: int = 1) -> MetricsReport:
+             contexts: ContextTable | None = None) -> MetricsReport:
     """MR, MRR, and Hits@k over head and tail queries of every test triple."""
-    store.require_snapshot(snapshot)
-    if contexts is None:
-        contexts = store.context_table(snapshot)
+    cache = joint_table(store, snapshot, contexts)
     resolved, skipped = resolve_test_triples(test, snapshot)
-    cache = JointCache(store, contexts)
-    cache.entities()
-    cache.add_relations(t.relation for t in resolved)
     filter_idx = _filter_index(filter_triples)
-    queries = [(d, t) for t in resolved for d in (HEAD, TAIL)]
-
-    def run(q):
-        return _rank_one(q[0], q[1], cache, filter_idx, tie_mode)
-
-    if threads > 1 and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, queries))
-    else:
-        results = [run(q) for q in queries]
-    return aggregate_ranks([r.rank for r in results], ks, skipped)
+    buf = np.empty_like(cache.ent_star)
+    ranks = [_rank_one(d, t, cache, filter_idx, tie_mode, buf).rank
+             for t in resolved for d in (HEAD, TAIL)]
+    return aggregate_ranks(ranks, ks, skipped)
 
 
 def aggregate_ranks(ranks: Sequence[int], ks: Sequence[int],
@@ -210,19 +166,14 @@ def aggregate_ranks(ranks: Sequence[int], ks: Sequence[int],
 
 
 def answer(head: int, relation: int, k: int, store: ParameterStore,
-           snapshot: Snapshot, *, contexts: ContextTable | None = None,
-           cache: JointCache | None = None) -> list[tuple[int, float]]:
+           snapshot: Snapshot, *,
+           contexts: ContextTable | None = None) -> list[tuple[int, float]]:
     """Unfiltered top-k tail entities for (head, relation, ?), best first.
 
     Ties break toward the smaller entity id.
     """
-    store.require_snapshot(snapshot)
-    if cache is None:
-        if contexts is None:
-            contexts = store.context_table(snapshot)
-        cache = JointCache(store, contexts)
-    ent = cache.entities()
-    base = ent[head] + cache.relation(relation)
-    scores = np.abs(base[None, :] - ent).sum(axis=1)
+    cache = joint_table(store, snapshot, contexts)
+    ent = cache.ent_star
+    scores = np.abs(ent[head] + cache.rel_star[relation] - ent).sum(axis=1)
     order = np.argsort(scores, kind="stable")[:max(0, k)]
     return [(int(e), float(scores[e])) for e in order]

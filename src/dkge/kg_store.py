@@ -8,11 +8,15 @@ independent id spaces; diffing always matches objects by name.
 """
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import EmptySnapshotError, ParseError, UnknownObjectError
 
@@ -135,6 +139,19 @@ class Snapshot:
     @cached_property
     def triple_set(self) -> frozenset[Triple]:
         return frozenset(self.triples)
+
+    @cached_property
+    def digest(self) -> str:
+        """blake2b of the sorted int64 codes of the id triples.
+
+        Two snapshots with equal dictionaries have equal digests exactly
+        when their triple sets are equal (up to hash collisions).
+        """
+        ids = np.fromiter(chain.from_iterable(self.triples), dtype=np.int64,
+                          count=3 * len(self.triples)).reshape(-1, 3)
+        codes = np.sort((ids[:, 0] * self.num_relations + ids[:, 1])
+                        * self.num_entities + ids[:, 2])
+        return hashlib.blake2b(codes.tobytes(), digest_size=16).hexdigest()
 
     @cached_property
     def neighbor_map(self) -> dict[int, frozenset[int]]:

@@ -17,13 +17,17 @@ one kind into one block-diagonal graph and runs the encoder once over it
 at most ENCODE_PASS per kind, scores all pairs as arrays, and runs one
 backward pass per encoder pass.  ``object_forward`` is a pass of one, and
 an object's joint embedding is bit-identical whichever pass encodes it.
+
+A store can carry the joint embedding of every object, encoded on one
+snapshot and keyed by that snapshot's digest; ``joint_table`` serves those
+rows for that snapshot and encodes everything afresh for any other.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -55,6 +59,12 @@ class ParameterStore:
     seed: int
     max_midpoints: int
     signatures: dict[tuple[str, str], int] = field(default_factory=dict)
+    # joint embeddings of every object under these parameters, encoded on
+    # the snapshot whose digest is joint_digest; None until train or update
+    # fills them, and never set while the parameters still move
+    ent_star: np.ndarray | None = None   # (n_e, d)
+    rel_star: np.ndarray | None = None   # (n_r, d)
+    joint_digest: str | None = None
 
     @property
     def num_entities(self) -> int:
@@ -81,6 +91,9 @@ class ParameterStore:
             seed=self.seed,
             max_midpoints=self.max_midpoints,
             signatures=dict(self.signatures),
+            ent_star=None if self.ent_star is None else self.ent_star.copy(),
+            rel_star=None if self.rel_star is None else self.rel_star.copy(),
+            joint_digest=self.joint_digest,
         )
 
     def matches_snapshot(self, snapshot: Snapshot) -> bool:
@@ -120,6 +133,13 @@ class ParameterStore:
         self.require_snapshot(snapshot)
         return ContextTable(snapshot, cap=self.cap, seed=self.seed,
                             max_midpoints=self.max_midpoints)
+
+    def attach_joint(self, joint: JointCache, snapshot: Snapshot) -> None:
+        """Keep joint embeddings encoded with the current parameters on
+        ``snapshot``; ``joint_table`` serves them for that snapshot only."""
+        self.require_snapshot(snapshot)
+        self.ent_star, self.rel_star = joint
+        self.joint_digest = snapshot.digest
 
 
 def init_params(snapshot: Snapshot, d: int, rng: np.random.Generator, *,
@@ -298,6 +318,38 @@ def encode_passes(kind: str, ids: np.ndarray, store: ParameterStore,
     """``encode`` over ``ids`` in passes of at most ENCODE_PASS objects."""
     for start in range(0, len(ids), ENCODE_PASS):
         yield encode(kind, ids[start:start + ENCODE_PASS], store, contexts)
+
+
+def joint_rows(kind: str, ids: np.ndarray, store: ParameterStore,
+               contexts: ContextTable) -> np.ndarray:
+    """(len(ids), d) joint embeddings of objects of one kind, in passes."""
+    stars = [enc.star for enc in encode_passes(kind, ids, store, contexts)]
+    return np.concatenate(stars) if stars else np.zeros((0, store.dim))
+
+
+class JointCache(NamedTuple):
+    """Joint embeddings of every entity and relation of one snapshot."""
+
+    ent_star: np.ndarray   # (n_e, d)
+    rel_star: np.ndarray   # (n_r, d)
+
+
+def joint_table(store: ParameterStore, snapshot: Snapshot,
+                contexts: ContextTable | None = None) -> JointCache:
+    """Joint embeddings of every object of ``snapshot``.
+
+    The store's own tables when they were encoded on this snapshot (same
+    dictionaries, same digest), which builds no context; otherwise a full
+    encode over ``contexts`` (by default the store's context table).
+    """
+    store.require_snapshot(snapshot)
+    if store.joint_digest == snapshot.digest:
+        return JointCache(store.ent_star, store.rel_star)
+    if contexts is None:
+        contexts = store.context_table(snapshot)
+    return JointCache(
+        joint_rows(ENTITY, np.arange(store.num_entities), store, contexts),
+        joint_rows(RELATION, np.arange(store.num_relations), store, contexts))
 
 
 def backward_pass(enc: EncodedPass, d_star: np.ndarray, store: ParameterStore,

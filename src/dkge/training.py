@@ -7,6 +7,16 @@ triples touching emerging or changed-context objects are retrained.  During
 the online pass the encoder weights, attention vectors, gates, and every
 other embedding stay frozen, so parameters outside the affected set remain
 bit-identical.
+
+Both modes end by attaching the joint embedding of every object to the
+returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
+``answer`` need not encode.  The tables are attached only after SGD ends:
+validation inside the loop and the best-epoch copies always encode afresh.
+Scratch training encodes every object in one sweep over its context table.
+An online update carries the previous tables over by name and re-encodes
+only the objects whose knowledge row trained or whose capped context reads
+a trained contextual row; when the previous store's tables were not
+encoded on the old snapshot, it encodes every object.
 """
 from __future__ import annotations
 
@@ -22,8 +32,9 @@ from .contexts import (ContextTable, ENTITY, RELATION, ObjectRef,
 from .errors import ConfigError, IntegrityError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots
-from .model import (GradBuffer, ParameterStore, RelationStats, batch_loss,
-                    bernoulli_corrupt, init_params, relation_stats)
+from .model import (GradBuffer, JointCache, ParameterStore, RelationStats,
+                    batch_loss, bernoulli_corrupt, init_params, joint_rows,
+                    joint_table, relation_stats)
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +90,8 @@ class TrainReport:
     retrained_triples: int | None
     updated_parameters: int
     frozen_parameters: int
+    reencoded_entities: int
+    reencoded_relations: int
 
     def to_dict(self) -> dict:
         return {
@@ -91,6 +104,8 @@ class TrainReport:
             "retrained_triples": self.retrained_triples,
             "updated_parameters": self.updated_parameters,
             "frozen_parameters": self.frozen_parameters,
+            "reencoded_entities": self.reencoded_entities,
+            "reencoded_relations": self.reencoded_relations,
         }
 
 
@@ -226,11 +241,14 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
         snapshot, list(snapshot.triples), store, table, stats, valid_triples,
         config, None, np.random.default_rng(shuffle_ss),
         np.random.default_rng(neg_ss), log)
+    store.attach_joint(joint_table(store, snapshot, table), snapshot)
     report = TrainReport(
         mode="scratch", epochs_run=epochs, epoch_losses=losses,
         best_valid_hits10=best_hits, best_epoch=best_epoch,
         seconds=time.perf_counter() - t_start, retrained_triples=None,
-        updated_parameters=store.parameter_count(), frozen_parameters=0)
+        updated_parameters=store.parameter_count(), frozen_parameters=0,
+        reencoded_entities=store.num_entities,
+        reencoded_relations=store.num_relations)
     return store, report
 
 
@@ -319,6 +337,54 @@ def _refresh_signatures(store: ParameterStore, g_new: Snapshot, table: ContextTa
     store.signatures = new_sigs
 
 
+def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
+                  candidates: list[int], table: ContextTable) -> np.ndarray:
+    """Objects whose joint embedding can differ from the previous step's:
+    those whose knowledge row trained, and candidates whose capped context
+    reads a trained contextual row.  Every other object keeps its capped
+    context, its rows, and the frozen encoder and gate.
+
+    A context that reads an emerging object's row has changed, so with
+    exact change detection the second set lies inside the first; checking
+    it keeps the tables from resting on signature comparison alone."""
+    trained_ctx = set(ctx_rows.tolist())
+    ids = set(know_rows.tolist())
+    for obj in candidates:
+        if any(m in trained_ctx for v in table.get((kind, obj)).vertices
+               for m in v.members):
+            ids.add(obj)
+    return np.array(sorted(ids), dtype=np.intp)
+
+
+def _update_joint(store: ParameterStore, old: ParameterStore, g_old: Snapshot,
+                  g_new: Snapshot, table: ContextTable, mask: UpdateMask,
+                  ent_cand: set[str], rel_cand: set[str]) -> tuple[int, int]:
+    """Attach the joint tables for g_new to the updated store and return the
+    rows encoded per kind.  When the old store's tables were encoded on
+    g_old, rows carry over by name and only the objects an update can move
+    are re-encoded; otherwise every row is encoded."""
+    if old.joint_digest != g_old.digest:
+        store.attach_joint(joint_table(store, g_new, table), g_new)
+        return store.num_entities, store.num_relations
+    tables, counts = [], []
+    for kind, rows, old_ids, names, new_ids, know_rows, ctx_rows, cand in (
+            (ENTITY, old.ent_star, g_old.entity_ids, g_new.entity_names,
+             g_new.entity_ids, mask.ent_know_rows, mask.ent_ctx_rows, ent_cand),
+            (RELATION, old.rel_star, g_old.relation_ids, g_new.relation_names,
+             g_new.relation_ids, mask.rel_know_rows, mask.rel_ctx_rows, rel_cand)):
+        src = np.array([old_ids.get(name, -1) for name in names], dtype=np.intp)
+        kept = src >= 0
+        carried = np.zeros((len(names), store.dim))
+        carried[kept] = rows[src[kept]]
+        ids = _reencode_ids(kind, know_rows, ctx_rows,
+                            [new_ids[n] for n in cand if n in new_ids], table)
+        carried[ids] = joint_rows(kind, ids, store, table)
+        tables.append(carried)
+        counts.append(len(ids))
+    store.attach_joint(JointCache(*tables), g_new)
+    return counts[0], counts[1]
+
+
 def _holdout_validation(g_new: Snapshot, t_ol: frozenset[Triple],
                         rng: np.random.Generator) -> list[Triple]:
     """Fallback validation set: about 1% of the unaffected triples whose
@@ -357,6 +423,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     seq = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss, neg_ss, holdout_ss = seq.spawn(4)
     diff = diff_snapshots(g_old, g_new)
+    old = store
     store = _migrate_store(store, g_old, g_new, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
     ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
@@ -381,25 +448,23 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     updated = mask.updated_count * store.dim
     frozen = store.parameter_count() - updated
 
-    if not t_ol:
-        report = TrainReport(
-            mode="online", epochs_run=0, epoch_losses=[], best_valid_hits10=None,
-            best_epoch=None, seconds=time.perf_counter() - t_start,
-            retrained_triples=0, updated_parameters=updated, frozen_parameters=frozen)
-        return store, report
-
-    if valid:
-        valid_triples = _check_valid_triples(valid, g_new)
-    else:
-        valid_triples = _holdout_validation(g_new, t_ol,
-                                            np.random.default_rng(holdout_ss))
-    stats = relation_stats(g_new)
-    store, losses, best_hits, best_epoch, epochs = _sgd_loop(
-        g_new, sorted(t_ol), store, table, stats, valid_triples, config, mask,
-        np.random.default_rng(shuffle_ss), np.random.default_rng(neg_ss), log)
+    losses, best_hits, best_epoch, epochs = [], None, None, 0
+    if t_ol:
+        if valid:
+            valid_triples = _check_valid_triples(valid, g_new)
+        else:
+            valid_triples = _holdout_validation(g_new, t_ol,
+                                                np.random.default_rng(holdout_ss))
+        stats = relation_stats(g_new)
+        store, losses, best_hits, best_epoch, epochs = _sgd_loop(
+            g_new, sorted(t_ol), store, table, stats, valid_triples, config, mask,
+            np.random.default_rng(shuffle_ss), np.random.default_rng(neg_ss), log)
+    n_ent, n_rel = _update_joint(store, old, g_old, g_new, table, mask,
+                                 ent_cand, rel_cand)
     report = TrainReport(
         mode="online", epochs_run=epochs, epoch_losses=losses,
         best_valid_hits10=best_hits, best_epoch=best_epoch,
         seconds=time.perf_counter() - t_start, retrained_triples=len(t_ol),
-        updated_parameters=updated, frozen_parameters=frozen)
+        updated_parameters=updated, frozen_parameters=frozen,
+        reencoded_entities=n_ent, reencoded_relations=n_rel)
     return store, report

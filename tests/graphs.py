@@ -10,7 +10,8 @@ import numpy as np
 
 from dkge.contexts import ContextTable, ENTITY, RELATION
 from dkge.kg_store import NameTriple, Snapshot, Triple
-from dkge.model import ParameterStore, init_params, object_forward, score_triple
+from dkge.model import (ParameterStore, encode, init_params, object_forward,
+                        score_triple)
 
 TOY_T0: tuple[NameTriple, ...] = (
     ("e1", "r1", "e5"),
@@ -99,11 +100,34 @@ def churned_triples(rng: np.random.Generator, base: list[NameTriple],
     return keep
 
 
+def update_traces(count: int = 50):
+    """Criterion 4's random update traces, as (trace, g_old, g_new):
+    <= 200 triples over 40 entities and 8 relations, <= 10% churn."""
+    rng = np.random.default_rng(2024)
+    for trace in range(count):
+        base = random_name_triples(rng, int(rng.integers(60, 200)), 40, 8)
+        g_old = Snapshot.from_name_triples(base)
+        g_new = Snapshot.from_name_triples(
+            churned_triples(rng, base, churn=0.1), time_step=1)
+        yield trace, g_old, g_new
+
+
 def tiny_store(snapshot: Snapshot, d=6, seed=0, **kwargs) -> tuple[ParameterStore, ContextTable]:
     store = init_params(snapshot, d, np.random.default_rng(seed), seed=seed, **kwargs)
     table = store.context_table(snapshot)
     store.signatures = table.signatures_by_name()
     return store, table
+
+
+def assert_tables_fresh(store: ParameterStore, snapshot: Snapshot) -> None:
+    """The store's joint tables were encoded on ``snapshot`` and equal a
+    fresh encode of each kind in one pass over a new context table."""
+    assert store.joint_digest == snapshot.digest
+    table = store.context_table(snapshot)
+    ent = encode(ENTITY, np.arange(snapshot.num_entities), store, table).star
+    rel = encode(RELATION, np.arange(snapshot.num_relations), store, table).star
+    assert store.ent_star.tobytes() == ent.tobytes()
+    assert store.rel_star.tobytes() == rel.tobytes()
 
 
 # -- brute-force ranking oracle ----------------------------------------------

@@ -13,9 +13,9 @@ import pytest
 
 import dkge.model as model
 from dkge.contexts import ENTITY, RELATION, RELATION_PATH, entity_context
-from dkge.evaluation import JointCache
 from dkge.model import (ENCODE_PASS, GradBuffer, batch_loss, bernoulli_corrupt,
-                        encode, encode_passes, object_forward, relation_stats)
+                        encode, encode_passes, joint_table, object_forward,
+                        relation_stats)
 
 from graphs import random_snapshot, tiny_store
 from test_acceptance import _speedup_trace
@@ -62,14 +62,14 @@ def test_encoding_does_not_depend_on_the_pass(g, kind, layers, monkeypatch):
 def test_joint_cache_rows_equal_object_forward(g, pass_size, monkeypatch):
     monkeypatch.setattr(model, "ENCODE_PASS", pass_size)
     store, table = tiny_store(g, d=8, seed=6, cap=CAP, entity_layers=2)
-    cache = JointCache(store, table)
-    ent = cache.entities()
-    assert ent.shape == (g.num_entities, 8)
+    cache = joint_table(store, g, table)
+    assert cache.ent_star.shape == (g.num_entities, 8)
+    assert cache.rel_star.shape == (g.num_relations, 8)
     for e in range(g.num_entities):
-        assert ent[e].tobytes() == object_forward((ENTITY, e), store, table).star.tobytes()
-    cache.add_relations(range(g.num_relations))
+        assert (cache.ent_star[e].tobytes()
+                == object_forward((ENTITY, e), store, table).star.tobytes())
     for r in range(g.num_relations):
-        assert (cache.relation(r).tobytes()
+        assert (cache.rel_star[r].tobytes()
                 == object_forward((RELATION, r), store, table).star.tobytes())
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from dkge.checkpoint import load_checkpoint, save_checkpoint
 from dkge.errors import IntegrityError
+from dkge.model import joint_table
 
 from graphs import tiny_store, toy_snapshot
 
@@ -75,3 +76,27 @@ def test_matches_snapshot_by_names(tmp_path, store):
     assert not loaded.matches_snapshot(g2)
     with pytest.raises(IntegrityError):
         loaded.require_snapshot(g2)
+
+
+def test_version_2_rejected(tmp_path, store):
+    path = tmp_path / "model.pkl"
+    save_checkpoint(store, path)
+    payload = pickle.loads(path.read_bytes())
+    payload["format_version"] = 2
+    path.write_bytes(pickle.dumps(payload, protocol=4))
+    with pytest.raises(IntegrityError, match="version: 2"):
+        load_checkpoint(path)
+
+
+def test_round_trip_keeps_joint_tables(tmp_path, store):
+    g = toy_snapshot(1)
+    path = tmp_path / "model.pkl"
+    save_checkpoint(store, path)
+    assert load_checkpoint(path).joint_digest is None
+    store.attach_joint(joint_table(store, g), g)
+    save_checkpoint(store, path)
+    loaded = load_checkpoint(path)
+    assert loaded.joint_digest == g.digest
+    assert loaded.ent_star.tobytes() == store.ent_star.tobytes()
+    assert loaded.rel_star.tobytes() == store.rel_star.tobytes()
+    assert joint_table(loaded, g).ent_star is loaded.ent_star

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from dkge.checkpoint import load_checkpoint
+import dkge.contexts
+from dkge.checkpoint import load_checkpoint, save_checkpoint
 from dkge.cli import main, parse_config_file
 from dkge.contexts import ContextTable, changed_context_objects, entity_context
 from dkge.errors import ConfigError
@@ -14,7 +15,8 @@ from dkge.kg_store import diff_snapshots, load_snapshot_dir
 from dkge.model import forward_triple
 from dkge.training import collect_retrain_set
 
-from graphs import TOY_T1, TOY_T2, random_name_triples, write_snapshot_dir
+from graphs import (TOY_T1, TOY_T2, random_name_triples, update_traces,
+                    write_snapshot_dir)
 
 FAST_FLAGS = ["--d", "8", "--lr", "0.01", "--batch", "8", "--margin", "2",
               "--max-epochs", "4"]
@@ -260,7 +262,7 @@ def test_eval_header_shows_checkpoint_settings(capped_run, capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header == ("config: dim=8 entity_layers=1 relation_layers=1 cap=10 "
-                      "seed=3 max_midpoints=1000 threads=0 filter_mode=train "
+                      "seed=3 max_midpoints=1000 filter_mode=train "
                       "tie_mode=optimistic")
 
 
@@ -300,6 +302,62 @@ def test_eval_filter_all_mode(dirs, capsys):
                        "--filter-mode", "all")
     assert code == 0
     assert any(l.startswith("mr=") for l in out.splitlines())
+
+
+def _without_joint_tables(src, dst):
+    store = load_checkpoint(src)
+    store.ent_star = store.rel_star = store.joint_digest = None
+    save_checkpoint(store, dst)
+
+
+def _eval_and_answer(capsys, snapshot_dir, ckpt):
+    outputs = []
+    for argv in (["eval", str(snapshot_dir), str(ckpt)],
+                 ["answer", str(snapshot_dir), str(ckpt), "e1", "r1", "-k", "5"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        outputs.append(out)
+    return outputs
+
+
+def test_eval_and_answer_build_no_context(dirs, capsys, monkeypatch):
+    tmp, old, new = dirs
+    run(capsys, "train", str(old), str(tmp / "m1.pkl"), *FAST_FLAGS)
+    run(capsys, "update", str(old), str(new), str(tmp / "m1.pkl"),
+        str(tmp / "m2.pkl"), *FAST_FLAGS)
+    _without_joint_tables(tmp / "m2.pkl", tmp / "bare.pkl")
+    want = _eval_and_answer(capsys, new, tmp / "bare.pkl")
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("built a context")
+
+    monkeypatch.setattr(dkge.contexts, "build_context", no_context)
+    assert _eval_and_answer(capsys, new, tmp / "m2.pkl") == want
+    with pytest.raises(AssertionError, match="built a context"):
+        _eval_and_answer(capsys, new, tmp / "bare.pkl")
+
+
+def test_eval_and_answer_on_other_triples_encode_afresh(dirs, capsys, monkeypatch):
+    """Same dictionaries, one more triple: the stored tables belong to
+    another graph, so eval and answer encode as a store without them does."""
+    tmp, old, _ = dirs
+    run(capsys, "train", str(old), str(tmp / "m1.pkl"), *FAST_FLAGS)
+    other = tmp / "other"
+    write_snapshot_dir(other, TOY_T1 + (("e2", "r1", "e4"),),
+                       test=[("e1", "r1", "e5"), ("e3", "r4", "e2")])
+    _without_joint_tables(tmp / "m1.pkl", tmp / "bare.pkl")
+    want = _eval_and_answer(capsys, other, tmp / "bare.pkl")
+
+    built = []
+    build = dkge.contexts.build_context
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dkge.contexts, "build_context", counted)
+    assert _eval_and_answer(capsys, other, tmp / "m1.pkl") == want
+    assert built
 
 
 # -- answer -------------------------------------------------------------------
@@ -354,6 +412,60 @@ def test_diff_identical_dirs(dirs, capsys):
         "added_triples=0 deleted_triples=0 emerging_entities=0 "
         "emerging_relations=0 removed_entities=0 removed_relations=0 "
         "changed_context=0 retrain_triples=0")
+
+
+def _diff_changed(out):
+    lines = out.splitlines()
+    counts = dict(field.split("=") for field in lines[0].split())
+    changed = sorted(l for l in lines if l.startswith("changed "))
+    retrain = sorted(l for l in lines if l.startswith("retrain "))
+    return counts, changed, retrain
+
+
+def test_diff_takes_max_midpoints_from_checkpoint(tmp_path, capsys):
+    """r links (a, b) through five midpoints; a model keeping two of them
+    does not see the sixth, so r's context does not change for it."""
+    triples = [("a", "r", "b")]
+    for i in range(5):
+        triples += [("a", f"g{i}", f"m{i}"), (f"m{i}", f"h{i}", "b")]
+    old, new = tmp_path / "s0", tmp_path / "s1"
+    write_snapshot_dir(old, triples)
+    write_snapshot_dir(new, triples + [("a", "g3", "m9"), ("m9", "h4", "b")])
+    c0, c1 = str(tmp_path / "c0.pkl"), str(tmp_path / "c1.pkl")
+    assert run(capsys, "train", str(old), c0, "--max-midpoints", "2", *FAST_FLAGS)[0] == 0
+
+    code, out, _ = run(capsys, "diff", str(old), str(new), "--checkpoint", c0)
+    assert code == 0
+    counts, changed, retrain = _diff_changed(out)
+    assert changed == ["changed entity a", "changed entity b"]
+    code, _, _ = run(capsys, "update", str(old), str(new), c0, c1, *FAST_FLAGS)
+    assert code == 0
+    report = json.loads(open(c1 + ".report.json", encoding="utf-8").read())
+    assert report["retrained_triples"] == int(counts["retrain_triples"]) == len(retrain)
+    # a and b train their knowledge rows, the emerging m9 both rows; d = 8
+    assert report["updated_parameters"] == (2 + 2 * 1) * 8
+
+    _, changed, _ = _diff_changed(run(capsys, "diff", str(old), str(new))[1])
+    assert "changed relation r" in changed
+
+
+def test_diff_matches_oracle_over_update_traces(tmp_path, capsys):
+    for trace, g_old, g_new in update_traces():
+        old, new = tmp_path / f"{trace}a", tmp_path / f"{trace}b"
+        write_snapshot_dir(old, g_old.name_triples())
+        write_snapshot_dir(new, g_new.name_triples())
+        code, out, _ = run(capsys, "diff", str(old), str(new))
+        assert code == 0
+        counts, changed, retrain = _diff_changed(out)
+        diff = diff_snapshots(g_old, g_new)
+        oracle = changed_context_objects(g_old, g_new, diff)
+        assert changed == sorted(
+            f"changed {kind} "
+            f"{(g_new.entity_names if kind == 'entity' else g_new.relation_names)[obj]}"
+            for kind, obj in oracle)
+        assert retrain == sorted("retrain " + " ".join(g_new.triple_names(t))
+                                 for t in collect_retrain_set(g_new, diff, oracle))
+        assert int(counts["changed_context"]) == len(oracle)
 
 
 # -- determinism --------------------------------------------------------------

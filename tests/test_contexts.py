@@ -242,6 +242,16 @@ def test_table_sampling_stable_across_snapshots_sharing_object():
     assert np.array_equal(a.adjacency, b.adjacency)
 
 
+def test_table_draws_no_rng_for_contexts_within_cap(g1, monkeypatch):
+    def no_rng(*args):
+        raise AssertionError("derived an rng for a context within the cap")
+
+    monkeypatch.setattr("dkge.contexts._object_seed", no_rng)
+    ContextTable(g1, cap=35).build_all()
+    with pytest.raises(AssertionError):
+        ContextTable(g1, cap=2).entity(g1.entity_id("e1"))
+
+
 # -- change detection ---------------------------------------------------------
 
 def test_changed_context_objects_toy(g1, g2):

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from dkge.evaluation import (HEAD, TAIL, TIE_OPTIMISTIC, TIE_PESSIMISTIC,
-                             JointCache, answer, evaluate, rank_entity,
+                             answer, evaluate, rank_entity,
                              resolve_test_triples)
 from dkge.kg_store import Snapshot, Triple
+from dkge.model import joint_table
 
 from graphs import (oracle_metrics, oracle_rank, random_snapshot, tiny_store,
                     toy_snapshot)
@@ -110,16 +111,6 @@ def test_evaluate_empty_test_gives_nan(setup):
     assert np.isnan(report.mr)
 
 
-def test_evaluate_threads_match_serial(setup):
-    g, store, table = setup
-    test = list(g.triples)
-    one = evaluate(test, store, g, g.triple_set, contexts=table, threads=1)
-    two = evaluate(test, store, g, g.triple_set, contexts=table, threads=3)
-    assert one.mr == two.mr
-    assert one.mrr == two.mrr
-    assert one.hits_at == two.hits_at
-
-
 def test_metrics_block_format(setup):
     g, store, table = setup
     report = evaluate(list(g.triples), store, g, g.triple_set, contexts=table)
@@ -159,8 +150,9 @@ def test_answer_breaks_ties_by_id():
 
 def test_joint_cache_reuses_entity_matrix(setup):
     g, store, table = setup
-    cache = JointCache(store, table)
-    a = cache.entities()
-    b = cache.entities()
-    assert a is b
-    assert a.shape == (g.num_entities, store.dim)
+    store = store.copy()
+    store.attach_joint(joint_table(store, g, table), g)
+    cache = joint_table(store, g)
+    assert cache.ent_star is store.ent_star
+    assert cache.rel_star is store.rel_star
+    assert cache.ent_star.shape == (g.num_entities, store.dim)

@@ -9,11 +9,12 @@ from dkge.contexts import (ContextTable, ENTITY, RELATION, candidate_changed_nam
                            changed_context_objects)
 from dkge.errors import ConfigError, IntegrityError
 from dkge.kg_store import Snapshot, diff_snapshots
+from dkge.model import joint_table
 from dkge.training import (TrainConfig, collect_retrain_set, train_from_scratch,
                            train_online)
 
-from graphs import (TOY_T1, TOY_T2, churned_triples, random_name_triples,
-                    tiny_store, toy_snapshot)
+from graphs import (TOY_T1, TOY_T2, assert_tables_fresh, churned_triples,
+                    random_name_triples, tiny_store, toy_snapshot, update_traces)
 
 FAST = dict(dim=8, learning_rate=0.01, batch_size=8, margin=2.0,
             max_epochs=6, patience=2, eval_every=2, seed=0)
@@ -273,3 +274,102 @@ def test_online_valid_set_drives_early_stop(g1, g2):
                                      log=None)
     assert report.best_epoch is not None
     assert report.epochs_run <= 30
+
+
+# -- stored joint tables ------------------------------------------------------
+
+def test_scratch_attaches_fresh_joint_tables(g1):
+    store, report = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
+    assert_tables_fresh(store, g1)
+    assert (report.reencoded_entities, report.reencoded_relations) \
+        == (g1.num_entities, g1.num_relations)
+
+
+def test_online_re_encodes_only_the_touched_region(g1, g2):
+    before, after, report = run_online(g1, g2)
+    assert_tables_fresh(after, g2)
+    # e1, e3, e6 and r5 changed context; e7 and r7 emerged
+    assert (report.reencoded_entities, report.reencoded_relations) == (4, 2)
+    for name in ("e2", "e4", "e5"):
+        assert before.ent_star[g1.entity_id(name)].tobytes() \
+            == after.ent_star[g2.entity_id(name)].tobytes()
+
+
+def test_online_noop_carries_joint_tables(g1):
+    other = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
+    _, after, report = run_online(g1, other)
+    assert_tables_fresh(after, other)
+    assert (report.reencoded_entities, report.reencoded_relations) == (0, 0)
+
+
+def test_joint_tables_fresh_over_update_traces():
+    """Criterion 4's traces, each from a store whose tables were encoded on
+    the old snapshot: the updated tables equal a fresh full encode."""
+    partial = 0
+    for trace, g_old, g_new in update_traces():
+        cfg = TrainConfig(dim=6, learning_rate=0.02, batch_size=64, margin=2.0,
+                          max_epochs=2, seed=trace)
+        store, _ = tiny_store(g_old, d=6, seed=trace)
+        store.attach_joint(joint_table(store, g_old), g_old)
+        after, report = train_online(g_old, g_new, store, set(), cfg, log=None)
+        assert_tables_fresh(after, g_new)
+        partial += report.reencoded_entities < g_new.num_entities
+    assert partial >= 25
+
+
+def test_joint_tables_fresh_along_an_update_chain():
+    """Train, then three updates, each from the store the last one wrote,
+    with contexts capped: every step's tables equal a fresh full encode."""
+    rng = np.random.default_rng(5)
+    triples = random_name_triples(rng, 200, 50, 6)
+    g = Snapshot.from_name_triples(triples)
+    cfg = TrainConfig(**{**FAST, "max_epochs": 2, "cap": 6})
+    store, _ = train_from_scratch(g, set(), cfg, log=None)
+    assert_tables_fresh(store, g)
+    assert max(len(store.context_table(g).entity(e).vertices)
+               for e in range(g.num_entities)) == 6
+    for step in range(1, 4):
+        triples = churned_triples(rng, triples, churn=0.04)
+        g_new = Snapshot.from_name_triples(triples, time_step=step)
+        store, report = train_online(g, g_new, store, set(), cfg, log=None)
+        assert_tables_fresh(store, g_new)
+        assert 0 < report.reencoded_entities < g_new.num_entities
+        g = g_new
+
+
+def test_online_encodes_everything_without_matching_tables(g1, g2):
+    """A store without tables, and one whose tables were encoded on another
+    snapshot with the same dictionaries, both fall back to a full encode."""
+    cfg = TrainConfig(**FAST)
+    bare, _ = tiny_store(g1, d=8, seed=0)
+    other = Snapshot.from_name_triples(TOY_T1 + (("e2", "r1", "e4"),))
+    assert other.entity_names == g1.entity_names and other.digest != g1.digest
+    stale, _ = train_from_scratch(other, set(), cfg, log=None)
+    for store in (bare, stale):
+        after, report = train_online(g1, g2, store, set(), cfg, log=None)
+        assert_tables_fresh(after, g2)
+        assert (report.reencoded_entities, report.reencoded_relations) \
+            == (g2.num_entities, g2.num_relations)
+
+
+def test_validation_ranks_with_fresh_encodings(g1, g2, monkeypatch):
+    """Validation inside the SGD loop never sees stored tables: the store it
+    ranks with still moves."""
+    import dkge.training as training
+    digests = []
+    evaluate = training.evaluate
+
+    def checked(test, store, *args, **kwargs):
+        digests.append(store.joint_digest)
+        return evaluate(test, store, *args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", checked)
+    cfg = TrainConfig(**{**FAST, "eval_every": 1, "patience": 10})
+    store, report = train_from_scratch(g1, set(g1.triples[:3]), cfg, log=None)
+    assert report.best_epoch is not None
+    assert_tables_fresh(store, g1)
+    after, report = train_online(g1, g2, store, set(g2.triples[:3]), cfg, log=None)
+    assert report.best_epoch is not None
+    assert_tables_fresh(after, g2)
+    assert len(digests) == 2 * FAST["max_epochs"]
+    assert set(digests) == {None}
