@@ -10,19 +10,20 @@ from pathlib import Path
 
 import numpy as np
 
-from dkge import entity_context, load_snapshot_dir, relation_context
+from dkge import (ContextTable, context_signature, entity_context,
+                  load_snapshot_dir, relation_context)
 
 data = Path(__file__).parent / "data"
 g = load_snapshot_dir(data / "t1").train
 
 # the entity context of e1: e1 itself, its neighbors, and every edge the
 # snapshot has between those vertices, including neighbor-neighbor edges
-sub = entity_context(g, g.entity_id("e1"))
-names = [g.entity_names[v.members[0]] for v in sub.vertices]
+sub_e1 = entity_context(g, g.entity_id("e1"))
+names = [g.entity_names[v.members[0]] for v in sub_e1.vertices]
 print("entity context of e1:", names)
-adj = sub.adjacency.astype(int)
+adj = sub_e1.adjacency.astype(int)
 print(np.array2string(adj))
-for i, j in sorted(sub.edge_set()):
+for i, j in sorted(sub_e1.edge_set()):
     print(f"  edge {names[i]} - {names[j]}")
 
 # the relation context of r1: vertex 0 is r1, the others are relation
@@ -34,13 +35,14 @@ print("\nrelation context of r1:", labels)
 for i, j in sorted(sub.edge_set()):
     print(f"  edge {labels[i]} - {labels[j]}")
 
-# contexts are capped before entering the encoder: at most `cap` vertices
-# survive (the owner always does), drawn from the given rng
-rng = np.random.default_rng(0)
-sub = entity_context(g, g.entity_id("e1"), cap=3, rng=rng)
-kept = [g.entity_names[v.members[0]] for v in sub.vertices]
+# contexts are capped before entering the encoder: a context table keeps at
+# most `cap` vertices (the owner always does), sampled with an rng derived
+# from the run seed and the owner's name
+table = ContextTable(g, cap=3, seed=0)
+capped = table.entity(g.entity_id("e1"))
+kept = [g.entity_names[v.members[0]] for v in capped.vertices]
 print("\ncapped to 3 of 5 vertices:", kept)
 
 # the signature hashes the uncapped context by name; equal surroundings
 # give equal signatures no matter how the triple file was ordered
-print("signature:", hex(sub.signature))
+print("signature:", hex(context_signature(sub_e1, g)))

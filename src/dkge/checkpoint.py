@@ -10,8 +10,10 @@ checkpoint holds the joint embedding of every object, ``ent_star`` (n_e, d)
 and ``rel_star`` (n_r, d), with the digest of the snapshot they were encoded
 on.  That adds (n_e + n_r) * d * 8 bytes and lets ``eval`` and ``answer`` on
 that snapshot score without building a context.  A store that never had
-them saves ``None`` in their place.  Format version 3; other versions raise
-IntegrityError.
+them saves ``None`` in their place.  Format version 3.  Loading raises
+IntegrityError, naming the file, when the payload cannot be unpickled, is
+not a dict, lacks a key or has another version.  The payload is still
+unpickled, so a checkpoint from an untrusted source can run code.
 """
 from __future__ import annotations
 
@@ -69,27 +71,38 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 
 def load_checkpoint(path) -> ParameterStore:
     with Path(path).open("rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                IndexError, KeyError, TypeError, ValueError) as exc:
+            raise IntegrityError(f"{path}: not a readable checkpoint: {exc!r}") from exc
+    if not isinstance(payload, dict):
+        raise IntegrityError(f"{path}: checkpoint holds a {type(payload).__name__}, "
+                             f"not a dict")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
-        raise IntegrityError(f"unsupported checkpoint version: {version}")
-    return ParameterStore(
-        dim=payload["dim"],
-        entity_names=tuple(payload["entity_names"]),
-        relation_names=tuple(payload["relation_names"]),
-        ent_know=payload["ent_know"],
-        ent_ctx=payload["ent_ctx"],
-        rel_know=payload["rel_know"],
-        rel_ctx=payload["rel_ctx"],
-        entity_agcn=AgcnParams(payload["entity_weights"], payload["entity_attention"]),
-        relation_agcn=AgcnParams(payload["relation_weights"], payload["relation_attention"]),
-        ent_gate_pre=payload["ent_gate_pre"],
-        rel_gate_pre=payload["rel_gate_pre"],
-        cap=payload["cap"],
-        seed=payload["seed"],
-        max_midpoints=payload["max_midpoints"],
-        signatures={(kind, name): sig for kind, name, sig in payload["signatures"]},
-        ent_star=payload["ent_star"],
-        rel_star=payload["rel_star"],
-        joint_digest=payload["joint_digest"],
-    )
+        raise IntegrityError(f"{path}: unsupported checkpoint version: {version}")
+    try:
+        return ParameterStore(
+            dim=payload["dim"],
+            entity_names=tuple(payload["entity_names"]),
+            relation_names=tuple(payload["relation_names"]),
+            ent_know=payload["ent_know"],
+            ent_ctx=payload["ent_ctx"],
+            rel_know=payload["rel_know"],
+            rel_ctx=payload["rel_ctx"],
+            entity_agcn=AgcnParams(payload["entity_weights"], payload["entity_attention"]),
+            relation_agcn=AgcnParams(payload["relation_weights"],
+                                     payload["relation_attention"]),
+            ent_gate_pre=payload["ent_gate_pre"],
+            rel_gate_pre=payload["rel_gate_pre"],
+            cap=payload["cap"],
+            seed=payload["seed"],
+            max_midpoints=payload["max_midpoints"],
+            signatures={(kind, name): sig for kind, name, sig in payload["signatures"]},
+            ent_star=payload["ent_star"],
+            rel_star=payload["rel_star"],
+            joint_digest=payload["joint_digest"],
+        )
+    except KeyError as exc:
+        raise IntegrityError(f"{path}: checkpoint lacks key {exc}") from exc

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import os
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .contexts import DEFAULT_MAX_MIDPOINTS, detect_context_changes
+from .contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, candidate_changed_names,
+                       changed_contexts)
 from .errors import ConfigError, DkgeError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
@@ -27,24 +29,11 @@ logger = logging.getLogger(__name__)
 
 # key -> (type, default); order fixed for the run header
 CONFIG_KEYS: dict[str, tuple[type, object]] = {
-    "dim": (int, 100),
-    "learning_rate": (float, 0.005),
-    "batch_size": (int, 500),
-    "margin": (float, 10.0),
-    "entity_layers": (int, 1),
-    "relation_layers": (int, 1),
-    "max_epochs": (int, 800),
-    "patience": (int, 5),
-    "eval_every": (int, 10),
-    "seed": (int, 0),
-    "cap": (int, 35),
-    "max_midpoints": (int, 1000),
+    **{f.name: (type(f.default), f.default) for f in dataclasses.fields(TrainConfig)},
     "filter_mode": (str, "train"),
     "tie_mode": (str, TIE_OPTIMISTIC),
 }
-TRAIN_KEYS = ("dim", "learning_rate", "batch_size", "margin", "entity_layers",
-              "relation_layers", "max_epochs", "patience", "eval_every",
-              "seed", "cap", "max_midpoints")
+TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 # what eval uses: the model settings plus these
 EVAL_KEYS = ("filter_mode", "tie_mode")
 
@@ -144,7 +133,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             log = stack.enter_context(open(args.log_file, "a", encoding="utf-8"))
         store, report = train_from_scratch(sd.train, valid, cfg, log=log)
     save_checkpoint(store, args.checkpoint_out)
-    _write_report(report.to_dict(), args.checkpoint_out + ".report.json")
+    _write_report(dataclasses.asdict(report), args.checkpoint_out + ".report.json")
     print(f"saved checkpoint {args.checkpoint_out} "
           f"epochs={report.epochs_run} seconds={report.seconds:.3f}")
     return 0
@@ -167,7 +156,7 @@ def cmd_update(args: argparse.Namespace) -> int:
             log = stack.enter_context(open(args.log_file, "a", encoding="utf-8"))
         store, report = train_online(old_sd.train, g_new, store, valid, cfg, log=log)
     save_checkpoint(store, args.checkpoint_out)
-    _write_report(report.to_dict(), args.checkpoint_out + ".report.json")
+    _write_report(dataclasses.asdict(report), args.checkpoint_out + ".report.json")
     print(f"saved checkpoint {args.checkpoint_out} "
           f"retrained_triples={report.retrained_triples} "
           f"updated_parameters={report.updated_parameters} "
@@ -224,7 +213,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.checkpoint:
         max_midpoints = load_checkpoint(args.checkpoint).model_config()["max_midpoints"]
     diff = diff_snapshots(g_old, g_new)
-    changed = detect_context_changes(g_old, g_new, diff, max_midpoints=max_midpoints)
+    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
+    old_signatures = ContextTable(g_old, max_midpoints=max_midpoints).signatures(
+        ent_cand, rel_cand)
+    changed, _ = changed_contexts(old_signatures, g_old,
+                                  ContextTable(g_new, max_midpoints=max_midpoints),
+                                  ent_cand, rel_cand)
     t_ol = collect_retrain_set(g_new, diff, changed)
     print(f"added_triples={len(diff.added_triples)} "
           f"deleted_triples={len(diff.deleted_triples)} "

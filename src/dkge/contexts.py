@@ -7,20 +7,22 @@ context of a relation r contains r plus every relation path of length 1 or 2
 by r; r is adjacent to every path vertex, and two path vertices are adjacent
 iff some pair is connected by both.
 
-Contexts above the vertex cap are sampled down (owner always kept) before
-entering the graph encoder.
+A ``ContextTable`` samples contexts above the vertex cap down (owner always
+kept) before they enter the graph encoder.
 Signatures are content hashes of the *uncapped* context, computed over names
 rather than ids so they are comparable across snapshots and file orderings.
+Only change detection (``ContextTable.signatures``) computes them.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 from .kg_store import Snapshot, SnapshotDiff, diff_snapshots
 
 logger = logging.getLogger(__name__)
@@ -53,17 +55,15 @@ class ContextSubgraph:
     owner: ObjectRef
     vertices: tuple[ContextVertex, ...]
     adjacency: np.ndarray  # (n, n) float64 entries in {0, 1}, symmetric
-    signature: int
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         """Edges as (i, j) index pairs with i <= j."""
-        m = len(self.vertices)
-        out = set()
-        for i in range(m):
-            for j in range(i, m):
-                if self.adjacency[i, j]:
-                    out.add((i, j))
-        return frozenset(out)
+        return frozenset(_upper_edges(self.adjacency))
+
+
+def _upper_edges(adjacency: np.ndarray) -> list[tuple[int, int]]:
+    rows = adjacency.tolist()
+    return [(i, j) for i, row in enumerate(rows) for j in range(i, len(row)) if row[j]]
 
 
 def _vertex_name_key(vertex: ContextVertex, snapshot: Snapshot) -> tuple:
@@ -79,34 +79,16 @@ def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
     from differently ordered files produce identical signatures.
     """
     keys = [_vertex_name_key(v, snapshot) for v in subgraph.vertices]
-    edges = []
-    m = len(keys)
-    for i in range(m):
-        for j in range(i, m):
-            if subgraph.adjacency[i, j]:
-                edges.append(tuple(sorted((keys[i], keys[j]))))
+    edges = [tuple(sorted((keys[i], keys[j]))) for i, j in _upper_edges(subgraph.adjacency)]
     owner_kind = subgraph.owner[0]
     payload = repr((owner_kind, sorted(keys), sorted(edges))).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=16).digest(), "big")
 
 
-def _finish(owner: ObjectRef, vertices: list[ContextVertex], adjacency: np.ndarray,
-            snapshot: Snapshot, cap: int | None, rng) -> ContextSubgraph:
-    sub = ContextSubgraph(owner=owner, vertices=tuple(vertices), adjacency=adjacency,
-                          signature=0)
-    sub.signature = context_signature(sub, snapshot)
-    if cap is not None and len(vertices) > cap:
-        if rng is None:
-            raise ConfigError("capping a context requires an rng")
-        sub = _sample(sub, cap, rng)
-    return sub
-
-
 def _sample(sub: ContextSubgraph, cap: int, rng: np.random.Generator) -> ContextSubgraph:
     """Keep the owner plus a uniform sample of cap-1 other vertices.
 
-    Relative (canonical) vertex order is preserved; the signature still
-    describes the uncapped context.
+    Relative (canonical) vertex order is preserved.
     """
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")
@@ -117,12 +99,10 @@ def _sample(sub: ContextSubgraph, cap: int, rng: np.random.Generator) -> Context
         owner=sub.owner,
         vertices=tuple(sub.vertices[i] for i in keep),
         adjacency=sub.adjacency[np.ix_(keep, keep)].copy(),
-        signature=sub.signature,
     )
 
 
-def entity_context(snapshot: Snapshot, e: int, cap: int | None = None,
-                   rng: np.random.Generator | None = None) -> ContextSubgraph:
+def entity_context(snapshot: Snapshot, e: int) -> ContextSubgraph:
     """Undirected subgraph on {e} union one-hop neighbors, owner first.
 
     Neighbor vertices follow canonical name order.  An edge (u, v) exists iff
@@ -143,7 +123,7 @@ def entity_context(snapshot: Snapshot, e: int, cap: int | None = None,
                     adj[i, i] = 1.0
             elif snapshot.linked(u, v):
                 adj[i, j] = adj[j, i] = 1.0
-    return _finish((ENTITY, e), vertices, adj, snapshot, cap, rng)
+    return ContextSubgraph((ENTITY, e), tuple(vertices), adj)
 
 
 def _relation_paths(snapshot: Snapshot, r: int, pair: tuple[int, int],
@@ -173,8 +153,7 @@ def _relation_paths(snapshot: Snapshot, r: int, pair: tuple[int, int],
     return paths
 
 
-def relation_context(snapshot: Snapshot, r: int, cap: int | None = None,
-                     rng: np.random.Generator | None = None,
+def relation_context(snapshot: Snapshot, r: int,
                      max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextSubgraph:
     """Relation paths alongside r, deduplicated across its entity pairs.
 
@@ -204,34 +183,20 @@ def relation_context(snapshot: Snapshot, r: int, cap: int | None = None,
         for ai in range(len(group)):
             for bi in range(ai + 1, len(group)):
                 adj[group[ai], group[bi]] = adj[group[bi], group[ai]] = 1.0
-    return _finish((RELATION, r), vertices, adj, snapshot, cap, rng)
+    return ContextSubgraph((RELATION, r), tuple(vertices), adj)
 
 
-def build_context(snapshot: Snapshot, ref: ObjectRef, cap: int | None = None,
-                  rng: np.random.Generator | None = None,
+def build_context(snapshot: Snapshot, ref: ObjectRef,
                   max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextSubgraph:
     kind, obj = ref
     if kind == ENTITY:
-        return entity_context(snapshot, obj, cap=cap, rng=rng)
+        return entity_context(snapshot, obj)
     if kind == RELATION:
-        return relation_context(snapshot, obj, cap=cap, rng=rng,
-                                max_midpoints=max_midpoints)
+        return relation_context(snapshot, obj, max_midpoints=max_midpoints)
     raise ValueError(f"unknown object kind: {kind}")
 
 
 # -- change detection --------------------------------------------------------
-
-
-def signatures_by_name(snapshot: Snapshot,
-                       max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> dict[tuple[str, str], int]:
-    """Uncapped context signature of every object, keyed by (kind, name)."""
-    out: dict[tuple[str, str], int] = {}
-    for e in range(snapshot.num_entities):
-        out[(ENTITY, snapshot.entity_names[e])] = entity_context(snapshot, e).signature
-    for r in range(snapshot.num_relations):
-        out[(RELATION, snapshot.relation_names[r])] = relation_context(
-            snapshot, r, max_midpoints=max_midpoints).signature
-    return out
 
 
 def changed_context_objects(g_old: Snapshot, g_new: Snapshot,
@@ -248,37 +213,48 @@ def changed_context_objects(g_old: Snapshot, g_new: Snapshot,
         old_id = g_old.entity_ids.get(name)
         if old_id is None:
             continue
-        if entity_context(g_old, old_id).signature != entity_context(g_new, new_id).signature:
+        if (context_signature(entity_context(g_old, old_id), g_old)
+                != context_signature(entity_context(g_new, new_id), g_new)):
             changed.add((ENTITY, new_id))
     for name, new_id in g_new.relation_ids.items():
         old_id = g_old.relation_ids.get(name)
         if old_id is None:
             continue
-        if relation_context(g_old, old_id).signature != relation_context(g_new, new_id).signature:
+        if (context_signature(relation_context(g_old, old_id), g_old)
+                != context_signature(relation_context(g_new, new_id), g_new)):
             changed.add((RELATION, new_id))
     return frozenset(changed)
 
 
-def detect_context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff, *,
-                           max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> frozenset[ObjectRef]:
-    """The set ``changed_context_objects`` defines, found by comparing the
-    signatures of ``candidate_changed_names`` only, built with
-    ``max_midpoints`` on both snapshots.  Ids refer to the new snapshot."""
-    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
+def _ids(snapshot: Snapshot, kind: str) -> dict[str, int]:
+    return snapshot.entity_ids if kind == ENTITY else snapshot.relation_ids
+
+
+def changed_contexts(old_signatures: Mapping[tuple[str, str], int], g_old: Snapshot,
+                     table: ContextTable, ent_cand: Iterable[str],
+                     rel_cand: Iterable[str]) -> tuple[frozenset[ObjectRef],
+                                                       dict[tuple[str, str], int]]:
+    """The set ``changed_context_objects`` defines, found among the
+    candidates (``candidate_changed_names``) of the change from g_old to
+    ``table.snapshot``.
+
+    ``old_signatures`` must hold the signature on g_old of every candidate
+    present in both snapshots.  Returns the changed objects, ids referring
+    to the new snapshot, and the new signatures of the candidates present
+    in it.
+    """
+    g_new = table.snapshot
+    new_signatures = table.signatures(ent_cand, rel_cand)
     changed: set[ObjectRef] = set()
-    for kind, cand, old_ids, new_ids in (
-            (ENTITY, ent_cand, g_old.entity_ids, g_new.entity_ids),
-            (RELATION, rel_cand, g_old.relation_ids, g_new.relation_ids)):
-        for name in cand:
-            if name not in old_ids or name not in new_ids:
-                continue
-            old_sig = build_context(g_old, (kind, old_ids[name]),
-                                    max_midpoints=max_midpoints).signature
-            new_sig = build_context(g_new, (kind, new_ids[name]),
-                                    max_midpoints=max_midpoints).signature
-            if old_sig != new_sig:
-                changed.add((kind, new_ids[name]))
-    return frozenset(changed)
+    for (kind, name), sig in new_signatures.items():
+        if name not in _ids(g_old, kind):
+            continue
+        old_sig = old_signatures.get((kind, name))
+        if old_sig is None:
+            raise IntegrityError(f"no stored context signature for {kind} {name!r}")
+        if sig != old_sig:
+            changed.add((kind, _ids(g_new, kind)[name]))
+    return frozenset(changed), new_signatures
 
 
 def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
@@ -343,18 +319,24 @@ class ContextTable:
         self.max_midpoints = max_midpoints
         self._cache: dict[ObjectRef, ContextSubgraph] = {}
 
-    def get(self, ref: ObjectRef) -> ContextSubgraph:
-        sub = self._cache.get(ref)
-        if sub is None:
-            sub = build_context(self.snapshot, ref, max_midpoints=self.max_midpoints)
-            if len(sub.vertices) > self.cap:
-                kind, obj = ref
-                name = (self.snapshot.entity_names[obj] if kind == ENTITY
-                        else self.snapshot.relation_names[obj])
-                rng = np.random.default_rng(_object_seed(self.seed, kind, name))
-                sub = _sample(sub, self.cap, rng)
-            self._cache[ref] = sub
+    def _name(self, kind: str, obj: int) -> str:
+        return (self.snapshot.entity_names if kind == ENTITY
+                else self.snapshot.relation_names)[obj]
+
+    def _build(self, ref: ObjectRef) -> ContextSubgraph:
+        """Build the uncapped context of ``ref``; cache its capped copy."""
+        sub = build_context(self.snapshot, ref, max_midpoints=self.max_midpoints)
+        capped = sub
+        if len(sub.vertices) > self.cap:
+            rng = np.random.default_rng(_object_seed(self.seed, ref[0], self._name(*ref)))
+            capped = _sample(sub, self.cap, rng)
+        self._cache[ref] = capped
         return sub
+
+    def get(self, ref: ObjectRef) -> ContextSubgraph:
+        if ref not in self._cache:
+            self._build(ref)
+        return self._cache[ref]
 
     def entity(self, e: int) -> ContextSubgraph:
         return self.get((ENTITY, e))
@@ -362,20 +344,27 @@ class ContextTable:
     def relation(self, r: int) -> ContextSubgraph:
         return self.get((RELATION, r))
 
-    def signature(self, ref: ObjectRef) -> int:
-        return self.get(ref).signature
-
     def build_all(self) -> None:
         for e in range(self.snapshot.num_entities):
             self.get((ENTITY, e))
         for r in range(self.snapshot.num_relations):
             self.get((RELATION, r))
 
-    def signatures_by_name(self) -> dict[tuple[str, str], int]:
-        self.build_all()
+    def signatures(self, entities: Iterable[str] | None = None,
+                   relations: Iterable[str] | None = None) -> dict[tuple[str, str], int]:
+        """Uncapped context signature of each named object present in the
+        snapshot, every object of a kind whose names are not given, keyed by
+        (kind, name).
+
+        Each context is built here and its capped copy cached, so a later
+        ``get`` does not build it again.
+        """
         out: dict[tuple[str, str], int] = {}
-        for (kind, obj), sub in self._cache.items():
-            name = (self.snapshot.entity_names[obj] if kind == ENTITY
-                    else self.snapshot.relation_names[obj])
-            out[(kind, name)] = sub.signature
+        for kind, names in ((ENTITY, entities), (RELATION, relations)):
+            ids = _ids(self.snapshot, kind)
+            objs = (range(len(ids)) if names is None
+                    else sorted(ids[name] for name in names if name in ids))
+            for obj in objs:
+                sub = self._build((kind, obj))
+                out[(kind, self._name(kind, obj))] = context_signature(sub, self.snapshot)
         return out

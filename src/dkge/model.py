@@ -221,12 +221,12 @@ def relation_stats(snapshot: Snapshot) -> RelationStats:
 
 
 def bernoulli_corrupt(triple: Triple, stats: RelationStats, snapshot: Snapshot,
-                      rng: np.random.Generator, max_retries: int = 100) -> Triple:
+                      rng: np.random.Generator, max_retries: int = 100) -> Triple | None:
     """One corrupted triple: head replaced with probability tph/(tph+hpt),
     otherwise tail; the replacement entity is uniform.  Redrawn while the
-    corrupted triple exists in the snapshot, up to max_retries."""
+    corrupted triple exists in the snapshot, up to max_retries; None when
+    every draw was a known triple."""
     p_head = stats.head_probability(triple.relation)
-    candidate = triple
     for _ in range(max_retries + 1):
         replace_head = rng.random() < p_head
         other = int(rng.integers(snapshot.num_entities))
@@ -236,7 +236,7 @@ def bernoulli_corrupt(triple: Triple, stats: RelationStats, snapshot: Snapshot,
             candidate = Triple(triple.head, triple.relation, other)
         if candidate not in snapshot.triple_set:
             return candidate
-    return candidate
+    return None
 
 
 # -- batched encoder ------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Learning from scratch and incremental online learning.
 
 Both modes run minibatch SGD on the summed margin loss with one Bernoulli
-negative per positive.  Online learning reuses a previous run's parameters:
-removed objects are dropped, emerging objects get fresh embeddings, and only
-triples touching emerging or changed-context objects are retrained.  During
-the online pass the encoder weights, attention vectors, gates, and every
-other embedding stay frozen, so parameters outside the affected set remain
-bit-identical.
+negative per positive; a positive whose negative sampling runs out of
+retries is left out of its batch.  Online learning reuses a previous run's
+parameters: removed objects are dropped, emerging objects get fresh
+embeddings, and only triples touching emerging or changed-context objects
+are retrained.  During the online pass the encoder weights, attention
+vectors, gates, and every other embedding stay frozen, so parameters outside
+the affected set remain bit-identical.
+
+Scratch training stores every object's context signature.  An online update
+hashes the new contexts of the candidate objects only, compares them with
+the stored signatures (``contexts.changed_contexts``) and carries the stored
+ones over for every other object.
 
 Both modes end by attaching the joint embedding of every object to the
 returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
@@ -23,13 +29,14 @@ from __future__ import annotations
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import (ContextTable, ENTITY, RELATION, ObjectRef,
-                       candidate_changed_names)
-from .errors import ConfigError, IntegrityError
+from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS, ENTITY,
+                       ObjectRef, RELATION, candidate_changed_names,
+                       changed_contexts)
+from .errors import ConfigError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots
 from .model import (GradBuffer, JointCache, ParameterStore, RelationStats,
@@ -51,8 +58,8 @@ class TrainConfig:
     patience: int = 5
     eval_every: int = 10
     seed: int = 0
-    cap: int = 35
-    max_midpoints: int = 1000
+    cap: int = DEFAULT_CAP
+    max_midpoints: int = DEFAULT_MAX_MIDPOINTS
 
     def __post_init__(self):
         if self.dim < 1:
@@ -92,21 +99,6 @@ class TrainReport:
     frozen_parameters: int
     reencoded_entities: int
     reencoded_relations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "epochs_run": self.epochs_run,
-            "epoch_losses": self.epoch_losses,
-            "best_valid_hits10": self.best_valid_hits10,
-            "best_epoch": self.best_epoch,
-            "seconds": self.seconds,
-            "retrained_triples": self.retrained_triples,
-            "updated_parameters": self.updated_parameters,
-            "frozen_parameters": self.frozen_parameters,
-            "reencoded_entities": self.reencoded_entities,
-            "reencoded_relations": self.reencoded_relations,
-        }
 
 
 @dataclass
@@ -173,8 +165,9 @@ def _sgd_loop(snapshot: Snapshot, train_triples: list[Triple], store: ParameterS
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = [train_triples[i] for i in order[start:start + config.batch_size]]
-            pairs = [(t, bernoulli_corrupt(t, stats, snapshot, negative_rng))
-                     for t in batch]
+            pairs = [(t, neg) for t in batch
+                     if (neg := bernoulli_corrupt(t, stats, snapshot, negative_rng))
+                     is not None]
             buf = GradBuffer(store)
             epoch_loss += batch_loss(pairs, store, table, config.margin, buf)
             _apply_sgd(store, buf, config.learning_rate, mask)
@@ -235,7 +228,7 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
                         cap=config.cap, seed=config.seed,
                         max_midpoints=config.max_midpoints)
     table = store.context_table(snapshot)
-    store.signatures = table.signatures_by_name()
+    store.signatures = table.signatures()
     stats = relation_stats(snapshot)
     store, losses, best_hits, best_epoch, epochs = _sgd_loop(
         snapshot, list(snapshot.triples), store, table, stats, valid_triples,
@@ -268,7 +261,8 @@ def _migrate_store(store: ParameterStore, g_old: Snapshot, g_new: Snapshot,
                    rng: np.random.Generator) -> ParameterStore:
     """Re-key parameters to the new snapshot: drop removed objects, copy the
     survivors by name, and initialize emerging ones from the uniform prior.
-    The encoders, gates and context settings carry over unchanged."""
+    The encoders, gates, context settings and the survivors' signatures
+    carry over unchanged."""
     d = store.dim
     bound = 6.0 / np.sqrt(d)
     n_e, n_r = g_new.num_entities, g_new.num_relations
@@ -298,43 +292,12 @@ def _migrate_store(store: ParameterStore, g_old: Snapshot, g_new: Snapshot,
         entity_agcn=store.entity_agcn.copy(), relation_agcn=store.relation_agcn.copy(),
         ent_gate_pre=store.ent_gate_pre.copy(), rel_gate_pre=store.rel_gate_pre.copy(),
         cap=store.cap, seed=store.seed, max_midpoints=store.max_midpoints,
-        signatures=dict(store.signatures))
-
-
-def _detect_changed(store: ParameterStore, g_old: Snapshot, g_new: Snapshot,
-                    ent_cand: set[str], rel_cand: set[str],
-                    table: ContextTable) -> frozenset[ObjectRef]:
-    """Signature comparison against the stored signatures of the old run,
-    restricted to the sound candidate set."""
-    changed: set[ObjectRef] = set()
-    for kind, cand, old_ids, new_ids in (
-            (ENTITY, ent_cand, g_old.entity_ids, g_new.entity_ids),
-            (RELATION, rel_cand, g_old.relation_ids, g_new.relation_ids)):
-        for name in sorted(cand):
-            if name not in old_ids or name not in new_ids:
-                continue
-            old_sig = store.signatures.get((kind, name))
-            if old_sig is None:
-                raise IntegrityError(f"store has no context signature for {kind} {name!r}")
-            if table.signature((kind, new_ids[name])) != old_sig:
-                changed.add((kind, new_ids[name]))
-    return frozenset(changed)
-
-
-def _refresh_signatures(store: ParameterStore, g_new: Snapshot, table: ContextTable,
-                        recomputed: set[tuple[str, str]]) -> None:
-    """Signatures for the new snapshot: carry over what provably did not
-    change, take fresh values for candidates and emerging objects."""
-    new_sigs: dict[tuple[str, str], int] = {}
-    for kind, names, ids in ((ENTITY, g_new.entity_names, g_new.entity_ids),
-                             (RELATION, g_new.relation_names, g_new.relation_ids)):
-        for name in names:
-            key = (kind, name)
-            if key in recomputed or key not in store.signatures:
-                new_sigs[key] = table.signature((kind, ids[name]))
-            else:
-                new_sigs[key] = store.signatures[key]
-    store.signatures = new_sigs
+        # keyed by g_new's own name strings, so a checkpoint pickles each
+        # name once, as it does for a trained store
+        signatures={(kind, name): store.signatures[(kind, name)]
+                    for kind, names in ((ENTITY, g_new.entity_names),
+                                        (RELATION, g_new.relation_names))
+                    for name in names if (kind, name) in store.signatures})
 
 
 def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
@@ -427,13 +390,10 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     store = _migrate_store(store, g_old, g_new, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
     ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
-    changed = _detect_changed(store, g_old, g_new, ent_cand, rel_cand, table)
+    changed, fresh = changed_contexts(store.signatures, g_old, table,
+                                      ent_cand, rel_cand)
+    store.signatures.update(fresh)
     t_ol = collect_retrain_set(g_new, diff, changed)
-
-    recomputed: set[tuple[str, str]] = set()
-    recomputed.update((ENTITY, n) for n in ent_cand if n in g_new.entity_ids)
-    recomputed.update((RELATION, n) for n in rel_cand if n in g_new.relation_ids)
-    _refresh_signatures(store, g_new, table, recomputed)
 
     emerging_e = sorted(diff.emerging_entities)
     emerging_r = sorted(diff.emerging_relations)

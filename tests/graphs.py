@@ -115,7 +115,7 @@ def update_traces(count: int = 50):
 def tiny_store(snapshot: Snapshot, d=6, seed=0, **kwargs) -> tuple[ParameterStore, ContextTable]:
     store = init_params(snapshot, d, np.random.default_rng(seed), seed=seed, **kwargs)
     table = store.context_table(snapshot)
-    store.signatures = table.signatures_by_name()
+    store.signatures = table.signatures()
     return store, table
 
 

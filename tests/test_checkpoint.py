@@ -100,3 +100,28 @@ def test_round_trip_keeps_joint_tables(tmp_path, store):
     assert loaded.ent_star.tobytes() == store.ent_star.tobytes()
     assert loaded.rel_star.tobytes() == store.rel_star.tobytes()
     assert joint_table(loaded, g).ent_star is loaded.ent_star
+
+
+def test_truncated_file_names_path(tmp_path, store):
+    path = tmp_path / "model.pkl"
+    save_checkpoint(store, path)
+    path.write_bytes(path.read_bytes()[:200])
+    with pytest.raises(IntegrityError, match="model.pkl"):
+        load_checkpoint(path)
+
+
+def test_payload_not_a_dict_rejected(tmp_path):
+    path = tmp_path / "model.pkl"
+    path.write_bytes(pickle.dumps([1, 2, 3], protocol=4))
+    with pytest.raises(IntegrityError, match="model.pkl.*list"):
+        load_checkpoint(path)
+
+
+def test_missing_key_rejected(tmp_path, store):
+    path = tmp_path / "model.pkl"
+    save_checkpoint(store, path)
+    payload = pickle.loads(path.read_bytes())
+    del payload["rel_ctx"]
+    path.write_bytes(pickle.dumps(payload, protocol=4))
+    with pytest.raises(IntegrityError, match="model.pkl.*rel_ctx"):
+        load_checkpoint(path)

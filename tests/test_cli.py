@@ -387,6 +387,16 @@ def test_answer_unknown_entity(dirs, capsys):
     assert "ghost" in err
 
 
+def test_answer_on_corrupt_checkpoint_exits_1(dirs, capsys):
+    tmp, old, _ = dirs
+    run(capsys, "train", str(old), str(tmp / "m1.pkl"), *FAST_FLAGS)
+    data = (tmp / "m1.pkl").read_bytes()
+    (tmp / "cut.pkl").write_bytes(data[:len(data) // 2])
+    code, out, err = run(capsys, "answer", str(old), str(tmp / "cut.pkl"), "e1", "r1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "cut.pkl" in err
+
+
 # -- diff ---------------------------------------------------------------------
 
 def test_diff_toy_output(dirs, capsys):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from dkge.contexts import (ContextTable, ENTITY, RELATION, RELATION_PATH,
                            build_context, candidate_changed_names,
-                           changed_context_objects, context_signature,
-                           entity_context, relation_context, signatures_by_name)
+                           changed_context_objects, changed_contexts,
+                           context_signature, entity_context, relation_context)
+from dkge.errors import IntegrityError
 from dkge.kg_store import Snapshot, diff_snapshots
 
 from graphs import TOY_T1, TOY_T2, churned_triples, random_name_triples, toy_snapshot
@@ -149,7 +150,7 @@ def test_relation_context_midpoint_truncation(caplog):
     assert len(small.vertices) <= len(full.vertices)
     # truncation is canonical: same call, same result
     again = relation_context(g, g.relation_id("r"), max_midpoints=3)
-    assert small.signature == again.signature
+    assert context_signature(small, g) == context_signature(again, g)
     assert np.array_equal(small.adjacency, again.adjacency)
 
 
@@ -162,11 +163,20 @@ def test_build_context_dispatch(g1):
         build_context(g1, ("nope", 0))
 
 
+def test_edge_set_matches_adjacency_scan(g2):
+    subs = [entity_context(g2, e) for e in range(g2.num_entities)]
+    subs += [relation_context(g2, r) for r in range(g2.num_relations)]
+    for sub in subs:
+        m = len(sub.vertices)
+        want = {(i, j) for i in range(m) for j in range(i, m) if sub.adjacency[i, j]}
+        assert sub.edge_set() == want
+
+
 # -- signatures ---------------------------------------------------------------
 
 def test_signature_invariant_to_file_order(g1):
     g1b = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
-    assert signatures_by_name(g1) == signatures_by_name(g1b)
+    assert ContextTable(g1).signatures() == ContextTable(g1b).signatures()
 
 
 def test_signature_distinguishes_kinds():
@@ -185,8 +195,8 @@ def test_signature_sensitive_to_edges():
 
 
 def test_signature_unchanged_for_distant_edit(g1, g2):
-    sigs1 = signatures_by_name(g1)
-    sigs2 = signatures_by_name(g2)
+    sigs1 = ContextTable(g1).signatures()
+    sigs2 = ContextTable(g2).signatures()
     for name in ("e2", "e4", "e5"):
         assert sigs1[(ENTITY, name)] == sigs2[(ENTITY, name)]
     for name in ("r2", "r3", "r4", "r6"):
@@ -204,18 +214,25 @@ def test_cap_keeps_owner_and_size():
     g = hub_snapshot()
     raw = entity_context(g, g.entity_id("hub"))
     assert len(raw.vertices) == 61
-    capped = entity_context(g, g.entity_id("hub"), cap=35, rng=np.random.default_rng(0))
+    capped = ContextTable(g, cap=35).entity(g.entity_id("hub"))
     assert len(capped.vertices) == 35
     assert capped.adjacency.shape == (35, 35)
     assert capped.vertices[0] == raw.vertices[0]
-    assert capped.signature == raw.signature  # hash covers the uncapped context
+
+
+def test_signatures_cover_the_uncapped_context():
+    g = hub_snapshot()
+    sigs = ContextTable(g, cap=3).signatures()
+    assert sigs == ContextTable(g, cap=35).signatures()
+    raw = entity_context(g, g.entity_id("hub"))
+    assert sigs[(ENTITY, "hub")] == context_signature(raw, g)
 
 
 def test_cap_sample_depends_on_rng():
     g = hub_snapshot()
     hub = g.entity_id("hub")
-    a = entity_context(g, hub, cap=35, rng=np.random.default_rng(1))
-    b = entity_context(g, hub, cap=35, rng=np.random.default_rng(2))
+    a = ContextTable(g, cap=35, seed=1).entity(hub)
+    b = ContextTable(g, cap=35, seed=2).entity(hub)
     assert a.vertices != b.vertices
 
 
@@ -252,7 +269,63 @@ def test_table_draws_no_rng_for_contexts_within_cap(g1, monkeypatch):
         ContextTable(g1, cap=2).entity(g1.entity_id("e1"))
 
 
+def test_signatures_of_named_objects_only(g1):
+    full = ContextTable(g1).signatures()
+    some = ContextTable(g1).signatures({"e1", "e3", "gone"}, ())
+    assert some == {key: full[key] for key in ((ENTITY, "e1"), (ENTITY, "e3"))}
+    assert ContextTable(g1).signatures((), {"r5"}) == {(RELATION, "r5"): full[(RELATION, "r5")]}
+
+
+def test_signatures_cache_the_capped_context(monkeypatch):
+    """``signatures`` builds each context once; ``get`` then serves the same
+    capped sample a fresh table builds."""
+    import dkge.contexts
+    g = hub_snapshot()
+    built = []
+    build = dkge.contexts.build_context
+
+    def counted(snapshot, ref, **kwargs):
+        built.append(ref)
+        return build(snapshot, ref, **kwargs)
+
+    monkeypatch.setattr(dkge.contexts, "build_context", counted)
+    table = ContextTable(g, cap=5, seed=3)
+    table.signatures()
+    table.build_all()
+    assert sorted(built) == sorted(set(built))
+    assert len(built) == g.num_entities + g.num_relations
+    hub = table.entity(g.entity_id("hub"))
+    fresh = ContextTable(g, cap=5, seed=3).entity(g.entity_id("hub"))
+    assert len(hub.vertices) == 5
+    assert hub.vertices == fresh.vertices
+    assert np.array_equal(hub.adjacency, fresh.adjacency)
+
+
 # -- change detection ---------------------------------------------------------
+
+def test_changed_contexts_toy(g1, g2):
+    diff = diff_snapshots(g1, g2)
+    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff)
+    stored = ContextTable(g1).signatures()
+    changed, fresh = changed_contexts(stored, g1, ContextTable(g2), ent_cand, rel_cand)
+    assert changed == changed_context_objects(g1, g2)
+    full = ContextTable(g2).signatures()
+    assert fresh == {key: full[key] for key in fresh}
+    assert set(fresh) == ({(ENTITY, n) for n in ent_cand if n in g2.entity_ids}
+                          | {(RELATION, n) for n in rel_cand if n in g2.relation_ids})
+
+
+def test_changed_contexts_rejects_missing_old_signature(g1, g2):
+    diff = diff_snapshots(g1, g2)
+    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff)
+    stored = ContextTable(g1).signatures()
+    # e7 and r7 emerge: they are candidates without an old signature
+    assert {"e7"} <= ent_cand and (ENTITY, "e7") not in stored
+    changed_contexts(stored, g1, ContextTable(g2), ent_cand, rel_cand)
+    del stored[(ENTITY, "e3")]
+    with pytest.raises(IntegrityError, match="entity 'e3'"):
+        changed_contexts(stored, g1, ContextTable(g2), ent_cand, rel_cand)
+
 
 def test_changed_context_objects_toy(g1, g2):
     changed = changed_context_objects(g1, g2)

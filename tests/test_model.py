@@ -114,7 +114,7 @@ def test_corrupt_gives_up_after_retries():
                                     ("b", "r", "a"), ("b", "r", "b")])
     stats = relation_stats(g)
     neg = bernoulli_corrupt(g.triples[0], stats, g, np.random.default_rng(0))
-    assert neg in g.triple_set  # fallback keeps the last candidate
+    assert neg is None  # no false negative stands in for a corruption
 
 
 def test_corrupt_head_tail_ratio_tracks_bernoulli():

@@ -91,7 +91,19 @@ def test_scratch_seed_changes_result(g1):
 def test_scratch_fills_signatures(g1):
     store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
     fresh = ContextTable(g1, cap=store.cap, seed=store.seed)
-    assert store.signatures == fresh.signatures_by_name()
+    assert store.signatures == fresh.signatures()
+
+
+def test_pairs_without_a_negative_are_dropped():
+    """A graph holding every triple of its vocabulary has no corruption:
+    every pair is dropped, so the loss reads 0 and nothing trains."""
+    g = Snapshot.from_name_triples([(h, "r", t) for h in "ab" for t in "ab"])
+    one, report = train_from_scratch(g, set(), TrainConfig(**{**FAST, "max_epochs": 1}),
+                                     log=None)
+    three, report = train_from_scratch(g, set(), TrainConfig(**{**FAST, "max_epochs": 3}),
+                                       log=None)
+    assert report.epoch_losses == [0.0, 0.0, 0.0]
+    assert all_param_bytes(one) == all_param_bytes(three)
 
 
 def test_scratch_early_stopping_returns_best(g1):
@@ -202,6 +214,7 @@ def test_online_migration_drops_removed_objects(g1):
     assert "e4" not in after.entity_names
     assert "r3" not in after.relation_names
     assert after.matches_snapshot(shrunk)
+    assert after.signatures == ContextTable(shrunk).signatures()
 
 
 def test_online_emerging_rows_initialized_in_bounds(g1, g2):
@@ -219,7 +232,7 @@ def test_online_emerging_rows_initialized_in_bounds(g1, g2):
 def test_online_refreshes_signatures(g1, g2):
     before, after, report = run_online(g1, g2)
     fresh = ContextTable(g2, cap=after.cap, seed=after.seed)
-    assert after.signatures == fresh.signatures_by_name()
+    assert after.signatures == fresh.signatures()
     assert after.matches_snapshot(g2)
 
 
@@ -237,7 +250,7 @@ def test_online_detection_matches_pure_diff():
         t_ol = collect_retrain_set(g_new, diff, changed)
         assert report.retrained_triples == len(t_ol)
         fresh = ContextTable(g_new, cap=new_store.cap, seed=new_store.seed)
-        assert new_store.signatures == fresh.signatures_by_name()
+        assert new_store.signatures == fresh.signatures()
 
 
 def test_online_computes_candidates_once(g1, g2, monkeypatch):
@@ -250,6 +263,60 @@ def test_online_computes_candidates_once(g1, g2, monkeypatch):
     monkeypatch.setattr("dkge.training.candidate_changed_names", counted)
     run_online(g1, g2)
     assert len(calls) == 1
+
+
+def test_online_hashes_each_candidate_once(g1, g2, monkeypatch):
+    """Only change detection hashes a context: one signature per candidate
+    present in the new snapshot, none for the rest of the graph."""
+    import dkge.contexts as contexts
+    store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
+    hashed = []
+    sign = contexts.context_signature
+
+    def counted(sub, snapshot):
+        hashed.append((snapshot, sub.owner))
+        return sign(sub, snapshot)
+
+    monkeypatch.setattr(contexts, "context_signature", counted)
+    train_online(g1, g2, store, set(), TrainConfig(**FAST), log=None)
+    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff_snapshots(g1, g2))
+    want = sorted([(ENTITY, g2.entity_ids[n]) for n in ent_cand if n in g2.entity_ids]
+                  + [(RELATION, g2.relation_ids[n]) for n in rel_cand
+                     if n in g2.relation_ids])
+    assert len(want) < g2.num_entities + g2.num_relations
+    assert all(snapshot is g2 for snapshot, _ in hashed)
+    assert sorted(owner for _, owner in hashed) == want
+
+
+def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
+    """The candidates' contexts are built while hashing them; SGD and the
+    joint re-encode reuse their capped copies, and no old context is built."""
+    import dkge.contexts as contexts
+    cfg = TrainConfig(**{**FAST, "cap": 3})
+    store, _ = train_from_scratch(g1, set(), cfg, log=None)
+    built = []
+    build = contexts.build_context
+
+    def counted(snapshot, ref, **kwargs):
+        built.append((snapshot, ref))
+        return build(snapshot, ref, **kwargs)
+
+    monkeypatch.setattr(contexts, "build_context", counted)
+    after, report = train_online(g1, g2, store, set(), cfg, log=None)
+    assert report.retrained_triples > 0
+    assert all(snapshot is g2 for snapshot, _ in built)
+    refs = [ref for _, ref in built]
+    assert len(refs) == len(set(refs))
+    monkeypatch.undo()
+    assert_tables_fresh(after, g2)
+
+
+@pytest.mark.parametrize("kind,name", [(ENTITY, "e3"), (RELATION, "r5")])
+def test_online_rejects_store_missing_a_candidate_signature(g1, g2, kind, name):
+    store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
+    del store.signatures[(kind, name)]
+    with pytest.raises(IntegrityError, match=f"{kind} '{name}'"):
+        train_online(g1, g2, store, set(), TrainConfig(**FAST), log=None)
 
 
 def test_online_rejects_model_config_mismatch(g1, g2):
