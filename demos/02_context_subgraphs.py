@@ -8,8 +8,6 @@ that connect the same entity pairs.
 """
 from pathlib import Path
 
-import numpy as np
-
 from dkge import (ContextTable, context_signature, entity_context,
                   load_snapshot_dir, relation_context)
 
@@ -17,13 +15,13 @@ data = Path(__file__).parent / "data"
 g = load_snapshot_dir(data / "t1").train
 
 # the entity context of e1: e1 itself, its neighbors, and every edge the
-# snapshot has between those vertices, including neighbor-neighbor edges
+# snapshot has between those vertices, including neighbor-neighbor edges;
+# edges are vertex index pairs (i, j) with i <= j, sorted
 sub_e1 = entity_context(g, g.entity_id("e1"))
 names = [g.entity_names[v.members[0]] for v in sub_e1.vertices]
 print("entity context of e1:", names)
-adj = sub_e1.adjacency.astype(int)
-print(np.array2string(adj))
-for i, j in sorted(sub_e1.edge_set()):
+print("edges:", sub_e1.edges.tolist())
+for i, j in sub_e1.edges.tolist():
     print(f"  edge {names[i]} - {names[j]}")
 
 # the relation context of r1: vertex 0 is r1, the others are relation
@@ -32,7 +30,7 @@ sub = relation_context(g, g.relation_id("r1"))
 labels = ["-".join(g.relation_names[m] for m in v.members)
           for v in sub.vertices]
 print("\nrelation context of r1:", labels)
-for i, j in sorted(sub.edge_set()):
+for i, j in sub.edges.tolist():
     print(f"  edge {labels[i]} - {labels[j]}")
 
 # contexts are capped before entering the encoder: a context table keeps at

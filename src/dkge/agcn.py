@@ -8,7 +8,9 @@ Forward pass, for one context with feature rows h0 and adjacency A:
     a    = softmax over the vertices of s
     out  = sum_i a_i v_i
 
-The owner's knowledge embedding o_k steers the attention.
+The owner's knowledge embedding o_k steers the attention.  A context comes
+as its vertex count and its edges, index pairs (i, j) with i <= j
+(``contexts.ContextSubgraph``); A holds 1 at (i, j) and (j, i) for each.
 
 A batch encodes B contexts at once as their disjoint union: the feature rows
 are stacked, context b owning one contiguous segment of rows, and the S
@@ -56,40 +58,36 @@ class AgcnParams:
         return AgcnParams([w.copy() for w in self.weights], self.attention.copy())
 
 
-def normalize_adjacency(adjacencies: Sequence[np.ndarray]) -> sparse.csr_array:
+def normalize_adjacency(sizes: Sequence[int],
+                        edges: Sequence[np.ndarray]) -> sparse.csr_array:
     """Block-diagonal S = D^{-1/2} (A + I) D^{-1/2} of a batch of contexts.
 
-    Each adjacency must be a non-empty, square, symmetric matrix with entries
-    in {0, 1}.  Degrees are integer counts, so S is exact and exactly
-    symmetric; a zero row still gets degree 1 from the added self-connection.
+    Context b has ``sizes[b] >= 1`` vertices and the unique (i, j), i <= j,
+    index pairs ``edges[b]``.  Degrees are integer counts, so S is exact and
+    exactly symmetric; a vertex without edges still gets degree 1 from the
+    added self-connection, and a self-loop weighs 2 on the diagonal.
     """
-    if not adjacencies:
+    if not len(sizes):
         raise ValueError("a batch needs at least one context")
-    for a in adjacencies:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("a context needs at least one vertex")
-    # the blocks' rows back to back; row i of the union starts at flat
-    # offset row_start[i] and its block at column first_col[i]
-    flat = np.concatenate([a.ravel() for a in adjacencies], dtype=np.float64)
-    if not np.all((flat == 0.0) | (flat == 1.0)):
-        raise ValueError("adjacency entries must be 0 or 1")
-    sizes = np.array([a.shape[0] for a in adjacencies])
-    width = np.repeat(sizes, sizes)
-    first_col = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    row_start = np.cumsum(width) - width
-    n = width.size
-    flat[row_start + np.arange(n) - first_col] += 1.0      # A + I
-
-    nz = np.flatnonzero(flat)
-    indptr = np.searchsorted(nz, np.append(row_start, flat.size))
-    counts = np.diff(indptr)
-    rows = np.repeat(np.arange(n), counts)
-    cols = nz - np.repeat(row_start - first_col, counts)
-    if not np.array_equal(rows * n + cols, np.sort(cols * n + rows)):
-        raise ValueError("adjacency must be symmetric")
-    a_hat = flat[nz]
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if sizes.min() < 1:
+        raise ValueError("a context needs at least one vertex")
+    counts = [len(e) for e in edges]
+    pairs = np.concatenate(edges, dtype=np.intp).reshape(-1, 2)
+    if not np.all((pairs >= 0) & (pairs < np.repeat(sizes, counts)[:, None])):
+        raise ValueError("an edge indexes a vertex outside its context")
+    pairs = pairs + np.repeat(np.cumsum(sizes) - sizes, counts)[:, None]
+    n = int(sizes.sum())
+    loop = pairs[:, 0] == pairs[:, 1]
+    i, j = pairs[~loop].T
+    diag = np.arange(n)
+    rows = np.concatenate((i, j, diag))
+    cols = np.concatenate((j, i, diag))
+    a_hat = np.concatenate((np.ones(2 * i.size),
+                            1.0 + np.bincount(pairs[loop, 0], minlength=n)))
+    order = np.lexsort((cols, rows))
+    rows, cols, a_hat = rows[order], cols[order], a_hat[order]
+    indptr = np.searchsorted(rows, np.arange(n + 1))
     inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, indptr[:-1]))
     return sparse.csr_array((a_hat * inv_sqrt[rows] * inv_sqrt[cols], cols, indptr),
                             shape=(n, n))
@@ -98,9 +96,8 @@ def normalize_adjacency(adjacencies: Sequence[np.ndarray]) -> sparse.csr_array:
 class ContextBatch:
     """Disjoint union of B contexts: block-diagonal S plus row segments."""
 
-    def __init__(self, adjacencies: Sequence[np.ndarray]):
-        self.norm_adj = normalize_adjacency(adjacencies)
-        sizes = [a.shape[0] for a in adjacencies]
+    def __init__(self, sizes: Sequence[int], edges: Sequence[np.ndarray]):
+        self.norm_adj = normalize_adjacency(sizes, edges)
         self.starts = np.cumsum(sizes) - sizes                  # (B,) first rows
         self.segment = np.repeat(np.arange(len(sizes)), sizes)  # (n,) context of a row
 

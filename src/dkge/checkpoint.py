@@ -12,8 +12,11 @@ on.  That adds (n_e + n_r) * d * 8 bytes and lets ``eval`` and ``answer`` on
 that snapshot score without building a context.  A store that never had
 them saves ``None`` in their place.  Format version 3.  Loading raises
 IntegrityError, naming the file, when the payload cannot be unpickled, is
-not a dict, lacks a key or has another version.  The payload is still
-unpickled, so a checkpoint from an untrusted source can run code.
+not a dict, lacks a key or has another version, and naming the key too when
+an array is not float64 or its shape disagrees with ``dim``, the name tuples
+or the layer count, or when the joint tables and their digest are neither
+all ``None`` nor all present.  The payload is still unpickled, so a
+checkpoint from an untrusted source can run code.
 """
 from __future__ import annotations
 
@@ -69,6 +72,41 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         raise
 
 
+def _check_arrays(path, payload: dict) -> None:
+    """Raise IntegrityError naming the first key that disagrees with the
+    rest: ``dim`` not a positive int, the joint tables and their digest
+    partly None, or an array that is not float64 of the shape ``dim``, the
+    names and the layer count imply."""
+    d = payload["dim"]
+    if type(d) is not int or d < 1:
+        raise IntegrityError(f"{path}: checkpoint dim is {d!r}, not a positive int")
+    n_e, n_r = len(payload["entity_names"]), len(payload["relation_names"])
+    stars = ("ent_star", "rel_star", "joint_digest")
+    if len({payload[key] is None for key in stars}) != 1:
+        raise IntegrityError(f"{path}: checkpoint {', '.join(stars)} must be all "
+                             f"None or all present")
+    digest = payload["joint_digest"]
+    if digest is not None and not isinstance(digest, str):
+        raise IntegrityError(f"{path}: checkpoint joint_digest is not a string")
+    shapes = {"ent_know": (n_e, d), "ent_ctx": (n_e, d), "rel_know": (n_r, d),
+              "rel_ctx": (n_r, d), "entity_attention": (d,), "relation_attention": (d,),
+              "ent_gate_pre": (d,), "rel_gate_pre": (d,)}
+    if payload["ent_star"] is not None:
+        shapes.update(ent_star=(n_e, d), rel_star=(n_r, d))
+    arrays = [(key, payload[key], shape) for key, shape in shapes.items()]
+    for key in ("entity_weights", "relation_weights"):
+        weights = payload[key]
+        if not isinstance(weights, list) or not 1 <= len(weights) <= 2:
+            raise IntegrityError(f"{path}: checkpoint {key} is not a list of 1 or 2 layers")
+        arrays += [(f"{key}[{l}]", w, (d, d)) for l, w in enumerate(weights)]
+    for key, a, shape in arrays:
+        if not isinstance(a, np.ndarray) or a.dtype != np.float64 or a.shape != shape:
+            got = (f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray)
+                   else type(a).__name__)
+            raise IntegrityError(f"{path}: checkpoint {key} is {got}, "
+                                 f"expected float64 {shape}")
+
+
 def load_checkpoint(path) -> ParameterStore:
     with Path(path).open("rb") as fh:
         try:
@@ -83,6 +121,7 @@ def load_checkpoint(path) -> ParameterStore:
     if version != FORMAT_VERSION:
         raise IntegrityError(f"{path}: unsupported checkpoint version: {version}")
     try:
+        _check_arrays(path, payload)
         return ParameterStore(
             dim=payload["dim"],
             entity_names=tuple(payload["entity_names"]),

@@ -7,6 +7,10 @@ context of a relation r contains r plus every relation path of length 1 or 2
 by r; r is adjacent to every path vertex, and two path vertices are adjacent
 iff some pair is connected by both.
 
+A context keeps its edges as one sorted array of vertex index pairs
+(``ContextSubgraph``), PyG's ``edge_index`` (arXiv 1903.02428) in one
+orientation; ``agcn.normalize_adjacency`` mirrors it for the encoder.
+
 A ``ContextTable`` samples contexts above the vertex cap down (owner always
 kept) before they enter the graph encoder.
 Signatures are content hashes of the *uncapped* context, computed over names
@@ -18,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -52,18 +57,21 @@ class ContextVertex:
 
 @dataclass
 class ContextSubgraph:
+    """Vertices, owner first, and ``edges``: an (m, 2) intp array of vertex
+    index pairs (i, j), i <= j, unique and in ascending order; (i, i) is a
+    self-loop triple."""
+
     owner: ObjectRef
     vertices: tuple[ContextVertex, ...]
-    adjacency: np.ndarray  # (n, n) float64 entries in {0, 1}, symmetric
+    edges: np.ndarray
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         """Edges as (i, j) index pairs with i <= j."""
-        return frozenset(_upper_edges(self.adjacency))
+        return frozenset(map(tuple, self.edges.tolist()))
 
 
-def _upper_edges(adjacency: np.ndarray) -> list[tuple[int, int]]:
-    rows = adjacency.tolist()
-    return [(i, j) for i, row in enumerate(rows) for j in range(i, len(row)) if row[j]]
+def _edge_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
 
 
 def _vertex_name_key(vertex: ContextVertex, snapshot: Snapshot) -> tuple:
@@ -79,7 +87,7 @@ def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
     from differently ordered files produce identical signatures.
     """
     keys = [_vertex_name_key(v, snapshot) for v in subgraph.vertices]
-    edges = [tuple(sorted((keys[i], keys[j]))) for i, j in _upper_edges(subgraph.adjacency)]
+    edges = [tuple(sorted((keys[i], keys[j]))) for i, j in subgraph.edges.tolist()]
     owner_kind = subgraph.owner[0]
     payload = repr((owner_kind, sorted(keys), sorted(edges))).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=16).digest(), "big")
@@ -95,10 +103,14 @@ def _sample(sub: ContextSubgraph, cap: int, rng: np.random.Generator) -> Context
     n = len(sub.vertices)
     keep_rest = rng.choice(np.arange(1, n), size=cap - 1, replace=False)
     keep = np.concatenate(([0], np.sort(keep_rest)))
+    # old index -> new index, -1 when dropped; increasing, so sorted stays sorted
+    position = np.full(n, -1, dtype=np.intp)
+    position[keep] = np.arange(cap)
+    edges = position[sub.edges]
     return ContextSubgraph(
         owner=sub.owner,
         vertices=tuple(sub.vertices[i] for i in keep),
-        adjacency=sub.adjacency[np.ix_(keep, keep)].copy(),
+        edges=edges[(edges >= 0).all(axis=1)],
     )
 
 
@@ -112,18 +124,12 @@ def entity_context(snapshot: Snapshot, e: int) -> ContextSubgraph:
     snapshot._check_entity(e)
     nbrs = sorted(snapshot.neighbor_map[e], key=lambda i: snapshot.entity_names[i])
     ids = [e] + nbrs
-    vertices = [ContextVertex(ENTITY, (i,)) for i in ids]
-    n = len(ids)
-    adj = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            u, v = ids[i], ids[j]
-            if i == j:
-                if (u, u) in snapshot.pair_map:
-                    adj[i, i] = 1.0
-            elif snapshot.linked(u, v):
-                adj[i, j] = adj[j, i] = 1.0
-    return ContextSubgraph((ENTITY, e), tuple(vertices), adj)
+    index = {u: i for i, u in enumerate(ids)}
+    edges = [(i, i) for i, u in enumerate(ids) if (u, u) in snapshot.pair_map]
+    edges += [(i, j) for i, u in enumerate(ids) for v in snapshot.neighbor_map[u]
+              if (j := index.get(v, -1)) > i]
+    vertices = tuple(ContextVertex(ENTITY, (i,)) for i in ids)
+    return ContextSubgraph((ENTITY, e), vertices, _edge_array(edges))
 
 
 def _relation_paths(snapshot: Snapshot, r: int, pair: tuple[int, int],
@@ -173,17 +179,10 @@ def relation_context(snapshot: Snapshot, r: int,
     index = {path: i + 1 for i, path in enumerate(all_paths)}
     vertices = [ContextVertex(RELATION, (r,))]
     vertices += [ContextVertex(RELATION_PATH, path) for path in all_paths]
-    n = len(vertices)
-    adj = np.zeros((n, n), dtype=np.float64)
-    for path in all_paths:
-        i = index[path]
-        adj[0, i] = adj[i, 0] = 1.0
+    edges = {(0, i) for i in index.values()}
     for paths in by_pair:
-        group = sorted(index[p] for p in paths)
-        for ai in range(len(group)):
-            for bi in range(ai + 1, len(group)):
-                adj[group[ai], group[bi]] = adj[group[bi], group[ai]] = 1.0
-    return ContextSubgraph((RELATION, r), tuple(vertices), adj)
+        edges.update(combinations(sorted(index[p] for p in paths), 2))
+    return ContextSubgraph((RELATION, r), tuple(vertices), _edge_array(edges))
 
 
 def build_context(snapshot: Snapshot, ref: ObjectRef,

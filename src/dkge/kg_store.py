@@ -1,4 +1,4 @@
-"""Triple snapshots: loading, dictionaries, adjacency lookups, and diffs.
+"""Triple snapshots: loading, dictionaries, indexes, and diffs.
 
 A snapshot is an immutable set of (head, relation, tail) triples together
 with the per-run dictionaries mapping string names to integer ids.  Ids are
@@ -182,20 +182,9 @@ class Snapshot:
     def relation_pairs(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """relation id -> ordered distinct (head, tail) pairs it links."""
         by_rel: dict[int, list[tuple[int, int]]] = {r: [] for r in range(self.num_relations)}
-        seen: set[tuple[int, int, int]] = set()
         for h, r, t in self.triples:
-            if (r, h, t) not in seen:
-                seen.add((r, h, t))
-                by_rel[r].append((h, t))
+            by_rel[r].append((h, t))
         return {r: tuple(v) for r, v in by_rel.items()}
-
-    @cached_property
-    def linked_pairs(self) -> frozenset[tuple[int, int]]:
-        """Unordered entity pairs connected by at least one triple."""
-        und = set()
-        for h, _, t in self.triples:
-            und.add((h, t) if h <= t else (t, h))
-        return frozenset(und)
 
     # -- queries -----------------------------------------------------------
 
@@ -205,9 +194,6 @@ class Snapshot:
 
     def has_triple(self, triple: Triple) -> bool:
         return triple in self.triple_set
-
-    def linked(self, u: int, v: int) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self.linked_pairs
 
     def triple_names(self, triple: Triple) -> NameTriple:
         return (self.entity_names[triple.head],

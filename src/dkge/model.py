@@ -304,7 +304,8 @@ def encode(kind: str, ids: Sequence[int], store: ParameterStore,
     h0, member_rows, member_ids = context_features(kind, subgraphs, store)
     know_table, agcn, gate_pre = _kind_params(store, kind)
     know = know_table[ids]
-    batch = ContextBatch([sub.adjacency for sub in subgraphs])
+    batch = ContextBatch([len(sub.vertices) for sub in subgraphs],
+                         [sub.edges for sub in subgraphs])
     sg, cache = agcn_forward(h0, batch, agcn, know)
     gate = expit(gate_pre)
     star = gate * know + (1.0 - gate) * sg

@@ -257,35 +257,34 @@ def collect_retrain_set(g_new: Snapshot, diff: SnapshotDiff,
         if t.head in flag_e or t.tail in flag_e or t.relation in flag_r)
 
 
+def _carry_rows(rows: np.ndarray, old_ids: dict[str, int],
+                names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows re-keyed by name: row i is ``rows[old_ids[names[i]]]``, or zeros
+    where the name is new.  Returns (rows, new_mask)."""
+    src = np.array([old_ids.get(name, -1) for name in names], dtype=np.intp)
+    new = src < 0
+    out = np.zeros((len(names),) + rows.shape[1:])
+    out[~new] = rows[src[~new]]
+    return out, new
+
+
 def _migrate_store(store: ParameterStore, g_old: Snapshot, g_new: Snapshot,
                    rng: np.random.Generator) -> ParameterStore:
     """Re-key parameters to the new snapshot: drop removed objects, copy the
-    survivors by name, and initialize emerging ones from the uniform prior.
-    The encoders, gates, context settings and the survivors' signatures
-    carry over unchanged."""
+    survivors by name, and initialize emerging ones from the uniform prior,
+    knowledge then context row per object, entities first.  The encoders,
+    gates, context settings and the survivors' signatures carry over
+    unchanged."""
     d = store.dim
     bound = 6.0 / np.sqrt(d)
-    n_e, n_r = g_new.num_entities, g_new.num_relations
-    ent_know = np.zeros((n_e, d))
-    ent_ctx = np.zeros((n_e, d))
-    rel_know = np.zeros((n_r, d))
-    rel_ctx = np.zeros((n_r, d))
-    for new_id, name in enumerate(g_new.entity_names):
-        old_id = g_old.entity_ids.get(name)
-        if old_id is None:
-            ent_know[new_id] = rng.uniform(-bound, bound, size=d)
-            ent_ctx[new_id] = rng.uniform(-bound, bound, size=d)
-        else:
-            ent_know[new_id] = store.ent_know[old_id]
-            ent_ctx[new_id] = store.ent_ctx[old_id]
-    for new_id, name in enumerate(g_new.relation_names):
-        old_id = g_old.relation_ids.get(name)
-        if old_id is None:
-            rel_know[new_id] = rng.uniform(-bound, bound, size=d)
-            rel_ctx[new_id] = rng.uniform(-bound, bound, size=d)
-        else:
-            rel_know[new_id] = store.rel_know[old_id]
-            rel_ctx[new_id] = store.rel_ctx[old_id]
+    tables = []
+    for know, ctx, old_ids, names in (
+            (store.ent_know, store.ent_ctx, g_old.entity_ids, g_new.entity_names),
+            (store.rel_know, store.rel_ctx, g_old.relation_ids, g_new.relation_names)):
+        rows, new = _carry_rows(np.stack((know, ctx), axis=1), old_ids, names)
+        rows[new] = rng.uniform(-bound, bound, size=(int(new.sum()), 2, d))
+        tables += [rows[:, 0].copy(), rows[:, 1].copy()]
+    ent_know, ent_ctx, rel_know, rel_ctx = tables
     return ParameterStore(
         dim=d, entity_names=g_new.entity_names, relation_names=g_new.relation_names,
         ent_know=ent_know, ent_ctx=ent_ctx, rel_know=rel_know, rel_ctx=rel_ctx,
@@ -335,10 +334,7 @@ def _update_joint(store: ParameterStore, old: ParameterStore, g_old: Snapshot,
              g_new.entity_ids, mask.ent_know_rows, mask.ent_ctx_rows, ent_cand),
             (RELATION, old.rel_star, g_old.relation_ids, g_new.relation_names,
              g_new.relation_ids, mask.rel_know_rows, mask.rel_ctx_rows, rel_cand)):
-        src = np.array([old_ids.get(name, -1) for name in names], dtype=np.intp)
-        kept = src >= 0
-        carried = np.zeros((len(names), store.dim))
-        carried[kept] = rows[src[kept]]
+        carried, _ = _carry_rows(rows, old_ids, names)
         ids = _reencode_ids(kind, know_rows, ctx_rows,
                             [new_ids[n] for n in cand if n in new_ids], table)
         carried[ids] = joint_rows(kind, ids, store, table)

@@ -1,7 +1,7 @@
 """Attentive graph convolution: normalization, forward, hand-derived backward.
 
-Most tests encode one context, the smallest batch; the batch tests at the end
-stack several."""
+A context is (vertex count, (m, 2) edge array).  Most tests encode one
+context, the smallest batch; the batch tests at the end stack several."""
 import numpy as np
 import pytest
 
@@ -15,18 +15,33 @@ def make_params(rng, d, layers):
         attention=rng.normal(size=d))
 
 
-def random_adjacency(rng, n):
+def edges(*pairs):
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
+def random_context(rng, n):
+    """n vertices; each pair i <= j, self-loops included, is an edge with
+    probability 1/2."""
+    return n, edges(*[(i, j) for i in range(n) for j in range(i, n)
+                      if rng.random() < 0.5])
+
+
+def dense(ctx):
+    n, e = ctx
     a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            if rng.random() < 0.5:
-                a[i, j] = a[j, i] = 1.0
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1.0
     return a
 
 
-def forward_one(h0, adj, params, o_k):
+def normalize(*contexts):
+    return normalize_adjacency([n for n, _ in contexts],
+                               [e for _, e in contexts]).toarray()
+
+
+def forward_one(h0, ctx, params, o_k):
     """Encode one context: (embedding, cache)."""
-    out, cache = agcn_forward(h0, ContextBatch([adj]), params, o_k[None, :])
+    out, cache = agcn_forward(h0, ContextBatch([ctx[0]], [ctx[1]]), params,
+                              o_k[None, :])
     return out[0], cache
 
 
@@ -34,8 +49,7 @@ def forward_one(h0, adj, params, o_k):
 
 def test_normalize_path_graph_oracle():
     """3-vertex path: degrees with self-loops are 2,3,2."""
-    a = np.array([[0., 1., 0.], [1., 0., 1.], [0., 1., 0.]])
-    s = normalize_adjacency([a]).toarray()
+    s = normalize((3, edges((0, 1), (1, 2))))
     expected = np.array([
         [1 / 2, 1 / np.sqrt(6), 0],
         [1 / np.sqrt(6), 1 / 3, 1 / np.sqrt(6)],
@@ -44,27 +58,41 @@ def test_normalize_path_graph_oracle():
 
 
 def test_normalize_isolated_vertex():
-    s = normalize_adjacency([np.zeros((1, 1))]).toarray()
+    s = normalize((1, edges()))
     assert s.shape == (1, 1)
     assert s[0, 0] == 1.0  # self-loop only
 
 
 def test_normalize_is_exactly_symmetric():
     rng = np.random.default_rng(0)
-    a = random_adjacency(rng, 7)
-    s = normalize_adjacency([a]).toarray()
+    s = normalize(random_context(rng, 7))
     assert np.array_equal(s, s.T)
 
 
-def test_normalize_rejects_asymmetric():
-    a = np.array([[0., 1.], [0., 0.]])
-    with pytest.raises(ValueError):
-        normalize_adjacency([a])
+def test_normalize_rejects_edge_past_its_context():
+    with pytest.raises(ValueError, match="outside its context"):
+        normalize((2, edges((0, 2))))
 
 
-def test_normalize_rejects_nonbinary():
-    with pytest.raises(ValueError):
-        normalize_adjacency([np.array([[0.0, 0.5], [0.5, 0.0]])])
+def test_normalize_rejects_negative_vertex():
+    with pytest.raises(ValueError, match="outside its context"):
+        normalize((2, edges((-1, 1))))
+
+
+def test_normalize_matches_dense_formula():
+    """S equals D^-1/2 (A + I) D^-1/2 computed densely, bit for bit."""
+    rng = np.random.default_rng(5)
+    blocks = [random_context(rng, n) for n in (1, 2, 5, 9, 4, 12)]
+    assert any(i == j for _, e in blocks for i, j in e.tolist())
+    want = np.zeros((33, 33))
+    offset = 0
+    for n, e in blocks:
+        a_hat = dense((n, e)) + np.eye(n)
+        inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+        want[offset:offset + n, offset:offset + n] = (
+            a_hat * inv_sqrt[:, None] * inv_sqrt[None, :])
+        offset += n
+    assert normalize(*blocks).tobytes() == want.tobytes()
 
 
 # -- forward ------------------------------------------------------------------
@@ -75,9 +103,8 @@ def test_forward_single_vertex_oracle():
     d = 5
     params = make_params(rng, d, 1)
     h0 = rng.normal(size=(1, d))
-    adj = np.zeros((1, 1))
     o_k = rng.normal(size=d)
-    out, cache = forward_one(h0, adj, params, o_k)
+    out, cache = forward_one(h0, (1, edges()), params, o_k)
     v = np.maximum(h0[0] @ params.weights[0], 0.0)  # S is the identity here
     assert np.allclose(out, v, atol=1e-12)
     assert np.allclose(cache.alpha, [1.0])
@@ -87,9 +114,8 @@ def test_forward_two_vertices_hand_computed():
     d = 2
     params = AgcnParams(weights=[np.eye(2)], attention=np.array([1.0, 1.0]))
     h0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
     o_k = np.array([1.0, 1.0])
-    out, cache = forward_one(h0, adj, params, o_k)
+    out, cache = forward_one(h0, (2, edges((0, 1))), params, o_k)
     # S = [[.5,.5],[.5,.5]], H1 = S @ H0 = [[.5,.5],[.5,.5]], scores equal
     assert np.allclose(cache.hs[1], [[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(cache.alpha, [0.5, 0.5])
@@ -100,9 +126,8 @@ def test_forward_attention_prefers_aligned_vertex():
     d = 3
     params = AgcnParams(weights=[np.eye(3)], attention=np.ones(3))
     h0 = np.array([[1.0, 1.0, 1.0], [0.1, 0.1, 0.1]])
-    adj = np.zeros((2, 2))
     o_k = np.ones(3)
-    out, cache = forward_one(h0, adj, params, o_k)
+    out, cache = forward_one(h0, (2, edges()), params, o_k)
     assert cache.alpha[0] > cache.alpha[1]
 
 
@@ -111,11 +136,11 @@ def test_forward_rejects_bad_shapes():
     d = 3
     params = make_params(rng, d, 1)
     with pytest.raises(ValueError):
-        forward_one(np.zeros((0, d)), np.zeros((0, 0)), params, np.zeros(d))
+        forward_one(np.zeros((0, d)), (0, edges()), params, np.zeros(d))
     with pytest.raises(ValueError):
-        forward_one(rng.normal(size=(2, d)), np.zeros((3, 3)), params, np.zeros(d))
+        forward_one(rng.normal(size=(2, d)), (3, edges()), params, np.zeros(d))
     with pytest.raises(ValueError):
-        forward_one(rng.normal(size=(2, d)), np.zeros((2, 2)), params, np.zeros(d + 1))
+        forward_one(rng.normal(size=(2, d)), (2, edges()), params, np.zeros(d + 1))
 
 
 def test_params_validation():
@@ -129,8 +154,8 @@ def test_params_validation():
 
 # -- backward -----------------------------------------------------------------
 
-def scalar_out(h0, adj, params, o_k, probe):
-    out, _ = forward_one(h0, adj, params, o_k)
+def scalar_out(h0, ctx, params, o_k, probe):
+    out, _ = forward_one(h0, ctx, params, o_k)
     return float(out @ probe)
 
 
@@ -141,20 +166,20 @@ def test_backward_matches_finite_differences(layers, seed):
     d, n = 4, 5
     params = make_params(rng, d, layers)
     h0 = rng.normal(size=(n, d))
-    adj = random_adjacency(rng, n)
+    ctx = random_context(rng, n)
     o_k = rng.normal(size=d)
     probe = rng.normal(size=d)
 
-    out, cache = forward_one(h0, adj, params, o_k)
+    out, cache = forward_one(h0, ctx, params, o_k)
     grads = agcn_backward(cache, params, o_k[None, :], probe[None, :])
     eps = 1e-6
 
     def fd(write, read):
         orig = read()
         write(orig + eps)
-        up = scalar_out(h0, adj, params, o_k, probe)
+        up = scalar_out(h0, ctx, params, o_k, probe)
         write(orig - eps)
-        down = scalar_out(h0, adj, params, o_k, probe)
+        down = scalar_out(h0, ctx, params, o_k, probe)
         write(orig)
         return (up - down) / (2 * eps)
 
@@ -189,9 +214,8 @@ def test_backward_dead_relu_blocks_gradient():
     d = 3
     params = AgcnParams(weights=[np.zeros((d, d))], attention=np.ones(d))
     h0 = np.ones((2, d))
-    adj = np.zeros((2, 2))
     o_k = np.ones(d)
-    out, cache = forward_one(h0, adj, params, o_k)
+    out, cache = forward_one(h0, (2, edges()), params, o_k)
     assert np.array_equal(out, np.zeros(d))
     grads = agcn_backward(cache, params, o_k[None, :], np.ones((1, d)))
     assert not grads.weights[0].any()
@@ -203,33 +227,33 @@ def test_backward_dead_relu_blocks_gradient():
 
 def test_normalize_block_diagonal_matches_blocks():
     rng = np.random.default_rng(7)
-    blocks = [random_adjacency(rng, n) for n in (1, 4, 3, 6)]
-    blocks[1][2, 2] = 1.0  # a self-loop triple weighs 2 on the diagonal of A + I
-    s = normalize_adjacency(blocks).toarray()
+    blocks = [random_context(rng, n) for n in (1, 4, 3, 6)]
+    # a self-loop triple weighs 2 on the diagonal of A + I
+    n, e = blocks[1]
+    blocks[1] = (n, np.unique(np.vstack((e, edges((2, 2)))), axis=0))
+    s = normalize(*blocks)
     offset = 0
-    for a in blocks:
-        n = a.shape[0]
-        want = normalize_adjacency([a]).toarray()
+    for n, e in blocks:
+        want = normalize((n, e))
         assert np.array_equal(s[offset:offset + n, offset:offset + n], want)
         assert not s[offset:offset + n, offset + n:].any()
         offset += n
     assert s.shape == (offset, offset)
-    deg = blocks[1].sum(axis=1) + 1.0
+    deg = dense(blocks[1]).sum(axis=1) + 1.0
     assert s[1 + 2, 1 + 2] == pytest.approx(2.0 / deg[2])
 
 
 def test_normalize_checks_every_block():
-    good = np.array([[0., 1.], [1., 0.]])
+    good = (2, edges((0, 1)))
+    # (0, 2) lies inside the union but past the second block
     with pytest.raises(ValueError):
-        normalize_adjacency([good, np.array([[0., 1.], [0., 0.]])])
+        normalize(good, (2, edges((0, 2))))
     with pytest.raises(ValueError):
-        normalize_adjacency([good, np.array([[0., 2.], [2., 0.]])])
+        normalize(good, (2, edges((-1, 0))))
     with pytest.raises(ValueError):
-        normalize_adjacency([good, np.zeros((2, 3))])
+        normalize(good, (0, edges()))
     with pytest.raises(ValueError):
-        normalize_adjacency([good, np.zeros((0, 0))])
-    with pytest.raises(ValueError):
-        normalize_adjacency([])
+        normalize()
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -240,17 +264,18 @@ def test_batch_matches_contexts_encoded_alone(layers):
     d = 5
     params = make_params(rng, d, layers)
     sizes = (3, 1, 7, 2, 12)
-    adjs = [random_adjacency(rng, n) for n in sizes]
+    ctxs = [random_context(rng, n) for n in sizes]
     h0s = [rng.normal(size=(n, d)) for n in sizes]
     o_k = rng.normal(size=(len(sizes), d))
     probe = rng.normal(size=(len(sizes), d))
-    out, cache = agcn_forward(np.vstack(h0s), ContextBatch(adjs), params, o_k)
+    out, cache = agcn_forward(np.vstack(h0s), ContextBatch(sizes, [e for _, e in ctxs]),
+                              params, o_k)
     grads = agcn_backward(cache, params, o_k, probe)
     assert out.shape == (len(sizes), d)
     start = 0
     weight_sum = [np.zeros((d, d)) for _ in range(layers)]
-    for b, (adj, h0) in enumerate(zip(adjs, h0s)):
-        alone, alone_cache = forward_one(h0, adj, params, o_k[b])
+    for b, (ctx, h0) in enumerate(zip(ctxs, h0s)):
+        alone, alone_cache = forward_one(h0, ctx, params, o_k[b])
         assert alone.tobytes() == out[b].tobytes()
         one = agcn_backward(alone_cache, params, o_k[b:b + 1], probe[b:b + 1])
         n = h0.shape[0]

@@ -1,6 +1,7 @@
 """Checkpoint serialization: exact round trips, stable bytes, version gate."""
 import pickle
 
+import numpy as np
 import pytest
 
 from dkge.checkpoint import load_checkpoint, save_checkpoint
@@ -124,4 +125,45 @@ def test_missing_key_rejected(tmp_path, store):
     del payload["rel_ctx"]
     path.write_bytes(pickle.dumps(payload, protocol=4))
     with pytest.raises(IntegrityError, match="model.pkl.*rel_ctx"):
+        load_checkpoint(path)
+
+
+def _damaged(tmp_path, store, key, damage):
+    """Save ``store`` with its joint tables, replace the payload's ``key``
+    by ``damage`` of its value and write it back; returns the path."""
+    g = toy_snapshot(1)
+    store.attach_joint(joint_table(store, g), g)
+    path = tmp_path / "model.pkl"
+    save_checkpoint(store, path)
+    payload = pickle.loads(path.read_bytes())
+    payload[key] = damage(payload[key])
+    path.write_bytes(pickle.dumps(payload, protocol=4))
+    return path
+
+
+DAMAGES = [
+    ("ent_star", lambda a: a[:-5]),
+    ("rel_ctx", lambda a: a[:-1]),
+    ("ent_know", lambda a: a[:, :-1]),
+    ("ent_ctx", lambda a: a.astype(np.float32)),
+    ("rel_gate_pre", list),
+    ("entity_weights", lambda ws: ws * 3),
+    ("relation_weights", lambda ws: [ws[0][:, :-1]]),
+    ("entity_attention", lambda a: a[:-1]),
+    ("dim", lambda d: 0),
+    ("joint_digest", lambda digest: 3),
+]
+
+
+@pytest.mark.parametrize("key,damage", DAMAGES, ids=[key for key, _ in DAMAGES])
+def test_damaged_array_names_path_and_key(tmp_path, store, key, damage):
+    path = _damaged(tmp_path, store, key, damage)
+    with pytest.raises(IntegrityError, match=f"model.pkl.*{key}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["ent_star", "rel_star", "joint_digest"])
+def test_joint_tables_all_or_none(tmp_path, store, key):
+    path = _damaged(tmp_path, store, key, lambda value: None)
+    with pytest.raises(IntegrityError, match="model.pkl.*all None"):
         load_checkpoint(path)

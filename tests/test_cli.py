@@ -1,5 +1,6 @@
 """Command-line behavior: precedence, plumbing, output formats, exit codes."""
 import json
+import pickle
 import re
 
 import numpy as np
@@ -395,6 +396,19 @@ def test_answer_on_corrupt_checkpoint_exits_1(dirs, capsys):
     code, out, err = run(capsys, "answer", str(old), str(tmp / "cut.pkl"), "e1", "r1")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "cut.pkl" in err
+
+
+def test_eval_on_short_table_exits_1(dirs, capsys):
+    """A checkpoint whose rel_ctx lacks a row fails with the path and the
+    key, rather than evaluating with the rows it has."""
+    tmp, _, new = dirs
+    run(capsys, "train", str(new), str(tmp / "m.pkl"), *FAST_FLAGS)
+    payload = pickle.loads((tmp / "m.pkl").read_bytes())
+    payload["rel_ctx"] = payload["rel_ctx"][:-1]
+    (tmp / "short.pkl").write_bytes(pickle.dumps(payload, protocol=4))
+    code, out, err = run(capsys, "eval", str(new), str(tmp / "short.pkl"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "short.pkl" in err and "rel_ctx" in err
 
 
 # -- diff ---------------------------------------------------------------------

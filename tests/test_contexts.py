@@ -15,6 +15,11 @@ from dkge.kg_store import Snapshot, diff_snapshots
 from graphs import TOY_T1, TOY_T2, churned_triples, random_name_triples, toy_snapshot
 
 
+def all_contexts(g):
+    return ([entity_context(g, e) for e in range(g.num_entities)]
+            + [relation_context(g, r) for r in range(g.num_relations)])
+
+
 def entity_vertex_names(sub, g):
     return [g.entity_names[v.members[0]] for v in sub.vertices]
 
@@ -45,7 +50,7 @@ def test_entity_context_includes_neighbor_neighbor_edges(g1):
     sub = entity_context(g1, g1.entity_id("e1"))
     names = entity_vertex_names(sub, g1)
     i, j = names.index("e2"), names.index("e5")
-    assert sub.adjacency[i, j] == 1.0
+    assert (i, j) in sub.edge_set()
 
 
 def test_entity_context_vertices_sorted_by_name(g1):
@@ -58,18 +63,50 @@ def test_entity_context_isolated_owner():
     g = Snapshot.from_name_triples([("a", "r", "a"), ("b", "r", "c")])
     sub = entity_context(g, g.entity_id("a"))
     assert len(sub.vertices) == 1
-    assert sub.adjacency[0, 0] == 1.0  # self-loop triple keeps the diagonal
+    assert sub.edge_set() == {(0, 0)}  # a self-loop triple is the edge (0, 0)
 
 
 def test_entity_context_no_self_loop_without_triple(g1):
     sub = entity_context(g1, g1.entity_id("e1"))
-    assert sub.adjacency[0, 0] == 0.0
+    assert (0, 0) not in sub.edge_set()
 
 
-def test_entity_context_adjacency_symmetric(g1):
-    for name in g1.entity_names:
-        sub = entity_context(g1, g1.entity_id(name))
-        assert np.array_equal(sub.adjacency, sub.adjacency.T)
+def test_context_edges_sorted_unique_in_range(g1, g2):
+    """Every context's edges are an (m, 2) intp array of pairs i <= j inside
+    the context, unique and in ascending order, and ``edge_set`` holds
+    exactly its rows."""
+    subs = all_contexts(g1) + all_contexts(g2)
+    table = ContextTable(hub_snapshot(), cap=5)
+    subs += [table.entity(e) for e in range(table.snapshot.num_entities)]
+    for sub in subs:
+        n, e = len(sub.vertices), sub.edges
+        assert e.dtype == np.intp and e.ndim == 2 and e.shape[1] == 2
+        assert np.all((0 <= e[:, 0]) & (e[:, 0] <= e[:, 1]) & (e[:, 1] < n))
+        assert np.all(np.diff(e[:, 0] * n + e[:, 1]) > 0)
+        assert sub.edge_set() == {tuple(pair) for pair in e.tolist()}
+
+
+def linked_pairs(g):
+    """Unordered entity pairs joined by at least one triple, self-loops as
+    one-element sets."""
+    return {frozenset((h, t)) for h, _, t in g.triples}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_entity_context_edges_match_brute_force(seed, g1, g2):
+    """An entity context has the edge (i, j) exactly when some triple joins
+    its vertices i and j, in either direction, i == j included."""
+    rng = np.random.default_rng(seed)
+    graphs = [g1, g2, Snapshot.from_name_triples(random_name_triples(rng, 60, 12, 3))]
+    assert any(h == t for h, _, t in graphs[2].triples)
+    for g in graphs:
+        linked = linked_pairs(g)
+        for e in range(g.num_entities):
+            sub = entity_context(g, e)
+            ids = [v.members[0] for v in sub.vertices]
+            want = {(i, j) for i in range(len(ids)) for j in range(i, len(ids))
+                    if frozenset((ids[i], ids[j])) in linked}
+            assert sub.edge_set() == want
 
 
 # -- relation contexts --------------------------------------------------------
@@ -96,7 +133,7 @@ def test_relation_context_no_paths():
     g = Snapshot.from_name_triples([("a", "r", "b"), ("c", "s", "d")])
     sub = relation_context(g, g.relation_id("r"))
     assert len(sub.vertices) == 1
-    assert sub.adjacency[0, 0] == 0.0
+    assert (0, 0) not in sub.edge_set()
 
 
 def test_relation_context_same_pair_paths_are_linked():
@@ -116,7 +153,7 @@ def test_relation_context_paths_not_linked_across_pairs(g1):
     sub = relation_context(g1, g1.relation_id("r1"))
     names = relation_vertex_names(sub, g1)
     i, j = names.index(("r1", "r2")), names.index(("r5", "r4"))
-    assert sub.adjacency[i, j] == 0.0
+    assert (min(i, j), max(i, j)) not in sub.edge_set()
 
 
 def test_relation_context_allows_cycles_through_endpoints():
@@ -151,7 +188,7 @@ def test_relation_context_midpoint_truncation(caplog):
     # truncation is canonical: same call, same result
     again = relation_context(g, g.relation_id("r"), max_midpoints=3)
     assert context_signature(small, g) == context_signature(again, g)
-    assert np.array_equal(small.adjacency, again.adjacency)
+    assert np.array_equal(small.edges, again.edges)
 
 
 def test_build_context_dispatch(g1):
@@ -161,15 +198,6 @@ def test_build_context_dispatch(g1):
     assert r.owner == (RELATION, g1.relation_id("r1"))
     with pytest.raises(ValueError):
         build_context(g1, ("nope", 0))
-
-
-def test_edge_set_matches_adjacency_scan(g2):
-    subs = [entity_context(g2, e) for e in range(g2.num_entities)]
-    subs += [relation_context(g2, r) for r in range(g2.num_relations)]
-    for sub in subs:
-        m = len(sub.vertices)
-        want = {(i, j) for i in range(m) for j in range(i, m) if sub.adjacency[i, j]}
-        assert sub.edge_set() == want
 
 
 # -- signatures ---------------------------------------------------------------
@@ -216,8 +244,30 @@ def test_cap_keeps_owner_and_size():
     assert len(raw.vertices) == 61
     capped = ContextTable(g, cap=35).entity(g.entity_id("hub"))
     assert len(capped.vertices) == 35
-    assert capped.adjacency.shape == (35, 35)
+    assert capped.edge_set() == {(0, i) for i in range(1, 35)}
     assert capped.vertices[0] == raw.vertices[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_capped_context_is_induced_subgraph(seed):
+    """A capped context keeps exactly the edges of the uncapped one between
+    the vertices it keeps."""
+    rng = np.random.default_rng(seed)
+    g = Snapshot.from_name_triples(random_name_triples(rng, 300, 30, 3))
+    table = ContextTable(g, cap=8, seed=seed)
+    capped_count = 0
+    for raw in all_contexts(g):
+        sub = table.get(raw.owner)
+        if len(raw.vertices) <= table.cap:
+            assert np.array_equal(sub.edges, raw.edges)
+            continue
+        capped_count += 1
+        at = [raw.vertices.index(v) for v in sub.vertices]
+        assert at == sorted(at) and len(sub.vertices) == table.cap
+        want = {(a, b) for a in range(len(at)) for b in range(a, len(at))
+                if (at[a], at[b]) in raw.edge_set()}
+        assert sub.edge_set() == want
+    assert capped_count > 20
 
 
 def test_signatures_cover_the_uncapped_context():
@@ -242,7 +292,7 @@ def test_table_sampling_reproducible_across_instances():
     b = ContextTable(g, seed=7).entity(g.entity_id("hub"))
     c = ContextTable(g, seed=8).entity(g.entity_id("hub"))
     assert a.vertices == b.vertices
-    assert np.array_equal(a.adjacency, b.adjacency)
+    assert np.array_equal(a.edges, b.edges)
     assert a.vertices != c.vertices
 
 
@@ -256,7 +306,7 @@ def test_table_sampling_stable_across_snapshots_sharing_object():
     a_names = [tuple(g.entity_names[m] for m in v.members) for v in a.vertices]
     b_names = [tuple(grown.entity_names[m] for m in v.members) for v in b.vertices]
     assert a_names == b_names
-    assert np.array_equal(a.adjacency, b.adjacency)
+    assert np.array_equal(a.edges, b.edges)
 
 
 def test_table_draws_no_rng_for_contexts_within_cap(g1, monkeypatch):
@@ -298,7 +348,7 @@ def test_signatures_cache_the_capped_context(monkeypatch):
     fresh = ContextTable(g, cap=5, seed=3).entity(g.entity_id("hub"))
     assert len(hub.vertices) == 5
     assert hub.vertices == fresh.vertices
-    assert np.array_equal(hub.adjacency, fresh.adjacency)
+    assert np.array_equal(hub.edges, fresh.edges)
 
 
 # -- change detection ---------------------------------------------------------

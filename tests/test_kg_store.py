@@ -84,8 +84,8 @@ def test_pair_and_relation_views(g1):
     pairs = g1.relation_pairs[r1]
     named = [(g1.entity_names[a], g1.entity_names[b]) for a, b in pairs]
     assert named == [("e1", "e5"), ("e3", "e4"), ("e1", "e2")]
-    assert g1.linked(h, t) and g1.linked(t, h)
-    assert not g1.linked(g1.entity_id("e5"), g1.entity_id("e6"))
+    assert t in g1.neighbors(h) and h in g1.neighbors(t)
+    assert g1.entity_id("e6") not in g1.neighbors(g1.entity_id("e5"))
 
 
 def test_save_load_round_trip(tmp_path, g1):
