@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextTable, ENTITY, RELATION, RELATION_PATH,
                            build_context, candidate_changed_names,
                            changed_context_objects, changed_contexts,
@@ -69,6 +70,32 @@ def test_entity_context_isolated_owner():
 def test_entity_context_no_self_loop_without_triple(g1):
     sub = entity_context(g1, g1.entity_id("e1"))
     assert (0, 0) not in sub.edge_set()
+
+
+def encoder_adjacency(sub):
+    """Dense S = D^{-1/2} (A + I) D^{-1/2} the encoder builds for one context."""
+    return normalize_adjacency([len(sub.vertices)], [sub.edges]).toarray()
+
+
+def test_entity_context_adjacency_symmetric(g1):
+    for name in g1.entity_names:
+        s = encoder_adjacency(entity_context(g1, g1.entity_id(name)))
+        assert np.array_equal(s, s.T)
+
+
+def test_edge_set_matches_adjacency_scan(g2):
+    """A dense 0/1 adjacency filled from the edges, scanned over i <= j,
+    gives back ``edge_set``, and it is the adjacency the encoder normalises."""
+    for sub in all_contexts(g2):
+        m = len(sub.vertices)
+        a = np.zeros((m, m))
+        a[sub.edges[:, 0], sub.edges[:, 1]] = a[sub.edges[:, 1], sub.edges[:, 0]] = 1.0
+        want = {(i, j) for i in range(m) for j in range(i, m) if a[i, j]}
+        assert sub.edge_set() == want
+        a_hat = a + np.eye(m)
+        inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+        np.testing.assert_allclose(encoder_adjacency(sub),
+                                   a_hat * np.outer(inv_sqrt, inv_sqrt), rtol=1e-15)
 
 
 def test_context_edges_sorted_unique_in_range(g1, g2):
