@@ -15,7 +15,10 @@ as its vertex count and its edges, index pairs (i, j) with i <= j
 A batch encodes B contexts at once as their disjoint union: the feature rows
 are stacked, context b owning one contiguous segment of rows, and the S
 matrices form one block-diagonal CSR matrix, so each layer is a single
-sparse product.  The softmax and the pooling run per segment with
+sparse product.  ``normalize_adjacency`` builds S from edges; a row of it
+depends only on its own context, so the context table computes each
+context's S entries once, when it builds the context, and an encoder pass
+only gathers them (``contexts.ContextTable.gather``).  The softmax and the pooling run per segment with
 ``np.maximum.reduceat`` and ``np.add.reduceat``.  The dense per-vertex
 products of the forward pass (``P W`` and the scores ``. u``) use
 ``np.einsum``, whose rows do not depend on how many rows are stacked, where a
@@ -58,22 +61,24 @@ class AgcnParams:
         return AgcnParams([w.copy() for w in self.weights], self.attention.copy())
 
 
-def normalize_adjacency(sizes: Sequence[int],
-                        edges: Sequence[np.ndarray]) -> sparse.csr_array:
+def normalize_adjacency(sizes: Sequence[int], edges: np.ndarray,
+                        edge_counts: Sequence[int]) -> sparse.csr_array:
     """Block-diagonal S = D^{-1/2} (A + I) D^{-1/2} of a batch of contexts.
 
-    Context b has ``sizes[b] >= 1`` vertices and the unique (i, j), i <= j,
-    index pairs ``edges[b]``.  Degrees are integer counts, so S is exact and
-    exactly symmetric; a vertex without edges still gets degree 1 from the
-    added self-connection, and a self-loop weighs 2 on the diagonal.
+    Context b has ``sizes[b] >= 1`` vertices and ``edge_counts[b]`` unique
+    (i, j), i <= j, index pairs, stacked in context order in the (m, 2) array
+    ``edges``.  Degrees are integer counts, so S is exact and exactly
+    symmetric; a vertex without edges still gets degree 1 from the added
+    self-connection, and a self-loop weighs 2 on the diagonal.  Row i's
+    entries depend on its own context only, whatever shares the batch.
     """
     if not len(sizes):
         raise ValueError("a batch needs at least one context")
     sizes = np.asarray(sizes, dtype=np.intp)
     if sizes.min() < 1:
         raise ValueError("a context needs at least one vertex")
-    counts = [len(e) for e in edges]
-    pairs = np.concatenate(edges, dtype=np.intp).reshape(-1, 2)
+    counts = np.asarray(edge_counts, dtype=np.intp)
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     if not np.all((pairs >= 0) & (pairs < np.repeat(sizes, counts)[:, None])):
         raise ValueError("an edge indexes a vertex outside its context")
     pairs = pairs + np.repeat(np.cumsum(sizes) - sizes, counts)[:, None]
@@ -93,13 +98,17 @@ def normalize_adjacency(sizes: Sequence[int],
                             shape=(n, n))
 
 
+@dataclass
 class ContextBatch:
-    """Disjoint union of B contexts: block-diagonal S plus row segments."""
+    """Disjoint union of B contexts: block-diagonal S plus row segments.
 
-    def __init__(self, sizes: Sequence[int], edges: Sequence[np.ndarray]):
-        self.norm_adj = normalize_adjacency(sizes, edges)
-        self.starts = np.cumsum(sizes) - sizes                  # (B,) first rows
-        self.segment = np.repeat(np.arange(len(sizes)), sizes)  # (n,) context of a row
+    Context b owns the rows and columns of ``norm_adj`` from ``starts[b]``
+    up to the next context's first row.
+    """
+
+    norm_adj: sparse.csr_array    # (n, n) block-diagonal S
+    starts: np.ndarray            # (B,) first row of each context
+    segment: np.ndarray           # (n,) context of each row
 
     @property
     def size(self) -> int:

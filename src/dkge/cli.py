@@ -177,14 +177,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"no {TEST_FILE} in {args.snapshot_dir}; evaluation needs one")
     store.require_snapshot(sd.train)
+    # resolved once: evaluate and the filter share it, and its one warning
+    test, skipped = resolve_test_triples(sd.test, sd.train)
     if merged["filter_mode"] == "train":
         filter_triples = sd.train.triple_set
     else:
-        extra = (_resolved_or_empty(sd.valid, sd.train)
-                 + _resolved_or_empty(sd.test, sd.train))
-        filter_triples = sd.train.triple_set | set(extra)
-    report = evaluate(sd.test, store, sd.train, filter_triples,
-                      tie_mode=merged["tie_mode"])
+        filter_triples = (sd.train.triple_set | set(test)
+                          | set(_resolved_or_empty(sd.valid, sd.train)))
+    report = dataclasses.replace(
+        evaluate(test, store, sd.train, filter_triples, tie_mode=merged["tie_mode"]),
+        skipped=skipped)
     print(report.format_block())
     if args.report_file:
         _write_report({"mr": report.mr, "mrr": report.mrr,

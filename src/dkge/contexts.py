@@ -10,9 +10,18 @@ iff some pair is connected by both.
 A context keeps its edges as one sorted array of vertex index pairs
 (``ContextSubgraph``), PyG's ``edge_index`` (arXiv 1903.02428) in one
 orientation; ``agcn.normalize_adjacency`` mirrors it for the encoder.
+``entity_context``, ``relation_context`` and ``context_signature`` are the
+readable definitions, one object at a time.
 
-A ``ContextTable`` samples contexts above the vertex cap down (owner always
-kept) before they enter the graph encoder.
+The run-time path works on many contexts at once, in flat arrays
+(``ContextArrays``): ``build_contexts`` builds the entity contexts of many
+owners from the snapshot's CSR links (``Snapshot.links``), and
+``hash_contexts`` hashes many contexts in one pass; both give exactly what
+the definitions give.  A ``ContextTable`` samples contexts above the vertex
+cap down (owner always kept) and stores them per kind in flat arrays with
+each context's normalised S entries, computed once when the context is
+built; an encoder pass gathers its contexts from there by index arithmetic
+(``ContextTable.gather``).
 Signatures are content hashes of the *uncapped* context, computed over names
 rather than ids so they are comparable across snapshots and file orderings.
 Only change detection (``ContextTable.signatures``) computes them.
@@ -22,11 +31,13 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy import sparse
 
+from . import agcn
 from .errors import ConfigError, IntegrityError
 from .kg_store import Snapshot, SnapshotDiff, diff_snapshots
 
@@ -41,6 +52,9 @@ ObjectRef = tuple[str, int]
 
 DEFAULT_CAP = 35
 DEFAULT_MAX_MIDPOINTS = 1000
+# Work one bulk build step takes on: link-list entries an entity context
+# scans, or entity pairs of a relation; bounds the step's temporaries.
+BUILD_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,11 @@ def _vertex_name_key(vertex: ContextVertex, snapshot: Snapshot) -> tuple:
     return (vertex.kind, tuple(snapshot.relation_names[m] for m in vertex.members))
 
 
+def _signature_digest(payload: str) -> int:
+    return int.from_bytes(hashlib.blake2b(payload.encode("utf-8"), digest_size=16).digest(),
+                          "big")
+
+
 def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
     """Content hash of a context over canonically sorted vertices and edges.
 
@@ -89,29 +108,7 @@ def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
     keys = [_vertex_name_key(v, snapshot) for v in subgraph.vertices]
     edges = [tuple(sorted((keys[i], keys[j]))) for i, j in subgraph.edges.tolist()]
     owner_kind = subgraph.owner[0]
-    payload = repr((owner_kind, sorted(keys), sorted(edges))).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=16).digest(), "big")
-
-
-def _sample(sub: ContextSubgraph, cap: int, rng: np.random.Generator) -> ContextSubgraph:
-    """Keep the owner plus a uniform sample of cap-1 other vertices.
-
-    Relative (canonical) vertex order is preserved.
-    """
-    if cap < 1:
-        raise ConfigError(f"cap must be >= 1, got {cap}")
-    n = len(sub.vertices)
-    keep_rest = rng.choice(np.arange(1, n), size=cap - 1, replace=False)
-    keep = np.concatenate(([0], np.sort(keep_rest)))
-    # old index -> new index, -1 when dropped; increasing, so sorted stays sorted
-    position = np.full(n, -1, dtype=np.intp)
-    position[keep] = np.arange(cap)
-    edges = position[sub.edges]
-    return ContextSubgraph(
-        owner=sub.owner,
-        vertices=tuple(sub.vertices[i] for i in keep),
-        edges=edges[(edges >= 0).all(axis=1)],
-    )
+    return _signature_digest(repr((owner_kind, sorted(keys), sorted(edges))))
 
 
 def entity_context(snapshot: Snapshot, e: int) -> ContextSubgraph:
@@ -193,6 +190,140 @@ def build_context(snapshot: Snapshot, ref: ObjectRef,
     if kind == RELATION:
         return relation_context(snapshot, obj, max_midpoints=max_midpoints)
     raise ValueError(f"unknown object kind: {kind}")
+
+
+# -- many contexts at once ---------------------------------------------------
+
+
+@dataclass
+class ContextArrays:
+    """Contexts of several owners of one kind, stacked in flat arrays.
+
+    Context b has ``sizes[b]`` vertices, the owner first; vertex p has
+    ``vertex_members[p]`` members, stacked in vertex order in ``members``;
+    context b's ``edge_counts[b]`` edges, local index pairs as in
+    ``ContextSubgraph.edges``, are stacked in context order in ``edges``.
+    The owner vertex has the owner's kind; the other vertices are entities
+    in an entity context and relation paths in a relation context.
+    """
+
+    owners: np.ndarray          # (B,)
+    sizes: np.ndarray           # (B,)
+    vertex_members: np.ndarray  # (V,)
+    members: np.ndarray         # (M,)
+    edge_counts: np.ndarray     # (B,)
+    edges: np.ndarray           # (E, 2)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[k], starts[k] + counts[k])`` over k."""
+    ends = counts.cumsum()
+    return (starts - ends + counts).repeat(counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _entity_contexts(snapshot: Snapshot, owners: np.ndarray) -> ContextArrays:
+    """``entity_context`` of every owner, from the CSR links.
+
+    Each vertex u of each context scans its links (u, w); w's index in the
+    context is found by looking the link (owner, w) up in the sorted link
+    codes, so edges come out in (i, j) order, a self-loop placed first.
+    """
+    links = snapshot.links
+    deg = np.diff(links.ptr)
+    sizes = deg[owners] + 1
+    first = np.cumsum(sizes) - sizes
+    verts = np.empty(int(sizes.sum()), dtype=np.intp)
+    neighbour = np.ones(verts.size, dtype=bool)
+    neighbour[first] = False
+    verts[first] = owners
+    verts[neighbour] = links.nbrs[_ranges(links.ptr[owners], deg[owners])]
+    context = np.repeat(np.arange(owners.size), sizes)
+    local = np.arange(verts.size) - first[context]
+
+    row = np.repeat(np.arange(verts.size), deg[verts])       # vertex scanning a link
+    other = links.nbrs[_ranges(links.ptr[verts], deg[verts])]
+    owner = owners[context[row]]
+    code = owner * snapshot.num_entities + snapshot.name_rank[other]
+    at = np.minimum(np.searchsorted(links.keys, code), links.keys.size - 1)
+    j = at - links.ptr[owner] + 1
+    i = local[row]
+    inside = (links.keys[at] == code) & (j > i)
+    loops = np.flatnonzero(links.loop[verts])
+    rows = np.concatenate((loops, row[inside]))
+    pairs = np.concatenate((np.repeat(local[loops], 2).reshape(-1, 2),
+                            np.stack((i[inside], j[inside]), axis=1)))
+    return ContextArrays(
+        owners=owners, sizes=sizes,
+        vertex_members=np.ones(verts.size, dtype=np.intp), members=verts,
+        edge_counts=np.bincount(context[rows], minlength=owners.size),
+        edges=pairs[np.argsort(rows, kind="stable")])
+
+
+def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray,
+                   max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextArrays:
+    """Uncapped contexts of ``owners``, objects of one kind, in flat form:
+    the vertices and edges ``build_context`` gives for each.  Entity
+    contexts are built all at once; relation contexts one by one with
+    ``relation_context``."""
+    owners = np.asarray(owners, dtype=np.intp)
+    if kind == ENTITY:
+        return _entity_contexts(snapshot, owners)
+    if kind != RELATION:
+        raise ValueError(f"unknown object kind: {kind}")
+    subs = [relation_context(snapshot, r, max_midpoints=max_midpoints)
+            for r in owners.tolist()]
+    vertices = [v for sub in subs for v in sub.vertices]
+    return ContextArrays(
+        owners=owners,
+        sizes=np.array([len(sub.vertices) for sub in subs], dtype=np.intp),
+        vertex_members=np.array([len(v.members) for v in vertices], dtype=np.intp),
+        members=np.fromiter(chain.from_iterable(v.members for v in vertices),
+                            dtype=np.intp),
+        edge_counts=np.array([len(sub.edges) for sub in subs], dtype=np.intp),
+        edges=np.concatenate([sub.edges for sub in subs]).reshape(-1, 2))
+
+
+def hash_contexts(snapshot: Snapshot, kind: str, contexts: ContextArrays) -> list[int]:
+    """``context_signature`` of each of the uncapped ``contexts``, in one pass.
+
+    Each vertex's name key is formatted once; vertices and edges are sorted
+    by key for all contexts at once, and each payload is joined from the
+    sorted keys into the very string ``context_signature`` hashes.
+    """
+    sizes = contexts.sizes
+    first = np.cumsum(sizes) - sizes
+    context = np.repeat(np.arange(sizes.size), sizes)
+    if kind == ENTITY:
+        ids, at = np.unique(contexts.members, return_inverse=True)
+        keys = np.array([repr((ENTITY, (snapshot.entity_names[e],)))
+                         for e in ids.tolist()], dtype=object)[at]
+        rank = snapshot.name_rank[contexts.members]
+    else:
+        names = iter([snapshot.relation_names[m] for m in contexts.members.tolist()])
+        key_tuples = [(RELATION_PATH, tuple(next(names) for _ in range(k)))
+                      for k in contexts.vertex_members.tolist()]
+        for p in first.tolist():
+            key_tuples[p] = (kind, key_tuples[p][1])
+        owner_of = context.tolist()
+        by_key = sorted(range(len(key_tuples)), key=lambda p: (owner_of[p], key_tuples[p]))
+        rank = np.empty(len(key_tuples), dtype=np.intp)
+        rank[by_key] = np.arange(len(key_tuples))
+        keys = np.array([repr(key) for key in key_tuples], dtype=object)
+    vertex_keys = keys[np.lexsort((rank, context))].tolist()
+    edge_context = np.repeat(np.arange(sizes.size), contexts.edge_counts)
+    a, b = (first[edge_context, None] + contexts.edges).T
+    lo = np.where(rank[a] <= rank[b], a, b)
+    hi = a + b - lo
+    order = np.lexsort((rank[hi], rank[lo], edge_context))
+    edge_keys = [f"({x}, {y})" for x, y in zip(keys[lo[order]].tolist(),
+                                              keys[hi[order]].tolist())]
+    out = []
+    v0 = e0 = 0
+    for v1, e1 in zip(np.cumsum(sizes).tolist(), np.cumsum(contexts.edge_counts).tolist()):
+        out.append(_signature_digest(f"({kind!r}, [{', '.join(vertex_keys[v0:v1])}], "
+                                     f"[{', '.join(edge_keys[e0:e1])}])"))
+        v0, e0 = v1, e1
+    return out
 
 
 # -- change detection --------------------------------------------------------
@@ -301,9 +432,108 @@ def _object_seed(seed: int, kind: str, name: str) -> list[int]:
     return [seed, int.from_bytes(digest, "big")]
 
 
-class ContextTable:
-    """Lazy per-snapshot cache of capped contexts, each at its real size.
+@dataclass
+class ContextPass:
+    """The capped contexts of one encoder pass, stacked in pass order.
 
+    ``batch`` holds the pass's block-diagonal S and each context's rows;
+    vertex row ``member_rows[k]`` sums the contextual embedding row
+    ``member_ids[k]``.
+    """
+
+    batch: agcn.ContextBatch
+    member_rows: np.ndarray
+    member_ids: np.ndarray
+
+
+class _FlatStore:
+    """The capped contexts of one kind built so far, in flat arrays.
+
+    A stored context has a slot; ``vptr``, ``mptr``, ``eptr`` and ``sptr``
+    delimit, slot by slot, its vertices (``vertex_members`` and ``row_nnz``
+    per vertex), members, edges and its rows' S entries (``s_data`` with
+    columns ``s_cols`` local to the context).
+    """
+
+    def __init__(self, n_objects: int):
+        self.slot = np.full(n_objects, -1, dtype=np.intp)
+        self.vptr = self.mptr = self.eptr = self.sptr = np.zeros(1, dtype=np.intp)
+        self.vertex_members = self.members = np.zeros(0, dtype=np.intp)
+        # local indices within a capped context: int32, as scipy keeps them
+        self.row_nnz = self.s_cols = np.zeros(0, dtype=np.int32)
+        self.edges = np.zeros((0, 2), dtype=np.intp)
+        self.s_data = np.zeros(0)
+
+    def append(self, ctx: ContextArrays) -> None:
+        """Store capped contexts with their S entries, computed here once."""
+        s = agcn.normalize_adjacency(ctx.sizes, ctx.edges, ctx.edge_counts)
+        ends = np.cumsum(ctx.sizes)
+        row_nnz = np.diff(s.indptr)
+        members_before = np.concatenate(([0], np.cumsum(ctx.vertex_members)))
+        first_row = np.repeat(ends - ctx.sizes, ctx.sizes)
+        self.slot[ctx.owners] = np.arange(ctx.owners.size) + self.vptr.size - 1
+        self.vptr = np.concatenate((self.vptr, self.vptr[-1] + ends))
+        self.mptr = np.concatenate((self.mptr, self.mptr[-1] + members_before[ends]))
+        self.eptr = np.concatenate((self.eptr, self.eptr[-1] + np.cumsum(ctx.edge_counts)))
+        self.sptr = np.concatenate((self.sptr, self.sptr[-1] + s.indptr[ends]))
+        self.vertex_members = np.concatenate((self.vertex_members, ctx.vertex_members))
+        self.row_nnz = np.concatenate((self.row_nnz, row_nnz), dtype=np.int32)
+        self.members = np.concatenate((self.members, ctx.members))
+        self.edges = np.concatenate((self.edges, ctx.edges))
+        self.s_data = np.concatenate((self.s_data, s.data))
+        self.s_cols = np.concatenate((self.s_cols, s.indices - np.repeat(first_row, row_nnz)),
+                                     dtype=np.int32)
+
+    def gather(self, at: np.ndarray) -> ContextPass:
+        """The contexts stored at slots ``at``: their vertex rows, members
+        and S entries found by ptr arithmetic (PyG's batch/ptr vectors), S
+        assembled with each context's columns offset by the rows before it.
+        A pass of one takes plain slices."""
+        if at.size == 1:
+            a = int(at[0])
+            rows = slice(self.vptr[a], self.vptr[a + 1])
+            members = slice(self.mptr[a], self.mptr[a + 1])
+            entries = slice(self.sptr[a], self.sptr[a + 1])
+            starts = np.zeros(1, dtype=np.intp)
+            segment = np.zeros(rows.stop - rows.start, dtype=np.intp)
+            cols = self.s_cols[entries]
+        else:
+            first = self.vptr[at]
+            sizes = self.vptr[at + 1] - first
+            rows = _ranges(first, sizes)
+            first = self.mptr[at]
+            members = _ranges(first, self.mptr[at + 1] - first)
+            first = self.sptr[at]
+            nnz = self.sptr[at + 1] - first
+            entries = _ranges(first, nnz)
+            starts = sizes.cumsum() - sizes
+            segment = np.arange(at.size).repeat(sizes)
+            cols = self.s_cols[entries] + starts.repeat(nnz)
+        per_vertex = self.vertex_members[rows]
+        n = per_vertex.size
+        indptr = np.zeros(n + 1, dtype=self.row_nnz.dtype)
+        self.row_nnz[rows].cumsum(out=indptr[1:])
+        norm_adj = sparse.csr_array((self.s_data[entries], cols, indptr), shape=(n, n))
+        return ContextPass(agcn.ContextBatch(norm_adj, starts, segment),
+                           np.arange(n).repeat(per_vertex), self.members[members])
+
+    def subgraph(self, kind: str, obj: int) -> ContextSubgraph:
+        at = self.slot[obj]
+        counts = self.vertex_members[self.vptr[at]:self.vptr[at + 1]].tolist()
+        members = iter(self.members[self.mptr[at]:self.mptr[at + 1]].tolist())
+        other = ENTITY if kind == ENTITY else RELATION_PATH
+        vertices = tuple(ContextVertex(kind if p == 0 else other,
+                                       tuple(next(members) for _ in range(k)))
+                         for p, k in enumerate(counts))
+        return ContextSubgraph((kind, obj), vertices,
+                               self.edges[self.eptr[at]:self.eptr[at + 1]].copy())
+
+
+class ContextTable:
+    """Lazy per-snapshot store of capped contexts, each at its real size.
+
+    Contexts are built in bulk, only when first asked for, and stored per
+    kind in flat arrays together with their normalised S entries.
     Sampling of oversized contexts draws from an rng derived from the run
     seed and the owner's name, so a context does not depend on the order in
     which the table is filled, and two snapshots sharing an unchanged object
@@ -312,30 +542,108 @@ class ContextTable:
 
     def __init__(self, snapshot: Snapshot, *, cap: int = DEFAULT_CAP,
                  seed: int = 0, max_midpoints: int = DEFAULT_MAX_MIDPOINTS):
+        if cap < 1:
+            raise ConfigError(f"cap must be >= 1, got {cap}")
         self.snapshot = snapshot
         self.cap = cap
         self.seed = seed
         self.max_midpoints = max_midpoints
-        self._cache: dict[ObjectRef, ContextSubgraph] = {}
+        self._stores = {ENTITY: _FlatStore(snapshot.num_entities),
+                        RELATION: _FlatStore(snapshot.num_relations)}
 
-    def _name(self, kind: str, obj: int) -> str:
+    def _names(self, kind: str) -> tuple[str, ...]:
         return (self.snapshot.entity_names if kind == ENTITY
-                else self.snapshot.relation_names)[obj]
+                else self.snapshot.relation_names)
 
-    def _build(self, ref: ObjectRef) -> ContextSubgraph:
-        """Build the uncapped context of ``ref``; cache its capped copy."""
-        sub = build_context(self.snapshot, ref, max_midpoints=self.max_midpoints)
-        capped = sub
-        if len(sub.vertices) > self.cap:
-            rng = np.random.default_rng(_object_seed(self.seed, ref[0], self._name(*ref)))
-            capped = _sample(sub, self.cap, rng)
-        self._cache[ref] = capped
-        return sub
+    def _chunks(self, kind: str, owners: np.ndarray) -> list[np.ndarray]:
+        """``owners`` split into runs of about BUILD_CHUNK work each."""
+        if kind == ENTITY:
+            links = self.snapshot.links
+            deg = np.diff(links.ptr)
+            scanned = np.concatenate(([0], np.cumsum(deg[links.nbrs])))
+            work = 1 + deg[owners] + scanned[links.ptr[owners + 1]] - scanned[links.ptr[owners]]
+        else:
+            pairs = self.snapshot.relation_pairs
+            work = np.array([1 + len(pairs[r]) for r in owners.tolist()])
+        run = (np.cumsum(work) - work) // BUILD_CHUNK
+        return np.split(owners, np.flatnonzero(np.diff(run)) + 1)
+
+    def _capped(self, kind: str, ctx: ContextArrays, new: np.ndarray) -> ContextArrays:
+        """The contexts of the ``new`` owners, each above the cap sampled
+        down to the owner plus cap - 1 other vertices in their order."""
+        sizes = ctx.sizes
+        first = np.cumsum(sizes) - sizes
+        kept = np.repeat(new, sizes)
+        names = self._names(kind)
+        for b in np.flatnonzero(new & (sizes > self.cap)).tolist():
+            rng = np.random.default_rng(_object_seed(self.seed, kind, names[ctx.owners[b]]))
+            rest = rng.choice(np.arange(1, sizes[b]), size=self.cap - 1, replace=False)
+            kept[first[b] + 1:first[b] + sizes[b]] = False
+            kept[first[b] + rest] = True
+        context = np.repeat(np.arange(sizes.size), sizes)
+        before = np.cumsum(kept) - kept
+        # new index of a vertex in its context, -1 when dropped; increasing,
+        # so sorted edges stay sorted
+        position = np.where(kept, before - before[first][context], -1)
+        edge_context = np.repeat(np.arange(sizes.size), ctx.edge_counts)
+        edges = position[first[edge_context, None] + ctx.edges]
+        live = (edges >= 0).all(axis=1)
+        return ContextArrays(
+            owners=ctx.owners[new],
+            sizes=np.bincount(context[kept], minlength=sizes.size)[new],
+            vertex_members=ctx.vertex_members[kept],
+            members=ctx.members[np.repeat(kept, ctx.vertex_members)],
+            edge_counts=np.bincount(edge_context[live], minlength=sizes.size)[new],
+            edges=edges[live])
+
+    def _add(self, kind: str, owners: np.ndarray, sign: bool) -> list[int]:
+        """Build the uncapped contexts of ``owners`` chunk by chunk and
+        store the capped copies of those not stored yet; with ``sign``,
+        return their signatures in owner order."""
+        store = self._stores[kind]
+        signatures: list[int] = []
+        for part in self._chunks(kind, owners):
+            ctx = build_contexts(self.snapshot, kind, part, self.max_midpoints)
+            if sign:
+                signatures += hash_contexts(self.snapshot, kind, ctx)
+            new = store.slot[part] < 0
+            if new.any():
+                store.append(self._capped(kind, ctx, new))
+        return signatures
+
+    def build(self, kind: str, ids) -> None:
+        """Build the contexts of ``ids`` not stored yet, in one bulk call."""
+        ids = np.asarray(ids, dtype=np.intp)
+        missing = ids[self._stores[kind].slot[ids] < 0]
+        if missing.size:
+            self._add(kind, np.unique(missing), sign=False)
+
+    def build_all(self) -> None:
+        self.build(ENTITY, np.arange(self.snapshot.num_entities))
+        self.build(RELATION, np.arange(self.snapshot.num_relations))
+
+    def gather(self, kind: str, ids) -> ContextPass:
+        """The capped contexts of ``ids``, objects of one kind, for one
+        encoder pass; builds the missing ones first."""
+        ids = np.asarray(ids, dtype=np.intp)
+        store = self._stores[kind]
+        at = store.slot[ids]
+        if at.min() < 0:
+            self.build(kind, ids)
+            at = store.slot[ids]
+        return store.gather(at)
 
     def get(self, ref: ObjectRef) -> ContextSubgraph:
-        if ref not in self._cache:
-            self._build(ref)
-        return self._cache[ref]
+        """One capped context as a ``ContextSubgraph``."""
+        kind, obj = ref
+        if kind == ENTITY:
+            self.snapshot._check_entity(obj)
+        elif kind == RELATION:
+            self.snapshot._check_relation(obj)
+        else:
+            raise ValueError(f"unknown object kind: {kind}")
+        self.build(kind, [obj])
+        return self._stores[kind].subgraph(kind, obj)
 
     def entity(self, e: int) -> ContextSubgraph:
         return self.get((ENTITY, e))
@@ -343,27 +651,23 @@ class ContextTable:
     def relation(self, r: int) -> ContextSubgraph:
         return self.get((RELATION, r))
 
-    def build_all(self) -> None:
-        for e in range(self.snapshot.num_entities):
-            self.get((ENTITY, e))
-        for r in range(self.snapshot.num_relations):
-            self.get((RELATION, r))
-
     def signatures(self, entities: Iterable[str] | None = None,
                    relations: Iterable[str] | None = None) -> dict[tuple[str, str], int]:
         """Uncapped context signature of each named object present in the
         snapshot, every object of a kind whose names are not given, keyed by
         (kind, name).
 
-        Each context is built here and its capped copy cached, so a later
-        ``get`` does not build it again.
+        The contexts are built here, in bulk, and the capped copies of those
+        not stored yet are stored, so a later pass does not build them again.
         """
         out: dict[tuple[str, str], int] = {}
         for kind, names in ((ENTITY, entities), (RELATION, relations)):
             ids = _ids(self.snapshot, kind)
-            objs = (range(len(ids)) if names is None
-                    else sorted(ids[name] for name in names if name in ids))
-            for obj in objs:
-                sub = self._build((kind, obj))
-                out[(kind, self._name(kind, obj))] = context_signature(sub, self.snapshot)
+            objs = (np.arange(len(ids)) if names is None else
+                    np.array(sorted(ids[name] for name in names if name in ids),
+                             dtype=np.intp))
+            if objs.size:
+                own = self._names(kind)
+                out.update(((kind, own[obj]), sig) for obj, sig
+                           in zip(objs.tolist(), self._add(kind, objs, sign=True)))
         return out

@@ -37,6 +37,21 @@ class Triple(NamedTuple):
 NameTriple = tuple[str, str, str]
 
 
+class Links(NamedTuple):
+    """Undirected entity links of a snapshot in CSR form.
+
+    ``nbrs[ptr[e]:ptr[e + 1]]`` are the entities that some triple links to e
+    in either direction, e itself excluded, in name order; ``loop[e]`` is set
+    when a triple links e to itself; ``keys`` holds the sorted codes
+    ``e * n_e + name_rank[v]`` of the same links, for membership lookups.
+    """
+
+    ptr: np.ndarray    # (n_e + 1,)
+    nbrs: np.ndarray   # (L,)
+    loop: np.ndarray   # (n_e,) bool
+    keys: np.ndarray   # (L,) int64, ascending
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """One time step of the knowledge graph.
@@ -141,17 +156,47 @@ class Snapshot:
         return frozenset(self.triples)
 
     @cached_property
+    def triple_ids(self) -> np.ndarray:
+        """(n, 3) int64 array of the id triples, in file order."""
+        return np.fromiter(chain.from_iterable(self.triples), dtype=np.int64,
+                           count=3 * len(self.triples)).reshape(-1, 3)
+
+    @cached_property
     def digest(self) -> str:
         """blake2b of the sorted int64 codes of the id triples.
 
         Two snapshots with equal dictionaries have equal digests exactly
         when their triple sets are equal (up to hash collisions).
         """
-        ids = np.fromiter(chain.from_iterable(self.triples), dtype=np.int64,
-                          count=3 * len(self.triples)).reshape(-1, 3)
+        ids = self.triple_ids
         codes = np.sort((ids[:, 0] * self.num_relations + ids[:, 1])
                         * self.num_entities + ids[:, 2])
         return hashlib.blake2b(codes.tobytes(), digest_size=16).hexdigest()
+
+    @cached_property
+    def name_rank(self) -> np.ndarray:
+        """(n_e,) position of each entity's name in sorted name order."""
+        order = sorted(range(self.num_entities), key=self.entity_names.__getitem__)
+        rank = np.empty(self.num_entities, dtype=np.intp)
+        rank[order] = np.arange(self.num_entities)
+        return rank
+
+    @cached_property
+    def links(self) -> Links:
+        """The undirected links between entities as CSR arrays (``Links``)."""
+        n = self.num_entities
+        h, t = self.triple_ids[:, 0], self.triple_ids[:, 2]
+        loop = np.zeros(n, dtype=bool)
+        loop[h[h == t]] = True
+        u = np.concatenate((h, t))
+        v = np.concatenate((t, h))
+        off = u != v
+        rank = self.name_rank
+        keys = np.unique(u[off] * n + rank[v[off]])
+        by_rank = np.argsort(rank)
+        ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])
+        return Links(ptr=ptr, nbrs=by_rank[keys % n], loop=loop, keys=keys)
 
     @cached_property
     def neighbor_map(self) -> dict[int, frozenset[int]]:

@@ -11,12 +11,16 @@ Triples are scored with the L1 translation distance f = |h* + r* - t*|_1;
 lower is better.  Training minimizes a margin loss over corrupted pairs with
 Bernoulli head/tail corruption.
 
-Objects are encoded in batches.  ``encode`` stacks the contexts of objects of
-one kind into one block-diagonal graph and runs the encoder once over it
-(see ``agcn``); ``batch_loss`` encodes a batch's distinct objects in passes of
-at most ENCODE_PASS per kind, scores all pairs as arrays, and runs one
-backward pass per encoder pass.  ``object_forward`` is a pass of one, and
-an object's joint embedding is bit-identical whichever pass encodes it.
+Objects are encoded in batches.  ``encode`` gathers the stored contexts of
+objects of one kind from the context table, their member rows and their
+normalised S entries as one block-diagonal graph
+(``contexts.ContextTable.gather``), and runs the encoder once over it (see
+``agcn``); a pass builds no context and computes no S unless an object's
+context was never built.  ``batch_loss`` encodes a batch's distinct objects
+in passes of at most ENCODE_PASS per kind, scores all pairs as arrays, and
+runs one backward pass per encoder pass.  ``object_forward`` is a pass of
+one, and an object's joint embedding is bit-identical whichever pass
+encodes it.
 
 A store can carry the joint embedding of every object, encoded on one
 snapshot and keyed by that snapshot's digest; ``joint_table`` serves those
@@ -25,16 +29,13 @@ rows for that snapshot and encodes everything afresh for any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .agcn import (AgcnCache, AgcnParams, ContextBatch, agcn_backward,
-                   agcn_forward)
-from .contexts import (ContextSubgraph, ContextTable, DEFAULT_CAP,
+from .agcn import AgcnCache, AgcnParams, agcn_backward, agcn_forward
+from .contexts import (ContextPass, ContextTable, DEFAULT_CAP,
                        DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, ObjectRef)
 from .errors import ConfigError, IntegrityError
 from .kg_store import Snapshot, Triple
@@ -261,23 +262,19 @@ class EncodedPass:
     cache: AgcnCache
 
 
-def context_features(kind: str, subgraphs: Sequence[ContextSubgraph],
-                     store: ParameterStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked initial feature rows of contexts owned by objects of ``kind``.
+def context_features(kind: str, contexts: ContextPass,
+                     store: ParameterStore) -> np.ndarray:
+    """Stacked initial feature rows of one pass's contexts, owned by
+    objects of ``kind``.
 
     A vertex's row is the sum of its members' contextual element embeddings.
     Entity contexts hold entity vertices and read the entity table; relation
     contexts hold relation and relation-path vertices and read the relation
-    table.  Returns (h0, member_rows, member_ids): h0[member_rows[j]] sums
-    table[member_ids[j]] over j.
+    table.  Row ``member_rows[j]`` sums ``table[member_ids[j]]`` over j.
     """
     table = store.ent_ctx if kind == ENTITY else store.rel_ctx
-    members = list(map(attrgetter("members"),
-                       chain.from_iterable(sub.vertices for sub in subgraphs)))
-    member_ids = np.fromiter(chain.from_iterable(members), dtype=np.intp)
-    member_rows = np.repeat(np.arange(len(members)), list(map(len, members)))
-    h0 = _scatter_rows(member_rows, table[member_ids], len(members))
-    return h0, member_rows, member_ids
+    return _scatter_rows(contexts.member_rows, table[contexts.member_ids],
+                         contexts.batch.rows)
 
 
 def _scatter_rows(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -300,23 +297,23 @@ def encode(kind: str, ids: Sequence[int], store: ParameterStore,
     disjoint union of their contexts.  A row does not depend on the other
     objects of the pass."""
     ids = np.asarray(ids, dtype=np.intp)
-    subgraphs = [contexts.get((kind, obj)) for obj in ids.tolist()]
-    h0, member_rows, member_ids = context_features(kind, subgraphs, store)
+    gathered = contexts.gather(kind, ids)
+    h0 = context_features(kind, gathered, store)
     know_table, agcn, gate_pre = _kind_params(store, kind)
     know = know_table[ids]
-    batch = ContextBatch([len(sub.vertices) for sub in subgraphs],
-                         [sub.edges for sub in subgraphs])
-    sg, cache = agcn_forward(h0, batch, agcn, know)
+    sg, cache = agcn_forward(h0, gathered.batch, agcn, know)
     gate = expit(gate_pre)
     star = gate * know + (1.0 - gate) * sg
     return EncodedPass(kind=kind, ids=ids, knowledge=know, sg=sg, gate=gate,
-                       star=star, member_rows=member_rows, member_ids=member_ids,
-                       cache=cache)
+                       star=star, member_rows=gathered.member_rows,
+                       member_ids=gathered.member_ids, cache=cache)
 
 
 def encode_passes(kind: str, ids: np.ndarray, store: ParameterStore,
                   contexts: ContextTable) -> Iterator[EncodedPass]:
-    """``encode`` over ``ids`` in passes of at most ENCODE_PASS objects."""
+    """``encode`` over ``ids`` in passes of at most ENCODE_PASS objects,
+    after one bulk build of the contexts not built yet."""
+    contexts.build(kind, ids)
     for start in range(0, len(ids), ENCODE_PASS):
         yield encode(kind, ids[start:start + ENCODE_PASS], store, contexts)
 

@@ -309,13 +309,13 @@ def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
     A context that reads an emerging object's row has changed, so with
     exact change detection the second set lies inside the first; checking
     it keeps the tables from resting on signature comparison alone."""
-    trained_ctx = set(ctx_rows.tolist())
-    ids = set(know_rows.tolist())
-    for obj in candidates:
-        if any(m in trained_ctx for v in table.get((kind, obj)).vertices
-               for m in v.members):
-            ids.add(obj)
-    return np.array(sorted(ids), dtype=np.intp)
+    if not candidates:
+        return np.unique(know_rows)
+    candidates = np.array(candidates, dtype=np.intp)
+    gathered = table.gather(kind, candidates)
+    owner = gathered.batch.segment[gathered.member_rows]
+    reads = owner[np.isin(gathered.member_ids, ctx_rows)]
+    return np.union1d(know_rows, candidates[reads])
 
 
 def _update_joint(store: ParameterStore, old: ParameterStore, g_old: Snapshot,

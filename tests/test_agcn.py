@@ -33,15 +33,21 @@ def dense(ctx):
     return a
 
 
+def batch_of(*contexts):
+    """ContextBatch of (n, edges) contexts, S built by normalize_adjacency."""
+    sizes = [n for n, _ in contexts]
+    edges = np.concatenate([e for _, e in contexts] or [np.empty((0, 2), np.intp)])
+    s = normalize_adjacency(sizes, edges, [len(e) for _, e in contexts])
+    return ContextBatch(s, np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes))
+
+
 def normalize(*contexts):
-    return normalize_adjacency([n for n, _ in contexts],
-                               [e for _, e in contexts]).toarray()
+    return batch_of(*contexts).norm_adj.toarray()
 
 
 def forward_one(h0, ctx, params, o_k):
     """Encode one context: (embedding, cache)."""
-    out, cache = agcn_forward(h0, ContextBatch([ctx[0]], [ctx[1]]), params,
-                              o_k[None, :])
+    out, cache = agcn_forward(h0, batch_of(ctx), params, o_k[None, :])
     return out[0], cache
 
 
@@ -268,8 +274,7 @@ def test_batch_matches_contexts_encoded_alone(layers):
     h0s = [rng.normal(size=(n, d)) for n in sizes]
     o_k = rng.normal(size=(len(sizes), d))
     probe = rng.normal(size=(len(sizes), d))
-    out, cache = agcn_forward(np.vstack(h0s), ContextBatch(sizes, [e for _, e in ctxs]),
-                              params, o_k)
+    out, cache = agcn_forward(np.vstack(h0s), batch_of(*ctxs), params, o_k)
     grads = agcn_backward(cache, params, o_k, probe)
     assert out.shape == (len(sizes), d)
     start = 0

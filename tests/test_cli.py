@@ -255,6 +255,21 @@ def test_eval_prints_metrics_block(dirs, capsys):
     assert metrics["queries"] == 4
 
 
+@pytest.mark.parametrize("filter_mode", ["train", "all"])
+def test_eval_warns_once_about_unknown_test_triples(tmp_path, capsys, caplog,
+                                                    filter_mode):
+    snap = tmp_path / "t1"
+    write_snapshot_dir(snap, TOY_T1, test=[("e1", "r1", "e5"), ("ghost", "r1", "e5")])
+    run(capsys, "train", str(snap), str(tmp_path / "m.pkl"), *FAST_FLAGS)
+    caplog.clear()
+    code, out, _ = run(capsys, "eval", str(snap), str(tmp_path / "m.pkl"),
+                       "--filter-mode", filter_mode)
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["skipped 1 test triples with unknown objects"]
+    assert out.splitlines()[-1].endswith(" queries=2 skipped=1")
+
+
 def test_eval_header_shows_checkpoint_settings(capped_run, capsys):
     tmp, old, _ = capped_run
     triples = load_snapshot_dir(old).train.name_triples()
@@ -332,7 +347,7 @@ def test_eval_and_answer_build_no_context(dirs, capsys, monkeypatch):
     def no_context(*args, **kwargs):
         raise AssertionError("built a context")
 
-    monkeypatch.setattr(dkge.contexts, "build_context", no_context)
+    monkeypatch.setattr(dkge.contexts, "build_contexts", no_context)
     assert _eval_and_answer(capsys, new, tmp / "m2.pkl") == want
     with pytest.raises(AssertionError, match="built a context"):
         _eval_and_answer(capsys, new, tmp / "bare.pkl")
@@ -350,13 +365,13 @@ def test_eval_and_answer_on_other_triples_encode_afresh(dirs, capsys, monkeypatc
     want = _eval_and_answer(capsys, other, tmp / "bare.pkl")
 
     built = []
-    build = dkge.contexts.build_context
+    build = dkge.contexts.build_contexts
 
     def counted(*args, **kwargs):
-        built.append(args[1])
+        built.extend(args[2].tolist())
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(dkge.contexts, "build_context", counted)
+    monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
     assert _eval_and_answer(capsys, other, tmp / "m1.pkl") == want
     assert built
 

@@ -74,7 +74,7 @@ def test_entity_context_no_self_loop_without_triple(g1):
 
 def encoder_adjacency(sub):
     """Dense S = D^{-1/2} (A + I) D^{-1/2} the encoder builds for one context."""
-    return normalize_adjacency([len(sub.vertices)], [sub.edges]).toarray()
+    return normalize_adjacency([len(sub.vertices)], sub.edges, [len(sub.edges)]).toarray()
 
 
 def test_entity_context_adjacency_symmetric(g1):
@@ -355,17 +355,18 @@ def test_signatures_of_named_objects_only(g1):
 
 def test_signatures_cache_the_capped_context(monkeypatch):
     """``signatures`` builds each context once; ``get`` then serves the same
-    capped sample a fresh table builds."""
+    capped sample a fresh table builds.  Counts the owners the bulk builder
+    receives."""
     import dkge.contexts
     g = hub_snapshot()
     built = []
-    build = dkge.contexts.build_context
+    build = dkge.contexts.build_contexts
 
-    def counted(snapshot, ref, **kwargs):
-        built.append(ref)
-        return build(snapshot, ref, **kwargs)
+    def counted(snapshot, kind, owners, *args):
+        built.extend((kind, obj) for obj in owners.tolist())
+        return build(snapshot, kind, owners, *args)
 
-    monkeypatch.setattr(dkge.contexts, "build_context", counted)
+    monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
     table = ContextTable(g, cap=5, seed=3)
     table.signatures()
     table.build_all()

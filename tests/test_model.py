@@ -138,7 +138,7 @@ def test_corrupt_head_tail_ratio_tracks_bernoulli():
 def test_context_features_sum_members(setup):
     g, store, table = setup
     sub = table.relation(g.relation_id("r1"))
-    h0, _, _ = context_features(RELATION, [sub], store)
+    h0 = context_features(RELATION, table.gather(RELATION, [g.relation_id("r1")]), store)
     assert h0.shape == (len(sub.vertices), store.dim)
     # owner vertex holds the relation's own contextual embedding
     assert np.array_equal(h0[0], store.rel_ctx[g.relation_id("r1")])

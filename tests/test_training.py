@@ -267,17 +267,18 @@ def test_online_computes_candidates_once(g1, g2, monkeypatch):
 
 def test_online_hashes_each_candidate_once(g1, g2, monkeypatch):
     """Only change detection hashes a context: one signature per candidate
-    present in the new snapshot, none for the rest of the graph."""
+    present in the new snapshot, none for the rest of the graph.  Counts the
+    owners the bulk hasher receives."""
     import dkge.contexts as contexts
     store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
     hashed = []
-    sign = contexts.context_signature
+    sign = contexts.hash_contexts
 
-    def counted(sub, snapshot):
-        hashed.append((snapshot, sub.owner))
-        return sign(sub, snapshot)
+    def counted(snapshot, kind, ctx):
+        hashed.extend((snapshot, (kind, obj)) for obj in ctx.owners.tolist())
+        return sign(snapshot, kind, ctx)
 
-    monkeypatch.setattr(contexts, "context_signature", counted)
+    monkeypatch.setattr(contexts, "hash_contexts", counted)
     train_online(g1, g2, store, set(), TrainConfig(**FAST), log=None)
     ent_cand, rel_cand = candidate_changed_names(g1, g2, diff_snapshots(g1, g2))
     want = sorted([(ENTITY, g2.entity_ids[n]) for n in ent_cand if n in g2.entity_ids]
@@ -290,18 +291,19 @@ def test_online_hashes_each_candidate_once(g1, g2, monkeypatch):
 
 def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
     """The candidates' contexts are built while hashing them; SGD and the
-    joint re-encode reuse their capped copies, and no old context is built."""
+    joint re-encode reuse their capped copies, and no old context is built.
+    Counts the owners the bulk builder receives."""
     import dkge.contexts as contexts
     cfg = TrainConfig(**{**FAST, "cap": 3})
     store, _ = train_from_scratch(g1, set(), cfg, log=None)
     built = []
-    build = contexts.build_context
+    build = contexts.build_contexts
 
-    def counted(snapshot, ref, **kwargs):
-        built.append((snapshot, ref))
-        return build(snapshot, ref, **kwargs)
+    def counted(snapshot, kind, owners, *args):
+        built.extend((snapshot, (kind, obj)) for obj in owners.tolist())
+        return build(snapshot, kind, owners, *args)
 
-    monkeypatch.setattr(contexts, "build_context", counted)
+    monkeypatch.setattr(contexts, "build_contexts", counted)
     after, report = train_online(g1, g2, store, set(), cfg, log=None)
     assert report.retrained_triples > 0
     assert all(snapshot is g2 for snapshot, _ in built)
