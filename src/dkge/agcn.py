@@ -18,12 +18,12 @@ matrices form one block-diagonal CSR matrix, so each layer is a single
 sparse product.  ``normalize_adjacency`` builds S from edges; a row of it
 depends only on its own context, so the context table computes each
 context's S entries once, when it builds the context, and an encoder pass
-only gathers them (``contexts.ContextTable.gather``).  The softmax and the pooling run per segment with
-``np.maximum.reduceat`` and ``np.add.reduceat``.  The dense per-vertex
-products of the forward pass (``P W`` and the scores ``. u``) use
-``np.einsum``, whose rows do not depend on how many rows are stacked, where a
-BLAS product's rows do; a context's encoding is therefore bit-identical
-whatever else shares its batch.
+only gathers them (``contexts.ContextTable.gather``).  The softmax and the
+pooling run per segment with ``np.maximum.reduceat`` and
+``np.add.reduceat``.  The dense per-vertex products of the forward pass
+(``P W`` and the scores ``. u``) use ``np.einsum``, whose rows do not depend
+on how many rows are stacked, where a BLAS product's rows do; a context's
+encoding is therefore bit-identical whatever else shares its batch.
 
 The backward pass is derived by hand and returns gradients for h0, each
 owner's o_k, and the layer weights and attention vector u summed over the

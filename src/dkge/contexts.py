@@ -411,7 +411,8 @@ def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
         eid = snap.entity_ids.get(name)
         if eid is None:
             return set()
-        return {snap.entity_names[n] for n in snap.neighbor_map[eid]}
+        ptr, nbrs = snap.links.ptr, snap.links.nbrs
+        return {snap.entity_names[n] for n in nbrs[ptr[eid]:ptr[eid + 1]].tolist()}
 
     for h, r, t in changed_names:
         rel.add(r)

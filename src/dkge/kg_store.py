@@ -192,7 +192,8 @@ class Snapshot:
         v = np.concatenate((t, h))
         off = u != v
         rank = self.name_rank
-        keys = np.unique(u[off] * n + rank[v[off]])
+        keys = np.sort(u[off] * n + rank[v[off]])
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         by_rank = np.argsort(rank)
         ptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])

@@ -310,7 +310,7 @@ def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
     exact change detection the second set lies inside the first; checking
     it keeps the tables from resting on signature comparison alone."""
     if not candidates:
-        return np.unique(know_rows)
+        return know_rows
     candidates = np.array(candidates, dtype=np.intp)
     gathered = table.gather(kind, candidates)
     owner = gathered.batch.segment[gathered.member_rows]
