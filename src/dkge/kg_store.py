@@ -193,7 +193,7 @@ class Snapshot:
         off = u != v
         rank = self.name_rank
         keys = np.sort(u[off] * n + rank[v[off]])
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         by_rank = np.argsort(rank)
         ptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])

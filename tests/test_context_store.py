@@ -102,6 +102,18 @@ def test_bulk_signatures_equal_context_signature(g, kind):
     assert sigs == {(kind, names[o]): want[o] for o in range(n)}
 
 
+def test_graph_of_self_loops_only():
+    """No two entities are linked: every context is its owner alone."""
+    g = Snapshot.from_name_triples([("a", "r", "a"), ("b", "s", "b")])
+    assert g.links.nbrs.size == 0
+    for kind in (ENTITY, RELATION):
+        subs = one_by_one(g, kind)
+        ctx = build_contexts(g, kind, np.arange(len(subs)))
+        assert [(m, e.tolist()) for m, e in split(ctx)] == [
+            ([v.members for v in sub.vertices], sub.edges.tolist()) for sub in subs]
+        assert hash_contexts(g, kind, ctx) == [context_signature(sub, g) for sub in subs]
+
+
 @given(g=graphs(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_pass_gathers_s_and_h0_bit_for_bit(g, data):
