@@ -15,8 +15,9 @@ readable definitions, one object at a time.
 
 The run-time path works on many contexts at once, in flat arrays
 (``ContextArrays``): ``build_contexts`` builds the entity contexts of many
-owners from the snapshot's CSR links (``Snapshot.links``), and
-``hash_contexts`` hashes many contexts in one pass; both give exactly what
+owners from the snapshot's CSR links (``Snapshot.links``) and their relation
+contexts from its sorted pair index (``Snapshot.pairs``), and
+``hash_contexts`` hashes many contexts in one pass; all give exactly what
 the definitions give.  A ``ContextTable`` samples contexts above the vertex
 cap down (owner always kept) and stores them per kind in flat arrays with
 each context's normalised S entries, computed once when the context is
@@ -31,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -53,7 +54,8 @@ ObjectRef = tuple[str, int]
 DEFAULT_CAP = 35
 DEFAULT_MAX_MIDPOINTS = 1000
 # Work one bulk build step takes on: link-list entries an entity context
-# scans, or entity pairs of a relation; bounds the step's temporaries.
+# scans, or out-pairs a relation context scans for midpoints; bounds the
+# step's temporaries.
 BUILD_CHUNK = 1 << 16
 
 
@@ -259,28 +261,117 @@ def _entity_contexts(snapshot: Snapshot, owners: np.ndarray) -> ContextArrays:
         edges=pairs[np.argsort(rows, kind="stable")])
 
 
+def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
+                       max_midpoints: int) -> tuple[ContextArrays, np.ndarray]:
+    """``relation_context`` of every owner, from the pair index.
+
+    A path is coded by its relations' name ranks as
+    ``rank[r1] * (n_r + 1) + (0 | rank[r2] + 1)``, so sorting codes sorts
+    paths by their name tuples.  Also returns a row (relation, head, tail,
+    midpoint count) for each owner pair whose midpoints were truncated, in
+    the order ``relation_context`` warns about them.
+    """
+    pairs = snapshot.pairs
+    n_e, n_r = snapshot.num_entities, snapshot.num_relations
+    rank = snapshot.relation_rank
+    width = n_r + 1
+    n_rels = np.diff(pairs.ptr)
+    # one owner pair per triple of each owner, in owner order, file order within
+    count = pairs.rptr[owners + 1] - pairs.rptr[owners]
+    pair = pairs.of_relation[_ranges(pairs.rptr[owners], count)]
+    owner_of = np.repeat(np.arange(owners.size), count)
+    relation = owners[owner_of]
+    head = pairs.keys[pair] // n_e
+
+    # length 1: the pair's other relations
+    row = np.repeat(np.arange(pair.size), n_rels[pair])
+    r1 = pairs.rels[_ranges(pairs.ptr[pair], n_rels[pair])]
+    other = r1 != relation[row]
+    path_rows, path_codes = [row[other]], [rank[r1[other]] * width]
+
+    # midpoints c: the out-pairs (a, c), in c's name order, then (c, b)
+    deg = np.diff(pairs.out)
+    row = np.repeat(np.arange(pair.size), deg[head])
+    first_leg = _ranges(pairs.out[head], deg[head])
+    code = pairs.tails[first_leg] * n_e + pairs.keys[pair[row]] % n_e
+    at = np.minimum(np.searchsorted(pairs.keys, code), pairs.keys.size - 1)
+    found = pairs.keys[at] == code
+    row, first_leg, second_leg = row[found], first_leg[found], at[found]
+    n_mids = np.bincount(row, minlength=pair.size)
+    kept = _ranges(0, n_mids) < max_midpoints
+    row, first_leg, second_leg = row[kept], first_leg[kept], second_leg[kept]
+    cut = np.flatnonzero(n_mids > max_midpoints)
+    truncated = np.stack((relation[cut], head[cut], pairs.tails[pair[cut]], n_mids[cut]),
+                         axis=1)
+
+    # length 2: every relation of (a, c) followed by every relation of (c, b)
+    n1, n2 = n_rels[first_leg], n_rels[second_leg]
+    mid = np.repeat(np.arange(row.size), n1 * n2)
+    k = _ranges(0, n1 * n2)
+    r1 = pairs.rels[pairs.ptr[first_leg][mid] + k // n2[mid]]
+    r2 = pairs.rels[pairs.ptr[second_leg][mid] + k % n2[mid]]
+    path_rows.append(row[mid])
+    path_codes.append(rank[r1] * width + rank[r2] + 1)
+
+    # each pair's distinct paths; each owner's distinct paths are its vertices
+    square = width * width
+    row, path = np.divmod(np.unique(np.concatenate(path_rows) * square
+                                    + np.concatenate(path_codes)), square)
+    owner_path = owner_of[row] * square + path
+    vertex_codes = np.unique(owner_path)
+    sizes = 1 + np.bincount(vertex_codes // square, minlength=owners.size)
+    first = np.cumsum(sizes) - sizes
+    context = np.repeat(np.arange(owners.size), sizes)
+    is_path = np.ones(context.size, dtype=bool)
+    is_path[first] = False
+    paths = np.flatnonzero(is_path)
+    local = np.arange(context.size) - first[context]
+    vertex = paths[np.searchsorted(vertex_codes, owner_path)]
+
+    # edges: the owner to every path, and the paths of one pair to each other
+    group = np.bincount(row, minlength=pair.size)
+    partners = group[row] - 1 - _ranges(0, group)
+    left = np.repeat(np.arange(row.size), partners)
+    right = left + 1 + _ranges(0, partners)
+    span = int(sizes.max(initial=1))
+    at, j = np.divmod(np.unique(np.concatenate((
+        first[context[paths]] * span + local[paths],
+        vertex[left] * span + local[vertex[right]]))), span)
+
+    path = vertex_codes % square
+    two = path % width > 0
+    by_rank = np.argsort(rank)
+    vertex_members = np.ones(context.size, dtype=np.intp)
+    vertex_members[paths] += two
+    start = np.cumsum(vertex_members) - vertex_members
+    members = np.empty(int(vertex_members.sum()), dtype=np.intp)
+    members[start[first]] = owners
+    members[start[paths]] = by_rank[path // width]
+    members[start[paths[two]] + 1] = by_rank[path[two] % width - 1]
+    return ContextArrays(
+        owners=owners, sizes=sizes, vertex_members=vertex_members, members=members,
+        edge_counts=np.bincount(context[at], minlength=owners.size),
+        edges=np.stack((local[at], j), axis=1)), truncated
+
+
 def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray,
                    max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextArrays:
     """Uncapped contexts of ``owners``, objects of one kind, in flat form:
-    the vertices and edges ``build_context`` gives for each.  Entity
-    contexts are built all at once; relation contexts one by one with
-    ``relation_context``."""
+    the vertices and edges ``build_context`` gives for each, built all at
+    once.  Midpoint truncations are logged as one warning per call."""
     owners = np.asarray(owners, dtype=np.intp)
     if kind == ENTITY:
         return _entity_contexts(snapshot, owners)
     if kind != RELATION:
         raise ValueError(f"unknown object kind: {kind}")
-    subs = [relation_context(snapshot, r, max_midpoints=max_midpoints)
-            for r in owners.tolist()]
-    vertices = [v for sub in subs for v in sub.vertices]
-    return ContextArrays(
-        owners=owners,
-        sizes=np.array([len(sub.vertices) for sub in subs], dtype=np.intp),
-        vertex_members=np.array([len(v.members) for v in vertices], dtype=np.intp),
-        members=np.fromiter(chain.from_iterable(v.members for v in vertices),
-                            dtype=np.intp),
-        edge_counts=np.array([len(sub.edges) for sub in subs], dtype=np.intp),
-        edges=np.concatenate([sub.edges for sub in subs]).reshape(-1, 2))
+    ctx, truncated = _relation_contexts(snapshot, owners, max_midpoints)
+    if truncated.size:
+        logger.warning(
+            "%d relation pairs: candidate midpoints truncated to %d (largest count %d); "
+            "relations: %s", len(truncated), max_midpoints, truncated[:, 3].max(),
+            ", ".join(snapshot.relation_names[r]
+                      for r in dict.fromkeys(truncated[:, 0].tolist())))
+    return ctx
 
 
 def hash_contexts(snapshot: Snapshot, kind: str, contexts: ContextArrays) -> list[int]:
@@ -401,11 +492,14 @@ def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
                      + [g_old.triple_names(t) for t in diff.deleted_triples])
     ent: set[str] = set()
     rel: set[str] = set()
-    head_rels: dict[str, set[str]] = {}
-    tail_rels: dict[str, set[str]] = {}
-    for h, r, t in g_new.name_triples():
-        head_rels.setdefault(h, set()).add(r)
-        tail_rels.setdefault(t, set()).add(r)
+    ids = g_new.triple_ids
+    near = np.zeros(len(ids), dtype=bool)
+    for k in (0, 2):   # triples from a changed triple's head, into its tail
+        changed_end = np.zeros(g_new.num_entities, dtype=bool)
+        changed_end[[g_new.entity_ids[nt[k]] for nt in changed_names
+                     if nt[k] in g_new.entity_ids]] = True
+        near |= changed_end[ids[:, k]]
+    rel.update(g_new.relation_names[r] for r in np.unique(ids[near, 1]).tolist())
 
     def neighbor_names(snap: Snapshot, name: str) -> set[str]:
         eid = snap.entity_ids.get(name)
@@ -420,8 +514,6 @@ def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
             ent.add(endpoint)
             ent |= neighbor_names(g_old, endpoint)
             ent |= neighbor_names(g_new, endpoint)
-        rel |= head_rels.get(h, set())
-        rel |= tail_rels.get(t, set())
     return ent, rel
 
 
@@ -545,6 +637,8 @@ class ContextTable:
                  seed: int = 0, max_midpoints: int = DEFAULT_MAX_MIDPOINTS):
         if cap < 1:
             raise ConfigError(f"cap must be >= 1, got {cap}")
+        if max_midpoints < 0:
+            raise ConfigError(f"max midpoints must be >= 0, got {max_midpoints}")
         self.snapshot = snapshot
         self.cap = cap
         self.seed = seed
@@ -564,8 +658,11 @@ class ContextTable:
             scanned = np.concatenate(([0], np.cumsum(deg[links.nbrs])))
             work = 1 + deg[owners] + scanned[links.ptr[owners + 1]] - scanned[links.ptr[owners]]
         else:
-            pairs = self.snapshot.relation_pairs
-            work = np.array([1 + len(pairs[r]) for r in owners.tolist()])
+            # the midpoint expansion: each pair (a, b) of r scans a's out-pairs
+            pairs = self.snapshot.pairs
+            heads = pairs.keys[pairs.of_relation] // self.snapshot.num_entities
+            scanned = np.concatenate(([0], np.cumsum(np.diff(pairs.out)[heads])))
+            work = 1 + scanned[pairs.rptr[owners + 1]] - scanned[pairs.rptr[owners]]
         run = (np.cumsum(work) - work) // BUILD_CHUNK
         return np.split(owners, np.flatnonzero(np.diff(run)) + 1)
 

@@ -52,6 +52,32 @@ class Links(NamedTuple):
     keys: np.ndarray   # (L,) int64, ascending
 
 
+class Pairs(NamedTuple):
+    """Distinct ordered entity pairs (head, tail) that some triple links.
+
+    ``keys`` holds the sorted codes ``head * n_e + name_rank[tail]``, so the
+    pairs leaving head h are ``keys[out[h]:out[h + 1]]``, in tail name order,
+    and pair k links ``tails[k]``; ``rels[ptr[k]:ptr[k + 1]]`` are the
+    relations linking pair k, ascending; ``of_relation[rptr[r]:rptr[r + 1]]``
+    are the pairs relation r links, in file order.
+    """
+
+    keys: np.ndarray         # (P,) int64, ascending
+    tails: np.ndarray        # (P,)
+    out: np.ndarray          # (n_e + 1,)
+    ptr: np.ndarray          # (P + 1,)
+    rels: np.ndarray         # (n,)
+    rptr: np.ndarray         # (n_r + 1,)
+    of_relation: np.ndarray  # (n,)
+
+
+def _name_rank(names: tuple[str, ...]) -> np.ndarray:
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[order] = np.arange(len(names))
+    return rank
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """One time step of the knowledge graph.
@@ -176,10 +202,7 @@ class Snapshot:
     @cached_property
     def name_rank(self) -> np.ndarray:
         """(n_e,) position of each entity's name in sorted name order."""
-        order = sorted(range(self.num_entities), key=self.entity_names.__getitem__)
-        rank = np.empty(self.num_entities, dtype=np.intp)
-        rank[order] = np.arange(self.num_entities)
-        return rank
+        return _name_rank(self.entity_names)
 
     @cached_property
     def links(self) -> Links:
@@ -198,6 +221,31 @@ class Snapshot:
         ptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])
         return Links(ptr=ptr, nbrs=by_rank[keys % n], loop=loop, keys=keys)
+
+    @cached_property
+    def relation_rank(self) -> np.ndarray:
+        """(n_r,) position of each relation's name in sorted name order."""
+        return _name_rank(self.relation_names)
+
+    @cached_property
+    def pairs(self) -> Pairs:
+        """The ordered entity pairs with their relations as CSR arrays (``Pairs``)."""
+        n = self.num_entities
+        h, r, t = self.triple_ids.T
+        codes = h * n + self.name_rank[t]
+        order = np.lexsort((r, codes))
+        new = np.diff(codes[order], prepend=-1) != 0
+        first = np.flatnonzero(new)
+        keys = codes[order[first]]
+        pair = np.empty(codes.size, dtype=np.intp)
+        pair[order] = np.cumsum(new) - 1
+        out = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=out[1:])
+        rptr = np.zeros(self.num_relations + 1, dtype=np.intp)
+        np.cumsum(np.bincount(r, minlength=self.num_relations), out=rptr[1:])
+        return Pairs(keys=keys, tails=t[order[first]], out=out,
+                     ptr=np.append(first, codes.size), rels=r[order], rptr=rptr,
+                     of_relation=pair[np.argsort(r, kind="stable")])
 
     @cached_property
     def neighbor_map(self) -> dict[int, frozenset[int]]:

@@ -6,26 +6,37 @@ must reproduce, bit for bit, what ``entity_context``, ``relation_context``,
 ``context_signature``, the per-name cap sample, ``normalize_adjacency`` and
 the member sums give one object at a time, on graphs with self-loops, links
 in both directions, several relations per pair, hubs above the cap and
-shuffled file order.
+shuffled file order.  Relation contexts are also checked under every
+midpoint bound, truncation warnings included.  The commands must run on the
+array indexes alone, never on the dict indexes the definitions read.
 """
+import logging
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dkge.agcn
+import dkge.cli
 import dkge.contexts as contexts
 from dkge.agcn import normalize_adjacency
-from dkge.contexts import (ContextSubgraph, ContextTable, ContextVertex, ENTITY,
-                           RELATION, build_contexts, context_signature,
+from dkge.contexts import (ContextSubgraph, ContextTable, ENTITY, RELATION,
+                           build_contexts, candidate_changed_names, context_signature,
                            entity_context, hash_contexts, relation_context)
-from dkge.kg_store import Snapshot
+from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import context_features
-from dkge.training import TrainConfig, train_from_scratch
+from dkge.training import TrainConfig, train_from_scratch, train_online
 
-from graphs import random_name_triples, tiny_store
+from graphs import (churned_triples, random_name_triples, tiny_store, toy_snapshot,
+                    write_snapshot_dir)
 
 CAP = 4
 NAME = st.text(alphabet="ab'\"Zé09", min_size=1, max_size=3)
+MAX_MIDPOINTS = st.sampled_from([0, 1, 2, 1000])
+# what ``relation_context`` logs for one truncated pair
+PAIR_WARNING = "relation %s pair (%s, %s): %d candidate midpoints truncated to %d"
+DICT_INDEXES = {"pair_map", "out_map", "relation_pairs", "neighbor_map"}
 
 
 @st.composite
@@ -43,6 +54,20 @@ def graphs(draw):
     order = draw(st.permutations(range(len(triples))))
     return Snapshot.from_name_triples(
         [(ents[triples[k][0]], rels[triples[k][1]], ents[triples[k][2]]) for k in order])
+
+
+@contextmanager
+def logged_warnings():
+    """The messages ``dkge.contexts`` logs at WARNING inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(contexts.__name__)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
 
 
 def one_by_one(g, kind):
@@ -87,6 +112,41 @@ def test_bulk_contexts_equal_one_by_one(g, kind):
     for (members, edges), sub in zip(got, one_by_one(g, kind), strict=True):
         assert members == [v.members for v in sub.vertices]
         assert edges.tolist() == sub.edges.tolist()
+
+
+@given(g=graphs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bulk_relation_contexts_truncate_as_one_by_one(g, data):
+    """Under any midpoint bound and for any owners, bulk relation contexts
+    equal ``relation_context``'s, and the truncated pairs are the ones it
+    warns about, in its order."""
+    max_midpoints = data.draw(MAX_MIDPOINTS)
+    owners = data.draw(st.lists(st.integers(0, g.num_relations - 1), max_size=6))
+    with logged_warnings() as want:
+        subs = [relation_context(g, r, max_midpoints) for r in owners]
+    ctx, truncated = contexts._relation_contexts(g, np.array(owners, dtype=np.intp),
+                                                 max_midpoints)
+    for (members, edges), sub in zip(split(ctx), subs, strict=True):
+        assert members == [v.members for v in sub.vertices]
+        assert edges.tolist() == sub.edges.tolist()
+    assert [PAIR_WARNING % (g.relation_names[r], g.entity_names[a], g.entity_names[b],
+                            n, max_midpoints)
+            for r, a, b, n in truncated.tolist()] == want
+
+
+def test_one_truncation_warning_per_build(caplog):
+    """A bulk build logs its truncated pairs as one warning."""
+    triples = [("a", "r", "b"), ("c", "r", "d"), ("a", "s", "b")]
+    for i in range(4):
+        triples += [("a", "go", f"m{i}"), (f"m{i}", "back", "b"),
+                    ("c", "go", f"m{i}"), (f"m{i}", "back", "d")]
+    triples += [("a", "s", "m9"), ("m9", "back", "b"), ("a", "go", "m9")]
+    g = Snapshot.from_name_triples(triples)
+    with caplog.at_level(logging.WARNING, logger=contexts.__name__):
+        ContextTable(g, max_midpoints=2).build_all()
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [(
+        "WARNING", "3 relation pairs: candidate midpoints truncated to 2 (largest "
+                   "count 5); relations: r, s")]
 
 
 @pytest.mark.parametrize("kind", [ENTITY, RELATION])
@@ -144,14 +204,14 @@ def test_pass_gathers_s_and_h0_bit_for_bit(g, data):
             assert table.get((kind, o)).edges.tolist() == sub.edges.tolist()
 
 
-@given(g=graphs())
+@given(g=graphs(), max_midpoints=MAX_MIDPOINTS)
 @settings(max_examples=40, deadline=None)
-def test_chunked_build_equals_unchunked(g):
+def test_chunked_build_equals_unchunked(g, max_midpoints):
     built = []
     for chunk in (1, 1 << 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contexts, "BUILD_CHUNK", chunk)
-            table = ContextTable(g, cap=CAP, seed=1)
+            table = ContextTable(g, cap=CAP, seed=1, max_midpoints=max_midpoints)
             sigs = table.signatures()
         passes = [table.gather(kind, np.arange(n)) for kind, n
                   in ((ENTITY, g.num_entities), (RELATION, g.num_relations))]
@@ -172,17 +232,18 @@ def test_training_epochs_gather_only(monkeypatch):
     rng = np.random.default_rng(4)
     g = Snapshot.from_name_triples(random_name_triples(rng, 200, 30, 5))
     counts = {}
+    normalize, build = dkge.agcn.normalize_adjacency, contexts.build_contexts
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def counting_normalize(*args):
+        counts["normalize"] = counts.get("normalize", 0) + 1
+        return normalize(*args)
 
-    monkeypatch.setattr(dkge.agcn, "normalize_adjacency",
-                        counting("normalize", dkge.agcn.normalize_adjacency))
-    for cls in (ContextVertex, ContextSubgraph):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    def counting_build(snapshot, kind, owners, *args):
+        counts[kind] = counts.get(kind, 0) + len(owners)
+        return build(snapshot, kind, owners, *args)
+
+    monkeypatch.setattr(dkge.agcn, "normalize_adjacency", counting_normalize)
+    monkeypatch.setattr(contexts, "build_contexts", counting_build)
     seen = []
     for epochs in (1, 2):
         counts.clear()
@@ -190,5 +251,70 @@ def test_training_epochs_gather_only(monkeypatch):
                                                  cap=6, margin=2.0), log=None)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert seen[0]["normalize"] > 0 and seen[0]["ContextVertex"] > 0
-    assert "ContextSubgraph" in seen[0]   # relation contexts, built once
+    assert seen[0]["normalize"] > 0
+    assert (seen[0][ENTITY], seen[0][RELATION]) == (g.num_entities, g.num_relations)
+
+
+def test_commands_stay_off_the_dict_indexes(tmp_path, monkeypatch, capsys):
+    """``train``, ``update`` and ``diff`` build none of the dict indexes
+    that only the one-object definitions read."""
+    rng = np.random.default_rng(6)
+    base = random_name_triples(rng, 150, 30, 5)
+    g_old = Snapshot.from_name_triples(base)
+    g_new = Snapshot.from_name_triples(churned_triples(rng, base), time_step=1)
+    config = TrainConfig(dim=4, batch_size=50, max_epochs=1, cap=6, margin=2.0)
+    store, _ = train_from_scratch(g_old, set(), config, log=None)
+    train_online(g_old, g_new, store, set(), config, log=None)
+    write_snapshot_dir(tmp_path / "old", g_old.name_triples())
+    write_snapshot_dir(tmp_path / "new", g_new.name_triples())
+    loaded = []
+    load = dkge.cli.load_snapshot_dir
+
+    def recording_load(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(dkge.cli, "load_snapshot_dir", recording_load)
+    assert dkge.cli.main(["diff", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert "changed_context=" in capsys.readouterr().out
+    snapshots = [g_old, g_new] + [sd.train for sd in loaded]
+    assert len(snapshots) == 4
+    for g in snapshots:
+        assert not DICT_INDEXES & set(vars(g))
+
+
+def candidate_relations_by_name_loop(g_old, g_new, diff):
+    """Relation candidates by their first definition: a loop over every
+    name triple of g_new."""
+    head_rels, tail_rels = {}, {}
+    for h, r, t in g_new.name_triples():
+        head_rels.setdefault(h, set()).add(r)
+        tail_rels.setdefault(t, set()).add(r)
+    rel = set()
+    for h, r, t in ([g_new.triple_names(t) for t in diff.added_triples]
+                    + [g_old.triple_names(t) for t in diff.deleted_triples]):
+        rel |= {r} | head_rels.get(h, set()) | tail_rels.get(t, set())
+    return rel
+
+
+def assert_candidate_relations_by_name_loop(g_old, g_new):
+    diff = diff_snapshots(g_old, g_new)
+    _, rel = candidate_changed_names(g_old, g_new, diff)
+    assert rel == candidate_relations_by_name_loop(g_old, g_new, diff)
+
+
+@pytest.mark.parametrize("old, new", [(0, 1), (1, 2), (0, 2), (2, 0)])
+def test_candidate_relations_on_the_toy_trace(old, new):
+    assert_candidate_relations_by_name_loop(toy_snapshot(old), toy_snapshot(new))
+
+
+@given(g=graphs(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_candidate_relations_equal_name_loop(g, data):
+    triples = list(g.name_triples())
+    kept = data.draw(st.lists(st.sampled_from(triples), min_size=1, unique=True))
+    extra = data.draw(st.lists(st.tuples(NAME, st.sampled_from(g.relation_names + ("q",)),
+                                         st.sampled_from(g.entity_names)), max_size=4))
+    g_old = Snapshot.from_name_triples(kept + extra)
+    assert_candidate_relations_by_name_loop(g_old, g)
+    assert_candidate_relations_by_name_loop(g, g_old)
