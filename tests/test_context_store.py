@@ -24,6 +24,7 @@ from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextSubgraph, ContextTable, ENTITY, RELATION,
                            build_contexts, candidate_changed_names, context_signature,
                            entity_context, hash_contexts, relation_context)
+from dkge.errors import ConfigError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import context_features
 from dkge.training import TrainConfig, train_from_scratch, train_online
@@ -147,6 +148,13 @@ def test_one_truncation_warning_per_build(caplog):
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [(
         "WARNING", "3 relation pairs: candidate midpoints truncated to 2 (largest "
                    "count 5); relations: r, s")]
+
+
+def test_table_rejects_negative_max_midpoints():
+    """The bulk build keeps no midpoint under a negative bound, where
+    ``relation_context`` would keep all but the last: a table refuses it."""
+    with pytest.raises(ConfigError, match="max midpoints must be >= 0"):
+        ContextTable(toy_snapshot(1), max_midpoints=-1)
 
 
 @pytest.mark.parametrize("kind", [ENTITY, RELATION])

@@ -1,6 +1,7 @@
 """Snapshot storage: parsing, interning, views, diffs."""
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +87,31 @@ def test_pair_and_relation_views(g1):
     assert named == [("e1", "e5"), ("e3", "e4"), ("e1", "e2")]
     assert t in g1.neighbors(h) and h in g1.neighbors(t)
     assert g1.entity_id("e6") not in g1.neighbors(g1.entity_id("e5"))
+
+
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_pair_index_matches_the_dict_views(seed):
+    """``Snapshot.pairs`` holds ``pair_map``, ``out_map``'s distinct tails
+    in name order and ``relation_pairs``, as arrays."""
+    rng = np.random.default_rng(seed)
+    g = Snapshot.from_name_triples(random_name_triples(rng, 40, 8, 3))
+    p, n = g.pairs, g.num_entities
+    heads = (p.keys // n).tolist()
+    assert (p.keys == p.keys // n * n + g.name_rank[p.tails]).all()
+    assert (np.diff(p.keys) > 0).all()
+    assert {(h, t): frozenset(p.rels[p.ptr[k]:p.ptr[k + 1]].tolist())
+            for k, (h, t) in enumerate(zip(heads, p.tails.tolist()))} == g.pair_map
+    assert all(np.all(np.diff(p.rels[p.ptr[k]:p.ptr[k + 1]]) > 0) for k in range(len(heads)))
+    for e in range(n):
+        tails = p.tails[p.out[e]:p.out[e + 1]].tolist()
+        assert tails == sorted({t for _, t in g.out_map[e]}, key=g.entity_names.__getitem__)
+    for r in range(g.num_relations):
+        pairs = p.of_relation[p.rptr[r]:p.rptr[r + 1]]
+        assert list(zip((p.keys[pairs] // n).tolist(), p.tails[pairs].tolist())) == list(
+            g.relation_pairs[r])
+    assert sorted(range(g.num_relations), key=g.relation_rank.__getitem__) == sorted(
+        range(g.num_relations), key=g.relation_names.__getitem__)
 
 
 def test_save_load_round_trip(tmp_path, g1):
