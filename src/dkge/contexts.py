@@ -580,28 +580,18 @@ class _FlatStore:
     def gather(self, at: np.ndarray) -> ContextPass:
         """The contexts stored at slots ``at``: their vertex rows, members
         and S entries found by ptr arithmetic (PyG's batch/ptr vectors), S
-        assembled with each context's columns offset by the rows before it.
-        A pass of one takes plain slices."""
-        if at.size == 1:
-            a = int(at[0])
-            rows = slice(self.vptr[a], self.vptr[a + 1])
-            members = slice(self.mptr[a], self.mptr[a + 1])
-            entries = slice(self.sptr[a], self.sptr[a + 1])
-            starts = np.zeros(1, dtype=np.intp)
-            segment = np.zeros(rows.stop - rows.start, dtype=np.intp)
-            cols = self.s_cols[entries]
-        else:
-            first = self.vptr[at]
-            sizes = self.vptr[at + 1] - first
-            rows = _ranges(first, sizes)
-            first = self.mptr[at]
-            members = _ranges(first, self.mptr[at + 1] - first)
-            first = self.sptr[at]
-            nnz = self.sptr[at + 1] - first
-            entries = _ranges(first, nnz)
-            starts = sizes.cumsum() - sizes
-            segment = np.arange(at.size).repeat(sizes)
-            cols = self.s_cols[entries] + starts.repeat(nnz)
+        assembled with each context's columns offset by the rows before it."""
+        first = self.vptr[at]
+        sizes = self.vptr[at + 1] - first
+        rows = _ranges(first, sizes)
+        first = self.mptr[at]
+        members = _ranges(first, self.mptr[at + 1] - first)
+        first = self.sptr[at]
+        nnz = self.sptr[at + 1] - first
+        entries = _ranges(first, nnz)
+        starts = sizes.cumsum() - sizes
+        segment = np.arange(at.size).repeat(sizes)
+        cols = self.s_cols[entries] + starts.repeat(nnz)
         per_vertex = self.vertex_members[rows]
         n = per_vertex.size
         indptr = np.zeros(n + 1, dtype=self.row_nnz.dtype)

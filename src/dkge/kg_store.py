@@ -1,18 +1,17 @@
 """Triple snapshots: loading, dictionaries, indexes, and diffs.
 
-A snapshot is an immutable set of (head, relation, tail) triples together
-with the per-run dictionaries mapping string names to integer ids.  Ids are
-assigned in first-occurrence order while scanning the triple list, so the
-same file always loads to the same ids.  Snapshots from different files get
-independent id spaces; diffing always matches objects by name.
+A snapshot is an immutable set of (head, relation, tail) triples, stored as
+an int64 id array, with the per-run dictionaries mapping string names to
+integer ids.  Ids are assigned in first-occurrence order while scanning the
+triple list, so the same file always loads to the same ids.  Snapshots from
+different files get independent id spaces; diffing matches objects by name.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -78,34 +77,47 @@ def _name_rank(names: tuple[str, ...]) -> np.ndarray:
     return rank
 
 
-@dataclass(frozen=True)
+def triple_codes(ids: np.ndarray, n_e: int, n_r: int) -> np.ndarray:
+    """One int64 code per id triple, ordered as the (h, r, t) tuples are."""
+    return (ids[:, 0] * n_r + ids[:, 1]) * n_e + ids[:, 2]
+
+
+@dataclass(frozen=True, eq=False)
 class Snapshot:
     """One time step of the knowledge graph.
 
-    ``triples`` keeps file order (duplicates removed, first occurrence wins)
-    so that serialization round-trips reproduce the exact id assignment.
+    ``triple_ids``, the only storage of the triples, is a read-only (n, 3)
+    int64 array of (head, relation, tail) ids in file order (duplicates
+    removed, first occurrence wins), so serialization round-trips reproduce
+    the exact id assignment.  ``triples``, ``triple_set``, ``name_triples()``
+    and the dict indexes are views built on first use.  Snapshots compare
+    by identity.
     """
 
     time_step: int
-    triples: tuple[Triple, ...]
+    triple_ids: np.ndarray
     entity_names: tuple[str, ...]
     relation_names: tuple[str, ...]
-    duplicates_collapsed: int = field(default=0, compare=False)
+    duplicates_collapsed: int = 0
 
     def __post_init__(self):
         n_e, n_r = len(self.entity_names), len(self.relation_names)
         if len(set(self.entity_names)) != n_e or len(set(self.relation_names)) != n_r:
             raise ValueError("duplicate names in dictionary")
-        seen_e, seen_r = set(), set()
-        for t in self.triples:
-            if not (0 <= t.head < n_e and 0 <= t.tail < n_e and 0 <= t.relation < n_r):
-                raise ValueError(f"triple {t} outside dictionary range")
-            seen_e.update((t.head, t.tail))
-            seen_r.add(t.relation)
-        if len(self.triples) != len(set(self.triples)):
+        ids = self.triple_ids
+        if not (isinstance(ids, np.ndarray) and ids.dtype == np.int64
+                and ids.ndim == 2 and ids.shape[1] == 3):
+            raise ValueError("triple_ids must be an (n, 3) int64 array")
+        h, r, t = ids.T
+        bad = np.flatnonzero((ids < 0).any(axis=1) | (h >= n_e) | (t >= n_e) | (r >= n_r))
+        if bad.size:
+            raise ValueError(f"triple {ids[bad[0]].tolist()} outside dictionary range")
+        if np.unique(triple_codes(ids, n_e, n_r)).size != len(ids):
             raise ValueError("duplicate triples in snapshot")
-        if seen_e != set(range(n_e)) or seen_r != set(range(n_r)):
+        if (np.count_nonzero(np.bincount(ids[:, [0, 2]].ravel(), minlength=n_e)) != n_e
+                or np.count_nonzero(np.bincount(r, minlength=n_r)) != n_r):
             raise ValueError("dictionary entry not used by any triple")
+        ids.flags.writeable = False
 
     # -- construction ------------------------------------------------------
 
@@ -114,27 +126,23 @@ class Snapshot:
                           duplicates_collapsed: int = 0) -> "Snapshot":
         entity_ids: dict[str, int] = {}
         relation_ids: dict[str, int] = {}
-        triples: list[Triple] = []
-        seen: set[Triple] = set()
-        extra_dups = 0
+        flat: list[int] = []
         for h, r, t in name_triples:
-            hid = entity_ids.setdefault(h, len(entity_ids))
-            rid = relation_ids.setdefault(r, len(relation_ids))
-            tid = entity_ids.setdefault(t, len(entity_ids))
-            triple = Triple(hid, rid, tid)
-            if triple in seen:
-                extra_dups += 1
-                continue
-            seen.add(triple)
-            triples.append(triple)
-        if not triples:
+            flat += (entity_ids.setdefault(h, len(entity_ids)),
+                     relation_ids.setdefault(r, len(relation_ids)),
+                     entity_ids.setdefault(t, len(entity_ids)))
+        if not flat:
             raise EmptySnapshotError("snapshot has no triples")
+        ids = np.array(flat, dtype=np.int64).reshape(-1, 3)
+        # a duplicate's names occurred before it, so dropping it keeps the ids
+        _, first = np.unique(triple_codes(ids, len(entity_ids), len(relation_ids)),
+                             return_index=True)
         return Snapshot(
             time_step=time_step,
-            triples=tuple(triples),
+            triple_ids=ids[np.sort(first)],
             entity_names=tuple(entity_ids),
             relation_names=tuple(relation_ids),
-            duplicates_collapsed=duplicates_collapsed + extra_dups,
+            duplicates_collapsed=duplicates_collapsed + len(ids) - first.size,
         )
 
     # -- dictionaries ------------------------------------------------------
@@ -178,14 +186,12 @@ class Snapshot:
     # -- indexes -----------------------------------------------------------
 
     @cached_property
-    def triple_set(self) -> frozenset[Triple]:
-        return frozenset(self.triples)
+    def triples(self) -> tuple[Triple, ...]:
+        return tuple(map(Triple._make, self.triple_ids.tolist()))
 
     @cached_property
-    def triple_ids(self) -> np.ndarray:
-        """(n, 3) int64 array of the id triples, in file order."""
-        return np.fromiter(chain.from_iterable(self.triples), dtype=np.int64,
-                           count=3 * len(self.triples)).reshape(-1, 3)
+    def triple_set(self) -> frozenset[Triple]:
+        return frozenset(self.triples)
 
     @cached_property
     def digest(self) -> str:
@@ -194,9 +200,8 @@ class Snapshot:
         Two snapshots with equal dictionaries have equal digests exactly
         when their triple sets are equal (up to hash collisions).
         """
-        ids = self.triple_ids
-        codes = np.sort((ids[:, 0] * self.num_relations + ids[:, 1])
-                        * self.num_entities + ids[:, 2])
+        codes = np.sort(triple_codes(self.triple_ids, self.num_entities,
+                                      self.num_relations))
         return hashlib.blake2b(codes.tobytes(), digest_size=16).hexdigest()
 
     @cached_property
@@ -250,7 +255,7 @@ class Snapshot:
     @cached_property
     def neighbor_map(self) -> dict[int, frozenset[int]]:
         nbrs: dict[int, set[int]] = {e: set() for e in range(self.num_entities)}
-        for h, _, t in self.triples:
+        for h, _, t in self.triple_ids.tolist():
             if h != t:
                 nbrs[h].add(t)
                 nbrs[t].add(h)
@@ -260,7 +265,7 @@ class Snapshot:
     def out_map(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """head id -> ordered (relation, tail) pairs."""
         out: dict[int, list[tuple[int, int]]] = {e: [] for e in range(self.num_entities)}
-        for h, r, t in self.triples:
+        for h, r, t in self.triple_ids.tolist():
             out[h].append((r, t))
         return {e: tuple(v) for e, v in out.items()}
 
@@ -268,7 +273,7 @@ class Snapshot:
     def pair_map(self) -> dict[tuple[int, int], frozenset[int]]:
         """(head, tail) -> relation ids linking that ordered pair."""
         pairs: dict[tuple[int, int], set[int]] = {}
-        for h, r, t in self.triples:
+        for h, r, t in self.triple_ids.tolist():
             pairs.setdefault((h, t), set()).add(r)
         return {p: frozenset(s) for p, s in pairs.items()}
 
@@ -276,7 +281,7 @@ class Snapshot:
     def relation_pairs(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """relation id -> ordered distinct (head, tail) pairs it links."""
         by_rel: dict[int, list[tuple[int, int]]] = {r: [] for r in range(self.num_relations)}
-        for h, r, t in self.triples:
+        for h, r, t in self.triple_ids.tolist():
             by_rel[r].append((h, t))
         return {r: tuple(v) for r, v in by_rel.items()}
 
@@ -295,7 +300,8 @@ class Snapshot:
                 self.entity_names[triple.tail])
 
     def name_triples(self) -> tuple[NameTriple, ...]:
-        return tuple(self.triple_names(t) for t in self.triples)
+        e, r = self.entity_names, self.relation_names
+        return tuple((e[h], r[rel], e[t]) for h, rel, t in self.triple_ids.tolist())
 
     def resolve(self, name_triple: NameTriple) -> Triple:
         h, r, t = name_triple
@@ -323,7 +329,7 @@ class SnapshotDiff:
 
 
 def parse_triple_file(path) -> tuple[list[NameTriple], int]:
-    """Read a tab-separated triple file.
+    """Read a tab-separated triple file; lines end in \\n, \\r\\n or \\r.
 
     Returns (name triples in file order with duplicates removed, number of
     duplicates collapsed).  Blank lines and lines starting with '#' are
@@ -335,11 +341,11 @@ def parse_triple_file(path) -> tuple[list[NameTriple], int]:
     dups = 0
     with path.open("r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
+            text = raw.lstrip()
+            if not text or text[0] == "#":
                 continue
-            fields = line.split("\t")
-            if len(fields) != 3 or any(not f for f in fields):
+            fields = raw.rstrip("\n").split("\t")
+            if len(fields) != 3 or not all(fields):
                 raise ParseError(path, line_no,
                                  f"expected 3 tab-separated fields, got {len(fields)}")
             nt: NameTriple = (fields[0], fields[1], fields[2])
@@ -403,18 +409,24 @@ def diff_snapshots(g_old: Snapshot, g_new: Snapshot) -> SnapshotDiff:
     Deleting the deleted set from the old snapshot and adding the added set
     yields exactly the new snapshot's triples (at name level).
     """
-    old_names = set(g_old.name_triples())
-    new_names = set(g_new.name_triples())
-    added = frozenset(g_new.resolve(nt) for nt in new_names - old_names)
-    deleted = frozenset(g_old.resolve(nt) for nt in old_names - new_names)
-    old_e, new_e = set(g_old.entity_names), set(g_new.entity_names)
-    old_r, new_r = set(g_old.relation_names), set(g_new.relation_names)
-    return SnapshotDiff(
-        added_triples=added,
-        deleted_triples=deleted,
-        emerging_entities=frozenset(g_new.entity_ids[n] for n in new_e - old_e),
-        emerging_relations=frozenset(g_new.relation_ids[n] for n in new_r - old_r),
-        removed_entities=frozenset(g_old.entity_ids[n] for n in old_e - new_e),
-        removed_relations=frozenset(g_old.relation_ids[n] for n in old_r - new_r),
-    )
+    n_e, n_r = g_new.num_entities, g_new.num_relations
+    # g_old's ids mapped to g_new's by name, -1 for a removed object
+    ent = np.array([g_new.entity_ids.get(n, -1) for n in g_old.entity_names], dtype=np.int64)
+    rel = np.array([g_new.relation_ids.get(n, -1) for n in g_old.relation_names],
+                   dtype=np.int64)
+    old = g_old.triple_ids
+    moved = np.stack((ent[old[:, 0]], rel[old[:, 1]], ent[old[:, 2]]), axis=1)
+    # code -1 for a triple naming a removed object: it matches no triple of g_new
+    old_codes = np.where((moved >= 0).all(axis=1), triple_codes(moved, n_e, n_r), -1)
+    new_codes = triple_codes(g_new.triple_ids, n_e, n_r)
 
+    added = g_new.triple_ids[~np.isin(new_codes, old_codes)].tolist()
+    deleted = old[~np.isin(old_codes, new_codes)].tolist()
+    return SnapshotDiff(
+        added_triples=frozenset(map(Triple._make, added)),
+        deleted_triples=frozenset(map(Triple._make, deleted)),
+        emerging_entities=frozenset(np.setdiff1d(np.arange(n_e), ent).tolist()),
+        emerging_relations=frozenset(np.setdiff1d(np.arange(n_r), rel).tolist()),
+        removed_entities=frozenset(np.flatnonzero(ent < 0).tolist()),
+        removed_relations=frozenset(np.flatnonzero(rel < 0).tolist()),
+    )

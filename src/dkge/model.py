@@ -208,17 +208,14 @@ class RelationStats:
 
 
 def relation_stats(snapshot: Snapshot) -> RelationStats:
-    n_r = snapshot.num_relations
-    counts = np.zeros(n_r)
-    heads: list[set[int]] = [set() for _ in range(n_r)]
-    tails: list[set[int]] = [set() for _ in range(n_r)]
-    for h, r, t in snapshot.triples:
-        counts[r] += 1
-        heads[r].add(h)
-        tails[r].add(t)
-    tph = counts / np.array([len(s) for s in heads], dtype=np.float64)
-    hpt = counts / np.array([len(s) for s in tails], dtype=np.float64)
-    return RelationStats(tph=tph, hpt=hpt)
+    n_e, n_r = snapshot.num_entities, snapshot.num_relations
+    h, r, t = snapshot.triple_ids.T
+    counts = np.bincount(r, minlength=n_r).astype(np.float64)
+
+    def distinct(ends):   # distinct (relation, entity) pairs per relation
+        return np.bincount(np.unique(r * n_e + ends) // n_e, minlength=n_r)
+
+    return RelationStats(tph=counts / distinct(h), hpt=counts / distinct(t))
 
 
 def bernoulli_corrupt(triple: Triple, stats: RelationStats, snapshot: Snapshot,

@@ -38,7 +38,7 @@ from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS, ENTITY,
                        changed_contexts)
 from .errors import ConfigError
 from .evaluation import evaluate
-from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots
+from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
 from .model import (GradBuffer, JointCache, ParameterStore, RelationStats,
                     batch_loss, bernoulli_corrupt, init_params, joint_rows,
                     joint_table, relation_stats)
@@ -252,9 +252,9 @@ def collect_retrain_set(g_new: Snapshot, diff: SnapshotDiff,
     flag_r = set(diff.emerging_relations)
     for kind, obj in changed:
         (flag_e if kind == ENTITY else flag_r).add(obj)
-    return frozenset(
-        t for t in g_new.triples
-        if t.head in flag_e or t.tail in flag_e or t.relation in flag_r)
+    ids = g_new.triple_ids
+    hit = np.isin(ids[:, [0, 2]], list(flag_e)).any(axis=1) | np.isin(ids[:, 1], list(flag_r))
+    return frozenset(map(Triple._make, ids[hit].tolist()))
 
 
 def _carry_rows(rows: np.ndarray, old_ids: dict[str, int],
@@ -348,22 +348,20 @@ def _holdout_validation(g_new: Snapshot, t_ol: frozenset[Triple],
                         rng: np.random.Generator) -> list[Triple]:
     """Fallback validation set: about 1% of the unaffected triples whose
     objects all occur in at least one other triple."""
-    ent_count: dict[int, int] = {}
-    rel_count: dict[int, int] = {}
-    for h, r, t in g_new.triples:
-        ent_count[h] = ent_count.get(h, 0) + 1
-        ent_count[t] = ent_count.get(t, 0) + 1
-        rel_count[r] = rel_count.get(r, 0) + 1
-    pool = [t for t in g_new.triples
-            if t not in t_ol
-            and ent_count[t.head] >= 2 and ent_count[t.tail] >= 2
-            and rel_count[t.relation] >= 2
-            and (t.head != t.tail or ent_count[t.head] >= 3)]
-    if not pool:
+    ids = g_new.triple_ids
+    h, r, t = ids.T
+    n_e, n_r = g_new.num_entities, g_new.num_relations
+    ent_count = np.bincount(ids[:, [0, 2]].ravel(), minlength=n_e)
+    rel_count = np.bincount(r, minlength=n_r)
+    retrained = triple_codes(np.array(list(t_ol), dtype=np.int64).reshape(-1, 3), n_e, n_r)
+    fresh = ~np.isin(triple_codes(ids, n_e, n_r), retrained)
+    pool = np.flatnonzero(fresh & (ent_count[h] >= 2) & (ent_count[t] >= 2)
+                          & (rel_count[r] >= 2) & ((h != t) | (ent_count[h] >= 3)))
+    if not pool.size:
         return []
-    k = max(1, len(pool) // 100)
-    picks = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i] for i in sorted(picks)]
+    k = max(1, pool.size // 100)
+    picks = rng.choice(pool.size, size=k, replace=False)
+    return list(map(Triple._make, ids[pool[np.sort(picks)]].tolist()))
 
 
 def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,

@@ -265,7 +265,8 @@ def test_training_epochs_gather_only(monkeypatch):
 
 def test_commands_stay_off_the_dict_indexes(tmp_path, monkeypatch, capsys):
     """``train``, ``update`` and ``diff`` build none of the dict indexes
-    that only the one-object definitions read."""
+    that only the one-object definitions read, and ``diff`` builds no
+    per-triple tuple view either: its snapshots hold only the int64 array."""
     rng = np.random.default_rng(6)
     base = random_name_triples(rng, 150, 30, 5)
     g_old = Snapshot.from_name_triples(base)
@@ -289,6 +290,9 @@ def test_commands_stay_off_the_dict_indexes(tmp_path, monkeypatch, capsys):
     assert len(snapshots) == 4
     for g in snapshots:
         assert not DICT_INDEXES & set(vars(g))
+    for sd in loaded:
+        assert not {"triples", "triple_set"} & set(vars(sd.train))
+        assert isinstance(sd.train.triple_ids, np.ndarray)
 
 
 def candidate_relations_by_name_loop(g_old, g_new, diff):

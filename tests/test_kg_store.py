@@ -38,6 +38,61 @@ def test_parse_rejects_malformed_lines(tmp_path, line):
     assert err.value.line_no == 1
 
 
+def test_parse_line_endings_comments_and_duplicates(tmp_path):
+    """CRLF and a lone CR end lines; blank, whitespace-only and '#' lines
+    are skipped but counted; a repeated line is collapsed."""
+    p = tmp_path / "train.txt"
+    p.write_bytes(b"a\tr\tb\r\n"     # 1: CRLF
+                  b"b\tr\tc\r"        # 2: lone CR
+                  b"\r\n"              # 3: blank
+                  b"  # note\n"        # 4: indented comment
+                  b"\t \n"             # 5: whitespace only
+                  b"a\tr\tb\n"        # 6: duplicate of line 1
+                  b"c\ts\ta")          # 7: no final newline
+    assert parse_triple_file(p) == ([("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a")], 1)
+    for content, line_no, got in ((b"a\tr\tb\r\n\r\n# x\rc\t\td\r\n", 4, 3),
+                                  (b"# x\r\na r b\n", 2, 1)):
+        p.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            parse_triple_file(p)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"{p}:{line_no}: expected 3 tab-separated fields, got {got}"
+
+
+def ids(rows):
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("triple_ids,entities,relations,message", [
+    (ids([[0, 0, 1]]), ("a", "a"), ("r",), "duplicate names"),
+    (ids([[0, 0, 1]]), ("a", "b"), ("r", "r"), "duplicate names"),
+    (ids([[0, 0, 2]]), ("a", "b"), ("r",), "outside dictionary range"),
+    (ids([[-1, 0, 1]]), ("a", "b"), ("r",), "outside dictionary range"),
+    (ids([[0, 1, 1]]), ("a", "b"), ("r",), "outside dictionary range"),
+    (ids([[0, 0, 1], [0, 0, 1]]), ("a", "b"), ("r",), "duplicate triples"),
+    (ids([[0, 0, 1]]), ("a", "b", "c"), ("r",), "not used"),
+    (ids([[0, 0, 1]]), ("a", "b"), ("r", "s"), "not used"),
+    (np.array([0, 0, 1], dtype=np.int64), ("a", "b"), ("r",), "int64 array"),
+    (np.zeros((1, 2), dtype=np.int64), ("a",), ("r",), "int64 array"),
+    (ids([[0, 0, 1]]).astype(np.int32), ("a", "b"), ("r",), "int64 array"),
+    ([[0, 0, 1]], ("a", "b"), ("r",), "int64 array"),
+])
+def test_snapshot_rejects_inconsistent_fields(triple_ids, entities, relations, message):
+    with pytest.raises(ValueError, match=message):
+        Snapshot(0, triple_ids, entities, relations)
+
+
+def test_snapshot_stores_a_read_only_array_and_compares_by_identity():
+    g = Snapshot(0, ids([[0, 0, 1], [1, 0, 1]]), ("a", "b"), ("r",))
+    assert not g.triple_ids.flags.writeable
+    with pytest.raises(ValueError):
+        g.triple_ids[0, 2] = 0
+    assert g.triples == (Triple(0, 0, 1), Triple(1, 0, 1))
+    twin = Snapshot.from_name_triples([("a", "r", "b"), ("b", "r", "b")])
+    assert twin.digest == g.digest
+    assert twin != g and g == g and len({g, twin}) == 2
+
+
 def test_interning_first_occurrence_order():
     g = Snapshot.from_name_triples([("b", "r2", "a"), ("a", "r1", "c")])
     assert g.entity_names == ("b", "a", "c")

@@ -1,0 +1,174 @@
+"""Command-path functions on ``Snapshot.triple_ids`` against their loop
+definitions.
+
+``from_name_triples``, ``diff_snapshots``, ``relation_stats``,
+``collect_retrain_set`` and ``_holdout_validation`` read the int64 triple
+array.  Each must give exactly what its first definition, a Python loop over
+the name or id triples kept below as the oracle, gives: the same ids, the same
+sets, statistics equal bit for bit, and the same validation triples in the
+same order for the same rng.  Inputs include duplicate lines, self-loops, and
+removed and emerging entities and relations.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from dkge.contexts import ENTITY, RELATION
+from dkge.kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots
+from dkge.model import RelationStats, relation_stats
+from dkge.training import _holdout_validation, collect_retrain_set
+
+
+# -- the loop definitions ------------------------------------------------------
+
+
+def intern_by_loop(name_triples):
+    entity_ids, relation_ids = {}, {}
+    triples, seen = [], set()
+    for h, r, t in name_triples:
+        triple = Triple(entity_ids.setdefault(h, len(entity_ids)),
+                        relation_ids.setdefault(r, len(relation_ids)),
+                        entity_ids.setdefault(t, len(entity_ids)))
+        if triple not in seen:
+            seen.add(triple)
+            triples.append(triple)
+    return (tuple(triples), tuple(entity_ids), tuple(relation_ids),
+            len(name_triples) - len(triples))
+
+
+def diff_by_names(g_old, g_new):
+    old_names = set(g_old.name_triples())
+    new_names = set(g_new.name_triples())
+    old_e, new_e = set(g_old.entity_names), set(g_new.entity_names)
+    old_r, new_r = set(g_old.relation_names), set(g_new.relation_names)
+    return SnapshotDiff(
+        added_triples=frozenset(g_new.resolve(nt) for nt in new_names - old_names),
+        deleted_triples=frozenset(g_old.resolve(nt) for nt in old_names - new_names),
+        emerging_entities=frozenset(g_new.entity_ids[n] for n in new_e - old_e),
+        emerging_relations=frozenset(g_new.relation_ids[n] for n in new_r - old_r),
+        removed_entities=frozenset(g_old.entity_ids[n] for n in old_e - new_e),
+        removed_relations=frozenset(g_old.relation_ids[n] for n in old_r - new_r))
+
+
+def relation_stats_by_loop(snapshot):
+    n_r = snapshot.num_relations
+    counts = np.zeros(n_r)
+    heads = [set() for _ in range(n_r)]
+    tails = [set() for _ in range(n_r)]
+    for h, r, t in snapshot.triples:
+        counts[r] += 1
+        heads[r].add(h)
+        tails[r].add(t)
+    return RelationStats(
+        tph=counts / np.array([len(s) for s in heads], dtype=np.float64),
+        hpt=counts / np.array([len(s) for s in tails], dtype=np.float64))
+
+
+def retrain_set_by_loop(g_new, diff, changed):
+    flag_e = set(diff.emerging_entities)
+    flag_r = set(diff.emerging_relations)
+    for kind, obj in changed:
+        (flag_e if kind == ENTITY else flag_r).add(obj)
+    return frozenset(t for t in g_new.triples
+                     if t.head in flag_e or t.tail in flag_e or t.relation in flag_r)
+
+
+def holdout_by_loop(g_new, t_ol, rng):
+    ent_count, rel_count = {}, {}
+    for h, r, t in g_new.triples:
+        ent_count[h] = ent_count.get(h, 0) + 1
+        ent_count[t] = ent_count.get(t, 0) + 1
+        rel_count[r] = rel_count.get(r, 0) + 1
+    pool = [t for t in g_new.triples
+            if t not in t_ol
+            and ent_count[t.head] >= 2 and ent_count[t.tail] >= 2
+            and rel_count[t.relation] >= 2
+            and (t.head != t.tail or ent_count[t.head] >= 3)]
+    if not pool:
+        return []
+    k = max(1, len(pool) // 100)
+    picks = rng.choice(len(pool), size=k, replace=False)
+    return [pool[i] for i in sorted(picks)]
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+def draw_triples(rng, n, entities, relations):
+    """``n`` uniform name triples over the given id ranges: duplicates and
+    self-loops are frequent on a small vocabulary."""
+    return [(f"e{rng.integers(*entities)}", f"r{rng.integers(*relations)}",
+             f"e{rng.integers(*entities)}") for _ in range(n)]
+
+
+@st.composite
+def snapshot_pairs(draw):
+    """Name triples of two steps: the new one keeps part of the old lines
+    and draws the rest over a shifted vocabulary, so some objects are
+    removed and some emerge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_e, n_r = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    shift_e, shift_r = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    old = draw_triples(rng, draw(st.integers(1, 400)), (0, n_e), (0, n_r))
+    kept = draw(st.floats(0, 1))
+    new = ([nt for nt in old if rng.random() < kept]
+           + draw_triples(rng, draw(st.integers(1, 60)), (shift_e, n_e + shift_e),
+                          (shift_r, n_r + shift_r)))
+    rng.shuffle(new)
+    return old, new
+
+
+def changed_objects(rng, g):
+    """A random set of (kind, id) objects of ``g``."""
+    return ({(ENTITY, e) for e in range(g.num_entities) if rng.random() < 0.1}
+            | {(RELATION, r) for r in range(g.num_relations) if rng.random() < 0.1})
+
+
+# -- properties ----------------------------------------------------------------
+
+
+@given(pair=snapshot_pairs())
+@settings(max_examples=80, deadline=None)
+def test_interning_equals_the_loop(pair):
+    for lines in pair:
+        g = Snapshot.from_name_triples(lines, duplicates_collapsed=2)
+        triples, entities, relations, dups = intern_by_loop(lines)
+        assert g.triples == triples
+        assert (g.entity_names, g.relation_names) == (entities, relations)
+        assert g.duplicates_collapsed == dups + 2
+        assert g.triple_ids.dtype == np.int64 and not g.triple_ids.flags.writeable
+        assert g.name_triples() == tuple(g.triple_names(t) for t in triples)
+
+
+@given(pair=snapshot_pairs())
+@settings(max_examples=80, deadline=None)
+def test_diff_equals_the_name_sets(pair):
+    g_old, g_new = (Snapshot.from_name_triples(lines) for lines in pair)
+    for a, b in ((g_old, g_new), (g_new, g_old), (g_old, g_old)):
+        assert diff_snapshots(a, b) == diff_by_names(a, b)
+
+
+@given(pair=snapshot_pairs())
+@settings(max_examples=80, deadline=None)
+def test_relation_stats_equal_the_loop_bit_for_bit(pair):
+    for lines in pair:
+        g = Snapshot.from_name_triples(lines)
+        got, want = relation_stats(g), relation_stats_by_loop(g)
+        assert got.tph.dtype == got.hpt.dtype == np.float64
+        assert got.tph.tobytes() == want.tph.tobytes()
+        assert got.hpt.tobytes() == want.hpt.tobytes()
+
+
+@given(pair=snapshot_pairs(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_retrain_set_and_holdout_equal_the_loops(pair, seed):
+    g_old, g_new = (Snapshot.from_name_triples(lines) for lines in pair)
+    diff = diff_snapshots(g_old, g_new)
+    rng = np.random.default_rng(seed)
+    changed = changed_objects(rng, g_new)
+    t_ol = collect_retrain_set(g_new, diff, changed)
+    assert t_ol == retrain_set_by_loop(g_new, diff, changed)
+    assert collect_retrain_set(g_new, diff, set()) == retrain_set_by_loop(g_new, diff, set())
+    for retrained in (t_ol, frozenset()):
+        got = _holdout_validation(g_new, retrained, np.random.default_rng(seed))
+        assert got == holdout_by_loop(g_new, retrained, np.random.default_rng(seed))
+        assert all(type(t) is Triple and type(t.head) is int for t in got)
