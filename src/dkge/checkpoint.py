@@ -5,18 +5,20 @@ a temp file and renamed into place, so a reader never sees a half-written
 checkpoint.  Two runs that produce the same parameters produce byte-identical
 files: nothing time- or path-dependent enters the payload.
 
-Besides the parameters, the model settings and the context signatures, a
-checkpoint holds the joint embedding of every object, ``ent_star`` (n_e, d)
-and ``rel_star`` (n_r, d), with the digest of the snapshot they were encoded
-on.  That adds (n_e + n_r) * d * 8 bytes and lets ``eval`` and ``answer`` on
-that snapshot score without building a context.  A store that never had
-them saves ``None`` in their place.  Format version 3.  Loading raises
-IntegrityError, naming the file, when the payload cannot be unpickled, is
-not a dict, lacks a key or has another version, and naming the key too when
-an array is not float64 or its shape disagrees with ``dim``, the name tuples
-or the layer count, or when the joint tables and their digest are neither
-all ``None`` nor all present.  The payload is still unpickled, so a
-checkpoint from an untrusted source can run code.
+Besides the parameters and the model settings, a checkpoint holds every
+object's context signature as uint8 rows aligned with the names, ``ent_sig``
+(n_e, 16) and ``rel_sig`` (n_r, 16), and its joint embedding, ``ent_star``
+(n_e, d) and ``rel_star`` (n_r, d), with the digest of the snapshot they
+were encoded on; with these, ``eval`` and ``answer`` on that snapshot score
+without building a context.  A store that never had joint tables saves
+``None`` in their place.  Format version 4.  Loading raises IntegrityError,
+naming the file, when the payload cannot be unpickled, is not a dict, lacks
+a key or has another version, and naming the key too when the names are not
+distinct strs, a setting is not an int in its range, an array's dtype or
+shape disagrees with ``dim``, the names or the layer count, or the joint
+tables and their digest are neither all ``None`` nor all present.  The
+payload is still unpickled, so a checkpoint from an untrusted source can run
+code.
 """
 from __future__ import annotations
 
@@ -28,10 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from .agcn import AgcnParams
+from .contexts import SIGNATURE_BYTES
 from .errors import IntegrityError
 from .model import ParameterStore
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+# (key, least value) of the int settings
+SETTINGS = (("dim", 1), ("cap", 1), ("seed", 0), ("max_midpoints", 0))
 
 
 def save_checkpoint(store: ParameterStore, path) -> None:
@@ -53,8 +58,8 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         "cap": store.cap,
         "seed": store.seed,
         "max_midpoints": store.max_midpoints,
-        "signatures": sorted(
-            (kind, name, sig) for (kind, name), sig in store.signatures.items()),
+        "ent_sig": store.ent_sig,
+        "rel_sig": store.rel_sig,
         "ent_star": store.ent_star,
         "rel_star": store.rel_star,
         "joint_digest": store.joint_digest,
@@ -72,14 +77,24 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         raise
 
 
-def _check_arrays(path, payload: dict) -> None:
+def _check_payload(path, payload: dict) -> None:
     """Raise IntegrityError naming the first key that disagrees with the
-    rest: ``dim`` not a positive int, the joint tables and their digest
-    partly None, or an array that is not float64 of the shape ``dim``, the
-    names and the layer count imply."""
+    rest: names that are not distinct strs, a setting that is not an int in
+    its range, the joint tables and their digest partly None, or an array
+    whose dtype or shape is not the one ``dim``, the names and the layer
+    count imply."""
+    for key in ("entity_names", "relation_names"):
+        names = payload[key]
+        if not (isinstance(names, (tuple, list)) and all(type(n) is str for n in names)
+                and len(set(names)) == len(names)):
+            raise IntegrityError(f"{path}: checkpoint {key} is not a sequence of "
+                                 f"distinct strs")
+    for key, least in SETTINGS:
+        value = payload[key]
+        if type(value) is not int or value < least:
+            raise IntegrityError(f"{path}: checkpoint {key} is {value!r}, "
+                                 f"not an int >= {least}")
     d = payload["dim"]
-    if type(d) is not int or d < 1:
-        raise IntegrityError(f"{path}: checkpoint dim is {d!r}, not a positive int")
     n_e, n_r = len(payload["entity_names"]), len(payload["relation_names"])
     stars = ("ent_star", "rel_star", "joint_digest")
     if len({payload[key] is None for key in stars}) != 1:
@@ -88,23 +103,26 @@ def _check_arrays(path, payload: dict) -> None:
     digest = payload["joint_digest"]
     if digest is not None and not isinstance(digest, str):
         raise IntegrityError(f"{path}: checkpoint joint_digest is not a string")
-    shapes = {"ent_know": (n_e, d), "ent_ctx": (n_e, d), "rel_know": (n_r, d),
-              "rel_ctx": (n_r, d), "entity_attention": (d,), "relation_attention": (d,),
-              "ent_gate_pre": (d,), "rel_gate_pre": (d,)}
+    f8, u1 = np.dtype(np.float64), np.dtype(np.uint8)
+    table = {"ent_know": (f8, (n_e, d)), "ent_ctx": (f8, (n_e, d)),
+             "rel_know": (f8, (n_r, d)), "rel_ctx": (f8, (n_r, d)),
+             "entity_attention": (f8, (d,)), "relation_attention": (f8, (d,)),
+             "ent_gate_pre": (f8, (d,)), "rel_gate_pre": (f8, (d,)),
+             "ent_sig": (u1, (n_e, SIGNATURE_BYTES)), "rel_sig": (u1, (n_r, SIGNATURE_BYTES))}
     if payload["ent_star"] is not None:
-        shapes.update(ent_star=(n_e, d), rel_star=(n_r, d))
-    arrays = [(key, payload[key], shape) for key, shape in shapes.items()]
+        table.update(ent_star=(f8, (n_e, d)), rel_star=(f8, (n_r, d)))
+    arrays = [(key, payload[key], dtype, shape) for key, (dtype, shape) in table.items()]
     for key in ("entity_weights", "relation_weights"):
         weights = payload[key]
         if not isinstance(weights, list) or not 1 <= len(weights) <= 2:
             raise IntegrityError(f"{path}: checkpoint {key} is not a list of 1 or 2 layers")
-        arrays += [(f"{key}[{l}]", w, (d, d)) for l, w in enumerate(weights)]
-    for key, a, shape in arrays:
-        if not isinstance(a, np.ndarray) or a.dtype != np.float64 or a.shape != shape:
+        arrays += [(f"{key}[{l}]", w, f8, (d, d)) for l, w in enumerate(weights)]
+    for key, a, dtype, shape in arrays:
+        if not isinstance(a, np.ndarray) or a.dtype != dtype or a.shape != shape:
             got = (f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray)
                    else type(a).__name__)
             raise IntegrityError(f"{path}: checkpoint {key} is {got}, "
-                                 f"expected float64 {shape}")
+                                 f"expected {dtype} {shape}")
 
 
 def load_checkpoint(path) -> ParameterStore:
@@ -121,7 +139,7 @@ def load_checkpoint(path) -> ParameterStore:
     if version != FORMAT_VERSION:
         raise IntegrityError(f"{path}: unsupported checkpoint version: {version}")
     try:
-        _check_arrays(path, payload)
+        _check_payload(path, payload)
         return ParameterStore(
             dim=payload["dim"],
             entity_names=tuple(payload["entity_names"]),
@@ -138,7 +156,8 @@ def load_checkpoint(path) -> ParameterStore:
             cap=payload["cap"],
             seed=payload["seed"],
             max_midpoints=payload["max_midpoints"],
-            signatures={(kind, name): sig for kind, name, sig in payload["signatures"]},
+            ent_sig=payload["ent_sig"],
+            rel_sig=payload["rel_sig"],
             ent_star=payload["ent_star"],
             rel_star=payload["rel_star"],
             joint_digest=payload["joint_digest"],

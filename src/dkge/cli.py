@@ -16,8 +16,8 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, candidate_changed_names,
-                       changed_contexts)
+from .contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
+                       candidate_objects, changed_contexts)
 from .errors import ConfigError, DkgeError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
@@ -215,12 +215,16 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.checkpoint:
         max_midpoints = load_checkpoint(args.checkpoint).model_config()["max_midpoints"]
     diff = diff_snapshots(g_old, g_new)
-    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
-    old_signatures = ContextTable(g_old, max_midpoints=max_midpoints).signatures(
-        ent_cand, rel_cand)
-    changed, _ = changed_contexts(old_signatures, g_old,
-                                  ContextTable(g_new, max_midpoints=max_midpoints),
-                                  ent_cand, rel_cand)
+    old_table = ContextTable(g_old, max_midpoints=max_midpoints)
+    new_table = ContextTable(g_new, max_midpoints=max_midpoints)
+    changed = []
+    for kind, ids, id_map in zip((ENTITY, RELATION), candidate_objects(g_new, diff),
+                                 (diff.entity_map, diff.relation_map)):
+        old_ids = id_map.to_old[ids]
+        survived = old_ids >= 0
+        found, _ = changed_contexts(new_table, kind, ids, survived,
+                                    old_table.signatures(kind, old_ids[survived]))
+        changed += [(kind, obj) for obj in found.tolist()]
     t_ol = collect_retrain_set(g_new, diff, changed)
     print(f"added_triples={len(diff.added_triples)} "
           f"deleted_triples={len(diff.deleted_triples)} "
@@ -235,7 +239,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     for r in sorted(g_new.relation_names[i] for i in diff.emerging_relations):
         print(f"emerging relation {r}")
     changed_names = sorted(
-        (kind, (g_new.entity_names if kind == "entity" else g_new.relation_names)[obj])
+        (kind, (g_new.entity_names if kind == ENTITY else g_new.relation_names)[obj])
         for kind, obj in changed)
     for kind, name in changed_names:
         print(f"changed {kind} {name}")

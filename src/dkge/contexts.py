@@ -25,7 +25,9 @@ built; an encoder pass gathers its contexts from there by index arithmetic
 (``ContextTable.gather``).
 Signatures are content hashes of the *uncapped* context, computed over names
 rather than ids so they are comparable across snapshots and file orderings.
-Only change detection (``ContextTable.signatures``) computes them.
+Only change detection (``ContextTable.signatures``) computes them, as uint8
+rows aligned with the ids like every other per-object array; a row holds the
+big-endian bytes of the int ``context_signature`` returns.
 """
 from __future__ import annotations
 
@@ -33,13 +35,13 @@ import hashlib
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
 from . import agcn
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError
 from .kg_store import Snapshot, SnapshotDiff, diff_snapshots
 
 logger = logging.getLogger(__name__)
@@ -52,6 +54,7 @@ RELATION_PATH = "relation-path"
 ObjectRef = tuple[str, int]
 
 DEFAULT_CAP = 35
+SIGNATURE_BYTES = 16
 DEFAULT_MAX_MIDPOINTS = 1000
 # Work one bulk build step takes on: link-list entries an entity context
 # scans, or out-pairs a relation context scans for midpoints; bounds the
@@ -96,9 +99,8 @@ def _vertex_name_key(vertex: ContextVertex, snapshot: Snapshot) -> tuple:
     return (vertex.kind, tuple(snapshot.relation_names[m] for m in vertex.members))
 
 
-def _signature_digest(payload: str) -> int:
-    return int.from_bytes(hashlib.blake2b(payload.encode("utf-8"), digest_size=16).digest(),
-                          "big")
+def _signature_digest(payload: str) -> bytes:
+    return hashlib.blake2b(payload.encode("utf-8"), digest_size=SIGNATURE_BYTES).digest()
 
 
 def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
@@ -109,8 +111,8 @@ def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
     """
     keys = [_vertex_name_key(v, snapshot) for v in subgraph.vertices]
     edges = [tuple(sorted((keys[i], keys[j]))) for i, j in subgraph.edges.tolist()]
-    owner_kind = subgraph.owner[0]
-    return _signature_digest(repr((owner_kind, sorted(keys), sorted(edges))))
+    payload = repr((subgraph.owner[0], sorted(keys), sorted(edges)))
+    return int.from_bytes(_signature_digest(payload), "big")
 
 
 def entity_context(snapshot: Snapshot, e: int) -> ContextSubgraph:
@@ -374,8 +376,9 @@ def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray,
     return ctx
 
 
-def hash_contexts(snapshot: Snapshot, kind: str, contexts: ContextArrays) -> list[int]:
-    """``context_signature`` of each of the uncapped ``contexts``, in one pass.
+def hash_contexts(snapshot: Snapshot, kind: str, contexts: ContextArrays) -> np.ndarray:
+    """``context_signature`` of each of the uncapped ``contexts``, in one
+    pass, as (B, SIGNATURE_BYTES) uint8 rows of its big-endian bytes.
 
     Each vertex's name key is formatted once; vertices and edges are sorted
     by key for all contexts at once, and each payload is joined from the
@@ -395,10 +398,10 @@ def hash_contexts(snapshot: Snapshot, kind: str, contexts: ContextArrays) -> lis
                       for k in contexts.vertex_members.tolist()]
         for p in first.tolist():
             key_tuples[p] = (kind, key_tuples[p][1])
-        owner_of = context.tolist()
-        by_key = sorted(range(len(key_tuples)), key=lambda p: (owner_of[p], key_tuples[p]))
-        rank = np.empty(len(key_tuples), dtype=np.intp)
-        rank[by_key] = np.arange(len(key_tuples))
+        # ``_relation_contexts`` emits each context's vertices in key order:
+        # paths by their name-rank codes, after the owner ("relation" sorts
+        # before "relation-path")
+        rank = np.arange(len(key_tuples))
         keys = np.array([repr(key) for key in key_tuples], dtype=object)
     vertex_keys = keys[np.lexsort((rank, context))].tolist()
     edge_context = np.repeat(np.arange(sizes.size), contexts.edge_counts)
@@ -414,7 +417,7 @@ def hash_contexts(snapshot: Snapshot, kind: str, contexts: ContextArrays) -> lis
         out.append(_signature_digest(f"({kind!r}, [{', '.join(vertex_keys[v0:v1])}], "
                                      f"[{', '.join(edge_keys[e0:e1])}])"))
         v0, e0 = v1, e1
-    return out
+    return np.frombuffer(b"".join(out), dtype=np.uint8).reshape(-1, SIGNATURE_BYTES)
 
 
 # -- change detection --------------------------------------------------------
@@ -447,74 +450,47 @@ def changed_context_objects(g_old: Snapshot, g_new: Snapshot,
     return frozenset(changed)
 
 
-def _ids(snapshot: Snapshot, kind: str) -> dict[str, int]:
-    return snapshot.entity_ids if kind == ENTITY else snapshot.relation_ids
+def changed_contexts(table: ContextTable, kind: str, ids: np.ndarray, survived: np.ndarray,
+                     old_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The objects of ``changed_context_objects`` among ``ids``, distinct
+    candidates of one kind (``candidate_objects``) in ``table.snapshot``.
 
-
-def changed_contexts(old_signatures: Mapping[tuple[str, str], int], g_old: Snapshot,
-                     table: ContextTable, ent_cand: Iterable[str],
-                     rel_cand: Iterable[str]) -> tuple[frozenset[ObjectRef],
-                                                       dict[tuple[str, str], int]]:
-    """The set ``changed_context_objects`` defines, found among the
-    candidates (``candidate_changed_names``) of the change from g_old to
-    ``table.snapshot``.
-
-    ``old_signatures`` must hold the signature on g_old of every candidate
-    present in both snapshots.  Returns the changed objects, ids referring
-    to the new snapshot, and the new signatures of the candidates present
-    in it.
+    ``survived`` marks the candidates also present in the old snapshot, and
+    ``old_rows`` holds their signature rows there, in order.  Returns the
+    changed ids and the new signature rows of all of ``ids``.
     """
-    g_new = table.snapshot
-    new_signatures = table.signatures(ent_cand, rel_cand)
-    changed: set[ObjectRef] = set()
-    for (kind, name), sig in new_signatures.items():
-        if name not in _ids(g_old, kind):
-            continue
-        old_sig = old_signatures.get((kind, name))
-        if old_sig is None:
-            raise IntegrityError(f"no stored context signature for {kind} {name!r}")
-        if sig != old_sig:
-            changed.add((kind, _ids(g_new, kind)[name]))
-    return frozenset(changed), new_signatures
+    new_rows = table.signatures(kind, ids)
+    differs = np.zeros(ids.size, dtype=bool)
+    differs[survived] = (new_rows[survived] != old_rows).any(axis=1)
+    return ids[differs], new_rows
 
 
-def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
-                            diff: SnapshotDiff) -> tuple[set[str], set[str]]:
-    """Sound overapproximation of the objects whose context may have changed.
+def candidate_objects(g_new: Snapshot, diff: SnapshotDiff) -> tuple[np.ndarray, np.ndarray]:
+    """Sound overapproximation of the objects whose context may have changed,
+    as sorted entity and relation id arrays of g_new.
 
     Any context change is triggered by an added or deleted triple; the
-    affected entities are its endpoints and their neighbors (old or new
-    side), and the affected relations are those of changed triples plus any
-    relation with a pair starting at a changed head or ending at a changed
-    tail.  Only candidates returned here need their signatures recomputed.
+    affected entities are its endpoints and their neighbors, and the
+    affected relations are those of changed triples plus any relation with a
+    pair starting at a changed head or ending at a changed tail.  An
+    endpoint's neighbor in the old snapshot that is not one in g_new lost
+    every triple linking the two, so it is itself an endpoint; and every
+    emerging object is an endpoint or relation of an added triple.  Only
+    candidates need their signatures recomputed.
     """
-    changed_names = ([g_new.triple_names(t) for t in diff.added_triples]
-                     + [g_old.triple_names(t) for t in diff.deleted_triples])
-    ent: set[str] = set()
-    rel: set[str] = set()
+    added = np.array(list(diff.added_triples), dtype=np.intp).reshape(-1, 3)
+    deleted = np.array(list(diff.deleted_triples), dtype=np.intp).reshape(-1, 3)
+    to_new = diff.entity_map.to_new
+    # a changed triple's heads and tails in g_new, -1 for a removed entity
+    heads, tails = (np.concatenate((added[:, k], to_new[deleted[:, k]])) for k in (0, 2))
     ids = g_new.triple_ids
-    near = np.zeros(len(ids), dtype=bool)
-    for k in (0, 2):   # triples from a changed triple's head, into its tail
-        changed_end = np.zeros(g_new.num_entities, dtype=bool)
-        changed_end[[g_new.entity_ids[nt[k]] for nt in changed_names
-                     if nt[k] in g_new.entity_ids]] = True
-        near |= changed_end[ids[:, k]]
-    rel.update(g_new.relation_names[r] for r in np.unique(ids[near, 1]).tolist())
-
-    def neighbor_names(snap: Snapshot, name: str) -> set[str]:
-        eid = snap.entity_ids.get(name)
-        if eid is None:
-            return set()
-        ptr, nbrs = snap.links.ptr, snap.links.nbrs
-        return {snap.entity_names[n] for n in nbrs[ptr[eid]:ptr[eid + 1]].tolist()}
-
-    for h, r, t in changed_names:
-        rel.add(r)
-        for endpoint in (h, t):
-            ent.add(endpoint)
-            ent |= neighbor_names(g_old, endpoint)
-            ent |= neighbor_names(g_new, endpoint)
-    return ent, rel
+    near = np.isin(ids[:, 0], heads) | np.isin(ids[:, 2], tails)
+    rel = np.concatenate((added[:, 1], diff.relation_map.to_new[deleted[:, 1]], ids[near, 1]))
+    ends = np.unique(np.concatenate((heads, tails)))
+    ends = ends[ends >= 0]
+    ptr = g_new.links.ptr
+    ent = np.concatenate((ends, g_new.links.nbrs[_ranges(ptr[ends], ptr[ends + 1] - ptr[ends])]))
+    return np.unique(ent), np.unique(rel[rel >= 0])
 
 
 # -- per-run context table ---------------------------------------------------
@@ -684,16 +660,16 @@ class ContextTable:
             edge_counts=np.bincount(edge_context[live], minlength=sizes.size)[new],
             edges=edges[live])
 
-    def _add(self, kind: str, owners: np.ndarray, sign: bool) -> list[int]:
+    def _add(self, kind: str, owners: np.ndarray, sign: bool) -> list[np.ndarray]:
         """Build the uncapped contexts of ``owners`` chunk by chunk and
         store the capped copies of those not stored yet; with ``sign``,
-        return their signatures in owner order."""
+        return their signature rows, chunk by chunk in owner order."""
         store = self._stores[kind]
-        signatures: list[int] = []
+        signatures: list[np.ndarray] = []
         for part in self._chunks(kind, owners):
             ctx = build_contexts(self.snapshot, kind, part, self.max_midpoints)
             if sign:
-                signatures += hash_contexts(self.snapshot, kind, ctx)
+                signatures.append(hash_contexts(self.snapshot, kind, ctx))
             new = store.slot[part] < 0
             if new.any():
                 store.append(self._capped(kind, ctx, new))
@@ -739,23 +715,14 @@ class ContextTable:
     def relation(self, r: int) -> ContextSubgraph:
         return self.get((RELATION, r))
 
-    def signatures(self, entities: Iterable[str] | None = None,
-                   relations: Iterable[str] | None = None) -> dict[tuple[str, str], int]:
-        """Uncapped context signature of each named object present in the
-        snapshot, every object of a kind whose names are not given, keyed by
-        (kind, name).
+    def signatures(self, kind: str, ids=None) -> np.ndarray:
+        """Uncapped context signature rows of ``ids``, distinct objects of
+        one kind, every object of the kind when None: a (len(ids),
+        SIGNATURE_BYTES) uint8 array in the order of ``ids``.
 
         The contexts are built here, in bulk, and the capped copies of those
         not stored yet are stored, so a later pass does not build them again.
         """
-        out: dict[tuple[str, str], int] = {}
-        for kind, names in ((ENTITY, entities), (RELATION, relations)):
-            ids = _ids(self.snapshot, kind)
-            objs = (np.arange(len(ids)) if names is None else
-                    np.array(sorted(ids[name] for name in names if name in ids),
-                             dtype=np.intp))
-            if objs.size:
-                own = self._names(kind)
-                out.update(((kind, own[obj]), sig) for obj, sig
-                           in zip(objs.tolist(), self._add(kind, objs, sign=True)))
-        return out
+        if ids is None:
+            ids = np.arange(self._stores[kind].slot.size)
+        return np.concatenate(self._add(kind, np.asarray(ids, dtype=np.intp), sign=True))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -308,12 +308,23 @@ class Snapshot:
         return Triple(self.entity_id(h), self.relation_id(r), self.entity_id(t))
 
 
+class IdMap(NamedTuple):
+    """The ids one kind of object has in two snapshots, matched by name:
+    ``to_new[i]`` is the new id of old object i and ``to_old[j]`` the old id
+    of new object j, -1 for a removed or emerging object."""
+
+    to_new: np.ndarray  # (n_old,)
+    to_old: np.ndarray  # (n_new,)
+
+
 @dataclass(frozen=True)
 class SnapshotDiff:
     """Set reconciliation between two snapshots, matched by name.
 
     Triples and object ids in the ``added``/``emerging`` fields live in the
     new snapshot's id space; ``deleted``/``removed`` fields in the old one.
+    ``entity_map`` and ``relation_map`` match the two id spaces once, so no
+    later step looks an object up by name.
     """
 
     added_triples: frozenset[Triple]
@@ -322,6 +333,8 @@ class SnapshotDiff:
     emerging_relations: frozenset[int]
     removed_entities: frozenset[int]
     removed_relations: frozenset[int]
+    entity_map: IdMap = field(compare=False)
+    relation_map: IdMap = field(compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -403,6 +416,13 @@ def load_snapshot_dir(dirpath, time_step: int = 0) -> SnapshotDir:
     return SnapshotDir(train=train, valid=valid, test=test)
 
 
+def _id_map(old_names: tuple[str, ...], new_ids: dict[str, int], n_new: int) -> IdMap:
+    to_new = np.array([new_ids.get(n, -1) for n in old_names], dtype=np.intp)
+    to_old = np.full(n_new, -1, dtype=np.intp)
+    to_old[to_new[to_new >= 0]] = np.flatnonzero(to_new >= 0)
+    return IdMap(to_new, to_old)
+
+
 def diff_snapshots(g_old: Snapshot, g_new: Snapshot) -> SnapshotDiff:
     """Name-matched diff: added/deleted triples and emerging/removed objects.
 
@@ -410,12 +430,10 @@ def diff_snapshots(g_old: Snapshot, g_new: Snapshot) -> SnapshotDiff:
     yields exactly the new snapshot's triples (at name level).
     """
     n_e, n_r = g_new.num_entities, g_new.num_relations
-    # g_old's ids mapped to g_new's by name, -1 for a removed object
-    ent = np.array([g_new.entity_ids.get(n, -1) for n in g_old.entity_names], dtype=np.int64)
-    rel = np.array([g_new.relation_ids.get(n, -1) for n in g_old.relation_names],
-                   dtype=np.int64)
+    ent = _id_map(g_old.entity_names, g_new.entity_ids, n_e)
+    rel = _id_map(g_old.relation_names, g_new.relation_ids, n_r)
     old = g_old.triple_ids
-    moved = np.stack((ent[old[:, 0]], rel[old[:, 1]], ent[old[:, 2]]), axis=1)
+    moved = np.stack((ent.to_new[old[:, 0]], rel.to_new[old[:, 1]], ent.to_new[old[:, 2]]), 1)
     # code -1 for a triple naming a removed object: it matches no triple of g_new
     old_codes = np.where((moved >= 0).all(axis=1), triple_codes(moved, n_e, n_r), -1)
     new_codes = triple_codes(g_new.triple_ids, n_e, n_r)
@@ -425,8 +443,9 @@ def diff_snapshots(g_old: Snapshot, g_new: Snapshot) -> SnapshotDiff:
     return SnapshotDiff(
         added_triples=frozenset(map(Triple._make, added)),
         deleted_triples=frozenset(map(Triple._make, deleted)),
-        emerging_entities=frozenset(np.setdiff1d(np.arange(n_e), ent).tolist()),
-        emerging_relations=frozenset(np.setdiff1d(np.arange(n_r), rel).tolist()),
-        removed_entities=frozenset(np.flatnonzero(ent < 0).tolist()),
-        removed_relations=frozenset(np.flatnonzero(rel < 0).tolist()),
+        emerging_entities=frozenset(np.flatnonzero(ent.to_old < 0).tolist()),
+        emerging_relations=frozenset(np.flatnonzero(rel.to_old < 0).tolist()),
+        removed_entities=frozenset(np.flatnonzero(ent.to_new < 0).tolist()),
+        removed_relations=frozenset(np.flatnonzero(rel.to_new < 0).tolist()),
+        entity_map=ent, relation_map=rel,
     )

@@ -28,7 +28,8 @@ rows for that snapshot and encodes everything afresh for any other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -59,7 +60,10 @@ class ParameterStore:
     cap: int
     seed: int
     max_midpoints: int
-    signatures: dict[tuple[str, str], int] = field(default_factory=dict)
+    # uncapped context signature rows (contexts.ContextTable.signatures),
+    # aligned with the names; None until train fills them
+    ent_sig: np.ndarray | None = None    # (n_e, SIGNATURE_BYTES) uint8
+    rel_sig: np.ndarray | None = None    # (n_r, SIGNATURE_BYTES) uint8
     # joint embeddings of every object under these parameters, encoded on
     # the snapshot whose digest is joint_digest; None until train or update
     # fills them, and never set while the parameters still move
@@ -76,26 +80,7 @@ class ParameterStore:
         return len(self.relation_names)
 
     def copy(self) -> "ParameterStore":
-        return ParameterStore(
-            dim=self.dim,
-            entity_names=self.entity_names,
-            relation_names=self.relation_names,
-            ent_know=self.ent_know.copy(),
-            ent_ctx=self.ent_ctx.copy(),
-            rel_know=self.rel_know.copy(),
-            rel_ctx=self.rel_ctx.copy(),
-            entity_agcn=self.entity_agcn.copy(),
-            relation_agcn=self.relation_agcn.copy(),
-            ent_gate_pre=self.ent_gate_pre.copy(),
-            rel_gate_pre=self.rel_gate_pre.copy(),
-            cap=self.cap,
-            seed=self.seed,
-            max_midpoints=self.max_midpoints,
-            signatures=dict(self.signatures),
-            ent_star=None if self.ent_star is None else self.ent_star.copy(),
-            rel_star=None if self.rel_star is None else self.rel_star.copy(),
-            joint_digest=self.joint_digest,
-        )
+        return copy.deepcopy(self)
 
     def matches_snapshot(self, snapshot: Snapshot) -> bool:
         return (self.entity_names == snapshot.entity_names

@@ -9,17 +9,17 @@ are retrained.  During the online pass the encoder weights, attention
 vectors, gates, and every other embedding stay frozen, so parameters outside
 the affected set remain bit-identical.
 
-Scratch training stores every object's context signature.  An online update
+Scratch training stores every object's context signature row.  An online
+update carries every per-object row over through the diff's id maps,
 hashes the new contexts of the candidate objects only, compares them with
-the stored signatures (``contexts.changed_contexts``) and carries the stored
-ones over for every other object.
+the carried rows (``contexts.changed_contexts``) and overwrites those rows.
 
 Both modes end by attaching the joint embedding of every object to the
 returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
 ``answer`` need not encode.  The tables are attached only after SGD ends:
 validation inside the loop and the best-epoch copies always encode afresh.
 Scratch training encodes every object in one sweep over its context table.
-An online update carries the previous tables over by name and re-encodes
+An online update carries the previous tables over by id map and re-encodes
 only the objects whose knowledge row trained or whose capped context reads
 a trained contextual row; when the previous store's tables were not
 encoded on the old snapshot, it encodes every object.
@@ -27,6 +27,7 @@ encoded on the old snapshot, it encodes every object.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -34,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS, ENTITY,
-                       ObjectRef, RELATION, candidate_changed_names,
-                       changed_contexts)
-from .errors import ConfigError
+                       ObjectRef, RELATION, candidate_objects, changed_contexts)
+from .errors import ConfigError, IntegrityError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
 from .model import (GradBuffer, JointCache, ParameterStore, RelationStats,
@@ -64,12 +64,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, "
+                              f"got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
+        if not 0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be finite and > 0, got {self.margin}")
         for name, layers in (("entity_layers", self.entity_layers),
                              ("relation_layers", self.relation_layers)):
             if layers not in (1, 2):
@@ -80,6 +81,8 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.eval_every < 1:
             raise ConfigError(f"eval cadence must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
         if self.max_midpoints < 0:
@@ -228,7 +231,8 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
                         cap=config.cap, seed=config.seed,
                         max_midpoints=config.max_midpoints)
     table = store.context_table(snapshot)
-    store.signatures = table.signatures()
+    store.ent_sig = table.signatures(ENTITY)
+    store.rel_sig = table.signatures(RELATION)
     stats = relation_stats(snapshot)
     store, losses, best_hits, best_epoch, epochs = _sgd_loop(
         snapshot, list(snapshot.triples), store, table, stats, valid_triples,
@@ -257,50 +261,44 @@ def collect_retrain_set(g_new: Snapshot, diff: SnapshotDiff,
     return frozenset(map(Triple._make, ids[hit].tolist()))
 
 
-def _carry_rows(rows: np.ndarray, old_ids: dict[str, int],
-                names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows re-keyed by name: row i is ``rows[old_ids[names[i]]]``, or zeros
-    where the name is new.  Returns (rows, new_mask)."""
-    src = np.array([old_ids.get(name, -1) for name in names], dtype=np.intp)
-    new = src < 0
-    out = np.zeros((len(names),) + rows.shape[1:])
-    out[~new] = rows[src[~new]]
-    return out, new
+def _carry_rows(rows: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Rows of the new snapshot's objects: row i is ``rows[source[i]]``, or
+    zeros where ``source[i]`` is -1 (an emerging object)."""
+    out = rows[source]
+    out[source < 0] = 0
+    return out
 
 
-def _migrate_store(store: ParameterStore, g_old: Snapshot, g_new: Snapshot,
+def _migrate_store(store: ParameterStore, g_new: Snapshot, diff: SnapshotDiff,
                    rng: np.random.Generator) -> ParameterStore:
-    """Re-key parameters to the new snapshot: drop removed objects, copy the
-    survivors by name, and initialize emerging ones from the uniform prior,
-    knowledge then context row per object, entities first.  The encoders,
-    gates, context settings and the survivors' signatures carry over
-    unchanged."""
+    """Carry the parameters over to the new snapshot through the diff's id
+    maps: drop removed objects, keep the survivors' rows, and initialize
+    emerging ones from the uniform prior, knowledge then context row per
+    object, entities first.  The encoders, gates, context settings and the
+    survivors' signature rows carry over unchanged; an emerging object's
+    signature row is zero until change detection fills it."""
     d = store.dim
     bound = 6.0 / np.sqrt(d)
     tables = []
-    for know, ctx, old_ids, names in (
-            (store.ent_know, store.ent_ctx, g_old.entity_ids, g_new.entity_names),
-            (store.rel_know, store.rel_ctx, g_old.relation_ids, g_new.relation_names)):
-        rows, new = _carry_rows(np.stack((know, ctx), axis=1), old_ids, names)
+    for know, ctx, sig, source in (
+            (store.ent_know, store.ent_ctx, store.ent_sig, diff.entity_map.to_old),
+            (store.rel_know, store.rel_ctx, store.rel_sig, diff.relation_map.to_old)):
+        rows = _carry_rows(np.stack((know, ctx), axis=1), source)
+        new = source < 0
         rows[new] = rng.uniform(-bound, bound, size=(int(new.sum()), 2, d))
-        tables += [rows[:, 0].copy(), rows[:, 1].copy()]
-    ent_know, ent_ctx, rel_know, rel_ctx = tables
+        tables += [rows[:, 0].copy(), rows[:, 1].copy(), _carry_rows(sig, source)]
+    ent_know, ent_ctx, ent_sig, rel_know, rel_ctx, rel_sig = tables
     return ParameterStore(
         dim=d, entity_names=g_new.entity_names, relation_names=g_new.relation_names,
         ent_know=ent_know, ent_ctx=ent_ctx, rel_know=rel_know, rel_ctx=rel_ctx,
         entity_agcn=store.entity_agcn.copy(), relation_agcn=store.relation_agcn.copy(),
         ent_gate_pre=store.ent_gate_pre.copy(), rel_gate_pre=store.rel_gate_pre.copy(),
         cap=store.cap, seed=store.seed, max_midpoints=store.max_midpoints,
-        # keyed by g_new's own name strings, so a checkpoint pickles each
-        # name once, as it does for a trained store
-        signatures={(kind, name): store.signatures[(kind, name)]
-                    for kind, names in ((ENTITY, g_new.entity_names),
-                                        (RELATION, g_new.relation_names))
-                    for name in names if (kind, name) in store.signatures})
+        ent_sig=ent_sig, rel_sig=rel_sig)
 
 
 def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
-                  candidates: list[int], table: ContextTable) -> np.ndarray:
+                  candidates: np.ndarray, table: ContextTable) -> np.ndarray:
     """Objects whose joint embedding can differ from the previous step's:
     those whose knowledge row trained, and candidates whose capped context
     reads a trained contextual row.  Every other object keeps its capped
@@ -309,9 +307,8 @@ def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
     A context that reads an emerging object's row has changed, so with
     exact change detection the second set lies inside the first; checking
     it keeps the tables from resting on signature comparison alone."""
-    if not candidates:
+    if not candidates.size:
         return know_rows
-    candidates = np.array(candidates, dtype=np.intp)
     gathered = table.gather(kind, candidates)
     owner = gathered.batch.segment[gathered.member_rows]
     reads = owner[np.isin(gathered.member_ids, ctx_rows)]
@@ -320,23 +317,22 @@ def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
 
 def _update_joint(store: ParameterStore, old: ParameterStore, g_old: Snapshot,
                   g_new: Snapshot, table: ContextTable, mask: UpdateMask,
-                  ent_cand: set[str], rel_cand: set[str]) -> tuple[int, int]:
+                  diff: SnapshotDiff,
+                  candidates: tuple[np.ndarray, np.ndarray]) -> tuple[int, int]:
     """Attach the joint tables for g_new to the updated store and return the
     rows encoded per kind.  When the old store's tables were encoded on
-    g_old, rows carry over by name and only the objects an update can move
-    are re-encoded; otherwise every row is encoded."""
+    g_old, rows carry over through the diff's id maps and only the objects
+    an update can move are re-encoded; otherwise every row is encoded."""
     if old.joint_digest != g_old.digest:
         store.attach_joint(joint_table(store, g_new, table), g_new)
         return store.num_entities, store.num_relations
     tables, counts = [], []
-    for kind, rows, old_ids, names, new_ids, know_rows, ctx_rows, cand in (
-            (ENTITY, old.ent_star, g_old.entity_ids, g_new.entity_names,
-             g_new.entity_ids, mask.ent_know_rows, mask.ent_ctx_rows, ent_cand),
-            (RELATION, old.rel_star, g_old.relation_ids, g_new.relation_names,
-             g_new.relation_ids, mask.rel_know_rows, mask.rel_ctx_rows, rel_cand)):
-        carried, _ = _carry_rows(rows, old_ids, names)
-        ids = _reencode_ids(kind, know_rows, ctx_rows,
-                            [new_ids[n] for n in cand if n in new_ids], table)
+    for kind, rows, id_map, know_rows, ctx_rows, cand in zip(
+            (ENTITY, RELATION), (old.ent_star, old.rel_star), (diff.entity_map, diff.relation_map),
+            (mask.ent_know_rows, mask.rel_know_rows), (mask.ent_ctx_rows, mask.rel_ctx_rows),
+            candidates):
+        carried = _carry_rows(rows, id_map.to_old)
+        ids = _reencode_ids(kind, know_rows, ctx_rows, cand, table)
         carried[ids] = joint_rows(kind, ids, store, table)
         tables.append(carried)
         counts.append(len(ids))
@@ -377,27 +373,30 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     t_start = time.perf_counter()
     store.require_snapshot(g_old)
     store.require_model_config(vars(config))
+    if store.ent_sig is None or store.rel_sig is None:
+        raise IntegrityError("parameter store holds no context signature rows")
     seq = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss, neg_ss, holdout_ss = seq.spawn(4)
     diff = diff_snapshots(g_old, g_new)
     old = store
-    store = _migrate_store(store, g_old, g_new, np.random.default_rng(init_ss))
+    store = _migrate_store(store, g_new, diff, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
-    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
-    changed, fresh = changed_contexts(store.signatures, g_old, table,
-                                      ent_cand, rel_cand)
-    store.signatures.update(fresh)
-    t_ol = collect_retrain_set(g_new, diff, changed)
-
-    emerging_e = sorted(diff.emerging_entities)
-    emerging_r = sorted(diff.emerging_relations)
-    changed_e = sorted(obj for kind, obj in changed if kind == ENTITY)
-    changed_r = sorted(obj for kind, obj in changed if kind == RELATION)
-    mask = UpdateMask(
-        ent_know_rows=np.array(sorted(set(emerging_e) | set(changed_e)), dtype=np.intp),
-        ent_ctx_rows=np.array(emerging_e, dtype=np.intp),
-        rel_know_rows=np.array(sorted(set(emerging_r) | set(changed_r)), dtype=np.intp),
-        rel_ctx_rows=np.array(emerging_r, dtype=np.intp))
+    candidates = candidate_objects(g_new, diff)
+    found, know_rows, ctx_rows = [], [], []
+    for kind, ids, id_map, sig in zip((ENTITY, RELATION), candidates,
+                                      (diff.entity_map, diff.relation_map),
+                                      (store.ent_sig, store.rel_sig)):
+        survived = id_map.to_old[ids] >= 0
+        changed_ids, new_rows = changed_contexts(table, kind, ids, survived,
+                                                 sig[ids[survived]])
+        sig[ids] = new_rows
+        emerging = np.flatnonzero(id_map.to_old < 0)
+        found += [(kind, obj) for obj in changed_ids.tolist()]
+        know_rows.append(np.union1d(emerging, changed_ids))
+        ctx_rows.append(emerging)
+    t_ol = collect_retrain_set(g_new, diff, frozenset(found))
+    mask = UpdateMask(ent_know_rows=know_rows[0], ent_ctx_rows=ctx_rows[0],
+                      rel_know_rows=know_rows[1], rel_ctx_rows=ctx_rows[1])
 
     updated = mask.updated_count * store.dim
     frozen = store.parameter_count() - updated
@@ -413,8 +412,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
         store, losses, best_hits, best_epoch, epochs = _sgd_loop(
             g_new, sorted(t_ol), store, table, stats, valid_triples, config, mask,
             np.random.default_rng(shuffle_ss), np.random.default_rng(neg_ss), log)
-    n_ent, n_rel = _update_joint(store, old, g_old, g_new, table, mask,
-                                 ent_cand, rel_cand)
+    n_ent, n_rel = _update_joint(store, old, g_old, g_new, table, mask, diff, candidates)
     report = TrainReport(
         mode="online", epochs_run=epochs, epoch_losses=losses,
         best_valid_hits10=best_hits, best_epoch=best_epoch,

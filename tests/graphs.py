@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from dkge.contexts import ContextTable, ENTITY, RELATION
-from dkge.kg_store import NameTriple, Snapshot, Triple
+from dkge.kg_store import NameTriple, Snapshot, SnapshotDiff, Triple
 from dkge.model import (ParameterStore, encode, init_params, object_forward,
                         score_triple)
 
@@ -115,8 +115,67 @@ def update_traces(count: int = 50):
 def tiny_store(snapshot: Snapshot, d=6, seed=0, **kwargs) -> tuple[ParameterStore, ContextTable]:
     store = init_params(snapshot, d, np.random.default_rng(seed), seed=seed, **kwargs)
     table = store.context_table(snapshot)
-    store.signatures = table.signatures()
+    store.ent_sig = table.signatures(ENTITY)
+    store.rel_sig = table.signatures(RELATION)
     return store, table
+
+
+def signatures_by_name(source, ids=None) -> dict[tuple[str, str], int]:
+    """Signature rows keyed by (kind, name), each as the int
+    ``context_signature`` returns: the rows a ParameterStore holds, or those a
+    ContextTable computes for ``ids`` ({kind: ids}, every object of a kind
+    not named)."""
+    if isinstance(source, ContextTable):
+        g = source.snapshot
+        names = {ENTITY: g.entity_names, RELATION: g.relation_names}
+        ids = {kind: range(len(names[kind])) for kind in names} | (ids or {})
+        rows = {kind: source.signatures(kind, list(ids[kind])) for kind in names}
+    else:
+        names = {ENTITY: source.entity_names, RELATION: source.relation_names}
+        ids = {kind: range(len(names[kind])) for kind in names}
+        rows = {ENTITY: source.ent_sig, RELATION: source.rel_sig}
+    return {(kind, names[kind][obj]): int.from_bytes(row, "big")
+            for kind in names for obj, row in zip(ids[kind], rows[kind])}
+
+
+def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
+                            diff: SnapshotDiff) -> tuple[set[str], set[str]]:
+    """The names of the objects whose context a change may reach, in either
+    snapshot, by a loop over the changed triples: the oracle that
+    ``contexts.candidate_objects`` equals on g_new.
+
+    The affected entities are a changed triple's endpoints and their
+    neighbors (old or new side); the affected relations are those of changed
+    triples plus any relation with a pair starting at a changed head or
+    ending at a changed tail.
+    """
+    changed_names = ([g_new.triple_names(t) for t in diff.added_triples]
+                     + [g_old.triple_names(t) for t in diff.deleted_triples])
+    ent: set[str] = set()
+    rel: set[str] = set()
+    ids = g_new.triple_ids
+    near = np.zeros(len(ids), dtype=bool)
+    for k in (0, 2):   # triples from a changed triple's head, into its tail
+        changed_end = np.zeros(g_new.num_entities, dtype=bool)
+        changed_end[[g_new.entity_ids[nt[k]] for nt in changed_names
+                     if nt[k] in g_new.entity_ids]] = True
+        near |= changed_end[ids[:, k]]
+    rel.update(g_new.relation_names[r] for r in np.unique(ids[near, 1]).tolist())
+
+    def neighbor_names(snap: Snapshot, name: str) -> set[str]:
+        eid = snap.entity_ids.get(name)
+        if eid is None:
+            return set()
+        ptr, nbrs = snap.links.ptr, snap.links.nbrs
+        return {snap.entity_names[n] for n in nbrs[ptr[eid]:ptr[eid + 1]].tolist()}
+
+    for h, r, t in changed_names:
+        rel.add(r)
+        for endpoint in (h, t):
+            ent.add(endpoint)
+            ent |= neighbor_names(g_old, endpoint)
+            ent |= neighbor_names(g_new, endpoint)
+    return ent, rel
 
 
 def assert_tables_fresh(store: ParameterStore, snapshot: Snapshot) -> None:

@@ -8,7 +8,7 @@ from dkge.checkpoint import load_checkpoint, save_checkpoint
 from dkge.errors import IntegrityError
 from dkge.model import joint_table
 
-from graphs import tiny_store, toy_snapshot
+from graphs import signatures_by_name, tiny_store, toy_snapshot
 
 
 @pytest.fixture()
@@ -32,7 +32,7 @@ def test_round_trip_exact(tmp_path, store):
         assert a.tobytes() == b.tobytes()
     assert loaded.entity_agcn.attention.tobytes() == store.entity_agcn.attention.tobytes()
     assert loaded.relation_agcn.attention.tobytes() == store.relation_agcn.attention.tobytes()
-    assert loaded.signatures == store.signatures
+    assert signatures_by_name(loaded) == signatures_by_name(store)
     assert loaded.model_config() == store.model_config()
 
 
@@ -83,10 +83,11 @@ def test_version_2_rejected(tmp_path, store):
     path = tmp_path / "model.pkl"
     save_checkpoint(store, path)
     payload = pickle.loads(path.read_bytes())
-    payload["format_version"] = 2
-    path.write_bytes(pickle.dumps(payload, protocol=4))
-    with pytest.raises(IntegrityError, match="version: 2"):
-        load_checkpoint(path)
+    for version in (2, 3):
+        payload["format_version"] = version
+        path.write_bytes(pickle.dumps(payload, protocol=4))
+        with pytest.raises(IntegrityError, match=f"model.pkl.*version: {version}"):
+            load_checkpoint(path)
 
 
 def test_round_trip_keeps_joint_tables(tmp_path, store):
@@ -152,6 +153,16 @@ DAMAGES = [
     ("entity_attention", lambda a: a[:-1]),
     ("dim", lambda d: 0),
     ("joint_digest", lambda digest: 3),
+    ("ent_sig", lambda a: a[:-1]),
+    ("rel_sig", lambda a: a.astype(np.uint16)),
+    ("cap", lambda cap: "x"),
+    ("cap", lambda cap: 0),
+    ("seed", lambda seed: 1.5),
+    ("seed", lambda seed: -1),
+    ("max_midpoints", lambda m: None),
+    ("entity_names", lambda names: None),
+    ("entity_names", lambda names: names[:1] + names[:-1]),
+    ("relation_names", lambda names: tuple(range(len(names)))),
 ]
 
 

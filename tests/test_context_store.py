@@ -22,15 +22,15 @@ import dkge.cli
 import dkge.contexts as contexts
 from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextSubgraph, ContextTable, ENTITY, RELATION,
-                           build_contexts, candidate_changed_names, context_signature,
+                           build_contexts, candidate_objects, context_signature,
                            entity_context, hash_contexts, relation_context)
 from dkge.errors import ConfigError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import context_features
 from dkge.training import TrainConfig, train_from_scratch, train_online
 
-from graphs import (churned_triples, random_name_triples, tiny_store, toy_snapshot,
-                    write_snapshot_dir)
+from graphs import (candidate_changed_names, churned_triples, random_name_triples,
+                    signatures_by_name, tiny_store, toy_snapshot, write_snapshot_dir)
 
 CAP = 4
 NAME = st.text(alphabet="ab'\"Zé09", min_size=1, max_size=3)
@@ -163,10 +163,11 @@ def test_table_rejects_negative_max_midpoints():
 def test_bulk_signatures_equal_context_signature(g, kind):
     want = [context_signature(sub, g) for sub in one_by_one(g, kind)]
     n = len(want)
-    assert hash_contexts(g, kind, build_contexts(g, kind, np.arange(n))) == want
+    rows = hash_contexts(g, kind, build_contexts(g, kind, np.arange(n)))
+    assert [int.from_bytes(row, "big") for row in rows] == want
     names = g.entity_names if kind == ENTITY else g.relation_names
     table = ContextTable(g, cap=CAP)
-    sigs = table.signatures(None if kind == ENTITY else (), None if kind == RELATION else ())
+    sigs = signatures_by_name(table, {RELATION if kind == ENTITY else ENTITY: []})
     assert sigs == {(kind, names[o]): want[o] for o in range(n)}
 
 
@@ -179,7 +180,8 @@ def test_graph_of_self_loops_only():
         ctx = build_contexts(g, kind, np.arange(len(subs)))
         assert [(m, e.tolist()) for m, e in split(ctx)] == [
             ([v.members for v in sub.vertices], sub.edges.tolist()) for sub in subs]
-        assert hash_contexts(g, kind, ctx) == [context_signature(sub, g) for sub in subs]
+        assert ([int.from_bytes(row, "big") for row in hash_contexts(g, kind, ctx)]
+                == [context_signature(sub, g) for sub in subs])
 
 
 @given(g=graphs(), data=st.data())
@@ -220,7 +222,7 @@ def test_chunked_build_equals_unchunked(g, max_midpoints):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contexts, "BUILD_CHUNK", chunk)
             table = ContextTable(g, cap=CAP, seed=1, max_midpoints=max_midpoints)
-            sigs = table.signatures()
+            sigs = signatures_by_name(table)
         passes = [table.gather(kind, np.arange(n)) for kind, n
                   in ((ENTITY, g.num_entities), (RELATION, g.num_relations))]
         built.append((sigs, passes))
@@ -309,15 +311,26 @@ def candidate_relations_by_name_loop(g_old, g_new, diff):
     return rel
 
 
-def assert_candidate_relations_by_name_loop(g_old, g_new):
+def assert_candidates_equal_the_name_loops(g_old, g_new):
+    """``candidate_objects`` holds the relations of the first definition and
+    is the name loop's candidate set restricted to g_new, sorted, with every
+    emerging object in it."""
     diff = diff_snapshots(g_old, g_new)
-    _, rel = candidate_changed_names(g_old, g_new, diff)
-    assert rel == candidate_relations_by_name_loop(g_old, g_new, diff)
+    ent_ids, rel_ids = candidate_objects(g_new, diff)
+    rel = {g_new.relation_names[r] for r in rel_ids.tolist()}
+    assert rel == candidate_relations_by_name_loop(g_old, g_new, diff) & set(g_new.relation_names)
+    ent_names, rel_names = candidate_changed_names(g_old, g_new, diff)
+    assert ent_ids.tolist() == sorted(g_new.entity_ids[n] for n in ent_names
+                                      if n in g_new.entity_ids)
+    assert rel_ids.tolist() == sorted(g_new.relation_ids[n] for n in rel_names
+                                      if n in g_new.relation_ids)
+    assert diff.emerging_entities <= set(ent_ids.tolist())
+    assert diff.emerging_relations <= set(rel_ids.tolist())
 
 
 @pytest.mark.parametrize("old, new", [(0, 1), (1, 2), (0, 2), (2, 0)])
 def test_candidate_relations_on_the_toy_trace(old, new):
-    assert_candidate_relations_by_name_loop(toy_snapshot(old), toy_snapshot(new))
+    assert_candidates_equal_the_name_loops(toy_snapshot(old), toy_snapshot(new))
 
 
 @given(g=graphs(), data=st.data())
@@ -328,5 +341,5 @@ def test_candidate_relations_equal_name_loop(g, data):
     extra = data.draw(st.lists(st.tuples(NAME, st.sampled_from(g.relation_names + ("q",)),
                                          st.sampled_from(g.entity_names)), max_size=4))
     g_old = Snapshot.from_name_triples(kept + extra)
-    assert_candidate_relations_by_name_loop(g_old, g)
-    assert_candidate_relations_by_name_loop(g, g_old)
+    assert_candidates_equal_the_name_loops(g_old, g)
+    assert_candidates_equal_the_name_loops(g, g_old)

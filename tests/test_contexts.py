@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextTable, ENTITY, RELATION, RELATION_PATH,
-                           build_context, candidate_changed_names,
-                           changed_context_objects, changed_contexts,
-                           context_signature, entity_context, relation_context)
-from dkge.errors import IntegrityError
+                           build_context, candidate_objects, changed_context_objects,
+                           changed_contexts, context_signature, entity_context,
+                           relation_context)
 from dkge.kg_store import Snapshot, diff_snapshots
 
-from graphs import TOY_T1, TOY_T2, churned_triples, random_name_triples, toy_snapshot
+from graphs import (TOY_T1, TOY_T2, candidate_changed_names, churned_triples,
+                    random_name_triples, signatures_by_name, toy_snapshot)
 
 
 def all_contexts(g):
@@ -231,7 +231,7 @@ def test_build_context_dispatch(g1):
 
 def test_signature_invariant_to_file_order(g1):
     g1b = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
-    assert ContextTable(g1).signatures() == ContextTable(g1b).signatures()
+    assert signatures_by_name(ContextTable(g1)) == signatures_by_name(ContextTable(g1b))
 
 
 def test_signature_distinguishes_kinds():
@@ -250,8 +250,8 @@ def test_signature_sensitive_to_edges():
 
 
 def test_signature_unchanged_for_distant_edit(g1, g2):
-    sigs1 = ContextTable(g1).signatures()
-    sigs2 = ContextTable(g2).signatures()
+    sigs1 = signatures_by_name(ContextTable(g1))
+    sigs2 = signatures_by_name(ContextTable(g2))
     for name in ("e2", "e4", "e5"):
         assert sigs1[(ENTITY, name)] == sigs2[(ENTITY, name)]
     for name in ("r2", "r3", "r4", "r6"):
@@ -299,8 +299,8 @@ def test_capped_context_is_induced_subgraph(seed):
 
 def test_signatures_cover_the_uncapped_context():
     g = hub_snapshot()
-    sigs = ContextTable(g, cap=3).signatures()
-    assert sigs == ContextTable(g, cap=35).signatures()
+    sigs = signatures_by_name(ContextTable(g, cap=3))
+    assert sigs == signatures_by_name(ContextTable(g, cap=35))
     raw = entity_context(g, g.entity_id("hub"))
     assert sigs[(ENTITY, "hub")] == context_signature(raw, g)
 
@@ -347,10 +347,12 @@ def test_table_draws_no_rng_for_contexts_within_cap(g1, monkeypatch):
 
 
 def test_signatures_of_named_objects_only(g1):
-    full = ContextTable(g1).signatures()
-    some = ContextTable(g1).signatures({"e1", "e3", "gone"}, ())
+    full = signatures_by_name(ContextTable(g1))
+    e1, e3 = g1.entity_id("e1"), g1.entity_id("e3")
+    some = signatures_by_name(ContextTable(g1), {ENTITY: [e3, e1], RELATION: []})
     assert some == {key: full[key] for key in ((ENTITY, "e1"), (ENTITY, "e3"))}
-    assert ContextTable(g1).signatures((), {"r5"}) == {(RELATION, "r5"): full[(RELATION, "r5")]}
+    r5 = signatures_by_name(ContextTable(g1), {ENTITY: [], RELATION: [g1.relation_id("r5")]})
+    assert r5 == {(RELATION, "r5"): full[(RELATION, "r5")]}
 
 
 def test_signatures_cache_the_capped_context(monkeypatch):
@@ -368,7 +370,8 @@ def test_signatures_cache_the_capped_context(monkeypatch):
 
     monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
     table = ContextTable(g, cap=5, seed=3)
-    table.signatures()
+    table.signatures(ENTITY)
+    table.signatures(RELATION)
     table.build_all()
     assert sorted(built) == sorted(set(built))
     assert len(built) == g.num_entities + g.num_relations
@@ -384,25 +387,20 @@ def test_signatures_cache_the_capped_context(monkeypatch):
 def test_changed_contexts_toy(g1, g2):
     diff = diff_snapshots(g1, g2)
     ent_cand, rel_cand = candidate_changed_names(g1, g2, diff)
-    stored = ContextTable(g1).signatures()
-    changed, fresh = changed_contexts(stored, g1, ContextTable(g2), ent_cand, rel_cand)
+    stored, table, full = ContextTable(g1), ContextTable(g2), ContextTable(g2)
+    names = {ENTITY: g2.entity_names, RELATION: g2.relation_names}
+    changed, fresh = set(), set()
+    for kind, ids, id_map in zip((ENTITY, RELATION), candidate_objects(g2, diff),
+                                 (diff.entity_map, diff.relation_map)):
+        old_ids = id_map.to_old[ids]
+        found, rows = changed_contexts(table, kind, ids, old_ids >= 0,
+                                       stored.signatures(kind, old_ids[old_ids >= 0]))
+        changed |= {(kind, obj) for obj in found.tolist()}
+        assert rows.tobytes() == full.signatures(kind, ids).tobytes()
+        fresh |= {(kind, names[kind][obj]) for obj in ids.tolist()}
     assert changed == changed_context_objects(g1, g2)
-    full = ContextTable(g2).signatures()
-    assert fresh == {key: full[key] for key in fresh}
-    assert set(fresh) == ({(ENTITY, n) for n in ent_cand if n in g2.entity_ids}
-                          | {(RELATION, n) for n in rel_cand if n in g2.relation_ids})
-
-
-def test_changed_contexts_rejects_missing_old_signature(g1, g2):
-    diff = diff_snapshots(g1, g2)
-    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff)
-    stored = ContextTable(g1).signatures()
-    # e7 and r7 emerge: they are candidates without an old signature
-    assert {"e7"} <= ent_cand and (ENTITY, "e7") not in stored
-    changed_contexts(stored, g1, ContextTable(g2), ent_cand, rel_cand)
-    del stored[(ENTITY, "e3")]
-    with pytest.raises(IntegrityError, match="entity 'e3'"):
-        changed_contexts(stored, g1, ContextTable(g2), ent_cand, rel_cand)
+    assert fresh == ({(ENTITY, n) for n in ent_cand if n in g2.entity_ids}
+                     | {(RELATION, n) for n in rel_cand if n in g2.relation_ids})
 
 
 def test_changed_context_objects_toy(g1, g2):
@@ -419,7 +417,9 @@ def test_changed_context_objects_no_change(g1):
 
 
 def test_candidates_cover_changed(g1, g2):
-    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff_snapshots(g1, g2))
+    ent_ids, rel_ids = candidate_objects(g2, diff_snapshots(g1, g2))
+    ent_cand = {g2.entity_names[e] for e in ent_ids.tolist()}
+    rel_cand = {g2.relation_names[r] for r in rel_ids.tolist()}
     changed = changed_context_objects(g1, g2)
     for kind, obj in changed:
         if kind == ENTITY:
@@ -437,7 +437,9 @@ def test_candidate_overapproximation_sound(seed):
     g_old = Snapshot.from_name_triples(base)
     g_new = Snapshot.from_name_triples(churned_triples(rng, base), time_step=1)
     diff = diff_snapshots(g_old, g_new)
-    ent_cand, rel_cand = candidate_changed_names(g_old, g_new, diff)
+    ent_ids, rel_ids = candidate_objects(g_new, diff)
+    ent_cand = {g_new.entity_names[e] for e in ent_ids.tolist()}
+    rel_cand = {g_new.relation_names[r] for r in rel_ids.tolist()}
     for kind, obj in changed_context_objects(g_old, g_new, diff):
         if kind == ENTITY:
             assert g_new.entity_names[obj] in ent_cand

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from dkge.contexts import ENTITY, RELATION
-from dkge.kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots
+from dkge.kg_store import IdMap, Snapshot, SnapshotDiff, Triple, diff_snapshots
 from dkge.model import RelationStats, relation_stats
 from dkge.training import _holdout_validation, collect_retrain_set
 
@@ -46,7 +46,16 @@ def diff_by_names(g_old, g_new):
         emerging_entities=frozenset(g_new.entity_ids[n] for n in new_e - old_e),
         emerging_relations=frozenset(g_new.relation_ids[n] for n in new_r - old_r),
         removed_entities=frozenset(g_old.entity_ids[n] for n in old_e - new_e),
-        removed_relations=frozenset(g_old.relation_ids[n] for n in old_r - new_r))
+        removed_relations=frozenset(g_old.relation_ids[n] for n in old_r - new_r),
+        entity_map=id_map_by_names(g_old.entity_names, g_new.entity_names),
+        relation_map=id_map_by_names(g_old.relation_names, g_new.relation_names))
+
+
+def id_map_by_names(old_names, new_names):
+    old_ids = {n: i for i, n in enumerate(old_names)}
+    new_ids = {n: i for i, n in enumerate(new_names)}
+    return IdMap(np.array([new_ids.get(n, -1) for n in old_names], dtype=np.intp),
+                 np.array([old_ids.get(n, -1) for n in new_names], dtype=np.intp))
 
 
 def relation_stats_by_loop(snapshot):
@@ -144,7 +153,13 @@ def test_interning_equals_the_loop(pair):
 def test_diff_equals_the_name_sets(pair):
     g_old, g_new = (Snapshot.from_name_triples(lines) for lines in pair)
     for a, b in ((g_old, g_new), (g_new, g_old), (g_old, g_old)):
-        assert diff_snapshots(a, b) == diff_by_names(a, b)
+        got, want = diff_snapshots(a, b), diff_by_names(a, b)
+        assert got == want
+        # the id maps are not compared by ==
+        for mine, by_names in ((got.entity_map, want.entity_map),
+                               (got.relation_map, want.relation_map)):
+            assert mine.to_new.tolist() == by_names.to_new.tolist()
+            assert mine.to_old.tolist() == by_names.to_old.tolist()
 
 
 @given(pair=snapshot_pairs())

@@ -4,17 +4,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dkge.contexts import (ContextTable, ENTITY, RELATION, candidate_changed_names,
-                           changed_context_objects)
+from dkge.contexts import (ContextTable, ENTITY, RELATION, candidate_objects,
+                           changed_context_objects, context_signature, entity_context,
+                           relation_context)
 from dkge.errors import ConfigError, IntegrityError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import joint_table
 from dkge.training import (TrainConfig, collect_retrain_set, train_from_scratch,
                            train_online)
 
-from graphs import (TOY_T1, TOY_T2, assert_tables_fresh, churned_triples,
-                    random_name_triples, tiny_store, toy_snapshot, update_traces)
+from graphs import (TOY_T1, TOY_T2, assert_tables_fresh, candidate_changed_names,
+                    churned_triples, random_name_triples, signatures_by_name, tiny_store,
+                    toy_snapshot, update_traces)
 
 FAST = dict(dim=8, learning_rate=0.01, batch_size=8, margin=2.0,
             max_epochs=6, patience=2, eval_every=2, seed=0)
@@ -36,7 +39,9 @@ def all_param_bytes(store):
 @pytest.mark.parametrize("bad", [
     dict(dim=0), dict(learning_rate=0.0), dict(batch_size=0), dict(margin=0.0),
     dict(entity_layers=3), dict(relation_layers=0), dict(max_epochs=0),
-    dict(patience=0), dict(eval_every=0), dict(cap=0), dict(max_midpoints=-1)])
+    dict(patience=0), dict(eval_every=0), dict(cap=0), dict(max_midpoints=-1),
+    dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+    dict(margin=float("nan")), dict(margin=float("inf")), dict(seed=-1)])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
         TrainConfig(**bad)
@@ -79,7 +84,7 @@ def test_scratch_is_seed_deterministic(g1):
     a, _ = train_from_scratch(g1, set(), cfg, log=None)
     b, _ = train_from_scratch(g1, set(), cfg, log=None)
     assert all_param_bytes(a) == all_param_bytes(b)
-    assert a.signatures == b.signatures
+    assert signatures_by_name(a) == signatures_by_name(b)
 
 
 def test_scratch_seed_changes_result(g1):
@@ -91,7 +96,7 @@ def test_scratch_seed_changes_result(g1):
 def test_scratch_fills_signatures(g1):
     store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
     fresh = ContextTable(g1, cap=store.cap, seed=store.seed)
-    assert store.signatures == fresh.signatures()
+    assert signatures_by_name(store) == signatures_by_name(fresh)
 
 
 def test_pairs_without_a_negative_are_dropped():
@@ -214,7 +219,7 @@ def test_online_migration_drops_removed_objects(g1):
     assert "e4" not in after.entity_names
     assert "r3" not in after.relation_names
     assert after.matches_snapshot(shrunk)
-    assert after.signatures == ContextTable(shrunk).signatures()
+    assert signatures_by_name(after) == signatures_by_name(ContextTable(shrunk))
 
 
 def test_online_emerging_rows_initialized_in_bounds(g1, g2):
@@ -232,7 +237,7 @@ def test_online_emerging_rows_initialized_in_bounds(g1, g2):
 def test_online_refreshes_signatures(g1, g2):
     before, after, report = run_online(g1, g2)
     fresh = ContextTable(g2, cap=after.cap, seed=after.seed)
-    assert after.signatures == fresh.signatures()
+    assert signatures_by_name(after) == signatures_by_name(fresh)
     assert after.matches_snapshot(g2)
 
 
@@ -250,7 +255,27 @@ def test_online_detection_matches_pure_diff():
         t_ol = collect_retrain_set(g_new, diff, changed)
         assert report.retrained_triples == len(t_ol)
         fresh = ContextTable(g_new, cap=new_store.cap, seed=new_store.seed)
-        assert new_store.signatures == fresh.signatures()
+        assert signatures_by_name(new_store) == signatures_by_name(fresh)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_online_leaves_every_signature_row_filled(seed):
+    """Every emerging object is a candidate, so no zero row survives an
+    update, and each row holds the bytes of the object's ``context_signature``
+    on the new snapshot."""
+    rng = np.random.default_rng(seed)
+    base = random_name_triples(rng, int(rng.integers(5, 40)), 10, 4)
+    g_old = Snapshot.from_name_triples(base)
+    g_new = Snapshot.from_name_triples(churned_triples(rng, base, churn=0.3), time_step=1)
+    store, _ = tiny_store(g_old, d=4, seed=seed % 7)
+    cfg = TrainConfig(**{**FAST, "dim": 4, "max_epochs": 1, "seed": seed % 7})
+    after, _ = train_online(g_old, g_new, store, set(), cfg, log=None)
+    for rows, n, context in ((after.ent_sig, g_new.num_entities, entity_context),
+                             (after.rel_sig, g_new.num_relations, relation_context)):
+        assert rows.shape == (n, 16) and rows.any(axis=1).all()
+        assert [int.from_bytes(row, "big") for row in rows] == [
+            context_signature(context(g_new, obj), g_new) for obj in range(n)]
 
 
 def test_online_computes_candidates_once(g1, g2, monkeypatch):
@@ -258,9 +283,9 @@ def test_online_computes_candidates_once(g1, g2, monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return candidate_changed_names(*args)
+        return candidate_objects(*args)
 
-    monkeypatch.setattr("dkge.training.candidate_changed_names", counted)
+    monkeypatch.setattr("dkge.training.candidate_objects", counted)
     run_online(g1, g2)
     assert len(calls) == 1
 
@@ -313,11 +338,11 @@ def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
     assert_tables_fresh(after, g2)
 
 
-@pytest.mark.parametrize("kind,name", [(ENTITY, "e3"), (RELATION, "r5")])
-def test_online_rejects_store_missing_a_candidate_signature(g1, g2, kind, name):
+@pytest.mark.parametrize("key", ["ent_sig", "rel_sig"])
+def test_online_rejects_store_without_signature_rows(g1, g2, key):
     store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
-    del store.signatures[(kind, name)]
-    with pytest.raises(IntegrityError, match=f"{kind} '{name}'"):
+    setattr(store, key, None)
+    with pytest.raises(IntegrityError, match="no context signature rows"):
         train_online(g1, g2, store, set(), TrainConfig(**FAST), log=None)
 
 
