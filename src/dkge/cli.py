@@ -15,6 +15,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
                        candidate_objects, changed_contexts)
@@ -179,13 +181,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     store.require_snapshot(sd.train)
     # resolved once: evaluate and the filter share it, and its one warning
     test, skipped = resolve_test_triples(sd.test, sd.train)
-    if merged["filter_mode"] == "train":
-        filter_triples = sd.train.triple_set
-    else:
-        filter_triples = (sd.train.triple_set | set(test)
-                          | set(_resolved_or_empty(sd.valid, sd.train)))
+    known = sd.train.triple_ids
+    if merged["filter_mode"] != "train":
+        known = np.concatenate((known, sd.train.id_rows(test),
+                                sd.train.id_rows(_resolved_or_empty(sd.valid, sd.train))))
     report = dataclasses.replace(
-        evaluate(test, store, sd.train, filter_triples, tie_mode=merged["tie_mode"]),
+        evaluate(test, store, sd.train, known, tie_mode=merged["tie_mode"]),
         skipped=skipped)
     print(report.format_block())
     if args.report_file:

@@ -194,15 +194,21 @@ class Snapshot:
         return frozenset(self.triples)
 
     @cached_property
+    def sorted_codes(self) -> np.ndarray:
+        """The ``triple_codes`` of the id triples, ascending and read-only."""
+        codes = np.sort(triple_codes(self.triple_ids, self.num_entities,
+                                     self.num_relations))
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
     def digest(self) -> str:
         """blake2b of the sorted int64 codes of the id triples.
 
         Two snapshots with equal dictionaries have equal digests exactly
         when their triple sets are equal (up to hash collisions).
         """
-        codes = np.sort(triple_codes(self.triple_ids, self.num_entities,
-                                      self.num_relations))
-        return hashlib.blake2b(codes.tobytes(), digest_size=16).hexdigest()
+        return hashlib.blake2b(self.sorted_codes.tobytes(), digest_size=16).hexdigest()
 
     @cached_property
     def name_rank(self) -> np.ndarray:
@@ -292,7 +298,25 @@ class Snapshot:
         return self.neighbor_map[e]
 
     def has_triple(self, triple: Triple) -> bool:
-        return triple in self.triple_set
+        h, r, t = triple
+        n_e, n_r = self.num_entities, self.num_relations
+        if not (0 <= h < n_e and 0 <= r < n_r and 0 <= t < n_e):
+            return False
+        code = (h * n_r + r) * n_e + t
+        i = self.sorted_codes.searchsorted(code)
+        return bool(i < self.sorted_codes.size and self.sorted_codes[i] == code)
+
+    def id_rows(self, triples: Iterable[Triple] | np.ndarray) -> np.ndarray:
+        """Id triples as an (n, 3) int64 array; an id outside the
+        dictionaries raises UnknownObjectError naming its kind and value."""
+        rows = np.asarray(triples if isinstance(triples, np.ndarray) else list(triples),
+                          dtype=np.int64).reshape(-1, 3)
+        bad = np.argwhere((rows < 0) | (rows >= (self.num_entities, self.num_relations,
+                                                  self.num_entities)))
+        if bad.size:
+            i, j = bad[0]
+            raise UnknownObjectError(("entity", "relation", "entity")[j], int(rows[i, j]))
+        return rows
 
     def triple_names(self, triple: Triple) -> NameTriple:
         return (self.entity_names[triple.head],

@@ -179,7 +179,7 @@ def _sgd_loop(snapshot: Snapshot, train_triples: list[Triple], store: ParameterS
         hits = None
         stop = False
         if valid_triples and epoch % config.eval_every == 0:
-            report = evaluate(valid_triples, store, snapshot, snapshot.triple_set,
+            report = evaluate(valid_triples, store, snapshot, snapshot.triple_ids,
                               ks=(10,), contexts=table)
             hits = report.hits_at[10]
             if hits > best_hits:

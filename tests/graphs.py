@@ -221,3 +221,62 @@ def oracle_metrics(ranks: list[int], ks=(1, 3, 10)) -> dict:
         "mrr": sum(1.0 / r for r in ranks) / n,
         "hits": {k: sum(1 for r in ranks if r <= k) / n for k in ks},
     }
+
+
+# -- the ranking before the sorted-code filter, kept as the oracle -------------
+
+
+def filter_index(filter_triples):
+    """(h, r) -> known tails and (r, t) -> known heads, as dicts of sets."""
+    by_hr: dict[tuple[int, int], set[int]] = {}
+    by_rt: dict[tuple[int, int], set[int]] = {}
+    for h, r, t in filter_triples:
+        by_hr.setdefault((h, r), set()).add(t)
+        by_rt.setdefault((r, t), set()).add(h)
+    return by_hr, by_rt
+
+
+def rank_one(direction: str, triple: Triple, cache, filter_idx, tie_mode: str) -> tuple[int, float]:
+    """(rank, true score) of one query, scored over the (n_e, d) table with
+    ``np.abs(x).sum(axis=1)`` and filtered through a boolean mask."""
+    by_hr, by_rt = filter_idx
+    ent = cache.ent_star
+    r_star = cache.rel_star[triple.relation]
+    if direction == "tail":
+        x = (ent[triple.head] + r_star) - ent
+        excluded = by_hr.get((triple.head, triple.relation), ())
+        true_id = triple.tail
+    else:
+        x = ent + (r_star - ent[triple.tail])
+        excluded = by_rt.get((triple.relation, triple.tail), ())
+        true_id = triple.head
+    scores = np.abs(x).sum(axis=1)
+    mask = np.ones(scores.shape[0], dtype=bool)
+    for e in excluded:
+        mask[e] = False
+    mask[true_id] = True
+    true_score = float(scores[true_id])
+    considered = scores[mask]
+    better = int((considered < true_score).sum())
+    if tie_mode == "optimistic":
+        return better + 1, true_score
+    ties_other = int((considered == true_score).sum()) - 1
+    return better + ties_other + 1, true_score
+
+
+def evaluate_oracle(test: list[Triple], cache, filter_triples, tie_mode: str,
+                    ks=(1, 3, 10)):
+    """``evaluate`` over id test triples with the oracle ranking."""
+    from dkge.evaluation import aggregate_ranks
+    idx = filter_index(filter_triples)
+    ranks = [rank_one(d, t, cache, idx, tie_mode)[0]
+             for t in test for d in ("head", "tail")]
+    return aggregate_ranks(ranks, ks)
+
+
+def answer_oracle(head: int, relation: int, k: int, cache) -> list[tuple[int, float]]:
+    """Unfiltered top-k tails from the (n_e, d) table, ties toward the smaller id."""
+    ent = cache.ent_star
+    scores = np.abs(ent[head] + cache.rel_star[relation] - ent).sum(axis=1)
+    order = np.argsort(scores, kind="stable")[:max(0, k)]
+    return [(int(e), float(scores[e])) for e in order]

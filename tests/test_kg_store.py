@@ -93,6 +93,40 @@ def test_snapshot_stores_a_read_only_array_and_compares_by_identity():
     assert twin != g and g == g and len({g, twin}) == 2
 
 
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_sorted_codes_key_digest_and_membership(seed):
+    """``sorted_codes`` is the cached, read-only sort of ``triple_codes``, the
+    digest hashes it, and ``has_triple`` answers from it, False for ids
+    outside the dictionaries, without building the tuple views."""
+    import hashlib
+    from dkge.kg_store import triple_codes
+    rng = np.random.default_rng(seed)
+    g = Snapshot.from_name_triples(random_name_triples(rng, 30, 6, 3))
+    n_e, n_r = g.num_entities, g.num_relations
+    codes = g.sorted_codes
+    assert codes is g.sorted_codes and not codes.flags.writeable
+    assert codes.tolist() == sorted(triple_codes(g.triple_ids, n_e, n_r).tolist())
+    assert g.digest == hashlib.blake2b(codes.tobytes(), digest_size=16).hexdigest()
+    known = set(map(tuple, g.triple_ids.tolist()))
+    for h in range(-1, n_e + 1):
+        for r in range(-1, n_r + 1):
+            for t in range(-1, n_e + 1):
+                assert g.has_triple(Triple(h, r, t)) == ((h, r, t) in known)
+    assert not {"triples", "triple_set"} & set(vars(g))
+
+
+def test_id_rows_checks_every_id():
+    g = Snapshot.from_name_triples([("a", "r", "b")])
+    assert g.id_rows([Triple(1, 0, 0)]).tolist() == [[1, 0, 0]]
+    assert g.id_rows(set()).shape == (0, 3)
+    for bad, kind, key in (([0, 0, 2], "entity", 2), ([0, -1, 0], "relation", -1),
+                           ([-3, 1, 0], "entity", -3)):
+        with pytest.raises(UnknownObjectError) as err:
+            g.id_rows(np.array([[0, 0, 1], bad]))
+        assert (err.value.kind, err.value.key) == (kind, key)
+
+
 def test_interning_first_occurrence_order():
     g = Snapshot.from_name_triples([("b", "r2", "a"), ("a", "r1", "c")])
     assert g.entity_names == ("b", "a", "c")
