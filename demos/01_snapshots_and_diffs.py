@@ -7,8 +7,8 @@ them by name, and list what an incremental retrain would have to touch.
 """
 from pathlib import Path
 
-from dkge import changed_context_objects, diff_snapshots, load_snapshot_dir
-from dkge.contexts import ENTITY
+from dkge import ContextTable, changed_context_objects, diff_snapshots, load_snapshot_dir
+from dkge.contexts import ENTITY, candidate_objects, context_changes
 from dkge.training import collect_retrain_set
 
 data = Path(__file__).parent / "data"
@@ -17,9 +17,9 @@ data = Path(__file__).parent / "data"
 old = load_snapshot_dir(data / "t1").train
 new = load_snapshot_dir(data / "t2").train
 print(f"old snapshot: {old.num_entities} entities, "
-      f"{old.num_relations} relations, {len(old.triples)} triples")
+      f"{old.num_relations} relations, {len(old.triple_ids)} triples")
 print(f"new snapshot: {new.num_entities} entities, "
-      f"{new.num_relations} relations, {len(new.triples)} triples")
+      f"{new.num_relations} relations, {len(new.triple_ids)} triples")
 
 # the diff matches objects by name, so file order never matters
 diff = diff_snapshots(old, new)
@@ -31,14 +31,20 @@ print("emerging relations:", sorted(new.relation_names[r] for r in diff.emerging
 # context signatures spot every existing object whose surroundings moved,
 # including second-order effects: a new edge between two neighbors of e1
 # changes e1's context even though e1 is on neither end of it
-changed = changed_context_objects(old, new, diff)
-for kind, obj in sorted(changed):
+for kind, obj in sorted(changed_context_objects(old, new, diff)):
     name = (new.entity_names[obj] if kind == ENTITY
             else new.relation_names[obj])
     print("changed context:", kind, name)
 
-# an online update only revisits triples touching emerging or changed objects
+# the commands hash only the candidates a changed triple can reach, and
+# report the changed objects as entity and relation id arrays
+changed, _ = context_changes(ContextTable(new), diff, candidate_objects(new, diff),
+                             ContextTable(old).signatures)
+print("changed ids:", changed[0].tolist(), changed[1].tolist())
+
+# an online update only revisits triples touching emerging or changed
+# objects; the retrain set is an (n, 3) array of id rows in (h, r, t) order
 retrain = collect_retrain_set(new, diff, changed)
-print(f"triples to retrain: {len(retrain)} of {len(new.triples)}")
-for t in sorted(new.triple_names(t) for t in retrain):
+print(f"triples to retrain: {len(retrain)} of {len(new.triple_ids)}")
+for t in sorted(new.triple_names(row) for row in retrain):
     print("  ", *t)

@@ -19,11 +19,11 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
-                       candidate_objects, changed_contexts)
+                       candidate_objects, context_changes)
 from .errors import ConfigError, DkgeError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
-from .kg_store import TEST_FILE, diff_snapshots, load_snapshot_dir
+from .kg_store import TEST_FILE, diff_snapshots, load_snapshot_dir, undecodable_line
 from .training import (TrainConfig, collect_retrain_set, train_from_scratch,
                        train_online)
 
@@ -42,24 +42,28 @@ EVAL_KEYS = ("filter_mode", "tie_mode")
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` file; '#' starts a comment, blank lines ignored."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}:{undecodable_line(path)}: not UTF-8") from None
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            kind = CONFIG_KEYS[key][0]
-            try:
-                out[key] = kind(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{line_no}: bad value for {key}: {value!r}") from exc
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        kind = CONFIG_KEYS[key][0]
+        try:
+            out[key] = kind(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}:{line_no}: bad value for {key}: {value!r}") from exc
     return out
 
 
@@ -218,14 +222,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     diff = diff_snapshots(g_old, g_new)
     old_table = ContextTable(g_old, max_midpoints=max_midpoints)
     new_table = ContextTable(g_new, max_midpoints=max_midpoints)
-    changed = []
-    for kind, ids, id_map in zip((ENTITY, RELATION), candidate_objects(g_new, diff),
-                                 (diff.entity_map, diff.relation_map)):
-        old_ids = id_map.to_old[ids]
-        survived = old_ids >= 0
-        found, _ = changed_contexts(new_table, kind, ids, survived,
-                                    old_table.signatures(kind, old_ids[survived]))
-        changed += [(kind, obj) for obj in found.tolist()]
+    changed, _ = context_changes(new_table, diff, candidate_objects(g_new, diff),
+                                 old_table.signatures)
     t_ol = collect_retrain_set(g_new, diff, changed)
     print(f"added_triples={len(diff.added_triples)} "
           f"deleted_triples={len(diff.deleted_triples)} "
@@ -233,18 +231,17 @@ def cmd_diff(args: argparse.Namespace) -> int:
           f"emerging_relations={len(diff.emerging_relations)} "
           f"removed_entities={len(diff.removed_entities)} "
           f"removed_relations={len(diff.removed_relations)} "
-          f"changed_context={len(changed)} "
+          f"changed_context={len(changed[0]) + len(changed[1])} "
           f"retrain_triples={len(t_ol)}")
-    for e in sorted(g_new.entity_names[i] for i in diff.emerging_entities):
-        print(f"emerging entity {e}")
-    for r in sorted(g_new.relation_names[i] for i in diff.emerging_relations):
-        print(f"emerging relation {r}")
-    changed_names = sorted(
-        (kind, (g_new.entity_names if kind == ENTITY else g_new.relation_names)[obj])
-        for kind, obj in changed)
-    for kind, name in changed_names:
-        print(f"changed {kind} {name}")
-    for h, r, t in sorted(g_new.triple_names(triple) for triple in t_ol):
+    e_names, r_names = g_new.entity_names, g_new.relation_names
+    for what, ids, names in (
+            (f"emerging {ENTITY}", diff.emerging_entities, e_names),
+            (f"emerging {RELATION}", diff.emerging_relations, r_names),
+            (f"changed {ENTITY}", changed[0], e_names),
+            (f"changed {RELATION}", changed[1], r_names)):
+        for name in sorted(names[i] for i in ids):
+            print(what, name)
+    for h, r, t in sorted(g_new.triple_names(row) for row in t_ol):
         print(f"retrain {h} {r} {t}")
     return 0
 

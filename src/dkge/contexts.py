@@ -28,6 +28,8 @@ rather than ids so they are comparable across snapshots and file orderings.
 Only change detection (``ContextTable.signatures``) computes them, as uint8
 rows aligned with the ids like every other per-object array; a row holds the
 big-endian bytes of the int ``context_signature`` returns.
+``context_changes``, the detector ``dkge diff`` and ``dkge update`` share,
+hashes ``candidate_objects`` only and reports id arrays.
 """
 from __future__ import annotations
 
@@ -35,14 +37,14 @@ import hashlib
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import sparse
 
 from . import agcn
 from .errors import ConfigError
-from .kg_store import Snapshot, SnapshotDiff, diff_snapshots
+from .kg_store import Snapshot, SnapshotDiff
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +54,8 @@ RELATION_PATH = "relation-path"
 
 # (kind, id) with kind in {ENTITY, RELATION}
 ObjectRef = tuple[str, int]
+# per kind arrays, entities first: (entity ids, relation ids) or their rows
+IdArrays = tuple[np.ndarray, np.ndarray]
 
 DEFAULT_CAP = 35
 SIGNATURE_BYTES = 16
@@ -428,44 +432,47 @@ def changed_context_objects(g_old: Snapshot, g_new: Snapshot,
     """Objects present in both snapshots whose context signature changed.
 
     Ids in the result refer to the new snapshot.  Emerging and removed
-    objects are never included.
+    objects are never included.  Objects are matched by name, so ``diff``
+    is not read; callers may pass the one they hold.
     """
-    if diff is None:
-        diff = diff_snapshots(g_old, g_new)
     changed: set[ObjectRef] = set()
-    for name, new_id in g_new.entity_ids.items():
-        old_id = g_old.entity_ids.get(name)
-        if old_id is None:
-            continue
-        if (context_signature(entity_context(g_old, old_id), g_old)
-                != context_signature(entity_context(g_new, new_id), g_new)):
-            changed.add((ENTITY, new_id))
-    for name, new_id in g_new.relation_ids.items():
-        old_id = g_old.relation_ids.get(name)
-        if old_id is None:
-            continue
-        if (context_signature(relation_context(g_old, old_id), g_old)
-                != context_signature(relation_context(g_new, new_id), g_new)):
-            changed.add((RELATION, new_id))
+    for kind, old_ids, new_ids, context in (
+            (ENTITY, g_old.entity_ids, g_new.entity_ids, entity_context),
+            (RELATION, g_old.relation_ids, g_new.relation_ids, relation_context)):
+        for name, new_id in new_ids.items():
+            old_id = old_ids.get(name)
+            if old_id is not None and (context_signature(context(g_old, old_id), g_old)
+                                       != context_signature(context(g_new, new_id), g_new)):
+                changed.add((kind, new_id))
     return frozenset(changed)
 
 
-def changed_contexts(table: ContextTable, kind: str, ids: np.ndarray, survived: np.ndarray,
-                     old_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The objects of ``changed_context_objects`` among ``ids``, distinct
-    candidates of one kind (``candidate_objects``) in ``table.snapshot``.
+def context_changes(table: ContextTable, diff: SnapshotDiff, candidates: IdArrays,
+                    old_signatures: Callable[[str, np.ndarray], np.ndarray],
+                    ) -> tuple[IdArrays, IdArrays]:
+    """The objects of ``changed_context_objects`` among the entity and
+    relation ``candidates`` of ``candidate_objects`` in ``table.snapshot``.
 
-    ``survived`` marks the candidates also present in the old snapshot, and
-    ``old_rows`` holds their signature rows there, in order.  Returns the
-    changed ids and the new signature rows of all of ``ids``.
+    ``old_signatures(kind, old_ids)`` gives the old snapshot's signature
+    rows of ``old_ids``; per kind it runs before the new side is hashed,
+    entities first.  Returns the changed entity and relation ids and the
+    candidates' new signature rows, per kind.
     """
-    new_rows = table.signatures(kind, ids)
-    differs = np.zeros(ids.size, dtype=bool)
-    differs[survived] = (new_rows[survived] != old_rows).any(axis=1)
-    return ids[differs], new_rows
+    changed, rows = [], []
+    for kind, ids, id_map in zip((ENTITY, RELATION), candidates,
+                                 (diff.entity_map, diff.relation_map)):
+        old_ids = id_map.to_old[ids]
+        survived = old_ids >= 0
+        old_rows = old_signatures(kind, old_ids[survived])
+        new_rows = table.signatures(kind, ids)
+        differs = np.zeros(ids.size, dtype=bool)
+        differs[survived] = (new_rows[survived] != old_rows).any(axis=1)
+        changed.append(ids[differs])
+        rows.append(new_rows)
+    return tuple(changed), tuple(rows)
 
 
-def candidate_objects(g_new: Snapshot, diff: SnapshotDiff) -> tuple[np.ndarray, np.ndarray]:
+def candidate_objects(g_new: Snapshot, diff: SnapshotDiff) -> IdArrays:
     """Sound overapproximation of the objects whose context may have changed,
     as sorted entity and relation id arrays of g_new.
 
@@ -478,8 +485,7 @@ def candidate_objects(g_new: Snapshot, diff: SnapshotDiff) -> tuple[np.ndarray, 
     emerging object is an endpoint or relation of an added triple.  Only
     candidates need their signatures recomputed.
     """
-    added = np.array(list(diff.added_triples), dtype=np.intp).reshape(-1, 3)
-    deleted = np.array(list(diff.deleted_triples), dtype=np.intp).reshape(-1, 3)
+    added, deleted = diff.added_triples, diff.deleted_triples
     to_new = diff.entity_map.to_new
     # a changed triple's heads and tails in g_new, -1 for a removed entity
     heads, tails = (np.concatenate((added[:, k], to_new[deleted[:, k]])) for k in (0, 2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -318,10 +318,9 @@ class Snapshot:
             raise UnknownObjectError(("entity", "relation", "entity")[j], int(rows[i, j]))
         return rows
 
-    def triple_names(self, triple: Triple) -> NameTriple:
-        return (self.entity_names[triple.head],
-                self.relation_names[triple.relation],
-                self.entity_names[triple.tail])
+    def triple_names(self, triple: Triple | np.ndarray) -> NameTriple:
+        h, r, t = triple
+        return self.entity_names[h], self.relation_names[r], self.entity_names[t]
 
     def name_triples(self) -> tuple[NameTriple, ...]:
         e, r = self.entity_names, self.relation_names
@@ -341,28 +340,39 @@ class IdMap(NamedTuple):
     to_old: np.ndarray  # (n_new,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotDiff:
     """Set reconciliation between two snapshots, matched by name.
 
-    Triples and object ids in the ``added``/``emerging`` fields live in the
-    new snapshot's id space; ``deleted``/``removed`` fields in the old one.
+    ``added_triples`` holds the (n, 3) int64 id rows of the new snapshot's
+    triples that the old one lacks, ``deleted_triples`` those of the old
+    snapshot that the new one lacks, each in its snapshot's file order.
     ``entity_map`` and ``relation_map`` match the two id spaces once, so no
-    later step looks an object up by name.
+    later step looks an object up by name.  The emerging (new ids) and
+    removed (old ids) objects are ascending id arrays read from them.
     """
 
-    added_triples: frozenset[Triple]
-    deleted_triples: frozenset[Triple]
-    emerging_entities: frozenset[int]
-    emerging_relations: frozenset[int]
-    removed_entities: frozenset[int]
-    removed_relations: frozenset[int]
-    entity_map: IdMap = field(compare=False)
-    relation_map: IdMap = field(compare=False)
+    added_triples: np.ndarray
+    deleted_triples: np.ndarray
+    entity_map: IdMap
+    relation_map: IdMap
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.added_triples or self.deleted_triples)
+    emerging_entities = property(lambda self: np.flatnonzero(self.entity_map.to_old < 0))
+    emerging_relations = property(lambda self: np.flatnonzero(self.relation_map.to_old < 0))
+    removed_entities = property(lambda self: np.flatnonzero(self.entity_map.to_new < 0))
+    removed_relations = property(lambda self: np.flatnonzero(self.relation_map.to_new < 0))
+    is_empty = property(lambda self: not (len(self.added_triples) or len(self.deleted_triples)))
+
+
+def undecodable_line(path) -> int:
+    """Number of the first line that is not UTF-8, 0 if none; lines end as
+    in text mode, and no UTF-8 sequence holds a \\n or \\r byte."""
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no
+    return 0
 
 
 def parse_triple_file(path) -> tuple[list[NameTriple], int]:
@@ -376,21 +386,24 @@ def parse_triple_file(path) -> tuple[list[NameTriple], int]:
     out: list[NameTriple] = []
     seen: set[NameTriple] = set()
     dups = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.lstrip()
-            if not text or text[0] == "#":
-                continue
-            fields = raw.rstrip("\n").split("\t")
-            if len(fields) != 3 or not all(fields):
-                raise ParseError(path, line_no,
-                                 f"expected 3 tab-separated fields, got {len(fields)}")
-            nt: NameTriple = (fields[0], fields[1], fields[2])
-            if nt in seen:
-                dups += 1
-                continue
-            seen.add(nt)
-            out.append(nt)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                text = raw.lstrip()
+                if not text or text[0] == "#":
+                    continue
+                fields = raw.rstrip("\n").split("\t")
+                if len(fields) != 3 or not all(fields):
+                    raise ParseError(path, line_no,
+                                     f"expected 3 tab-separated fields, got {len(fields)}")
+                nt: NameTriple = (fields[0], fields[1], fields[2])
+                if nt in seen:
+                    dups += 1
+                    continue
+                seen.add(nt)
+                out.append(nt)
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, undecodable_line(path), f"not UTF-8: {exc.reason}") from None
     if dups:
         logger.warning("%s: collapsed %d duplicate triples", path, dups)
     return out, dups
@@ -461,15 +474,5 @@ def diff_snapshots(g_old: Snapshot, g_new: Snapshot) -> SnapshotDiff:
     # code -1 for a triple naming a removed object: it matches no triple of g_new
     old_codes = np.where((moved >= 0).all(axis=1), triple_codes(moved, n_e, n_r), -1)
     new_codes = triple_codes(g_new.triple_ids, n_e, n_r)
-
-    added = g_new.triple_ids[~np.isin(new_codes, old_codes)].tolist()
-    deleted = old[~np.isin(old_codes, new_codes)].tolist()
-    return SnapshotDiff(
-        added_triples=frozenset(map(Triple._make, added)),
-        deleted_triples=frozenset(map(Triple._make, deleted)),
-        emerging_entities=frozenset(np.flatnonzero(ent.to_old < 0).tolist()),
-        emerging_relations=frozenset(np.flatnonzero(rel.to_old < 0).tolist()),
-        removed_entities=frozenset(np.flatnonzero(ent.to_new < 0).tolist()),
-        removed_relations=frozenset(np.flatnonzero(rel.to_new < 0).tolist()),
-        entity_map=ent, relation_map=rel,
-    )
+    return SnapshotDiff(g_new.triple_ids[~np.isin(new_codes, old_codes)],
+                        old[~np.isin(old_codes, new_codes)], ent, rel)

@@ -12,7 +12,8 @@ the affected set remain bit-identical.
 Scratch training stores every object's context signature row.  An online
 update carries every per-object row over through the diff's id maps,
 hashes the new contexts of the candidate objects only, compares them with
-the carried rows (``contexts.changed_contexts``) and overwrites those rows.
+the previous store's rows (``contexts.context_changes``, as ``dkge diff``
+does) and overwrites those rows.  The retrain set is id rows in (h, r, t) order.
 
 Both modes end by attaching the joint embedding of every object to the
 returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS, ENTITY,
-                       ObjectRef, RELATION, candidate_objects, changed_contexts)
+                       IdArrays, RELATION, candidate_objects, context_changes)
 from .errors import ConfigError, IntegrityError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
@@ -149,7 +150,7 @@ def _progress_line(epoch: int, loss: float, hits: float | None, seconds: float) 
     return f"epoch={epoch} loss={loss:.6f} valid_hits10={hits_text} seconds={seconds:.3f}"
 
 
-def _sgd_loop(snapshot: Snapshot, train_triples: list[Triple], store: ParameterStore,
+def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
               table: ContextTable, stats: RelationStats,
               valid_triples: list[Triple] | None, config: TrainConfig,
               mask: UpdateMask | None, shuffle_rng: np.random.Generator,
@@ -159,7 +160,7 @@ def _sgd_loop(snapshot: Snapshot, train_triples: list[Triple], store: ParameterS
     best_epoch = None
     patience_left = config.patience
     losses: list[float] = []
-    n = len(train_triples)
+    n = len(train_rows)
     epochs_run = 0
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -167,7 +168,7 @@ def _sgd_loop(snapshot: Snapshot, train_triples: list[Triple], store: ParameterS
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
-            batch = [train_triples[i] for i in order[start:start + config.batch_size]]
+            batch = map(Triple._make, train_rows[order[start:start + config.batch_size]].tolist())
             pairs = [(t, neg) for t in batch
                      if (neg := bernoulli_corrupt(t, stats, snapshot, negative_rng))
                      is not None]
@@ -235,7 +236,7 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
     store.rel_sig = table.signatures(RELATION)
     stats = relation_stats(snapshot)
     store, losses, best_hits, best_epoch, epochs = _sgd_loop(
-        snapshot, list(snapshot.triples), store, table, stats, valid_triples,
+        snapshot, snapshot.triple_ids, store, table, stats, valid_triples,
         config, None, np.random.default_rng(shuffle_ss),
         np.random.default_rng(neg_ss), log)
     store.attach_joint(joint_table(store, snapshot, table), snapshot)
@@ -249,16 +250,14 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
     return store, report
 
 
-def collect_retrain_set(g_new: Snapshot, diff: SnapshotDiff,
-                        changed: frozenset[ObjectRef] | set[ObjectRef]) -> frozenset[Triple]:
-    """Triples of the new snapshot touching an emerging or changed object."""
-    flag_e = set(diff.emerging_entities)
-    flag_r = set(diff.emerging_relations)
-    for kind, obj in changed:
-        (flag_e if kind == ENTITY else flag_r).add(obj)
+def collect_retrain_set(g_new: Snapshot, diff: SnapshotDiff, changed: IdArrays) -> np.ndarray:
+    """Id rows of the new snapshot's triples touching an emerging object or
+    one of the ``changed`` (entity ids, relation ids), in (h, r, t) order."""
+    ent = np.concatenate((diff.emerging_entities, changed[0]))
+    rel = np.concatenate((diff.emerging_relations, changed[1]))
     ids = g_new.triple_ids
-    hit = np.isin(ids[:, [0, 2]], list(flag_e)).any(axis=1) | np.isin(ids[:, 1], list(flag_r))
-    return frozenset(map(Triple._make, ids[hit].tolist()))
+    rows = ids[np.isin(ids[:, [0, 2]], ent).any(axis=1) | np.isin(ids[:, 1], rel)]
+    return rows[np.argsort(triple_codes(rows, g_new.num_entities, g_new.num_relations))]
 
 
 def _carry_rows(rows: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -317,8 +316,7 @@ def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
 
 def _update_joint(store: ParameterStore, old: ParameterStore, g_old: Snapshot,
                   g_new: Snapshot, table: ContextTable, mask: UpdateMask,
-                  diff: SnapshotDiff,
-                  candidates: tuple[np.ndarray, np.ndarray]) -> tuple[int, int]:
+                  diff: SnapshotDiff, candidates: IdArrays) -> tuple[int, int]:
     """Attach the joint tables for g_new to the updated store and return the
     rows encoded per kind.  When the old store's tables were encoded on
     g_old, rows carry over through the diff's id maps and only the objects
@@ -340,7 +338,7 @@ def _update_joint(store: ParameterStore, old: ParameterStore, g_old: Snapshot,
     return counts[0], counts[1]
 
 
-def _holdout_validation(g_new: Snapshot, t_ol: frozenset[Triple],
+def _holdout_validation(g_new: Snapshot, t_ol: np.ndarray,
                         rng: np.random.Generator) -> list[Triple]:
     """Fallback validation set: about 1% of the unaffected triples whose
     objects all occur in at least one other triple."""
@@ -349,8 +347,7 @@ def _holdout_validation(g_new: Snapshot, t_ol: frozenset[Triple],
     n_e, n_r = g_new.num_entities, g_new.num_relations
     ent_count = np.bincount(ids[:, [0, 2]].ravel(), minlength=n_e)
     rel_count = np.bincount(r, minlength=n_r)
-    retrained = triple_codes(np.array(list(t_ol), dtype=np.int64).reshape(-1, 3), n_e, n_r)
-    fresh = ~np.isin(triple_codes(ids, n_e, n_r), retrained)
+    fresh = ~np.isin(triple_codes(ids, n_e, n_r), triple_codes(t_ol, n_e, n_r))
     pool = np.flatnonzero(fresh & (ent_count[h] >= 2) & (ent_count[t] >= 2)
                           & (rel_count[r] >= 2) & ((h != t) | (ent_count[h] >= 3)))
     if not pool.size:
@@ -382,27 +379,22 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     store = _migrate_store(store, g_new, diff, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
     candidates = candidate_objects(g_new, diff)
-    found, know_rows, ctx_rows = [], [], []
-    for kind, ids, id_map, sig in zip((ENTITY, RELATION), candidates,
-                                      (diff.entity_map, diff.relation_map),
-                                      (store.ent_sig, store.rel_sig)):
-        survived = id_map.to_old[ids] >= 0
-        changed_ids, new_rows = changed_contexts(table, kind, ids, survived,
-                                                 sig[ids[survived]])
-        sig[ids] = new_rows
-        emerging = np.flatnonzero(id_map.to_old < 0)
-        found += [(kind, obj) for obj in changed_ids.tolist()]
-        know_rows.append(np.union1d(emerging, changed_ids))
-        ctx_rows.append(emerging)
-    t_ol = collect_retrain_set(g_new, diff, frozenset(found))
-    mask = UpdateMask(ent_know_rows=know_rows[0], ent_ctx_rows=ctx_rows[0],
-                      rel_know_rows=know_rows[1], rel_ctx_rows=ctx_rows[1])
+    changed, new_rows = context_changes(
+        table, diff, candidates,
+        lambda kind, old_ids: (old.ent_sig if kind == ENTITY else old.rel_sig)[old_ids])
+    store.ent_sig[candidates[0]] = new_rows[0]
+    store.rel_sig[candidates[1]] = new_rows[1]
+    t_ol = collect_retrain_set(g_new, diff, changed)
+    mask = UpdateMask(ent_know_rows=np.union1d(diff.emerging_entities, changed[0]),
+                      ent_ctx_rows=diff.emerging_entities,
+                      rel_know_rows=np.union1d(diff.emerging_relations, changed[1]),
+                      rel_ctx_rows=diff.emerging_relations)
 
     updated = mask.updated_count * store.dim
     frozen = store.parameter_count() - updated
 
     losses, best_hits, best_epoch, epochs = [], None, None, 0
-    if t_ol:
+    if len(t_ol):
         if valid:
             valid_triples = _check_valid_triples(valid, g_new)
         else:
@@ -410,7 +402,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
                                                 np.random.default_rng(holdout_ss))
         stats = relation_stats(g_new)
         store, losses, best_hits, best_epoch, epochs = _sgd_loop(
-            g_new, sorted(t_ol), store, table, stats, valid_triples, config, mask,
+            g_new, t_ol, store, table, stats, valid_triples, config, mask,
             np.random.default_rng(shuffle_ss), np.random.default_rng(neg_ss), log)
     n_ent, n_rel = _update_joint(store, old, g_old, g_new, table, mask, diff, candidates)
     report = TrainReport(

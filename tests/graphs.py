@@ -138,6 +138,29 @@ def signatures_by_name(source, ids=None) -> dict[tuple[str, str], int]:
             for kind in names for obj, row in zip(ids[kind], rows[kind])}
 
 
+def split_refs(refs) -> tuple[np.ndarray, np.ndarray]:
+    """(kind, id) pairs, as ``changed_context_objects`` gives them, as the
+    sorted entity and relation id arrays the run path passes on."""
+    return tuple(np.array(sorted(obj for k, obj in refs if k == kind), dtype=np.intp)
+                 for kind in (ENTITY, RELATION))
+
+
+def row_triples(rows: np.ndarray) -> frozenset[Triple]:
+    """Id rows as a set of ``Triple``s."""
+    return frozenset(map(Triple._make, rows.tolist()))
+
+
+def retrain_set_by_loop(g_new: Snapshot, diff: SnapshotDiff, changed) -> frozenset[Triple]:
+    """The triples of g_new touching an emerging object or one of the
+    ``changed`` (kind, id) pairs, by a loop over the triples."""
+    flag_e = set(diff.emerging_entities.tolist())
+    flag_r = set(diff.emerging_relations.tolist())
+    for kind, obj in changed:
+        (flag_e if kind == ENTITY else flag_r).add(obj)
+    return frozenset(t for t in g_new.triples
+                     if t.head in flag_e or t.tail in flag_e or t.relation in flag_r)
+
+
 def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
                             diff: SnapshotDiff) -> tuple[set[str], set[str]]:
     """The names of the objects whose context a change may reach, in either

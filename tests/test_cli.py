@@ -16,8 +16,8 @@ from dkge.kg_store import diff_snapshots, load_snapshot_dir
 from dkge.model import forward_triple
 from dkge.training import collect_retrain_set
 
-from graphs import (TOY_T1, TOY_T2, random_name_triples, update_traces,
-                    write_snapshot_dir)
+from graphs import (TOY_T1, TOY_T2, random_name_triples, row_triples, split_refs,
+                    update_traces, write_snapshot_dir)
 
 FAST_FLAGS = ["--d", "8", "--lr", "0.01", "--batch", "8", "--margin", "2",
               "--max-epochs", "4"]
@@ -52,6 +52,31 @@ def test_config_file_unknown_key(tmp_path):
     p.write_text("dimension = 16\n")
     with pytest.raises(ConfigError):
         parse_config_file(p)
+
+
+def test_config_file_not_utf8(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(b"dim = 16\r\n# \xe9t\xe9\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_file(p)
+    assert str(err.value) == f"{p}:2: not UTF-8"
+
+
+def test_non_utf8_inputs_end_in_an_error_line(tmp_path, capsys):
+    """A train file or a --config file that is not UTF-8 makes ``dkge
+    train`` print one error line naming the file and line, not a traceback."""
+    snap = tmp_path / "s0"
+    write_snapshot_dir(snap, TOY_T1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"dim = \xff8\n")
+    code, _, err = run(capsys, "train", str(snap), str(tmp_path / "c.pkl"),
+                       "--config", str(cfg), *FAST_FLAGS)
+    assert (code, err) == (1, f"error: {cfg}:1: not UTF-8\n")
+    train = snap / "train.txt"
+    train.write_bytes(train.read_bytes() + b"\xff\tr\tb\n")
+    code, _, err = run(capsys, "train", str(snap), str(tmp_path / "c.pkl"), *FAST_FLAGS)
+    assert (code, err) == (1, f"error: {train}:{len(TOY_T1) + 1}: not UTF-8: "
+                              "invalid start byte\n")
 
 
 def test_config_file_bad_value(tmp_path):
@@ -188,7 +213,8 @@ def test_update_inherits_model_config(capped_run, capsys):
     assert max(len(entity_context(g_old, e).vertices)
                for e in range(g_old.num_entities)) > 10
     diff = diff_snapshots(g_old, g_new)
-    retrain = collect_retrain_set(g_new, diff, changed_context_objects(g_old, g_new, diff))
+    retrain = row_triples(collect_retrain_set(
+        g_new, diff, split_refs(changed_context_objects(g_old, g_new, diff))))
     before, after = load_checkpoint(tmp / "c0.pkl"), load_checkpoint(tmp / "c1.pkl")
     table_old, table_new = before.context_table(g_old), after.context_table(g_new)
     memo_old, memo_new = {}, {}
@@ -479,7 +505,7 @@ def test_diff_takes_max_midpoints_from_checkpoint(tmp_path, capsys):
     assert changed == ["changed entity a", "changed entity b"]
     code, _, _ = run(capsys, "update", str(old), str(new), c0, c1, *FAST_FLAGS)
     assert code == 0
-    report = json.loads(open(c1 + ".report.json", encoding="utf-8").read())
+    report = json.loads((tmp_path / "c1.pkl.report.json").read_text(encoding="utf-8"))
     assert report["retrained_triples"] == int(counts["retrain_triples"]) == len(retrain)
     # a and b train their knowledge rows, the emerging m9 both rows; d = 8
     assert report["updated_parameters"] == (2 + 2 * 1) * 8
@@ -503,7 +529,7 @@ def test_diff_matches_oracle_over_update_traces(tmp_path, capsys):
             f"{(g_new.entity_names if kind == 'entity' else g_new.relation_names)[obj]}"
             for kind, obj in oracle)
         assert retrain == sorted("retrain " + " ".join(g_new.triple_names(t))
-                                 for t in collect_retrain_set(g_new, diff, oracle))
+                                 for t in collect_retrain_set(g_new, diff, split_refs(oracle)))
         assert int(counts["changed_context"]) == len(oracle)
 
 

@@ -324,8 +324,8 @@ def assert_candidates_equal_the_name_loops(g_old, g_new):
                                       if n in g_new.entity_ids)
     assert rel_ids.tolist() == sorted(g_new.relation_ids[n] for n in rel_names
                                       if n in g_new.relation_ids)
-    assert diff.emerging_entities <= set(ent_ids.tolist())
-    assert diff.emerging_relations <= set(rel_ids.tolist())
+    assert set(diff.emerging_entities.tolist()) <= set(ent_ids.tolist())
+    assert set(diff.emerging_relations.tolist()) <= set(rel_ids.tolist())
 
 
 @pytest.mark.parametrize("old, new", [(0, 1), (1, 2), (0, 2), (2, 0)])

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextTable, ENTITY, RELATION, RELATION_PATH,
                            build_context, candidate_objects, changed_context_objects,
-                           changed_contexts, context_signature, entity_context,
+                           context_changes, context_signature, entity_context,
                            relation_context)
 from dkge.kg_store import Snapshot, diff_snapshots
+from dkge.training import collect_retrain_set
 
 from graphs import (TOY_T1, TOY_T2, candidate_changed_names, churned_triples,
-                    random_name_triples, signatures_by_name, toy_snapshot)
+                    random_name_triples, retrain_set_by_loop, signatures_by_name,
+                    split_refs, tiny_store, toy_snapshot)
 
 
 def all_contexts(g):
@@ -389,18 +391,44 @@ def test_changed_contexts_toy(g1, g2):
     ent_cand, rel_cand = candidate_changed_names(g1, g2, diff)
     stored, table, full = ContextTable(g1), ContextTable(g2), ContextTable(g2)
     names = {ENTITY: g2.entity_names, RELATION: g2.relation_names}
-    changed, fresh = set(), set()
-    for kind, ids, id_map in zip((ENTITY, RELATION), candidate_objects(g2, diff),
-                                 (diff.entity_map, diff.relation_map)):
-        old_ids = id_map.to_old[ids]
-        found, rows = changed_contexts(table, kind, ids, old_ids >= 0,
-                                       stored.signatures(kind, old_ids[old_ids >= 0]))
-        changed |= {(kind, obj) for obj in found.tolist()}
-        assert rows.tobytes() == full.signatures(kind, ids).tobytes()
+    candidates = candidate_objects(g2, diff)
+    changed, rows = context_changes(table, diff, candidates, stored.signatures)
+    fresh = set()
+    for kind, ids, kind_rows in zip((ENTITY, RELATION), candidates, rows):
+        assert kind_rows.tobytes() == full.signatures(kind, ids).tobytes()
         fresh |= {(kind, names[kind][obj]) for obj in ids.tolist()}
-    assert changed == changed_context_objects(g1, g2)
+    want = split_refs(changed_context_objects(g1, g2, diff))
+    assert [ids.tolist() for ids in changed] == [ids.tolist() for ids in want]
     assert fresh == ({(ENTITY, n) for n in ent_cand if n in g2.entity_ids}
                      | {(RELATION, n) for n in rel_cand if n in g2.relation_ids})
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_context_changes_equal_the_reference(seed):
+    """The detector finds ``changed_context_objects`` whether the old rows
+    come from an old-snapshot table (``dkge diff``) or from a store
+    (``dkge update``), and the retrain set built on it equals the loop's,
+    in (h, r, t) order."""
+    rng = np.random.default_rng(seed)
+    base = random_name_triples(rng, int(rng.integers(5, 60)), 12, 4)
+    g_old = Snapshot.from_name_triples(base)
+    g_new = Snapshot.from_name_triples(churned_triples(rng, base, churn=0.3), time_step=1)
+    diff = diff_snapshots(g_old, g_new)
+    candidates = candidate_objects(g_new, diff)
+    reference = changed_context_objects(g_old, g_new, diff)
+    store, _ = tiny_store(g_old, d=4)
+    for old_signatures in (ContextTable(g_old).signatures,
+                           lambda kind, ids: (store.ent_sig if kind == ENTITY
+                                              else store.rel_sig)[ids]):
+        changed, rows = context_changes(ContextTable(g_new), diff, candidates,
+                                        old_signatures)
+        assert [ids.tolist() for ids in changed] == [ids.tolist()
+                                                     for ids in split_refs(reference)]
+        for kind, ids, kind_rows in zip((ENTITY, RELATION), candidates, rows):
+            assert kind_rows.tobytes() == ContextTable(g_new).signatures(kind, ids).tobytes()
+        t_ol = collect_retrain_set(g_new, diff, changed)
+        assert t_ol.tolist() == sorted(map(list, retrain_set_by_loop(g_new, diff, reference)))
 
 
 def test_changed_context_objects_toy(g1, g2):

@@ -59,6 +59,23 @@ def test_parse_line_endings_comments_and_duplicates(tmp_path):
         assert str(err.value) == f"{p}:{line_no}: expected 3 tab-separated fields, got {got}"
 
 
+@pytest.mark.parametrize("name", ["train.txt", "test.txt"])
+def test_non_utf8_line_raises_parse_error(tmp_path, name):
+    """A byte that is not UTF-8 raises ParseError naming the file and its
+    line, counted as text mode counts them, also far past the first chunk
+    the decoder reads."""
+    good = b"a\tr\tb\n" * 4000 + b"b\tr\tc\r" + b"c\tr\td\r\n# note\n"
+    (tmp_path / "train.txt").write_bytes(good)
+    (tmp_path / "test.txt").write_bytes(good)
+    p = tmp_path / name
+    p.write_bytes(good + b"d\tr\t\xffe\n" + b"e\tr\tf\n")
+    with pytest.raises(ParseError) as err:
+        load_snapshot_dir(tmp_path)
+    assert err.value.path == str(p)
+    assert err.value.line_no == 4004
+    assert str(err.value) == f"{p}:4004: not UTF-8: invalid start byte"
+
+
 def ids(rows):
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
@@ -231,11 +248,11 @@ def test_diff_toy_step(g1, g2):
     diff = diff_snapshots(g1, g2)
     assert {g2.triple_names(t) for t in diff.added_triples} == {
         ("e6", "r5", "e3"), ("e7", "r7", "e6")}
-    assert diff.deleted_triples == frozenset()
+    assert diff.deleted_triples.shape == (0, 3)
     assert {g2.entity_names[e] for e in diff.emerging_entities} == {"e7"}
     assert {g2.relation_names[r] for r in diff.emerging_relations} == {"r7"}
-    assert diff.removed_entities == frozenset()
-    assert diff.removed_relations == frozenset()
+    assert diff.removed_entities.size == 0
+    assert diff.removed_relations.size == 0
 
 
 def test_diff_identical_snapshots(g1):
@@ -249,7 +266,7 @@ def test_diff_detects_removals():
     g_new = Snapshot.from_name_triples(TOY_T0)
     diff = diff_snapshots(g_old, g_new)
     assert {g_old.triple_names(t) for t in diff.deleted_triples} == {("e1", "r1", "e2")}
-    assert diff.emerging_entities == frozenset()
+    assert diff.emerging_entities.size == 0
 
 
 def test_diff_removed_objects():

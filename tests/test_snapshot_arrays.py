@@ -13,9 +13,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from dkge.contexts import ENTITY, RELATION
-from dkge.kg_store import IdMap, Snapshot, SnapshotDiff, Triple, diff_snapshots
+from dkge.kg_store import IdMap, Snapshot, Triple, diff_snapshots
 from dkge.model import RelationStats, relation_stats
 from dkge.training import _holdout_validation, collect_retrain_set
+
+from graphs import retrain_set_by_loop, row_triples, split_refs
 
 
 # -- the loop definitions ------------------------------------------------------
@@ -36,17 +38,21 @@ def intern_by_loop(name_triples):
 
 
 def diff_by_names(g_old, g_new):
+    """The ``SnapshotDiff`` fields and properties as lists, the triples in
+    file order and the objects ascending, plus the id maps."""
     old_names = set(g_old.name_triples())
     new_names = set(g_new.name_triples())
     old_e, new_e = set(g_old.entity_names), set(g_new.entity_names)
     old_r, new_r = set(g_old.relation_names), set(g_new.relation_names)
-    return SnapshotDiff(
-        added_triples=frozenset(g_new.resolve(nt) for nt in new_names - old_names),
-        deleted_triples=frozenset(g_old.resolve(nt) for nt in old_names - new_names),
-        emerging_entities=frozenset(g_new.entity_ids[n] for n in new_e - old_e),
-        emerging_relations=frozenset(g_new.relation_ids[n] for n in new_r - old_r),
-        removed_entities=frozenset(g_old.entity_ids[n] for n in old_e - new_e),
-        removed_relations=frozenset(g_old.relation_ids[n] for n in old_r - new_r),
+    return dict(
+        added_triples=[list(g_new.resolve(nt)) for nt in g_new.name_triples()
+                       if nt not in old_names],
+        deleted_triples=[list(g_old.resolve(nt)) for nt in g_old.name_triples()
+                         if nt not in new_names],
+        emerging_entities=sorted(g_new.entity_ids[n] for n in new_e - old_e),
+        emerging_relations=sorted(g_new.relation_ids[n] for n in new_r - old_r),
+        removed_entities=sorted(g_old.entity_ids[n] for n in old_e - new_e),
+        removed_relations=sorted(g_old.relation_ids[n] for n in old_r - new_r),
         entity_map=id_map_by_names(g_old.entity_names, g_new.entity_names),
         relation_map=id_map_by_names(g_old.relation_names, g_new.relation_names))
 
@@ -70,15 +76,6 @@ def relation_stats_by_loop(snapshot):
     return RelationStats(
         tph=counts / np.array([len(s) for s in heads], dtype=np.float64),
         hpt=counts / np.array([len(s) for s in tails], dtype=np.float64))
-
-
-def retrain_set_by_loop(g_new, diff, changed):
-    flag_e = set(diff.emerging_entities)
-    flag_r = set(diff.emerging_relations)
-    for kind, obj in changed:
-        (flag_e if kind == ENTITY else flag_r).add(obj)
-    return frozenset(t for t in g_new.triples
-                     if t.head in flag_e or t.tail in flag_e or t.relation in flag_r)
 
 
 def holdout_by_loop(g_new, t_ol, rng):
@@ -154,10 +151,13 @@ def test_diff_equals_the_name_sets(pair):
     g_old, g_new = (Snapshot.from_name_triples(lines) for lines in pair)
     for a, b in ((g_old, g_new), (g_new, g_old), (g_old, g_old)):
         got, want = diff_snapshots(a, b), diff_by_names(a, b)
-        assert got == want
-        # the id maps are not compared by ==
-        for mine, by_names in ((got.entity_map, want.entity_map),
-                               (got.relation_map, want.relation_map)):
+        for name in ("added_triples", "deleted_triples", "emerging_entities",
+                     "emerging_relations", "removed_entities", "removed_relations"):
+            assert getattr(got, name).tolist() == want[name]
+        assert got.added_triples.dtype == got.deleted_triples.dtype == np.int64
+        assert got.added_triples.shape[1:] == got.deleted_triples.shape[1:] == (3,)
+        for mine, by_names in ((got.entity_map, want["entity_map"]),
+                               (got.relation_map, want["relation_map"])):
             assert mine.to_new.tolist() == by_names.to_new.tolist()
             assert mine.to_old.tolist() == by_names.to_old.tolist()
 
@@ -180,10 +180,12 @@ def test_retrain_set_and_holdout_equal_the_loops(pair, seed):
     diff = diff_snapshots(g_old, g_new)
     rng = np.random.default_rng(seed)
     changed = changed_objects(rng, g_new)
-    t_ol = collect_retrain_set(g_new, diff, changed)
-    assert t_ol == retrain_set_by_loop(g_new, diff, changed)
-    assert collect_retrain_set(g_new, diff, set()) == retrain_set_by_loop(g_new, diff, set())
-    for retrained in (t_ol, frozenset()):
+    t_ol = collect_retrain_set(g_new, diff, split_refs(changed))
+    assert t_ol.tolist() == sorted(map(list, retrain_set_by_loop(g_new, diff, changed)))
+    emerging_only = collect_retrain_set(g_new, diff, split_refs(set()))
+    assert emerging_only.tolist() == sorted(map(list, retrain_set_by_loop(g_new, diff, set())))
+    for retrained in (t_ol, np.empty((0, 3), dtype=np.int64)):
         got = _holdout_validation(g_new, retrained, np.random.default_rng(seed))
-        assert got == holdout_by_loop(g_new, retrained, np.random.default_rng(seed))
+        assert got == holdout_by_loop(g_new, row_triples(retrained),
+                                      np.random.default_rng(seed))
         assert all(type(t) is Triple and type(t.head) is int for t in got)

@@ -16,8 +16,8 @@ from dkge.training import (TrainConfig, collect_retrain_set, train_from_scratch,
                            train_online)
 
 from graphs import (TOY_T1, TOY_T2, assert_tables_fresh, candidate_changed_names,
-                    churned_triples, random_name_triples, signatures_by_name, tiny_store,
-                    toy_snapshot, update_traces)
+                    churned_triples, random_name_triples, row_triples, signatures_by_name,
+                    split_refs, tiny_store, toy_snapshot, update_traces)
 
 FAST = dict(dim=8, learning_rate=0.01, batch_size=8, margin=2.0,
             max_epochs=6, patience=2, eval_every=2, seed=0)
@@ -132,7 +132,7 @@ def test_scratch_rejects_out_of_range_valid(g1):
 
 def test_collect_retrain_set_toy(g1, g2):
     diff = diff_snapshots(g1, g2)
-    changed = changed_context_objects(g1, g2, diff)
+    changed = split_refs(changed_context_objects(g1, g2, diff))
     t_ol = collect_retrain_set(g2, diff, changed)
     assert {g2.triple_names(t) for t in t_ol} == {
         ("e1", "r1", "e2"), ("e1", "r1", "e5"), ("e1", "r5", "e3"),
@@ -143,8 +143,8 @@ def test_collect_retrain_set_toy(g1, g2):
 def test_collect_retrain_set_empty_when_unchanged(g1):
     other = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
     diff = diff_snapshots(g1, other)
-    changed = changed_context_objects(g1, other, diff)
-    assert collect_retrain_set(other, diff, changed) == frozenset()
+    changed = split_refs(changed_context_objects(g1, other, diff))
+    assert row_triples(collect_retrain_set(other, diff, changed)) == frozenset()
 
 
 # -- online learning ----------------------------------------------------------
@@ -251,7 +251,7 @@ def test_online_detection_matches_pure_diff():
         store, _ = train_from_scratch(g_old, set(), cfg, log=None)
         new_store, report = train_online(g_old, g_new, store, set(), cfg, log=None)
         diff = diff_snapshots(g_old, g_new)
-        changed = changed_context_objects(g_old, g_new, diff)
+        changed = split_refs(changed_context_objects(g_old, g_new, diff))
         t_ol = collect_retrain_set(g_new, diff, changed)
         assert report.retrained_triples == len(t_ol)
         fresh = ContextTable(g_new, cap=new_store.cap, seed=new_store.seed)
