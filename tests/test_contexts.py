@@ -418,6 +418,7 @@ def test_context_changes_equal_the_reference(seed):
     candidates = candidate_objects(g_new, diff)
     reference = changed_context_objects(g_old, g_new, diff)
     store, _ = tiny_store(g_old, d=4)
+    fresh = ContextTable(g_new)
     for old_signatures in (ContextTable(g_old).signatures,
                            lambda kind, ids: (store.ent_sig if kind == ENTITY
                                               else store.rel_sig)[ids]):
@@ -426,7 +427,7 @@ def test_context_changes_equal_the_reference(seed):
         assert [ids.tolist() for ids in changed] == [ids.tolist()
                                                      for ids in split_refs(reference)]
         for kind, ids, kind_rows in zip((ENTITY, RELATION), candidates, rows):
-            assert kind_rows.tobytes() == ContextTable(g_new).signatures(kind, ids).tobytes()
+            assert kind_rows.tobytes() == fresh.signatures(kind, ids).tobytes()
         t_ol = collect_retrain_set(g_new, diff, changed)
         assert t_ol.tolist() == sorted(map(list, retrain_set_by_loop(g_new, diff, reference)))
 
