@@ -3,8 +3,8 @@ Training a model from scratch
 =============================
 
 Fit joint embeddings on one snapshot: every epoch shuffles the training
-triples, corrupts each one into a negative, and applies one SGD step per
-minibatch under the margin ranking loss.
+triples, draws one corrupted negative per triple for a whole minibatch at
+once, and applies one SGD step per minibatch under the margin ranking loss.
 """
 from pathlib import Path
 

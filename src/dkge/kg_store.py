@@ -375,35 +375,49 @@ def undecodable_line(path) -> int:
     return 0
 
 
+def _parse_lines(path: Path, lines: Iterable[str]) -> tuple[list[NameTriple], int]:
+    """The name triples of text lines numbered from 1, in order with
+    duplicates removed, and the number of duplicates collapsed."""
+    out: list[NameTriple] = []
+    seen: set[NameTriple] = set()
+    dups = 0
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.lstrip()
+        if not text or text[0] == "#":
+            continue
+        fields = raw.rstrip("\n").split("\t")
+        if len(fields) != 3 or not all(fields):
+            raise ParseError(path, line_no,
+                             f"expected 3 tab-separated fields, got {len(fields)}")
+        nt: NameTriple = (fields[0], fields[1], fields[2])
+        if nt in seen:
+            dups += 1
+            continue
+        seen.add(nt)
+        out.append(nt)
+    return out, dups
+
+
 def parse_triple_file(path) -> tuple[list[NameTriple], int]:
     """Read a tab-separated triple file; lines end in \\n, \\r\\n or \\r.
 
     Returns (name triples in file order with duplicates removed, number of
     duplicates collapsed).  Blank lines and lines starting with '#' are
-    ignored.  Any other line must have exactly three non-empty fields.
+    ignored.  Any other line must have exactly three non-empty fields.  The
+    first bad line in file order is the one reported, whether it is
+    malformed or not UTF-8.
     """
     path = Path(path)
-    out: list[NameTriple] = []
-    seen: set[NameTriple] = set()
-    dups = 0
     try:
         with path.open("r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                text = raw.lstrip()
-                if not text or text[0] == "#":
-                    continue
-                fields = raw.rstrip("\n").split("\t")
-                if len(fields) != 3 or not all(fields):
-                    raise ParseError(path, line_no,
-                                     f"expected 3 tab-separated fields, got {len(fields)}")
-                nt: NameTriple = (fields[0], fields[1], fields[2])
-                if nt in seen:
-                    dups += 1
-                    continue
-                seen.add(nt)
-                out.append(nt)
+            out, dups = _parse_lines(path, fh)
     except UnicodeDecodeError as exc:
-        raise ParseError(path, undecodable_line(path), f"not UTF-8: {exc.reason}") from None
+        # text mode decodes ahead in chunks, so lines before the undecodable
+        # one may not have been checked yet
+        bad = undecodable_line(path)
+        _parse_lines(path, (line.decode("utf-8")
+                            for line in path.read_bytes().splitlines()[:bad - 1]))
+        raise ParseError(path, bad, f"not UTF-8: {exc.reason}") from None
     if dups:
         logger.warning("%s: collapsed %d duplicate triples", path, dups)
     return out, dups

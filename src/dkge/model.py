@@ -9,7 +9,9 @@ context through a logistic gate shared per object class:
 
 Triples are scored with the L1 translation distance f = |h* + r* - t*|_1;
 lower is better.  Training minimizes a margin loss over corrupted pairs with
-Bernoulli head/tail corruption.
+Bernoulli head/tail corruption.  ``corrupt_rows`` draws the negatives of a
+whole batch of id rows as arrays, testing them against the snapshot's sorted
+triple codes; ``bernoulli_corrupt`` is the one-triple reference definition.
 
 Objects are encoded in batches.  ``encode`` gathers the stored contexts of
 objects of one kind from the context table, their member rows and their
@@ -39,7 +41,7 @@ from .agcn import AgcnCache, AgcnParams, agcn_backward, agcn_forward
 from .contexts import (ContextPass, ContextTable, DEFAULT_CAP,
                        DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, ObjectRef)
 from .errors import ConfigError, IntegrityError
-from .kg_store import Snapshot, Triple
+from .kg_store import Snapshot, Triple, triple_codes
 
 
 @dataclass
@@ -217,9 +219,44 @@ def bernoulli_corrupt(triple: Triple, stats: RelationStats, snapshot: Snapshot,
             candidate = Triple(other, triple.relation, triple.tail)
         else:
             candidate = Triple(triple.head, triple.relation, other)
-        if candidate not in snapshot.triple_set:
+        if not snapshot.has_triple(candidate):
             return candidate
     return None
+
+
+def corrupt_rows(rows: np.ndarray, stats: RelationStats, snapshot: Snapshot,
+                 rng: np.random.Generator, max_retries: int = 100) -> np.ndarray:
+    """``bernoulli_corrupt`` for a batch of (n, 3) id rows at once.
+
+    Returns a (P, 2, 3) int64 array of (positive, negative) rows, in batch
+    order.  Each round draws the head/tail choices, then the replacement
+    entities, of the rows still open, and tests the candidates' codes
+    against ``snapshot.sorted_codes``; only the collisions are redrawn, for
+    at most max_retries + 1 rounds.  A row still colliding after the last
+    round is left out, so P <= n.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n_e, n_r = snapshot.num_entities, snapshot.num_relations
+    known = snapshot.sorted_codes
+    p_head = (stats.tph / (stats.tph + stats.hpt))[rows[:, 1]]
+    negatives = rows.copy()
+    open_rows = np.arange(len(rows))
+    for _ in range(max_retries + 1):
+        if not open_rows.size:
+            break
+        k = open_rows.size
+        replace_head = rng.random(k) < p_head[open_rows]
+        other = rng.integers(n_e, size=k)
+        candidates = rows[open_rows]
+        candidates[:, 0] = np.where(replace_head, other, candidates[:, 0])
+        candidates[:, 2] = np.where(replace_head, candidates[:, 2], other)
+        negatives[open_rows] = candidates
+        codes = triple_codes(candidates, n_e, n_r)
+        at = np.minimum(known.searchsorted(codes), known.size - 1)
+        open_rows = open_rows[known[at] == codes]
+    kept = np.ones(len(rows), dtype=bool)
+    kept[open_rows] = False
+    return np.stack((rows[kept], negatives[kept]), axis=1)
 
 
 # -- batched encoder ------------------------------------------------------------
@@ -430,10 +467,12 @@ class GradBuffer:
                 self.rel_attention, self.rel_gate_pre)
 
 
-def batch_loss(pairs: list[tuple[Triple, Triple]], store: ParameterStore,
-               contexts: ContextTable, margin: float,
+def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
+               store: ParameterStore, contexts: ContextTable, margin: float,
                buffer: GradBuffer | None = None) -> float:
-    """Summed margin loss over (positive, corrupted) pairs.
+    """Summed margin loss over (positive, corrupted) pairs, given as a
+    (P, 2, 3) id array (as ``corrupt_rows`` returns) or as a list of
+    ``Triple`` pairs; either form gives the same loss and gradients.
 
     With a buffer, also accumulates the gradient of the summed loss.  The
     distinct objects of the batch are encoded once per call, grouped by kind
@@ -441,9 +480,9 @@ def batch_loss(pairs: list[tuple[Triple, Triple]], store: ParameterStore,
     the upstream gradients of each object are merged, and each pass runs one
     backward pass.
     """
-    if not pairs:
+    if len(pairs) == 0:
         return 0.0
-    triples = np.array(pairs, dtype=np.intp)              # (P, 2, 3)
+    triples = np.asarray(pairs, dtype=np.intp)            # (P, 2, 3)
     ent_ids, ent_at = np.unique(triples[:, :, [0, 2]], return_inverse=True)
     rel_ids, rel_at = np.unique(triples[:, :, 1], return_inverse=True)
     ent_at = ent_at.reshape(len(pairs), 2, 2)             # (pair, pos/neg, head/tail)

@@ -1,8 +1,11 @@
 """Learning from scratch and incremental online learning.
 
 Both modes run minibatch SGD on the summed margin loss with one Bernoulli
-negative per positive; a positive whose negative sampling runs out of
-retries is left out of its batch.  Online learning reuses a previous run's
+negative per positive.  A batch travels as id arrays: its shuffled rows go
+to ``model.corrupt_rows``, whose (positive, negative) array goes to
+``batch_loss``.  A positive whose negative sampling runs out of retries is
+left out of its batch and counted in ``TrainReport.negatives_dropped``.
+Online learning reuses a previous run's
 parameters: removed objects are dropped, emerging objects get fresh
 embeddings, and only triples touching emerging or changed-context objects
 are retrained.  During the online pass the encoder weights, attention
@@ -41,7 +44,7 @@ from .errors import ConfigError, IntegrityError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
 from .model import (GradBuffer, JointCache, ParameterStore, RelationStats,
-                    batch_loss, bernoulli_corrupt, init_params, joint_rows,
+                    batch_loss, corrupt_rows, init_params, joint_rows,
                     joint_table, relation_stats)
 
 logger = logging.getLogger(__name__)
@@ -103,6 +106,9 @@ class TrainReport:
     frozen_parameters: int
     reencoded_entities: int
     reencoded_relations: int
+    # positives left out of their batch because every negative drawn for
+    # them was a known triple, summed over the epochs run
+    negatives_dropped: int
 
 
 @dataclass
@@ -154,7 +160,7 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
               table: ContextTable, stats: RelationStats,
               valid_triples: list[Triple] | None, config: TrainConfig,
               mask: UpdateMask | None, shuffle_rng: np.random.Generator,
-              negative_rng: np.random.Generator, log) -> tuple[ParameterStore, list[float], float | None, int | None, int]:
+              negative_rng: np.random.Generator, log) -> tuple[ParameterStore, list[float], float | None, int | None, int, int]:
     best_store = None
     best_hits = -1.0
     best_epoch = None
@@ -162,16 +168,16 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
     losses: list[float] = []
     n = len(train_rows)
     epochs_run = 0
+    dropped = 0
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
         epochs_run = epoch
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
-            batch = map(Triple._make, train_rows[order[start:start + config.batch_size]].tolist())
-            pairs = [(t, neg) for t in batch
-                     if (neg := bernoulli_corrupt(t, stats, snapshot, negative_rng))
-                     is not None]
+            batch = train_rows[order[start:start + config.batch_size]]
+            pairs = corrupt_rows(batch, stats, snapshot, negative_rng)
+            dropped += len(batch) - len(pairs)
             buf = GradBuffer(store)
             epoch_loss += batch_loss(pairs, store, table, config.margin, buf)
             _apply_sgd(store, buf, config.learning_rate, mask)
@@ -198,8 +204,8 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
         if stop:
             break
     if best_store is not None:
-        return best_store, losses, best_hits, best_epoch, epochs_run
-    return store, losses, None, None, epochs_run
+        return best_store, losses, best_hits, best_epoch, epochs_run, dropped
+    return store, losses, None, None, epochs_run, dropped
 
 
 def _check_valid_triples(valid, snapshot: Snapshot) -> list[Triple]:
@@ -235,7 +241,7 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
     store.ent_sig = table.signatures(ENTITY)
     store.rel_sig = table.signatures(RELATION)
     stats = relation_stats(snapshot)
-    store, losses, best_hits, best_epoch, epochs = _sgd_loop(
+    store, losses, best_hits, best_epoch, epochs, dropped = _sgd_loop(
         snapshot, snapshot.triple_ids, store, table, stats, valid_triples,
         config, None, np.random.default_rng(shuffle_ss),
         np.random.default_rng(neg_ss), log)
@@ -246,7 +252,7 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
         seconds=time.perf_counter() - t_start, retrained_triples=None,
         updated_parameters=store.parameter_count(), frozen_parameters=0,
         reencoded_entities=store.num_entities,
-        reencoded_relations=store.num_relations)
+        reencoded_relations=store.num_relations, negatives_dropped=dropped)
     return store, report
 
 
@@ -393,7 +399,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     updated = mask.updated_count * store.dim
     frozen = store.parameter_count() - updated
 
-    losses, best_hits, best_epoch, epochs = [], None, None, 0
+    losses, best_hits, best_epoch, epochs, dropped = [], None, None, 0, 0
     if len(t_ol):
         if valid:
             valid_triples = _check_valid_triples(valid, g_new)
@@ -401,7 +407,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
             valid_triples = _holdout_validation(g_new, t_ol,
                                                 np.random.default_rng(holdout_ss))
         stats = relation_stats(g_new)
-        store, losses, best_hits, best_epoch, epochs = _sgd_loop(
+        store, losses, best_hits, best_epoch, epochs, dropped = _sgd_loop(
             g_new, t_ol, store, table, stats, valid_triples, config, mask,
             np.random.default_rng(shuffle_ss), np.random.default_rng(neg_ss), log)
     n_ent, n_rel = _update_joint(store, old, g_old, g_new, table, mask, diff, candidates)
@@ -410,5 +416,6 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
         best_valid_hits10=best_hits, best_epoch=best_epoch,
         seconds=time.perf_counter() - t_start, retrained_triples=len(t_ol),
         updated_parameters=updated, frozen_parameters=frozen,
-        reencoded_entities=n_ent, reencoded_relations=n_rel)
+        reencoded_entities=n_ent, reencoded_relations=n_rel,
+        negatives_dropped=dropped)
     return store, report

@@ -126,6 +126,7 @@ def test_train_writes_checkpoint_and_report(dirs, capsys):
     assert report["mode"] == "scratch"
     assert report["epochs_run"] == 4
     assert len(report["epoch_losses"]) == 4
+    assert report["negatives_dropped"] == 0
     assert "saved checkpoint" in out
 
 

@@ -76,6 +76,21 @@ def test_non_utf8_line_raises_parse_error(tmp_path, name):
     assert str(err.value) == f"{p}:4004: not UTF-8: invalid start byte"
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"a\tb\n\xff\n", "1: expected 3 tab-separated fields, got 2"),
+    (b"\xff\na\tb\n", "1: not UTF-8: invalid start byte"),
+    (b"a\tr\tb\r\n# x\rc\td\n\xff\n", "3: expected 3 tab-separated fields, got 2"),
+])
+def test_parse_reports_the_first_bad_line(tmp_path, content, message):
+    """A malformed line before an undecodable one is the error reported,
+    though the decoder reads ahead of the line loop."""
+    p = tmp_path / "bad.txt"
+    p.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        parse_triple_file(p)
+    assert str(err.value) == f"{p}:{message}"
+
+
 def ids(rows):
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 

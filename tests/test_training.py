@@ -108,7 +108,32 @@ def test_pairs_without_a_negative_are_dropped():
     three, report = train_from_scratch(g, set(), TrainConfig(**{**FAST, "max_epochs": 3}),
                                        log=None)
     assert report.epoch_losses == [0.0, 0.0, 0.0]
+    assert report.negatives_dropped == 3 * 4
     assert all_param_bytes(one) == all_param_bytes(three)
+    # an update retrains all five triples; only the new relation's has a
+    # corruption
+    g_new = Snapshot.from_name_triples(list(g.name_triples()) + [("a", "s", "b")],
+                                       time_step=1)
+    _, report = train_online(g, g_new, three, set(), TrainConfig(**{**FAST, "max_epochs": 2}),
+                             log=None)
+    assert (report.epochs_run, report.retrained_triples) == (2, 5)
+    assert report.negatives_dropped == 2 * 4
+
+
+def test_training_builds_no_triple_views():
+    """Negatives are tested against the sorted codes, so neither trainer
+    builds the per-triple tuple view or its frozenset."""
+    rng = np.random.default_rng(8)
+    base = random_name_triples(rng, 120, 25, 4)
+    g_old = Snapshot.from_name_triples(base)
+    g_new = Snapshot.from_name_triples(churned_triples(rng, base), time_step=1)
+    config = TrainConfig(**{**FAST, "max_epochs": 2})
+    store, report = train_from_scratch(g_old, set(), config, log=None)
+    _, update = train_online(g_old, g_new, store, set(), config, log=None)
+    assert update.retrained_triples > 0
+    assert report.negatives_dropped == update.negatives_dropped == 0
+    for g in (g_old, g_new):
+        assert not {"triples", "triple_set"} & set(vars(g))
 
 
 def test_scratch_early_stopping_returns_best(g1):
