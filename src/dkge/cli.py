@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
                        candidate_objects, context_changes)
-from .errors import ConfigError, DkgeError
+from .errors import ConfigError, DkgeError, IntegrityError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
 from .kg_store import TEST_FILE, diff_snapshots, load_snapshot_dir, undecodable_line
@@ -127,6 +127,12 @@ def _resolved_or_empty(name_triples, snapshot):
     return triples
 
 
+def _require_snapshot(store, snapshot, checkpoint: str, snapshot_dir: str) -> None:
+    if not store.matches_snapshot(snapshot):
+        raise IntegrityError(f"{checkpoint}: parameter store dictionaries do not "
+                             f"match the snapshot in {snapshot_dir}")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     merged = effective_config(args)
     print(run_header(merged))
@@ -153,6 +159,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     print(run_header(merged))
     cfg = train_config(merged)
     old_sd = load_snapshot_dir(args.old_dir)
+    _require_snapshot(store, old_sd.train, args.checkpoint_in, args.old_dir)
     new_sd = load_snapshot_dir(args.new_dir)
     g_new = new_sd.train
     valid = _resolved_or_empty(new_sd.valid, g_new)
@@ -182,7 +189,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if sd.test is None:
         raise ConfigError(
             f"no {TEST_FILE} in {args.snapshot_dir}; evaluation needs one")
-    store.require_snapshot(sd.train)
+    _require_snapshot(store, sd.train, args.checkpoint, args.snapshot_dir)
     # resolved once: evaluate and the filter share it, and its one warning
     test, skipped = resolve_test_triples(sd.test, sd.train)
     known = sd.train.triple_ids
@@ -202,9 +209,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_answer(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ConfigError(f"-k must be at least 1, got {args.k}")
     sd = load_snapshot_dir(args.snapshot_dir)
     store = load_checkpoint(args.checkpoint)
-    store.require_snapshot(sd.train)
+    _require_snapshot(store, sd.train, args.checkpoint, args.snapshot_dir)
     head = sd.train.entity_id(args.head)
     relation = sd.train.relation_id(args.relation)
     results = answer(head, relation, args.k, store, sd.train)

@@ -9,6 +9,7 @@ different files get independent id spaces; diffing matches objects by name.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -133,17 +134,9 @@ class Snapshot:
                      entity_ids.setdefault(t, len(entity_ids)))
         if not flat:
             raise EmptySnapshotError("snapshot has no triples")
-        ids = np.array(flat, dtype=np.int64).reshape(-1, 3)
-        # a duplicate's names occurred before it, so dropping it keeps the ids
-        _, first = np.unique(triple_codes(ids, len(entity_ids), len(relation_ids)),
-                             return_index=True)
-        return Snapshot(
-            time_step=time_step,
-            triple_ids=ids[np.sort(first)],
-            entity_names=tuple(entity_ids),
-            relation_names=tuple(relation_ids),
-            duplicates_collapsed=duplicates_collapsed + len(ids) - first.size,
-        )
+        return _first_occurrences(np.array(flat, dtype=np.int64).reshape(-1, 3),
+                                  tuple(entity_ids), tuple(relation_ids), time_step,
+                                  duplicates_collapsed)
 
     # -- dictionaries ------------------------------------------------------
 
@@ -331,6 +324,18 @@ class Snapshot:
         return Triple(self.entity_id(h), self.relation_id(r), self.entity_id(t))
 
 
+def _first_occurrences(ids: np.ndarray, entity_names: tuple[str, ...],
+                       relation_names: tuple[str, ...], time_step: int,
+                       duplicates_collapsed: int) -> Snapshot:
+    """The Snapshot of id rows in file order, each triple's first row kept."""
+    # a duplicate's names occurred before it, so dropping it keeps the ids
+    _, first = np.unique(triple_codes(ids, len(entity_names), len(relation_names)),
+                         return_index=True)
+    return Snapshot(time_step=time_step, triple_ids=ids[np.sort(first)],
+                    entity_names=entity_names, relation_names=relation_names,
+                    duplicates_collapsed=duplicates_collapsed + len(ids) - first.size)
+
+
 class IdMap(NamedTuple):
     """The ids one kind of object has in two snapshots, matched by name:
     ``to_new[i]`` is the new id of old object i and ``to_old[j]`` the old id
@@ -364,15 +369,19 @@ class SnapshotDiff:
     is_empty = property(lambda self: not (len(self.added_triples) or len(self.deleted_triples)))
 
 
-def undecodable_line(path) -> int:
-    """Number of the first line that is not UTF-8, 0 if none; lines end as
-    in text mode, and no UTF-8 sequence holds a \\n or \\r byte."""
-    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+def _first_undecodable(lines: list[bytes]) -> int:
+    for line_no, line in enumerate(lines, start=1):
         try:
             line.decode("utf-8")
         except UnicodeDecodeError:
             return line_no
     return 0
+
+
+def undecodable_line(path) -> int:
+    """Number of the first line that is not UTF-8, 0 if none; lines end as
+    in text mode, and no UTF-8 sequence holds a \\n or \\r byte."""
+    return _first_undecodable(Path(path).read_bytes().splitlines())
 
 
 def _parse_lines(path: Path, lines: Iterable[str]) -> tuple[list[NameTriple], int]:
@@ -398,6 +407,66 @@ def _parse_lines(path: Path, lines: Iterable[str]) -> tuple[list[NameTriple], in
     return out, dups
 
 
+# every byte value but tab and newline, for bytes.translate to delete
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b"\t\n")))
+
+_Columns = tuple[list[str], list[str], list[str]]
+
+
+def _split_regular(text: str) -> _Columns | None:
+    """The head, relation and tail columns of a regular file's text, in
+    file order with duplicates kept; None for any other text.
+
+    Text is regular when it holds no \\r and no '#' and every line has
+    exactly two tabs, no empty field and a first field that is not all
+    whitespace; the final \\n may be missing.  The line reader gives such
+    text the same triples, and reads every other text.
+    """
+    body = text.removesuffix("\n")
+    if "\r" in body or "#" in body:
+        return None
+    separators = body.encode("utf-8").translate(None, _NOT_SEPARATORS) + b"\n"
+    if separators != b"\t\t\n" * separators.count(b"\n"):
+        return None
+    fields = body.replace("\n", "\t").split("\t")
+    heads = fields[0::3]
+    # a line of whitespace alone is blank to the line reader
+    if "" in fields or any(map(str.isspace, heads)):
+        return None
+    return heads, fields[1::3], fields[2::3]
+
+
+def _read_columns(path: Path) -> tuple[_Columns, int]:
+    """The columns of a triple file and the number of duplicate lines
+    already dropped from them.
+
+    A regular file is split whole, duplicates kept.  Any other goes through
+    the line reader, which drops them and alone raises ParseError for a
+    malformed line.  The first bad line in file order is the one reported,
+    whether it is malformed or not UTF-8.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a malformed line before the undecodable one is the first bad line
+        lines = data.splitlines()
+        bad = _first_undecodable(lines)
+        _parse_lines(path, (line.decode("utf-8") for line in lines[:bad - 1]))
+        raise ParseError(path, bad, f"not UTF-8: {exc.reason}") from None
+    columns = _split_regular(text)
+    if columns is not None:
+        return columns, 0
+    # text mode's line ends: \n, \r\n and \r
+    triples, dups = _parse_lines(path, io.StringIO(text, newline=None))
+    return tuple(map(list, zip(*triples))) or ([], [], []), dups
+
+
+def _warn_duplicates(path: Path, dups: int) -> None:
+    if dups:
+        logger.warning("%s: collapsed %d duplicate triples", path, dups)
+
+
 def parse_triple_file(path) -> tuple[list[NameTriple], int]:
     """Read a tab-separated triple file; lines end in \\n, \\r\\n or \\r.
 
@@ -408,28 +477,39 @@ def parse_triple_file(path) -> tuple[list[NameTriple], int]:
     malformed or not UTF-8.
     """
     path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            out, dups = _parse_lines(path, fh)
-    except UnicodeDecodeError as exc:
-        # text mode decodes ahead in chunks, so lines before the undecodable
-        # one may not have been checked yet
-        bad = undecodable_line(path)
-        _parse_lines(path, (line.decode("utf-8")
-                            for line in path.read_bytes().splitlines()[:bad - 1]))
-        raise ParseError(path, bad, f"not UTF-8: {exc.reason}") from None
-    if dups:
-        logger.warning("%s: collapsed %d duplicate triples", path, dups)
+    columns, dups = _read_columns(path)
+    rows = list(zip(*columns))
+    out = list(dict.fromkeys(rows))
+    dups += len(rows) - len(out)
+    _warn_duplicates(path, dups)
     return out, dups
 
 
 def load_snapshot(path, time_step: int = 0) -> Snapshot:
-    """Load one triple file as a Snapshot."""
-    name_triples, dups = parse_triple_file(path)
-    if not name_triples:
+    """Load one triple file as a Snapshot.
+
+    Its dictionaries, ids and duplicate count are those that
+    ``Snapshot.from_name_triples`` gives the triples ``parse_triple_file``
+    reads.
+    """
+    file = Path(path)
+    (heads, relations, tails), dups = _read_columns(file)
+    n = len(heads)
+    if not n:
         raise EmptySnapshotError(f"{path} contains no triples")
-    return Snapshot.from_name_triples(name_triples, time_step=time_step,
-                                      duplicates_collapsed=dups)
+    ends = [""] * (2 * n)  # heads and tails interleaved: first-occurrence order
+    ends[0::2] = heads
+    ends[1::2] = tails
+    entity_names = tuple(dict.fromkeys(ends))
+    relation_names = tuple(dict.fromkeys(relations))
+    entity_ids = dict(zip(entity_names, range(len(entity_names))))
+    relation_ids = dict(zip(relation_names, range(len(relation_names))))
+    ids = np.empty((n, 3), dtype=np.int64)
+    ids[:, 0::2] = np.fromiter(map(entity_ids.__getitem__, ends), np.int64, 2 * n).reshape(n, 2)
+    ids[:, 1] = np.fromiter(map(relation_ids.__getitem__, relations), np.int64, n)
+    snapshot = _first_occurrences(ids, entity_names, relation_names, time_step, dups)
+    _warn_duplicates(file, snapshot.duplicates_collapsed)
+    return snapshot
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:

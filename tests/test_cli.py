@@ -1,4 +1,6 @@
 """Command-line behavior: precedence, plumbing, output formats, exit codes."""
+import contextlib
+import io
 import json
 import pickle
 import re
@@ -550,3 +552,50 @@ def test_cli_runs_are_reproducible(dirs, capsys):
     rb = json.loads((tmp / "b2.pkl.report.json").read_text())
     ra.pop("seconds"), rb.pop("seconds")
     assert ra == rb
+
+
+# -- misuse -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def misuse_dirs(tmp_path_factory):
+    """A checkpoint of toy step 1; toy step 2, which it does not match; and
+    4,000-line train files with one malformed or undecodable line."""
+    tmp = tmp_path_factory.mktemp("misuse")
+    write_snapshot_dir(tmp / "t1", TOY_T1)
+    write_snapshot_dir(tmp / "t2", TOY_T2, test=[("e1", "r1", "e5")])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", str(tmp / "t1"), str(tmp / "m1.pkl"), *FAST_FLAGS]) == 0
+    lines = [b"e%d\tr\te%d\n" % (i, i + 1) for i in range(4000)]
+    for name, bad_at, bad in (("malformed", 3000, b"e1\tr\n"),
+                              ("undecodable", 4000, b"e1\tr\t\xffe2\n")):
+        (tmp / name).mkdir()
+        (tmp / name / "train.txt").write_bytes(b"".join(lines[:bad_at] + [bad] + lines[bad_at:]))
+    (tmp / "empty").mkdir()
+    return tmp
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("answer", "{t1}", "{m1}", "e1", "r1", "-k", "0"), "-k must be at least 1, got 0"),
+    (("answer", "{t1}", "{m1}", "e1", "r1", "-k", "-2"), "-k must be at least 1, got -2"),
+    (("answer", "{t2}", "{m1}", "e1", "r1"),
+     "{m1}: parameter store dictionaries do not match the snapshot in {t2}"),
+    (("eval", "{t2}", "{m1}"),
+     "{m1}: parameter store dictionaries do not match the snapshot in {t2}"),
+    (("update", "{t2}", "{t2}", "{m1}", "{tmp}/m2.pkl"),
+     "{m1}: parameter store dictionaries do not match the snapshot in {t2}"),
+    (("diff", "{t1}", "{tmp}/malformed"),
+     "{tmp}/malformed/train.txt:3001: expected 3 tab-separated fields, got 2"),
+    (("train", "{tmp}/undecodable", "{tmp}/m3.pkl"),
+     "{tmp}/undecodable/train.txt:4001: not UTF-8: invalid start byte"),
+    (("answer", "{tmp}/empty", "{m1}", "e1", "r1"),
+     "{tmp}/empty/train.txt:0: required training file is missing"),
+], ids=["k-zero", "k-negative", "answer-mismatch", "eval-mismatch", "update-mismatch",
+        "malformed-line", "non-utf8-byte", "missing-train"])
+def test_misuse_prints_one_error_line(misuse_dirs, capsys, argv, message):
+    """A bad invocation exits 1 with one stderr line naming the file or the
+    flag, and writes no checkpoint."""
+    paths = {"tmp": misuse_dirs, "t1": misuse_dirs / "t1", "t2": misuse_dirs / "t2",
+             "m1": misuse_dirs / "m1.pkl"}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, err) == (1, f"error: {message.format(**paths)}\n")
+    assert not {"m2.pkl", "m3.pkl"} & {p.name for p in misuse_dirs.iterdir()}

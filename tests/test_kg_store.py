@@ -1,13 +1,16 @@
 """Snapshot storage: parsing, interning, views, diffs."""
+import contextlib
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dkge.errors import EmptySnapshotError, ParseError, UnknownObjectError
-from dkge.kg_store import (Snapshot, Triple, diff_snapshots, load_snapshot,
-                           load_snapshot_dir, parse_triple_file, save_snapshot)
+import dkge.kg_store
+from dkge.errors import DkgeError, EmptySnapshotError, ParseError, UnknownObjectError
+from dkge.kg_store import (Snapshot, Triple, _parse_lines, diff_snapshots, load_snapshot,
+                           load_snapshot_dir, parse_triple_file, save_snapshot,
+                           undecodable_line)
 
 from graphs import TOY_T0, TOY_T1, random_name_triples
 
@@ -89,6 +92,109 @@ def test_parse_reports_the_first_bad_line(tmp_path, content, message):
     with pytest.raises(ParseError) as err:
         parse_triple_file(p)
     assert str(err.value) == f"{p}:{message}"
+
+
+def reference_parse(path):
+    """The line reader over a text-mode file: how every triple file was
+    read before regular files were split whole."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            out, dups = _parse_lines(path, fh)
+    except UnicodeDecodeError as exc:
+        bad = undecodable_line(path)
+        _parse_lines(path, (line.decode("utf-8")
+                            for line in path.read_bytes().splitlines()[:bad - 1]))
+        raise ParseError(path, bad, f"not UTF-8: {exc.reason}") from None
+    if dups:
+        logging.getLogger("dkge.kg_store").warning(
+            "%s: collapsed %d duplicate triples", path, dups)
+    return out, dups
+
+
+def reference_load(path):
+    name_triples, dups = reference_parse(path)
+    if not name_triples:
+        raise EmptySnapshotError(f"{path} contains no triples")
+    return Snapshot.from_name_triples(name_triples, duplicates_collapsed=dups)
+
+
+def outcome(read, path):
+    """What reading ``path`` gives: the result or the error's type and text,
+    with the warnings logged on the way."""
+    logged = []
+    handler = logging.Handler()
+    handler.emit = lambda record: logged.append(record.getMessage())
+    logger = logging.getLogger("dkge.kg_store")
+    logger.addHandler(handler)
+    try:
+        result = read(path)
+    except DkgeError as exc:
+        result = type(exc), str(exc)
+    finally:
+        logger.removeHandler(handler)
+    if isinstance(result, Snapshot):
+        result = (result.triple_ids.tolist(), result.entity_names, result.relation_names,
+                  result.duplicates_collapsed)
+    return result, logged
+
+
+# name characters: whitespace that ends no line in text mode, so a field
+# may be all whitespace
+NAME_PARTS = [b"a", b"b", b" ", b"\x0c", "\xa0".encode(), "\u2028".encode()]
+# spliced in: separators, line ends, a comment mark, a byte that is never
+# UTF-8 and one that starts a sequence cut short
+NOISE = [b"\t", b"\n", b"\r", b"\r\n", b"#", b" ", b"\xff", b"\xe2"]
+
+
+@st.composite
+def triple_file_bytes(draw):
+    """Three-field lines, some repeated, with or without a final newline,
+    and up to two noise tokens spliced in anywhere."""
+    name = st.sampled_from([b"a", b"b", b"c"]) | st.lists(
+        st.sampled_from(NAME_PARTS), min_size=1, max_size=2).map(b"".join)
+    pool = draw(st.lists(st.tuples(name, name, name).map(b"\t".join),
+                         min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    content = b"\n".join(pool[i] for i in picks) + draw(st.sampled_from([b"", b"\n"]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + draw(st.sampled_from(NOISE)) + content[at:]
+    return content
+
+
+@given(content=triple_file_bytes())
+@example(content=b"")
+@example(content=b"\n")
+@example(content=b" \t\x0c\t\xc2\xa0\n")  # all whitespace: blank to the line reader
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_loader_matches_the_line_reader(tmp_path, content):
+    """``load_snapshot`` and ``parse_triple_file`` give what the line reader
+    and ``Snapshot.from_name_triples`` give: the same ids, names, duplicate
+    count and warning, or the same error text."""
+    p = tmp_path / "train.txt"
+    p.write_bytes(content)
+    assert outcome(load_snapshot, p) == outcome(reference_load, p)
+    assert outcome(parse_triple_file, p) == outcome(reference_parse, p)
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_regular_file_is_split_whole(tmp_path, monkeypatch, g1, final_newline):
+    """A file as ``save_snapshot`` writes it, duplicates appended and the
+    final newline dropped or kept, never reaches the line reader."""
+    def line_reader(*args):
+        raise AssertionError("a regular file went through the line reader")
+
+    p = tmp_path / "train.txt"
+    save_snapshot(g1, p)
+    (tmp_path / "test.txt").write_bytes(b"".join(p.read_bytes().splitlines(True)[:2]))
+    p.write_bytes((p.read_bytes() * 2)[:None if final_newline else -1])
+    monkeypatch.setattr(dkge.kg_store, "_parse_lines", line_reader)
+    g = load_snapshot_dir(tmp_path).train
+    assert g.triple_ids.tolist() == g1.triple_ids.tolist()
+    assert (g.entity_names, g.relation_names) == (g1.entity_names, g1.relation_names)
+    assert g.duplicates_collapsed == len(g1.triple_ids)
+    assert parse_triple_file(p) == (list(g1.name_triples()), len(g1.triple_ids))
 
 
 def ids(rows):
