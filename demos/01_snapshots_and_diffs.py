@@ -28,7 +28,7 @@ print("deleted:", sorted(old.triple_names(t) for t in diff.deleted_triples))
 print("emerging entities:", sorted(new.entity_names[e] for e in diff.emerging_entities))
 print("emerging relations:", sorted(new.relation_names[r] for r in diff.emerging_relations))
 
-# context signatures spot every existing object whose surroundings moved,
+# comparing contexts spots every existing object whose surroundings moved,
 # including second-order effects: a new edge between two neighbors of e1
 # changes e1's context even though e1 is on neither end of it
 for kind, obj in sorted(changed_context_objects(old, new, diff)):
@@ -36,10 +36,10 @@ for kind, obj in sorted(changed_context_objects(old, new, diff)):
             else new.relation_names[obj])
     print("changed context:", kind, name)
 
-# the commands hash only the candidates a changed triple can reach, and
-# report the changed objects as entity and relation id arrays
-changed, _ = context_changes(ContextTable(new), diff, candidate_objects(new, diff),
-                             ContextTable(old).signatures)
+# the commands build only the contexts of the candidates a changed triple
+# can reach, on both snapshots, compare them as arrays, and report the
+# changed objects as entity and relation id arrays
+changed = context_changes(old, ContextTable(new), diff, candidate_objects(new, diff))
 print("changed ids:", changed[0].tolist(), changed[1].tolist())
 
 # an online update only revisits triples touching emerging or changed

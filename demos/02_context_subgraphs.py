@@ -41,6 +41,7 @@ capped = table.entity(g.entity_id("e1"))
 kept = [g.entity_names[v.members[0]] for v in capped.vertices]
 print("\ncapped to 3 of 5 vertices:", kept)
 
-# the signature hashes the uncapped context by name; equal surroundings
-# give equal signatures no matter how the triple file was ordered
+# the signature, the reference definition of a context change, hashes the
+# uncapped context by name; equal surroundings give equal signatures no
+# matter how the triple file was ordered
 print("signature:", hex(context_signature(sub_e1, g)))

@@ -24,9 +24,9 @@ frozen_e2 = store.ent_know[old.entity_id("e2")].copy()
 
 # the update matches the two snapshots' objects by name once, migrates the
 # tables through that id map (dropping removed objects, initializing
-# emerging ones), hashes the new contexts of the few objects the change can
-# reach, compares them with the signature rows stored at training time, and
-# runs masked SGD over the small retrain set
+# emerging ones), builds the contexts of the few objects the change can
+# reach on both snapshots, compares them, and runs masked SGD over the small
+# retrain set
 print("updating from t1 to t2")
 store, report = train_online(old, new, store, set(), config)
 

@@ -6,19 +6,17 @@ checkpoint.  Two runs that produce the same parameters produce byte-identical
 files: nothing time- or path-dependent enters the payload.
 
 Besides the parameters and the model settings, a checkpoint holds every
-object's context signature as uint8 rows aligned with the names, ``ent_sig``
-(n_e, 16) and ``rel_sig`` (n_r, 16), and its joint embedding, ``ent_star``
-(n_e, d) and ``rel_star`` (n_r, d), with the digest of the snapshot they
-were encoded on; with these, ``eval`` and ``answer`` on that snapshot score
-without building a context.  A store that never had joint tables saves
-``None`` in their place.  Format version 4.  Loading raises IntegrityError,
-naming the file, when the payload cannot be unpickled, is not a dict, lacks
-a key or has another version, and naming the key too when the names are not
-distinct strs, a setting is not an int in its range, an array's dtype or
-shape disagrees with ``dim``, the names or the layer count, or the joint
-tables and their digest are neither all ``None`` nor all present.  The
-payload is still unpickled, so a checkpoint from an untrusted source can run
-code.
+object's joint embedding, ``ent_star`` (n_e, d) and ``rel_star`` (n_r, d),
+with the digest of the snapshot they were encoded on; with these, ``eval``
+and ``answer`` on that snapshot score without building a context.  A store
+that never had joint tables saves ``None`` in their place.  Format version
+5.  Loading raises IntegrityError, naming the file, when the payload cannot
+be unpickled, is not a dict, lacks a key or has another version, and naming
+the key too when the names are not distinct strs, a setting is not an int
+in its range, an array's dtype or shape disagrees with ``dim``, the names or
+the layer count, or the joint tables and their digest are neither all
+``None`` nor all present.  The payload is still unpickled, so a checkpoint
+from an untrusted source can run code.
 """
 from __future__ import annotations
 
@@ -30,11 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .agcn import AgcnParams
-from .contexts import SIGNATURE_BYTES
 from .errors import IntegrityError
 from .model import ParameterStore
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # (key, least value) of the int settings
 SETTINGS = (("dim", 1), ("cap", 1), ("seed", 0), ("max_midpoints", 0))
 
@@ -58,8 +55,6 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         "cap": store.cap,
         "seed": store.seed,
         "max_midpoints": store.max_midpoints,
-        "ent_sig": store.ent_sig,
-        "rel_sig": store.rel_sig,
         "ent_star": store.ent_star,
         "rel_star": store.rel_star,
         "joint_digest": store.joint_digest,
@@ -103,12 +98,11 @@ def _check_payload(path, payload: dict) -> None:
     digest = payload["joint_digest"]
     if digest is not None and not isinstance(digest, str):
         raise IntegrityError(f"{path}: checkpoint joint_digest is not a string")
-    f8, u1 = np.dtype(np.float64), np.dtype(np.uint8)
+    f8 = np.dtype(np.float64)
     table = {"ent_know": (f8, (n_e, d)), "ent_ctx": (f8, (n_e, d)),
              "rel_know": (f8, (n_r, d)), "rel_ctx": (f8, (n_r, d)),
              "entity_attention": (f8, (d,)), "relation_attention": (f8, (d,)),
-             "ent_gate_pre": (f8, (d,)), "rel_gate_pre": (f8, (d,)),
-             "ent_sig": (u1, (n_e, SIGNATURE_BYTES)), "rel_sig": (u1, (n_r, SIGNATURE_BYTES))}
+             "ent_gate_pre": (f8, (d,)), "rel_gate_pre": (f8, (d,))}
     if payload["ent_star"] is not None:
         table.update(ent_star=(f8, (n_e, d)), rel_star=(f8, (n_r, d)))
     arrays = [(key, payload[key], dtype, shape) for key, (dtype, shape) in table.items()]
@@ -156,8 +150,6 @@ def load_checkpoint(path) -> ParameterStore:
             cap=payload["cap"],
             seed=payload["seed"],
             max_midpoints=payload["max_midpoints"],
-            ent_sig=payload["ent_sig"],
-            rel_sig=payload["rel_sig"],
             ent_star=payload["ent_star"],
             rel_star=payload["rel_star"],
             joint_digest=payload["joint_digest"],

@@ -229,10 +229,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.checkpoint:
         max_midpoints = load_checkpoint(args.checkpoint).model_config()["max_midpoints"]
     diff = diff_snapshots(g_old, g_new)
-    old_table = ContextTable(g_old, max_midpoints=max_midpoints)
-    new_table = ContextTable(g_new, max_midpoints=max_midpoints)
-    changed, _ = context_changes(new_table, diff, candidate_objects(g_new, diff),
-                                 old_table.signatures)
+    changed = context_changes(g_old, ContextTable(g_new, max_midpoints=max_midpoints), diff,
+                              candidate_objects(g_new, diff))
     t_ol = collect_retrain_set(g_new, diff, changed)
     print(f"added_triples={len(diff.added_triples)} "
           f"deleted_triples={len(diff.deleted_triples)} "

@@ -16,28 +16,25 @@ readable definitions, one object at a time.
 The run-time path works on many contexts at once, in flat arrays
 (``ContextArrays``): ``build_contexts`` builds the entity contexts of many
 owners from the snapshot's CSR links (``Snapshot.links``) and their relation
-contexts from its sorted pair index (``Snapshot.pairs``), and
-``hash_contexts`` hashes many contexts in one pass; all give exactly what
-the definitions give.  A ``ContextTable`` samples contexts above the vertex
+contexts from its sorted pair index (``Snapshot.pairs``), exactly as the
+definitions give them.  A ``ContextTable`` samples contexts above the vertex
 cap down (owner always kept) and stores them per kind in flat arrays with
 each context's normalised S entries, computed once when the context is
 built; an encoder pass gathers its contexts from there by index arithmetic
 (``ContextTable.gather``).
-Signatures are content hashes of the *uncapped* context, computed over names
-rather than ids so they are comparable across snapshots and file orderings.
-Only change detection (``ContextTable.signatures``) computes them, as uint8
-rows aligned with the ids like every other per-object array; a row holds the
-big-endian bytes of the int ``context_signature`` returns.
 ``context_changes``, the detector ``dkge diff`` and ``dkge update`` share,
-hashes ``candidate_objects`` only and reports id arrays.
+compares the *uncapped* contexts of ``candidate_objects`` on both snapshots
+as arrays, old ids mapped to new ones, and reports id arrays; it finds what
+``changed_context_objects`` finds by comparing ``context_signature``s,
+content hashes over names.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -58,7 +55,6 @@ ObjectRef = tuple[str, int]
 IdArrays = tuple[np.ndarray, np.ndarray]
 
 DEFAULT_CAP = 35
-SIGNATURE_BYTES = 16
 DEFAULT_MAX_MIDPOINTS = 1000
 # Work one bulk build step takes on: link-list entries an entity context
 # scans, or out-pairs a relation context scans for midpoints; bounds the
@@ -103,10 +99,6 @@ def _vertex_name_key(vertex: ContextVertex, snapshot: Snapshot) -> tuple:
     return (vertex.kind, tuple(snapshot.relation_names[m] for m in vertex.members))
 
 
-def _signature_digest(payload: str) -> bytes:
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=SIGNATURE_BYTES).digest()
-
-
 def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
     """Content hash of a context over canonically sorted vertices and edges.
 
@@ -116,7 +108,8 @@ def context_signature(subgraph: ContextSubgraph, snapshot: Snapshot) -> int:
     keys = [_vertex_name_key(v, snapshot) for v in subgraph.vertices]
     edges = [tuple(sorted((keys[i], keys[j]))) for i, j in subgraph.edges.tolist()]
     payload = repr((subgraph.owner[0], sorted(keys), sorted(edges)))
-    return int.from_bytes(_signature_digest(payload), "big")
+    return int.from_bytes(hashlib.blake2b(payload.encode("utf-8"), digest_size=16).digest(),
+                          "big")
 
 
 def entity_context(snapshot: Snapshot, e: int) -> ContextSubgraph:
@@ -380,48 +373,40 @@ def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray,
     return ctx
 
 
-def hash_contexts(snapshot: Snapshot, kind: str, contexts: ContextArrays) -> np.ndarray:
-    """``context_signature`` of each of the uncapped ``contexts``, in one
-    pass, as (B, SIGNATURE_BYTES) uint8 rows of its big-endian bytes.
-
-    Each vertex's name key is formatted once; vertices and edges are sorted
-    by key for all contexts at once, and each payload is joined from the
-    sorted keys into the very string ``context_signature`` hashes.
-    """
-    sizes = contexts.sizes
-    first = np.cumsum(sizes) - sizes
-    context = np.repeat(np.arange(sizes.size), sizes)
+def _chunks(snapshot: Snapshot, kind: str, owners: np.ndarray) -> list[np.ndarray]:
+    """``owners``, objects of one kind, split into runs of about BUILD_CHUNK
+    work each."""
     if kind == ENTITY:
-        ids, at = np.unique(contexts.members, return_inverse=True)
-        keys = np.array([repr((ENTITY, (snapshot.entity_names[e],)))
-                         for e in ids.tolist()], dtype=object)[at]
-        rank = snapshot.name_rank[contexts.members]
+        links = snapshot.links
+        deg = np.diff(links.ptr)
+        scanned = np.concatenate(([0], np.cumsum(deg[links.nbrs])))
+        work = 1 + deg[owners] + scanned[links.ptr[owners + 1]] - scanned[links.ptr[owners]]
     else:
-        names = iter([snapshot.relation_names[m] for m in contexts.members.tolist()])
-        key_tuples = [(RELATION_PATH, tuple(next(names) for _ in range(k)))
-                      for k in contexts.vertex_members.tolist()]
-        for p in first.tolist():
-            key_tuples[p] = (kind, key_tuples[p][1])
-        # ``_relation_contexts`` emits each context's vertices in key order:
-        # paths by their name-rank codes, after the owner ("relation" sorts
-        # before "relation-path")
-        rank = np.arange(len(key_tuples))
-        keys = np.array([repr(key) for key in key_tuples], dtype=object)
-    vertex_keys = keys[np.lexsort((rank, context))].tolist()
-    edge_context = np.repeat(np.arange(sizes.size), contexts.edge_counts)
-    a, b = (first[edge_context, None] + contexts.edges).T
-    lo = np.where(rank[a] <= rank[b], a, b)
-    hi = a + b - lo
-    order = np.lexsort((rank[hi], rank[lo], edge_context))
-    edge_keys = [f"({x}, {y})" for x, y in zip(keys[lo[order]].tolist(),
-                                              keys[hi[order]].tolist())]
-    out = []
-    v0 = e0 = 0
-    for v1, e1 in zip(np.cumsum(sizes).tolist(), np.cumsum(contexts.edge_counts).tolist()):
-        out.append(_signature_digest(f"({kind!r}, [{', '.join(vertex_keys[v0:v1])}], "
-                                     f"[{', '.join(edge_keys[e0:e1])}])"))
-        v0, e0 = v1, e1
-    return np.frombuffer(b"".join(out), dtype=np.uint8).reshape(-1, SIGNATURE_BYTES)
+        # the midpoint expansion: each pair (a, b) of r scans a's out-pairs
+        pairs = snapshot.pairs
+        heads = pairs.keys[pairs.of_relation] // snapshot.num_entities
+        scanned = np.concatenate(([0], np.cumsum(np.diff(pairs.out)[heads])))
+        work = 1 + scanned[pairs.rptr[owners + 1]] - scanned[pairs.rptr[owners]]
+    run = (np.cumsum(work) - work) // BUILD_CHUNK
+    return np.split(owners, np.flatnonzero(np.diff(run)) + 1)
+
+
+def _concat(parts: list[ContextArrays]) -> ContextArrays:
+    """The contexts of ``parts`` in one ``ContextArrays``, in part order;
+    edges hold local indices, so they need no offset."""
+    return ContextArrays(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                            for f in fields(ContextArrays)})
+
+
+def _select(ctx: ContextArrays, keep: np.ndarray) -> ContextArrays:
+    """The contexts flagged in the boolean ``keep``, in their order."""
+    vertex = np.repeat(keep, ctx.sizes)
+    return ContextArrays(
+        owners=ctx.owners[keep], sizes=ctx.sizes[keep],
+        vertex_members=ctx.vertex_members[vertex],
+        members=ctx.members[np.repeat(vertex, ctx.vertex_members)],
+        edge_counts=ctx.edge_counts[keep],
+        edges=ctx.edges[np.repeat(keep, ctx.edge_counts)])
 
 
 # -- change detection --------------------------------------------------------
@@ -447,29 +432,55 @@ def changed_context_objects(g_old: Snapshot, g_new: Snapshot,
     return frozenset(changed)
 
 
-def context_changes(table: ContextTable, diff: SnapshotDiff, candidates: IdArrays,
-                    old_signatures: Callable[[str, np.ndarray], np.ndarray],
-                    ) -> tuple[IdArrays, IdArrays]:
-    """The objects of ``changed_context_objects`` among the entity and
-    relation ``candidates`` of ``candidate_objects`` in ``table.snapshot``.
+def _member_counts(ctx: ContextArrays) -> np.ndarray:
+    ends = np.cumsum(ctx.vertex_members)[np.cumsum(ctx.sizes) - 1]
+    return np.diff(ends, prepend=0)
 
-    ``old_signatures(kind, old_ids)`` gives the old snapshot's signature
-    rows of ``old_ids``; per kind it runs before the new side is hashed,
-    entities first.  Returns the changed entity and relation ids and the
-    candidates' new signature rows, per kind.
+
+def _same_contexts(old: ContextArrays, new: ContextArrays, to_new: np.ndarray) -> np.ndarray:
+    """Per context, whether ``old``'s, its members mapped to new ids through
+    ``to_new`` (-1 for a removed object), equals ``new``'s.
+
+    Both builders emit vertices in name order, and two surviving names keep
+    their relative order, so equal contexts give equal arrays.  Contexts of
+    equal size, edge count and member count are compared element by
+    element; they line up once the others are dropped.
     """
-    changed, rows = [], []
+    same = ((old.sizes == new.sizes) & (old.edge_counts == new.edge_counts)
+            & (_member_counts(old) == _member_counts(new)))
+    at = np.flatnonzero(same)
+    old, new = _select(old, same), _select(new, same)
+    vertex_of = np.repeat(np.arange(at.size), new.sizes)
+    differs = np.zeros(at.size, dtype=bool)
+    differs[vertex_of[old.vertex_members != new.vertex_members]] = True
+    differs[np.repeat(vertex_of, new.vertex_members)[to_new[old.members] != new.members]] = True
+    differs[np.repeat(np.arange(at.size), new.edge_counts)[
+        (old.edges != new.edges).any(axis=1)]] = True
+    same[at[differs]] = False
+    return same
+
+
+def context_changes(g_old: Snapshot, table: ContextTable, diff: SnapshotDiff,
+                    candidates: IdArrays) -> IdArrays:
+    """The objects of ``changed_context_objects`` among the entity and
+    relation ``candidates`` of ``candidate_objects`` in ``table.snapshot``,
+    as id arrays.
+
+    Per kind, entities first, the uncapped contexts of the candidates that
+    survived are built on ``g_old``, chunked as ``table`` chunks, and then
+    those of every candidate are built through ``table``, which stores the
+    capped copies; the two are compared as arrays.
+    """
+    changed = []
     for kind, ids, id_map in zip((ENTITY, RELATION), candidates,
                                  (diff.entity_map, diff.relation_map)):
         old_ids = id_map.to_old[ids]
         survived = old_ids >= 0
-        old_rows = old_signatures(kind, old_ids[survived])
-        new_rows = table.signatures(kind, ids)
-        differs = np.zeros(ids.size, dtype=bool)
-        differs[survived] = (new_rows[survived] != old_rows).any(axis=1)
-        changed.append(ids[differs])
-        rows.append(new_rows)
-    return tuple(changed), tuple(rows)
+        old = _concat([build_contexts(g_old, kind, part, table.max_midpoints)
+                       for part in _chunks(g_old, kind, old_ids[survived])])
+        new = _select(table.contexts(kind, ids), survived)
+        changed.append(ids[survived][~_same_contexts(old, new, id_map.to_new)])
+    return tuple(changed)
 
 
 def candidate_objects(g_new: Snapshot, diff: SnapshotDiff) -> IdArrays:
@@ -483,7 +494,7 @@ def candidate_objects(g_new: Snapshot, diff: SnapshotDiff) -> IdArrays:
     endpoint's neighbor in the old snapshot that is not one in g_new lost
     every triple linking the two, so it is itself an endpoint; and every
     emerging object is an endpoint or relation of an added triple.  Only
-    candidates need their signatures recomputed.
+    candidates need their contexts compared.
     """
     added, deleted = diff.added_triples, diff.deleted_triples
     to_new = diff.entity_map.to_new
@@ -622,22 +633,6 @@ class ContextTable:
         return (self.snapshot.entity_names if kind == ENTITY
                 else self.snapshot.relation_names)
 
-    def _chunks(self, kind: str, owners: np.ndarray) -> list[np.ndarray]:
-        """``owners`` split into runs of about BUILD_CHUNK work each."""
-        if kind == ENTITY:
-            links = self.snapshot.links
-            deg = np.diff(links.ptr)
-            scanned = np.concatenate(([0], np.cumsum(deg[links.nbrs])))
-            work = 1 + deg[owners] + scanned[links.ptr[owners + 1]] - scanned[links.ptr[owners]]
-        else:
-            # the midpoint expansion: each pair (a, b) of r scans a's out-pairs
-            pairs = self.snapshot.pairs
-            heads = pairs.keys[pairs.of_relation] // self.snapshot.num_entities
-            scanned = np.concatenate(([0], np.cumsum(np.diff(pairs.out)[heads])))
-            work = 1 + scanned[pairs.rptr[owners + 1]] - scanned[pairs.rptr[owners]]
-        run = (np.cumsum(work) - work) // BUILD_CHUNK
-        return np.split(owners, np.flatnonzero(np.diff(run)) + 1)
-
     def _capped(self, kind: str, ctx: ContextArrays, new: np.ndarray) -> ContextArrays:
         """The contexts of the ``new`` owners, each above the cap sampled
         down to the owner plus cap - 1 other vertices in their order."""
@@ -666,27 +661,26 @@ class ContextTable:
             edge_counts=np.bincount(edge_context[live], minlength=sizes.size)[new],
             edges=edges[live])
 
-    def _add(self, kind: str, owners: np.ndarray, sign: bool) -> list[np.ndarray]:
-        """Build the uncapped contexts of ``owners`` chunk by chunk and
-        store the capped copies of those not stored yet; with ``sign``,
-        return their signature rows, chunk by chunk in owner order."""
+    def _add(self, kind: str, owners: np.ndarray) -> list[ContextArrays]:
+        """Build the uncapped contexts of ``owners`` chunk by chunk, store
+        the capped copies of those not stored yet and return the uncapped
+        ones, chunk by chunk in owner order."""
         store = self._stores[kind]
-        signatures: list[np.ndarray] = []
-        for part in self._chunks(kind, owners):
+        built = []
+        for part in _chunks(self.snapshot, kind, owners):
             ctx = build_contexts(self.snapshot, kind, part, self.max_midpoints)
-            if sign:
-                signatures.append(hash_contexts(self.snapshot, kind, ctx))
+            built.append(ctx)
             new = store.slot[part] < 0
             if new.any():
                 store.append(self._capped(kind, ctx, new))
-        return signatures
+        return built
 
     def build(self, kind: str, ids) -> None:
         """Build the contexts of ``ids`` not stored yet, in one bulk call."""
         ids = np.asarray(ids, dtype=np.intp)
         missing = ids[self._stores[kind].slot[ids] < 0]
         if missing.size:
-            self._add(kind, np.unique(missing), sign=False)
+            self._add(kind, np.unique(missing))
 
     def build_all(self) -> None:
         self.build(ENTITY, np.arange(self.snapshot.num_entities))
@@ -721,14 +715,11 @@ class ContextTable:
     def relation(self, r: int) -> ContextSubgraph:
         return self.get((RELATION, r))
 
-    def signatures(self, kind: str, ids=None) -> np.ndarray:
-        """Uncapped context signature rows of ``ids``, distinct objects of
-        one kind, every object of the kind when None: a (len(ids),
-        SIGNATURE_BYTES) uint8 array in the order of ``ids``.
+    def contexts(self, kind: str, ids) -> ContextArrays:
+        """Uncapped contexts of ``ids``, distinct objects of one kind, in the
+        order of ``ids``.
 
-        The contexts are built here, in bulk, and the capped copies of those
-        not stored yet are stored, so a later pass does not build them again.
+        They are built here, in bulk, and the capped copies of those not
+        stored yet are stored, so a later pass does not build them again.
         """
-        if ids is None:
-            ids = np.arange(self._stores[kind].slot.size)
-        return np.concatenate(self._add(kind, np.asarray(ids, dtype=np.intp), sign=True))
+        return _concat(self._add(kind, np.asarray(ids, dtype=np.intp)))

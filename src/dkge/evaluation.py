@@ -29,6 +29,7 @@ from typing import Collection, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .contexts import ContextTable
+from .errors import ConfigError
 from .kg_store import NameTriple, Snapshot, Triple, triple_codes
 from .model import JointCache, ParameterStore, joint_table
 
@@ -252,10 +253,13 @@ def answer(head: int, relation: int, k: int, store: ParameterStore,
            contexts: ContextTable | None = None) -> list[tuple[int, float]]:
     """Unfiltered top-k tail entities for (head, relation, ?), best first.
 
-    Ties break toward the smaller entity id.
+    Ties break toward the smaller entity id.  ``k`` below 1 raises
+    ConfigError.
     """
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
     snapshot._check_entity(head)
     snapshot._check_relation(relation)
     scores = _Scorer(joint_table(store, snapshot, contexts)).tails(head, relation)
-    order = np.argsort(scores, kind="stable")[:max(0, k)]
+    order = np.argsort(scores, kind="stable")[:k]
     return [(int(e), float(scores[e])) for e in order]

@@ -62,10 +62,6 @@ class ParameterStore:
     cap: int
     seed: int
     max_midpoints: int
-    # uncapped context signature rows (contexts.ContextTable.signatures),
-    # aligned with the names; None until train fills them
-    ent_sig: np.ndarray | None = None    # (n_e, SIGNATURE_BYTES) uint8
-    rel_sig: np.ndarray | None = None    # (n_r, SIGNATURE_BYTES) uint8
     # joint embeddings of every object under these parameters, encoded on
     # the snapshot whose digest is joint_digest; None until train or update
     # fills them, and never set while the parameters still move

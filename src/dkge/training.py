@@ -12,11 +12,10 @@ are retrained.  During the online pass the encoder weights, attention
 vectors, gates, and every other embedding stay frozen, so parameters outside
 the affected set remain bit-identical.
 
-Scratch training stores every object's context signature row.  An online
-update carries every per-object row over through the diff's id maps,
-hashes the new contexts of the candidate objects only, compares them with
-the previous store's rows (``contexts.context_changes``, as ``dkge diff``
-does) and overwrites those rows.  The retrain set is id rows in (h, r, t) order.
+An online update carries every per-object row over through the diff's id
+maps and finds the changed contexts among the candidate objects only, by
+comparing their contexts on both snapshots (``contexts.context_changes``, as
+``dkge diff`` does).  The retrain set is id rows in (h, r, t) order.
 
 Both modes end by attaching the joint embedding of every object to the
 returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
@@ -40,7 +39,7 @@ import numpy as np
 
 from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS, ENTITY,
                        IdArrays, RELATION, candidate_objects, context_changes)
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
 from .model import (GradBuffer, JointCache, ParameterStore, RelationStats,
@@ -238,8 +237,7 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
                         cap=config.cap, seed=config.seed,
                         max_midpoints=config.max_midpoints)
     table = store.context_table(snapshot)
-    store.ent_sig = table.signatures(ENTITY)
-    store.rel_sig = table.signatures(RELATION)
+    table.build_all()
     stats = relation_stats(snapshot)
     store, losses, best_hits, best_epoch, epochs, dropped = _sgd_loop(
         snapshot, snapshot.triple_ids, store, table, stats, valid_triples,
@@ -279,27 +277,24 @@ def _migrate_store(store: ParameterStore, g_new: Snapshot, diff: SnapshotDiff,
     """Carry the parameters over to the new snapshot through the diff's id
     maps: drop removed objects, keep the survivors' rows, and initialize
     emerging ones from the uniform prior, knowledge then context row per
-    object, entities first.  The encoders, gates, context settings and the
-    survivors' signature rows carry over unchanged; an emerging object's
-    signature row is zero until change detection fills it."""
+    object, entities first.  The encoders, gates and context settings carry
+    over unchanged."""
     d = store.dim
     bound = 6.0 / np.sqrt(d)
     tables = []
-    for know, ctx, sig, source in (
-            (store.ent_know, store.ent_ctx, store.ent_sig, diff.entity_map.to_old),
-            (store.rel_know, store.rel_ctx, store.rel_sig, diff.relation_map.to_old)):
+    for know, ctx, source in ((store.ent_know, store.ent_ctx, diff.entity_map.to_old),
+                              (store.rel_know, store.rel_ctx, diff.relation_map.to_old)):
         rows = _carry_rows(np.stack((know, ctx), axis=1), source)
         new = source < 0
         rows[new] = rng.uniform(-bound, bound, size=(int(new.sum()), 2, d))
-        tables += [rows[:, 0].copy(), rows[:, 1].copy(), _carry_rows(sig, source)]
-    ent_know, ent_ctx, ent_sig, rel_know, rel_ctx, rel_sig = tables
+        tables += [rows[:, 0].copy(), rows[:, 1].copy()]
+    ent_know, ent_ctx, rel_know, rel_ctx = tables
     return ParameterStore(
         dim=d, entity_names=g_new.entity_names, relation_names=g_new.relation_names,
         ent_know=ent_know, ent_ctx=ent_ctx, rel_know=rel_know, rel_ctx=rel_ctx,
         entity_agcn=store.entity_agcn.copy(), relation_agcn=store.relation_agcn.copy(),
         ent_gate_pre=store.ent_gate_pre.copy(), rel_gate_pre=store.rel_gate_pre.copy(),
-        cap=store.cap, seed=store.seed, max_midpoints=store.max_midpoints,
-        ent_sig=ent_sig, rel_sig=rel_sig)
+        cap=store.cap, seed=store.seed, max_midpoints=store.max_midpoints)
 
 
 def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
@@ -311,7 +306,7 @@ def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
 
     A context that reads an emerging object's row has changed, so with
     exact change detection the second set lies inside the first; checking
-    it keeps the tables from resting on signature comparison alone."""
+    it keeps the tables from resting on change detection alone."""
     if not candidates.size:
         return know_rows
     gathered = table.gather(kind, candidates)
@@ -376,8 +371,6 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     t_start = time.perf_counter()
     store.require_snapshot(g_old)
     store.require_model_config(vars(config))
-    if store.ent_sig is None or store.rel_sig is None:
-        raise IntegrityError("parameter store holds no context signature rows")
     seq = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss, neg_ss, holdout_ss = seq.spawn(4)
     diff = diff_snapshots(g_old, g_new)
@@ -385,11 +378,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     store = _migrate_store(store, g_new, diff, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
     candidates = candidate_objects(g_new, diff)
-    changed, new_rows = context_changes(
-        table, diff, candidates,
-        lambda kind, old_ids: (old.ent_sig if kind == ENTITY else old.rel_sig)[old_ids])
-    store.ent_sig[candidates[0]] = new_rows[0]
-    store.rel_sig[candidates[1]] = new_rows[1]
+    changed = context_changes(g_old, table, diff, candidates)
     t_ol = collect_retrain_set(g_new, diff, changed)
     mask = UpdateMask(ent_know_rows=np.union1d(diff.emerging_entities, changed[0]),
                       ent_ctx_rows=diff.emerging_entities,

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from dkge.contexts import ContextTable, ENTITY, RELATION
+from dkge.contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
+                           build_context, context_signature)
 from dkge.kg_store import NameTriple, Snapshot, SnapshotDiff, Triple
 from dkge.model import (ParameterStore, encode, init_params, object_forward,
                         score_triple)
@@ -114,28 +115,33 @@ def update_traces(count: int = 50):
 
 def tiny_store(snapshot: Snapshot, d=6, seed=0, **kwargs) -> tuple[ParameterStore, ContextTable]:
     store = init_params(snapshot, d, np.random.default_rng(seed), seed=seed, **kwargs)
-    table = store.context_table(snapshot)
-    store.ent_sig = table.signatures(ENTITY)
-    store.rel_sig = table.signatures(RELATION)
-    return store, table
+    return store, store.context_table(snapshot)
 
 
-def signatures_by_name(source, ids=None) -> dict[tuple[str, str], int]:
-    """Signature rows keyed by (kind, name), each as the int
-    ``context_signature`` returns: the rows a ParameterStore holds, or those a
-    ContextTable computes for ``ids`` ({kind: ids}, every object of a kind
-    not named)."""
-    if isinstance(source, ContextTable):
-        g = source.snapshot
-        names = {ENTITY: g.entity_names, RELATION: g.relation_names}
-        ids = {kind: range(len(names[kind])) for kind in names} | (ids or {})
-        rows = {kind: source.signatures(kind, list(ids[kind])) for kind in names}
-    else:
-        names = {ENTITY: source.entity_names, RELATION: source.relation_names}
-        ids = {kind: range(len(names[kind])) for kind in names}
-        rows = {ENTITY: source.ent_sig, RELATION: source.rel_sig}
-    return {(kind, names[kind][obj]): int.from_bytes(row, "big")
-            for kind in names for obj, row in zip(ids[kind], rows[kind])}
+def signatures_by_name(g: Snapshot,
+                       max_midpoints=DEFAULT_MAX_MIDPOINTS) -> dict[tuple[str, str], int]:
+    """``context_signature`` of every object of ``g``, keyed by (kind, name),
+    by the one-object definitions."""
+    return {(kind, name): context_signature(build_context(g, (kind, obj), max_midpoints), g)
+            for kind, names in ((ENTITY, g.entity_names), (RELATION, g.relation_names))
+            for obj, name in enumerate(names)}
+
+
+def reference_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff, candidates,
+                      max_midpoints=DEFAULT_MAX_MIDPOINTS) -> tuple[np.ndarray, np.ndarray]:
+    """The entity and relation ``candidates`` (ids of g_new) that survived
+    and whose ``context_signature`` differs between the snapshots, one
+    object at a time: what ``context_changes`` must find."""
+    def signature(g, kind, obj):
+        return context_signature(build_context(g, (kind, obj), max_midpoints), g)
+
+    out = []
+    for kind, ids, id_map in zip((ENTITY, RELATION), candidates,
+                                 (diff.entity_map, diff.relation_map)):
+        out.append(np.array([new for new in ids.tolist() if (old := id_map.to_old[new]) >= 0
+                             and signature(g_old, kind, old) != signature(g_new, kind, new)],
+                            dtype=np.intp))
+    return tuple(out)
 
 
 def split_refs(refs) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,11 @@
 """The flat context store against the one-object definitions.
 
-``build_contexts`` and ``hash_contexts`` work on many contexts at once, and
+``build_contexts`` works on many contexts at once, and
 ``ContextTable.gather`` assembles an encoder pass from stored arrays.  Each
 must reproduce, bit for bit, what ``entity_context``, ``relation_context``,
-``context_signature``, the per-name cap sample, ``normalize_adjacency`` and
-the member sums give one object at a time, on graphs with self-loops, links
-in both directions, several relations per pair, hubs above the cap and
-shuffled file order.  Relation contexts are also checked under every
+the per-name cap sample, ``normalize_adjacency`` and the member sums give
+one object at a time, on graphs with self-loops, links in both directions,
+several relations per pair, hubs above the cap and shuffled file order.  Relation contexts are also checked under every
 midpoint bound, truncation warnings included.  The commands must run on the
 array indexes alone, never on the dict indexes the definitions read.
 """
@@ -22,15 +21,15 @@ import dkge.cli
 import dkge.contexts as contexts
 from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextSubgraph, ContextTable, ENTITY, RELATION,
-                           build_contexts, candidate_objects, context_signature,
-                           entity_context, hash_contexts, relation_context)
+                           build_contexts, candidate_objects, entity_context,
+                           relation_context)
 from dkge.errors import ConfigError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import context_features
 from dkge.training import TrainConfig, train_from_scratch, train_online
 
 from graphs import (candidate_changed_names, churned_triples, random_name_triples,
-                    signatures_by_name, tiny_store, toy_snapshot, write_snapshot_dir)
+                    tiny_store, toy_snapshot, write_snapshot_dir)
 
 CAP = 4
 NAME = st.text(alphabet="ab'\"Zé09", min_size=1, max_size=3)
@@ -157,20 +156,6 @@ def test_table_rejects_negative_max_midpoints():
         ContextTable(toy_snapshot(1), max_midpoints=-1)
 
 
-@pytest.mark.parametrize("kind", [ENTITY, RELATION])
-@given(g=graphs())
-@settings(max_examples=60, deadline=None)
-def test_bulk_signatures_equal_context_signature(g, kind):
-    want = [context_signature(sub, g) for sub in one_by_one(g, kind)]
-    n = len(want)
-    rows = hash_contexts(g, kind, build_contexts(g, kind, np.arange(n)))
-    assert [int.from_bytes(row, "big") for row in rows] == want
-    names = g.entity_names if kind == ENTITY else g.relation_names
-    table = ContextTable(g, cap=CAP)
-    sigs = signatures_by_name(table, {RELATION if kind == ENTITY else ENTITY: []})
-    assert sigs == {(kind, names[o]): want[o] for o in range(n)}
-
-
 def test_graph_of_self_loops_only():
     """No two entities are linked: every context is its owner alone."""
     g = Snapshot.from_name_triples([("a", "r", "a"), ("b", "s", "b")])
@@ -180,8 +165,6 @@ def test_graph_of_self_loops_only():
         ctx = build_contexts(g, kind, np.arange(len(subs)))
         assert [(m, e.tolist()) for m, e in split(ctx)] == [
             ([v.members for v in sub.vertices], sub.edges.tolist()) for sub in subs]
-        assert ([int.from_bytes(row, "big") for row in hash_contexts(g, kind, ctx)]
-                == [context_signature(sub, g) for sub in subs])
 
 
 @given(g=graphs(), data=st.data())
@@ -222,12 +205,12 @@ def test_chunked_build_equals_unchunked(g, max_midpoints):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contexts, "BUILD_CHUNK", chunk)
             table = ContextTable(g, cap=CAP, seed=1, max_midpoints=max_midpoints)
-            sigs = signatures_by_name(table)
-        passes = [table.gather(kind, np.arange(n)) for kind, n
-                  in ((ENTITY, g.num_entities), (RELATION, g.num_relations))]
-        built.append((sigs, passes))
-    (sigs_a, passes_a), (sigs_b, passes_b) = built
-    assert sigs_a == sigs_b
+            kinds = ((ENTITY, g.num_entities), (RELATION, g.num_relations))
+            uncapped = [split(table.contexts(kind, np.arange(n))) for kind, n in kinds]
+        passes = [table.gather(kind, np.arange(n)) for kind, n in kinds]
+        built.append(([[(m, e.tolist()) for m, e in ctx] for ctx in uncapped], passes))
+    (uncapped_a, passes_a), (uncapped_b, passes_b) = built
+    assert uncapped_a == uncapped_b
     for a, b in zip(passes_a, passes_b):
         assert a.batch.norm_adj.data.tobytes() == b.batch.norm_adj.data.tobytes()
         assert a.batch.norm_adj.indices.tolist() == b.batch.norm_adj.indices.tolist()

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkge.agcn import normalize_adjacency
-from dkge.contexts import (ContextTable, ENTITY, RELATION, RELATION_PATH,
-                           build_context, candidate_objects, changed_context_objects,
-                           context_changes, context_signature, entity_context,
-                           relation_context)
+from dkge.contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
+                           RELATION_PATH, build_context, candidate_objects,
+                           changed_context_objects, context_changes, context_signature,
+                           entity_context, relation_context)
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.training import collect_retrain_set
 
 from graphs import (TOY_T1, TOY_T2, candidate_changed_names, churned_triples,
-                    random_name_triples, retrain_set_by_loop, signatures_by_name,
-                    split_refs, tiny_store, toy_snapshot)
+                    random_name_triples, reference_changes, retrain_set_by_loop,
+                    signatures_by_name, split_refs, toy_snapshot)
 
 
 def all_contexts(g):
@@ -232,8 +232,14 @@ def test_build_context_dispatch(g1):
 # -- signatures ---------------------------------------------------------------
 
 def test_signature_invariant_to_file_order(g1):
+    """A snapshot loaded from a reshuffled file assigns other ids; the
+    signatures agree and the detector reports no change."""
     g1b = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
-    assert signatures_by_name(ContextTable(g1)) == signatures_by_name(ContextTable(g1b))
+    assert g1b.entity_names != g1.entity_names
+    assert signatures_by_name(g1) == signatures_by_name(g1b)
+    diff = diff_snapshots(g1, g1b)
+    every = (np.arange(g1b.num_entities), np.arange(g1b.num_relations))
+    assert [ids.size for ids in context_changes(g1, ContextTable(g1b), diff, every)] == [0, 0]
 
 
 def test_signature_distinguishes_kinds():
@@ -252,8 +258,8 @@ def test_signature_sensitive_to_edges():
 
 
 def test_signature_unchanged_for_distant_edit(g1, g2):
-    sigs1 = signatures_by_name(ContextTable(g1))
-    sigs2 = signatures_by_name(ContextTable(g2))
+    sigs1 = signatures_by_name(g1)
+    sigs2 = signatures_by_name(g2)
     for name in ("e2", "e4", "e5"):
         assert sigs1[(ENTITY, name)] == sigs2[(ENTITY, name)]
     for name in ("r2", "r3", "r4", "r6"):
@@ -299,12 +305,23 @@ def test_capped_context_is_induced_subgraph(seed):
     assert capped_count > 20
 
 
-def test_signatures_cover_the_uncapped_context():
+def test_changes_cover_the_uncapped_context():
+    """An edit among the hub's neighbours that its capped sample leaves out
+    is still a change of the hub's context."""
     g = hub_snapshot()
-    sigs = signatures_by_name(ContextTable(g, cap=3))
-    assert sigs == signatures_by_name(ContextTable(g, cap=35))
-    raw = entity_context(g, g.entity_id("hub"))
-    assert sigs[(ENTITY, "hub")] == context_signature(raw, g)
+    table = ContextTable(g, cap=3)
+    kept = {g.entity_names[v.members[0]] for v in table.entity(g.entity_id("hub")).vertices}
+    a, b = sorted({f"leaf{i:03d}" for i in range(60)} - kept)[:2]
+    g_new = Snapshot.from_name_triples(list(g.name_triples()) + [(a, "r", b)], time_step=1)
+    diff = diff_snapshots(g, g_new)
+    new_table = ContextTable(g_new, cap=3)
+    assert [v.members for v in new_table.entity(g_new.entity_id("hub")).vertices] == [
+        (g_new.entity_id(g.entity_names[v.members[0]]),)
+        for v in table.entity(g.entity_id("hub")).vertices]
+    changed = context_changes(g, new_table, diff, candidate_objects(g_new, diff))
+    assert g_new.entity_id("hub") in changed[0].tolist()
+    assert [ids.tolist() for ids in changed] == [
+        ids.tolist() for ids in split_refs(changed_context_objects(g, g_new))]
 
 
 def test_cap_sample_depends_on_rng():
@@ -348,17 +365,23 @@ def test_table_draws_no_rng_for_contexts_within_cap(g1, monkeypatch):
         ContextTable(g1, cap=2).entity(g1.entity_id("e1"))
 
 
-def test_signatures_of_named_objects_only(g1):
-    full = signatures_by_name(ContextTable(g1))
+def test_contexts_of_named_objects_only(g1):
+    """``ContextTable.contexts`` gives the uncapped contexts of the ids it
+    is given, in their order, as the one-object definitions build them."""
     e1, e3 = g1.entity_id("e1"), g1.entity_id("e3")
-    some = signatures_by_name(ContextTable(g1), {ENTITY: [e3, e1], RELATION: []})
-    assert some == {key: full[key] for key in ((ENTITY, "e1"), (ENTITY, "e3"))}
-    r5 = signatures_by_name(ContextTable(g1), {ENTITY: [], RELATION: [g1.relation_id("r5")]})
-    assert r5 == {(RELATION, "r5"): full[(RELATION, "r5")]}
+    r5 = g1.relation_id("r5")
+    for kind, ids in ((ENTITY, [e3, e1]), (RELATION, [r5]), (ENTITY, [])):
+        ctx = ContextTable(g1, cap=2).contexts(kind, ids)
+        subs = [build_context(g1, (kind, obj)) for obj in ids]
+        assert ctx.owners.tolist() == ids
+        assert ctx.sizes.tolist() == [len(sub.vertices) for sub in subs]
+        assert ctx.members.tolist() == [m for sub in subs for v in sub.vertices
+                                        for m in v.members]
+        assert ctx.edges.tolist() == [e for sub in subs for e in sub.edges.tolist()]
 
 
-def test_signatures_cache_the_capped_context(monkeypatch):
-    """``signatures`` builds each context once; ``get`` then serves the same
+def test_contexts_cache_the_capped_context(monkeypatch):
+    """``contexts`` builds each context once; ``get`` then serves the same
     capped sample a fresh table builds.  Counts the owners the bulk builder
     receives."""
     import dkge.contexts
@@ -372,8 +395,8 @@ def test_signatures_cache_the_capped_context(monkeypatch):
 
     monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
     table = ContextTable(g, cap=5, seed=3)
-    table.signatures(ENTITY)
-    table.signatures(RELATION)
+    table.contexts(ENTITY, np.arange(g.num_entities))
+    table.contexts(RELATION, np.arange(g.num_relations))
     table.build_all()
     assert sorted(built) == sorted(set(built))
     assert len(built) == g.num_entities + g.num_relations
@@ -387,47 +410,48 @@ def test_signatures_cache_the_capped_context(monkeypatch):
 # -- change detection ---------------------------------------------------------
 
 def test_changed_contexts_toy(g1, g2):
+    """The toy trace's changes; the new contexts of every candidate are
+    built, and stored capped, by the detector."""
     diff = diff_snapshots(g1, g2)
     ent_cand, rel_cand = candidate_changed_names(g1, g2, diff)
-    stored, table, full = ContextTable(g1), ContextTable(g2), ContextTable(g2)
-    names = {ENTITY: g2.entity_names, RELATION: g2.relation_names}
+    table = ContextTable(g2)
     candidates = candidate_objects(g2, diff)
-    changed, rows = context_changes(table, diff, candidates, stored.signatures)
-    fresh = set()
-    for kind, ids, kind_rows in zip((ENTITY, RELATION), candidates, rows):
-        assert kind_rows.tobytes() == full.signatures(kind, ids).tobytes()
-        fresh |= {(kind, names[kind][obj]) for obj in ids.tolist()}
+    changed = context_changes(g1, table, diff, candidates)
     want = split_refs(changed_context_objects(g1, g2, diff))
     assert [ids.tolist() for ids in changed] == [ids.tolist() for ids in want]
-    assert fresh == ({(ENTITY, n) for n in ent_cand if n in g2.entity_ids}
-                     | {(RELATION, n) for n in rel_cand if n in g2.relation_ids})
+    stored = {(kind, (g2.entity_names if kind == ENTITY else g2.relation_names)[obj])
+              for kind in (ENTITY, RELATION)
+              for obj in np.flatnonzero(table._stores[kind].slot >= 0).tolist()}
+    assert stored == ({(ENTITY, n) for n in ent_cand if n in g2.entity_ids}
+                      | {(RELATION, n) for n in rel_cand if n in g2.relation_ids})
 
 
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       max_midpoints=st.sampled_from([0, 1, 2, DEFAULT_MAX_MIDPOINTS]))
 @settings(max_examples=30, deadline=None)
-def test_context_changes_equal_the_reference(seed):
-    """The detector finds ``changed_context_objects`` whether the old rows
-    come from an old-snapshot table (``dkge diff``) or from a store
-    (``dkge update``), and the retrain set built on it equals the loop's,
-    in (h, r, t) order."""
+def test_context_changes_equal_the_reference(seed, max_midpoints):
+    """The detector finds what comparing ``context_signature``s one object
+    at a time finds, under any midpoint bound, on churned pairs with
+    self-loops and parallel relations; under the default bound that is
+    ``changed_context_objects``, and the retrain set built on it equals the
+    loop's, in (h, r, t) order."""
     rng = np.random.default_rng(seed)
     base = random_name_triples(rng, int(rng.integers(5, 60)), 12, 4)
+    base += [(h, r, h) for h, r, _ in base[:int(rng.integers(0, 4))]]
+    base += [(h, "r0" if r != "r0" else "r1", t) for h, r, t in base[:int(rng.integers(0, 6))]]
+    base = list(dict.fromkeys(base))
     g_old = Snapshot.from_name_triples(base)
     g_new = Snapshot.from_name_triples(churned_triples(rng, base, churn=0.3), time_step=1)
     diff = diff_snapshots(g_old, g_new)
     candidates = candidate_objects(g_new, diff)
-    reference = changed_context_objects(g_old, g_new, diff)
-    store, _ = tiny_store(g_old, d=4)
-    fresh = ContextTable(g_new)
-    for old_signatures in (ContextTable(g_old).signatures,
-                           lambda kind, ids: (store.ent_sig if kind == ENTITY
-                                              else store.rel_sig)[ids]):
-        changed, rows = context_changes(ContextTable(g_new), diff, candidates,
-                                        old_signatures)
+    changed = context_changes(g_old, ContextTable(g_new, max_midpoints=max_midpoints),
+                              diff, candidates)
+    want = reference_changes(g_old, g_new, diff, candidates, max_midpoints)
+    assert [ids.tolist() for ids in changed] == [ids.tolist() for ids in want]
+    if max_midpoints == DEFAULT_MAX_MIDPOINTS:
+        reference = changed_context_objects(g_old, g_new, diff)
         assert [ids.tolist() for ids in changed] == [ids.tolist()
                                                      for ids in split_refs(reference)]
-        for kind, ids, kind_rows in zip((ENTITY, RELATION), candidates, rows):
-            assert kind_rows.tobytes() == fresh.signatures(kind, ids).tobytes()
         t_ol = collect_retrain_set(g_new, diff, changed)
         assert t_ol.tolist() == sorted(map(list, retrain_set_by_loop(g_new, diff, reference)))
 

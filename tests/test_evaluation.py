@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dkge.errors import ConfigError
 from dkge.evaluation import (HEAD, TAIL, TIE_OPTIMISTIC, TIE_PESSIMISTIC,
                              answer, evaluate, rank_entity,
                              resolve_test_triples)
@@ -134,6 +135,13 @@ def test_answer_is_unfiltered_and_k_capped(setup):
     res = answer(g.entity_id("e1"), g.relation_id("r1"), 100, store, g,
                  contexts=table)
     assert len(res) == g.num_entities  # k larger than the entity count
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_answer_rejects_k_below_one(setup, k):
+    g, store, table = setup
+    with pytest.raises(ConfigError, match=f"k must be at least 1, got {k}"):
+        answer(g.entity_id("e1"), g.relation_id("r1"), k, store, g, contexts=table)
 
 
 def test_answer_breaks_ties_by_id():

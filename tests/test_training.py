@@ -4,11 +4,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from dkge.contexts import (ContextTable, ENTITY, RELATION, candidate_objects,
-                           changed_context_objects, context_signature, entity_context,
-                           relation_context)
+from dkge.contexts import ENTITY, RELATION, candidate_objects, changed_context_objects
 from dkge.errors import ConfigError, IntegrityError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import joint_table
@@ -16,8 +13,8 @@ from dkge.training import (TrainConfig, collect_retrain_set, train_from_scratch,
                            train_online)
 
 from graphs import (TOY_T1, TOY_T2, assert_tables_fresh, candidate_changed_names,
-                    churned_triples, random_name_triples, row_triples, signatures_by_name,
-                    split_refs, tiny_store, toy_snapshot, update_traces)
+                    churned_triples, random_name_triples, row_triples, split_refs,
+                    tiny_store, toy_snapshot, update_traces)
 
 FAST = dict(dim=8, learning_rate=0.01, batch_size=8, margin=2.0,
             max_epochs=6, patience=2, eval_every=2, seed=0)
@@ -84,19 +81,12 @@ def test_scratch_is_seed_deterministic(g1):
     a, _ = train_from_scratch(g1, set(), cfg, log=None)
     b, _ = train_from_scratch(g1, set(), cfg, log=None)
     assert all_param_bytes(a) == all_param_bytes(b)
-    assert signatures_by_name(a) == signatures_by_name(b)
 
 
 def test_scratch_seed_changes_result(g1):
     a, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
     b, _ = train_from_scratch(g1, set(), TrainConfig(**{**FAST, "seed": 1}), log=None)
     assert all_param_bytes(a) != all_param_bytes(b)
-
-
-def test_scratch_fills_signatures(g1):
-    store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
-    fresh = ContextTable(g1, cap=store.cap, seed=store.seed)
-    assert signatures_by_name(store) == signatures_by_name(fresh)
 
 
 def test_pairs_without_a_negative_are_dropped():
@@ -244,7 +234,6 @@ def test_online_migration_drops_removed_objects(g1):
     assert "e4" not in after.entity_names
     assert "r3" not in after.relation_names
     assert after.matches_snapshot(shrunk)
-    assert signatures_by_name(after) == signatures_by_name(ContextTable(shrunk))
 
 
 def test_online_emerging_rows_initialized_in_bounds(g1, g2):
@@ -257,13 +246,6 @@ def test_online_emerging_rows_initialized_in_bounds(g1, g2):
     assert np.all(np.abs(after.ent_ctx[e7]) <= bound)  # ctx trains too but...
     assert after.ent_know[e7].any()
     assert after.rel_know[r7].any()
-
-
-def test_online_refreshes_signatures(g1, g2):
-    before, after, report = run_online(g1, g2)
-    fresh = ContextTable(g2, cap=after.cap, seed=after.seed)
-    assert signatures_by_name(after) == signatures_by_name(fresh)
-    assert after.matches_snapshot(g2)
 
 
 def test_online_detection_matches_pure_diff():
@@ -279,28 +261,6 @@ def test_online_detection_matches_pure_diff():
         changed = split_refs(changed_context_objects(g_old, g_new, diff))
         t_ol = collect_retrain_set(g_new, diff, changed)
         assert report.retrained_triples == len(t_ol)
-        fresh = ContextTable(g_new, cap=new_store.cap, seed=new_store.seed)
-        assert signatures_by_name(new_store) == signatures_by_name(fresh)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_online_leaves_every_signature_row_filled(seed):
-    """Every emerging object is a candidate, so no zero row survives an
-    update, and each row holds the bytes of the object's ``context_signature``
-    on the new snapshot."""
-    rng = np.random.default_rng(seed)
-    base = random_name_triples(rng, int(rng.integers(5, 40)), 10, 4)
-    g_old = Snapshot.from_name_triples(base)
-    g_new = Snapshot.from_name_triples(churned_triples(rng, base, churn=0.3), time_step=1)
-    store, _ = tiny_store(g_old, d=4, seed=seed % 7)
-    cfg = TrainConfig(**{**FAST, "dim": 4, "max_epochs": 1, "seed": seed % 7})
-    after, _ = train_online(g_old, g_new, store, set(), cfg, log=None)
-    for rows, n, context in ((after.ent_sig, g_new.num_entities, entity_context),
-                             (after.rel_sig, g_new.num_relations, relation_context)):
-        assert rows.shape == (n, 16) and rows.any(axis=1).all()
-        assert [int.from_bytes(row, "big") for row in rows] == [
-            context_signature(context(g_new, obj), g_new) for obj in range(n)]
 
 
 def test_online_computes_candidates_once(g1, g2, monkeypatch):
@@ -315,34 +275,11 @@ def test_online_computes_candidates_once(g1, g2, monkeypatch):
     assert len(calls) == 1
 
 
-def test_online_hashes_each_candidate_once(g1, g2, monkeypatch):
-    """Only change detection hashes a context: one signature per candidate
-    present in the new snapshot, none for the rest of the graph.  Counts the
-    owners the bulk hasher receives."""
-    import dkge.contexts as contexts
-    store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
-    hashed = []
-    sign = contexts.hash_contexts
-
-    def counted(snapshot, kind, ctx):
-        hashed.extend((snapshot, (kind, obj)) for obj in ctx.owners.tolist())
-        return sign(snapshot, kind, ctx)
-
-    monkeypatch.setattr(contexts, "hash_contexts", counted)
-    train_online(g1, g2, store, set(), TrainConfig(**FAST), log=None)
-    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff_snapshots(g1, g2))
-    want = sorted([(ENTITY, g2.entity_ids[n]) for n in ent_cand if n in g2.entity_ids]
-                  + [(RELATION, g2.relation_ids[n]) for n in rel_cand
-                     if n in g2.relation_ids])
-    assert len(want) < g2.num_entities + g2.num_relations
-    assert all(snapshot is g2 for snapshot, _ in hashed)
-    assert sorted(owner for _, owner in hashed) == want
-
-
 def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
-    """The candidates' contexts are built while hashing them; SGD and the
-    joint re-encode reuse their capped copies, and no old context is built.
-    Counts the owners the bulk builder receives."""
+    """Change detection builds the old contexts of the candidates that
+    survived, once each, and no other old context; each new context is
+    built at most once, since SGD and the joint re-encode reuse the capped
+    copies detection stored.  Counts the owners the bulk builder receives."""
     import dkge.contexts as contexts
     cfg = TrainConfig(**{**FAST, "cap": 3})
     store, _ = train_from_scratch(g1, set(), cfg, log=None)
@@ -356,19 +293,19 @@ def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
     monkeypatch.setattr(contexts, "build_contexts", counted)
     after, report = train_online(g1, g2, store, set(), cfg, log=None)
     assert report.retrained_triples > 0
-    assert all(snapshot is g2 for snapshot, _ in built)
-    refs = [ref for _, ref in built]
-    assert len(refs) == len(set(refs))
+    old = [ref for g, ref in built if g is g1]
+    new = [ref for g, ref in built if g is g2]
+    assert len(old) + len(new) == len(built)
+    assert len(new) == len(set(new))
+    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff_snapshots(g1, g2))
+    survived = sorted([(ENTITY, g1.entity_ids[n]) for n in ent_cand
+                       if n in g1.entity_ids and n in g2.entity_ids]
+                      + [(RELATION, g1.relation_ids[n]) for n in rel_cand
+                         if n in g1.relation_ids and n in g2.relation_ids])
+    assert 0 < len(survived) < g1.num_entities + g1.num_relations
+    assert sorted(old) == survived
     monkeypatch.undo()
     assert_tables_fresh(after, g2)
-
-
-@pytest.mark.parametrize("key", ["ent_sig", "rel_sig"])
-def test_online_rejects_store_without_signature_rows(g1, g2, key):
-    store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
-    setattr(store, key, None)
-    with pytest.raises(IntegrityError, match="no context signature rows"):
-        train_online(g1, g2, store, set(), TrainConfig(**FAST), log=None)
 
 
 def test_online_rejects_model_config_mismatch(g1, g2):
