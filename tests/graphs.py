@@ -118,11 +118,10 @@ def tiny_store(snapshot: Snapshot, d=6, seed=0, **kwargs) -> tuple[ParameterStor
     return store, store.context_table(snapshot)
 
 
-def signatures_by_name(g: Snapshot,
-                       max_midpoints=DEFAULT_MAX_MIDPOINTS) -> dict[tuple[str, str], int]:
+def signatures_by_name(g: Snapshot) -> dict[tuple[str, str], int]:
     """``context_signature`` of every object of ``g``, keyed by (kind, name),
     by the one-object definitions."""
-    return {(kind, name): context_signature(build_context(g, (kind, obj), max_midpoints), g)
+    return {(kind, name): context_signature(build_context(g, (kind, obj)), g)
             for kind, names in ((ENTITY, g.entity_names), (RELATION, g.relation_names))
             for obj, name in enumerate(names)}
 

@@ -456,6 +456,21 @@ def test_context_changes_equal_the_reference(seed, max_midpoints):
         assert t_ol.tolist() == sorted(map(list, retrain_set_by_loop(g_new, diff, reference)))
 
 
+def test_changes_see_members_regroup_into_paths():
+    """r's paths regroup from (a), (b, c) to (a, b), (c): the member
+    sequence, sizes and edges stay the same, only the grouping differs."""
+    g_old = Snapshot.from_name_triples([("x", "r", "y"), ("x", "a", "y"), ("x", "b", "m"),
+                                        ("m", "c", "y")])
+    g_new = Snapshot.from_name_triples([("x", "r", "y"), ("x", "a", "m"), ("m", "b", "y"),
+                                        ("x", "c", "y")], time_step=1)
+    r = g_new.relation_id("r")
+    diff = diff_snapshots(g_old, g_new)
+    changed = context_changes(g_old, ContextTable(g_new), diff, candidate_objects(g_new, diff))
+    assert r in changed[1].tolist()
+    assert [ids.tolist() for ids in changed] == [
+        ids.tolist() for ids in split_refs(changed_context_objects(g_old, g_new))]
+
+
 def test_changed_context_objects_toy(g1, g2):
     changed = changed_context_objects(g1, g2)
     names = {(kind, (g2.entity_names if kind == ENTITY else g2.relation_names)[obj])
