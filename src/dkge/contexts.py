@@ -17,11 +17,13 @@ The run-time path works on many contexts at once, in flat arrays
 (``ContextArrays``): ``build_contexts`` builds the entity contexts of many
 owners from the snapshot's CSR links (``Snapshot.links``) and their relation
 contexts from its sorted pair index (``Snapshot.pairs``), exactly as the
-definitions give them.  A ``ContextTable`` samples contexts above the vertex
-cap down (owner always kept) and stores them per kind in flat arrays with
-each context's normalised S entries, computed once when the context is
-built; an encoder pass gathers its contexts from there by index arithmetic
-(``ContextTable.gather``).
+definitions give them.  It is the one build path: it splits a large build
+into chunks of bounded work and logs one truncation warning per call.  A
+``ContextTable`` samples contexts above the vertex cap down (owner always
+kept) and stores per kind, in flat arrays, only what an encoder pass reads:
+each context's vertex members and its normalised S entries, computed once
+when the context is built.  A pass gathers its contexts from there by index
+arithmetic (``ContextTable.gather``).
 ``context_changes``, the detector ``dkge diff`` and ``dkge update`` share,
 compares the *uncapped* contexts of ``candidate_objects`` on both snapshots
 as arrays, old ids mapped to new ones, and reports id arrays; it finds what
@@ -353,26 +355,6 @@ def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
         edges=np.stack((local[at], j), axis=1)), truncated
 
 
-def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray,
-                   max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextArrays:
-    """Uncapped contexts of ``owners``, objects of one kind, in flat form:
-    the vertices and edges ``build_context`` gives for each, built all at
-    once.  Midpoint truncations are logged as one warning per call."""
-    owners = np.asarray(owners, dtype=np.intp)
-    if kind == ENTITY:
-        return _entity_contexts(snapshot, owners)
-    if kind != RELATION:
-        raise ValueError(f"unknown object kind: {kind}")
-    ctx, truncated = _relation_contexts(snapshot, owners, max_midpoints)
-    if truncated.size:
-        logger.warning(
-            "%d relation pairs: candidate midpoints truncated to %d (largest count %d); "
-            "relations: %s", len(truncated), max_midpoints, truncated[:, 3].max(),
-            ", ".join(snapshot.relation_names[r]
-                      for r in dict.fromkeys(truncated[:, 0].tolist())))
-    return ctx
-
-
 def _chunks(snapshot: Snapshot, kind: str, owners: np.ndarray) -> list[np.ndarray]:
     """``owners``, objects of one kind, split into runs of about BUILD_CHUNK
     work each."""
@@ -396,6 +378,31 @@ def _concat(parts: list[ContextArrays]) -> ContextArrays:
     edges hold local indices, so they need no offset."""
     return ContextArrays(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
                             for f in fields(ContextArrays)})
+
+
+def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray,
+                   max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextArrays:
+    """Uncapped contexts of ``owners``, objects of one kind, in flat form:
+    the vertices and edges ``build_context`` gives for each, in owner order.
+    They are built in runs of about BUILD_CHUNK work (``_chunks``), which
+    bounds the builders' temporaries, and concatenated; the midpoint
+    truncations of the whole call are logged as one warning."""
+    owners = np.asarray(owners, dtype=np.intp)
+    if kind == ENTITY:
+        return _concat([_entity_contexts(snapshot, part)
+                        for part in _chunks(snapshot, kind, owners)])
+    if kind != RELATION:
+        raise ValueError(f"unknown object kind: {kind}")
+    built = [_relation_contexts(snapshot, part, max_midpoints)
+             for part in _chunks(snapshot, kind, owners)]
+    truncated = np.concatenate([cut for _, cut in built])
+    if truncated.size:
+        logger.warning(
+            "%d relation pairs: candidate midpoints truncated to %d (largest count %d); "
+            "relations: %s", len(truncated), max_midpoints, truncated[:, 3].max(),
+            ", ".join(snapshot.relation_names[r]
+                      for r in dict.fromkeys(truncated[:, 0].tolist())))
+    return _concat([ctx for ctx, _ in built])
 
 
 def _select(ctx: ContextArrays, keep: np.ndarray) -> ContextArrays:
@@ -467,8 +474,8 @@ def context_changes(g_old: Snapshot, table: ContextTable, diff: SnapshotDiff,
     as id arrays.
 
     Per kind, entities first, the uncapped contexts of the candidates that
-    survived are built on ``g_old``, chunked as ``table`` chunks, and then
-    those of every candidate are built through ``table``, which stores the
+    survived are built on ``g_old`` in one ``build_contexts`` call, and then
+    those of every candidate through ``table.contexts``, which stores the
     capped copies; the two are compared as arrays.
     """
     changed = []
@@ -476,8 +483,7 @@ def context_changes(g_old: Snapshot, table: ContextTable, diff: SnapshotDiff,
                                  (diff.entity_map, diff.relation_map)):
         old_ids = id_map.to_old[ids]
         survived = old_ids >= 0
-        old = _concat([build_contexts(g_old, kind, part, table.max_midpoints)
-                       for part in _chunks(g_old, kind, old_ids[survived])])
+        old = build_contexts(g_old, kind, old_ids[survived], table.max_midpoints)
         new = _select(table.contexts(kind, ids), survived)
         changed.append(ids[survived][~_same_contexts(old, new, id_map.to_new)])
     return tuple(changed)
@@ -533,21 +539,21 @@ class ContextPass:
 
 
 class _FlatStore:
-    """The capped contexts of one kind built so far, in flat arrays.
+    """What an encoder pass gathers of the capped contexts of one kind built
+    so far, in flat arrays.
 
-    A stored context has a slot; ``vptr``, ``mptr``, ``eptr`` and ``sptr``
-    delimit, slot by slot, its vertices (``vertex_members`` and ``row_nnz``
-    per vertex), members, edges and its rows' S entries (``s_data`` with
-    columns ``s_cols`` local to the context).
+    A stored context has a slot; ``vptr``, ``mptr`` and ``sptr`` delimit,
+    slot by slot, its vertices (``vertex_members`` and ``row_nnz`` per
+    vertex), members and its rows' S entries (``s_data`` with columns
+    ``s_cols`` local to the context).  The edges are not kept: S holds them.
     """
 
     def __init__(self, n_objects: int):
         self.slot = np.full(n_objects, -1, dtype=np.intp)
-        self.vptr = self.mptr = self.eptr = self.sptr = np.zeros(1, dtype=np.intp)
+        self.vptr = self.mptr = self.sptr = np.zeros(1, dtype=np.intp)
         self.vertex_members = self.members = np.zeros(0, dtype=np.intp)
         # local indices within a capped context: int32, as scipy keeps them
         self.row_nnz = self.s_cols = np.zeros(0, dtype=np.int32)
-        self.edges = np.zeros((0, 2), dtype=np.intp)
         self.s_data = np.zeros(0)
 
     def append(self, ctx: ContextArrays) -> None:
@@ -560,12 +566,10 @@ class _FlatStore:
         self.slot[ctx.owners] = np.arange(ctx.owners.size) + self.vptr.size - 1
         self.vptr = np.concatenate((self.vptr, self.vptr[-1] + ends))
         self.mptr = np.concatenate((self.mptr, self.mptr[-1] + members_before[ends]))
-        self.eptr = np.concatenate((self.eptr, self.eptr[-1] + np.cumsum(ctx.edge_counts)))
         self.sptr = np.concatenate((self.sptr, self.sptr[-1] + s.indptr[ends]))
         self.vertex_members = np.concatenate((self.vertex_members, ctx.vertex_members))
         self.row_nnz = np.concatenate((self.row_nnz, row_nnz), dtype=np.int32)
         self.members = np.concatenate((self.members, ctx.members))
-        self.edges = np.concatenate((self.edges, ctx.edges))
         self.s_data = np.concatenate((self.s_data, s.data))
         self.s_cols = np.concatenate((self.s_cols, s.indices - np.repeat(first_row, row_nnz)),
                                      dtype=np.int32)
@@ -592,17 +596,6 @@ class _FlatStore:
         norm_adj = sparse.csr_array((self.s_data[entries], cols, indptr), shape=(n, n))
         return ContextPass(agcn.ContextBatch(norm_adj, starts, segment),
                            np.arange(n).repeat(per_vertex), self.members[members])
-
-    def subgraph(self, kind: str, obj: int) -> ContextSubgraph:
-        at = self.slot[obj]
-        counts = self.vertex_members[self.vptr[at]:self.vptr[at + 1]].tolist()
-        members = iter(self.members[self.mptr[at]:self.mptr[at + 1]].tolist())
-        other = ENTITY if kind == ENTITY else RELATION_PATH
-        vertices = tuple(ContextVertex(kind if p == 0 else other,
-                                       tuple(next(members) for _ in range(k)))
-                         for p, k in enumerate(counts))
-        return ContextSubgraph((kind, obj), vertices,
-                               self.edges[self.eptr[at]:self.eptr[at + 1]].copy())
 
 
 class ContextTable:
@@ -661,26 +654,12 @@ class ContextTable:
             edge_counts=np.bincount(edge_context[live], minlength=sizes.size)[new],
             edges=edges[live])
 
-    def _add(self, kind: str, owners: np.ndarray) -> list[ContextArrays]:
-        """Build the uncapped contexts of ``owners`` chunk by chunk, store
-        the capped copies of those not stored yet and return the uncapped
-        ones, chunk by chunk in owner order."""
-        store = self._stores[kind]
-        built = []
-        for part in _chunks(self.snapshot, kind, owners):
-            ctx = build_contexts(self.snapshot, kind, part, self.max_midpoints)
-            built.append(ctx)
-            new = store.slot[part] < 0
-            if new.any():
-                store.append(self._capped(kind, ctx, new))
-        return built
-
     def build(self, kind: str, ids) -> None:
         """Build the contexts of ``ids`` not stored yet, in one bulk call."""
         ids = np.asarray(ids, dtype=np.intp)
         missing = ids[self._stores[kind].slot[ids] < 0]
         if missing.size:
-            self._add(kind, np.unique(missing))
+            self.contexts(kind, np.unique(missing))
 
     def build_all(self) -> None:
         self.build(ENTITY, np.arange(self.snapshot.num_entities))
@@ -698,7 +677,9 @@ class ContextTable:
         return store.gather(at)
 
     def get(self, ref: ObjectRef) -> ContextSubgraph:
-        """One capped context as a ``ContextSubgraph``."""
+        """One capped context as a ``ContextSubgraph``, built afresh by the
+        code that makes the stored copy (``build_contexts``, then
+        ``_capped``); nothing is stored."""
         kind, obj = ref
         if kind == ENTITY:
             self.snapshot._check_entity(obj)
@@ -706,8 +687,14 @@ class ContextTable:
             self.snapshot._check_relation(obj)
         else:
             raise ValueError(f"unknown object kind: {kind}")
-        self.build(kind, [obj])
-        return self._stores[kind].subgraph(kind, obj)
+        ctx = self._capped(kind, build_contexts(self.snapshot, kind, np.array([obj]),
+                                                self.max_midpoints), np.ones(1, dtype=bool))
+        members = iter(ctx.members.tolist())
+        other = ENTITY if kind == ENTITY else RELATION_PATH
+        vertices = tuple(ContextVertex(kind if p == 0 else other,
+                                       tuple(next(members) for _ in range(k)))
+                         for p, k in enumerate(ctx.vertex_members.tolist()))
+        return ContextSubgraph((kind, obj), vertices, ctx.edges)
 
     def entity(self, e: int) -> ContextSubgraph:
         return self.get((ENTITY, e))
@@ -719,7 +706,14 @@ class ContextTable:
         """Uncapped contexts of ``ids``, distinct objects of one kind, in the
         order of ``ids``.
 
-        They are built here, in bulk, and the capped copies of those not
-        stored yet are stored, so a later pass does not build them again.
+        They are built here in one ``build_contexts`` call, and the capped
+        copies of those not stored yet are stored, so a later pass does not
+        build them again.
         """
-        return _concat(self._add(kind, np.asarray(ids, dtype=np.intp)))
+        ids = np.asarray(ids, dtype=np.intp)
+        ctx = build_contexts(self.snapshot, kind, ids, self.max_midpoints)
+        store = self._stores[kind]
+        new = store.slot[ids] < 0
+        if new.any():
+            store.append(self._capped(kind, ctx, new))
+        return ctx

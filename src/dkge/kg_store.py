@@ -113,7 +113,8 @@ class Snapshot:
         bad = np.flatnonzero((ids < 0).any(axis=1) | (h >= n_e) | (t >= n_e) | (r >= n_r))
         if bad.size:
             raise ValueError(f"triple {ids[bad[0]].tolist()} outside dictionary range")
-        if np.unique(triple_codes(ids, n_e, n_r)).size != len(ids):
+        codes = self.sorted_codes
+        if (codes[1:] == codes[:-1]).any():
             raise ValueError("duplicate triples in snapshot")
         if (np.count_nonzero(np.bincount(ids[:, [0, 2]].ravel(), minlength=n_e)) != n_e
                 or np.count_nonzero(np.bincount(r, minlength=n_r)) != n_r):

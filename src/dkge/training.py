@@ -23,9 +23,10 @@ returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
 validation inside the loop and the best-epoch copies always encode afresh.
 Scratch training encodes every object in one sweep over its context table.
 An online update carries the previous tables over by id map and re-encodes
-only the objects whose knowledge row trained or whose capped context reads
-a trained contextual row; when the previous store's tables were not
-encoded on the old snapshot, it encodes every object.
+exactly the objects whose knowledge row trained, the emerging and changed
+ones (no other capped context reads a trained row); when the previous
+store's tables were not encoded on the old snapshot, it encodes every
+object.
 """
 from __future__ import annotations
 
@@ -297,41 +298,29 @@ def _migrate_store(store: ParameterStore, g_new: Snapshot, diff: SnapshotDiff,
         cap=store.cap, seed=store.seed, max_midpoints=store.max_midpoints)
 
 
-def _reencode_ids(kind: str, know_rows: np.ndarray, ctx_rows: np.ndarray,
-                  candidates: np.ndarray, table: ContextTable) -> np.ndarray:
-    """Objects whose joint embedding can differ from the previous step's:
-    those whose knowledge row trained, and candidates whose capped context
-    reads a trained contextual row.  Every other object keeps its capped
-    context, its rows, and the frozen encoder and gate.
-
-    A context that reads an emerging object's row has changed, so with
-    exact change detection the second set lies inside the first; checking
-    it keeps the tables from resting on change detection alone."""
-    if not candidates.size:
-        return know_rows
-    gathered = table.gather(kind, candidates)
-    owner = gathered.batch.segment[gathered.member_rows]
-    reads = owner[np.isin(gathered.member_ids, ctx_rows)]
-    return np.union1d(know_rows, candidates[reads])
-
-
 def _update_joint(store: ParameterStore, old: ParameterStore, g_old: Snapshot,
                   g_new: Snapshot, table: ContextTable, mask: UpdateMask,
-                  diff: SnapshotDiff, candidates: IdArrays) -> tuple[int, int]:
+                  diff: SnapshotDiff) -> tuple[int, int]:
     """Attach the joint tables for g_new to the updated store and return the
     rows encoded per kind.  When the old store's tables were encoded on
     g_old, rows carry over through the diff's id maps and only the objects
-    an update can move are re-encoded; otherwise every row is encoded."""
+    whose knowledge row trained are re-encoded; otherwise every row is
+    encoded.
+
+    Those objects are enough: every other object keeps its capped context,
+    its rows and the frozen encoder and gate, and no capped context of such
+    an object reads a trained contextual row.  Only emerging objects'
+    contextual rows train, and a context holding an emerging object did not
+    exist on g_old, so its owner is emerging or changed: its knowledge row
+    trained."""
     if old.joint_digest != g_old.digest:
         store.attach_joint(joint_table(store, g_new, table), g_new)
         return store.num_entities, store.num_relations
     tables, counts = [], []
-    for kind, rows, id_map, know_rows, ctx_rows, cand in zip(
+    for kind, rows, id_map, ids in zip(
             (ENTITY, RELATION), (old.ent_star, old.rel_star), (diff.entity_map, diff.relation_map),
-            (mask.ent_know_rows, mask.rel_know_rows), (mask.ent_ctx_rows, mask.rel_ctx_rows),
-            candidates):
+            (mask.ent_know_rows, mask.rel_know_rows)):
         carried = _carry_rows(rows, id_map.to_old)
-        ids = _reencode_ids(kind, know_rows, ctx_rows, cand, table)
         carried[ids] = joint_rows(kind, ids, store, table)
         tables.append(carried)
         counts.append(len(ids))
@@ -399,7 +388,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
         store, losses, best_hits, best_epoch, epochs, dropped = _sgd_loop(
             g_new, t_ol, store, table, stats, valid_triples, config, mask,
             np.random.default_rng(shuffle_ss), np.random.default_rng(neg_ss), log)
-    n_ent, n_rel = _update_joint(store, old, g_old, g_new, table, mask, diff, candidates)
+    n_ent, n_rel = _update_joint(store, old, g_old, g_new, table, mask, diff)
     report = TrainReport(
         mode="online", epochs_run=epochs, epoch_losses=losses,
         best_valid_hits10=best_hits, best_epoch=best_epoch,

@@ -134,19 +134,23 @@ def test_bulk_relation_contexts_truncate_as_one_by_one(g, data):
             for r, a, b, n in truncated.tolist()] == want
 
 
-def test_one_truncation_warning_per_build(caplog):
-    """A bulk build logs its truncated pairs as one warning."""
+def test_one_truncation_warning_per_build(caplog, monkeypatch):
+    """A bulk build logs its truncated pairs as one warning, also when it
+    spans several chunks."""
     triples = [("a", "r", "b"), ("c", "r", "d"), ("a", "s", "b")]
     for i in range(4):
         triples += [("a", "go", f"m{i}"), (f"m{i}", "back", "b"),
                     ("c", "go", f"m{i}"), (f"m{i}", "back", "d")]
     triples += [("a", "s", "m9"), ("m9", "back", "b"), ("a", "go", "m9")]
     g = Snapshot.from_name_triples(triples)
-    with caplog.at_level(logging.WARNING, logger=contexts.__name__):
-        ContextTable(g, max_midpoints=2).build_all()
-    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [(
-        "WARNING", "3 relation pairs: candidate midpoints truncated to 2 (largest "
-                   "count 5); relations: r, s")]
+    for chunk in (contexts.BUILD_CHUNK, 1):
+        caplog.clear()
+        monkeypatch.setattr(contexts, "BUILD_CHUNK", chunk)
+        with caplog.at_level(logging.WARNING, logger=contexts.__name__):
+            ContextTable(g, max_midpoints=2).build_all()
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [(
+            "WARNING", "3 relation pairs: candidate midpoints truncated to 2 (largest "
+                       "count 5); relations: r, s")]
 
 
 def test_table_rejects_negative_max_midpoints():

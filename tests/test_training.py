@@ -358,9 +358,19 @@ def test_online_noop_carries_joint_tables(g1):
     assert (report.reencoded_entities, report.reencoded_relations) == (0, 0)
 
 
+def assert_reencodes_the_trained_rows(report, g_old, g_new, dim):
+    """The update re-encoded exactly the objects whose knowledge row
+    trained: every updated row but the emerging objects' contextual ones."""
+    diff = diff_snapshots(g_old, g_new)
+    emerging = diff.emerging_entities.size + diff.emerging_relations.size
+    assert (report.reencoded_entities + report.reencoded_relations
+            == report.updated_parameters // dim - emerging)
+
+
 def test_joint_tables_fresh_over_update_traces():
     """Criterion 4's traces, each from a store whose tables were encoded on
-    the old snapshot: the updated tables equal a fresh full encode."""
+    the old snapshot: the updated tables equal a fresh full encode, and the
+    re-encoded rows are the trained knowledge rows."""
     partial = 0
     for trace, g_old, g_new in update_traces():
         cfg = TrainConfig(dim=6, learning_rate=0.02, batch_size=64, margin=2.0,
@@ -369,13 +379,15 @@ def test_joint_tables_fresh_over_update_traces():
         store.attach_joint(joint_table(store, g_old), g_old)
         after, report = train_online(g_old, g_new, store, set(), cfg, log=None)
         assert_tables_fresh(after, g_new)
+        assert_reencodes_the_trained_rows(report, g_old, g_new, cfg.dim)
         partial += report.reencoded_entities < g_new.num_entities
     assert partial >= 25
 
 
 def test_joint_tables_fresh_along_an_update_chain():
     """Train, then three updates, each from the store the last one wrote,
-    with contexts capped: every step's tables equal a fresh full encode."""
+    with contexts capped: every step's tables equal a fresh full encode, and
+    re-encode the trained knowledge rows."""
     rng = np.random.default_rng(5)
     triples = random_name_triples(rng, 200, 50, 6)
     g = Snapshot.from_name_triples(triples)
@@ -389,6 +401,7 @@ def test_joint_tables_fresh_along_an_update_chain():
         g_new = Snapshot.from_name_triples(triples, time_step=step)
         store, report = train_online(g, g_new, store, set(), cfg, log=None)
         assert_tables_fresh(store, g_new)
+        assert_reencodes_the_trained_rows(report, g, g_new, cfg.dim)
         assert 0 < report.reencoded_entities < g_new.num_entities
         g = g_new
 
