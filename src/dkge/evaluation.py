@@ -220,13 +220,15 @@ def resolve_test_triples(test: Iterable[Triple | NameTriple],
 def evaluate(test: Sequence[Triple | NameTriple], store: ParameterStore,
              snapshot: Snapshot, filter_triples: Collection[Triple] | np.ndarray, *,
              ks: Sequence[int] = (1, 3, 10), tie_mode: str = TIE_OPTIMISTIC,
-             contexts: ContextTable | None = None) -> MetricsReport:
+             contexts: ContextTable | None = None,
+             joint: JointCache | None = None) -> MetricsReport:
     """MR, MRR, and Hits@k over head and tail queries of every test triple.
 
     ``filter_triples`` holds the known triples as id ``Triple``s or as (n, 3)
-    id rows; duplicates among them count once.
+    id rows; duplicates among them count once.  ``joint``, when given, holds
+    the store's joint embeddings on ``snapshot``, and nothing is encoded.
     """
-    cache = joint_table(store, snapshot, contexts)
+    cache = joint_table(store, snapshot, contexts) if joint is None else joint
     resolved, skipped = resolve_test_triples(test, snapshot)
     scorer = _Scorer(cache)
     known = _known_triples(filter_triples, snapshot)

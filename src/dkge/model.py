@@ -24,6 +24,13 @@ runs one backward pass per encoder pass.  ``object_forward`` is a pass of
 one, and an object's joint embedding is bit-identical whichever pass
 encodes it.
 
+Online SGD freezes the encoders, attention vectors, gates and every row
+but those of the update region, so most joint rows cannot move.  Given
+``FixedRows`` (a joint table of every object and the ids of the objects
+whose rows can move), ``batch_loss`` reads the other objects' rows from the
+table and encodes and back-propagates only the movable ones, into a
+``GradBuffer`` that holds the four row tables only.
+
 A store can carry the joint embedding of every object, encoded on one
 snapshot and keyed by that snapshot's digest; ``joint_table`` serves those
 rows for that snapshot and encodes everything afresh for any other.
@@ -347,6 +354,37 @@ class JointCache(NamedTuple):
     rel_star: np.ndarray   # (n_r, d)
 
 
+class FixedRows(NamedTuple):
+    """The joint rows online SGD holds fixed, and the objects that can move.
+
+    ``joint`` holds a row for every object of the snapshot; the rows of the
+    movable objects (sorted ids per kind) are stale and never read.  Every
+    other row equals a fresh encoding under the store for as long as SGD
+    moves only the movable objects' knowledge rows and the contextual rows
+    no fixed object's context reads.
+    """
+
+    joint: JointCache
+    entities: np.ndarray
+    relations: np.ndarray
+
+    def rows(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """(joint table, movable ids) of one kind."""
+        if kind == ENTITY:
+            return self.joint.ent_star, self.entities
+        return self.joint.rel_star, self.relations
+
+    def refreshed(self, store: ParameterStore, contexts: ContextTable) -> JointCache:
+        """The joint table with the movable rows encoded under ``store``."""
+        tables = []
+        for kind in (ENTITY, RELATION):
+            table, movable = self.rows(kind)
+            table = table.copy()
+            table[movable] = joint_rows(kind, movable, store, contexts)
+            tables.append(table)
+        return JointCache(*tables)
+
+
 def joint_table(store: ParameterStore, snapshot: Snapshot,
                 contexts: ContextTable | None = None) -> JointCache:
     """Joint embeddings of every object of ``snapshot``.
@@ -370,22 +408,26 @@ def backward_pass(enc: EncodedPass, d_star: np.ndarray, store: ParameterStore,
     """Accumulate the gradients of sum_b (d_star[b] . o*_b) into the buffer.
 
     The knowledge embedding receives both the gate path and the attention
-    path; context members collect the rows of the h0 gradient.
+    path; context members collect the rows of the h0 gradient.  The weight,
+    attention and gate gradients are accumulated only into a buffer that
+    holds them.
     """
     gate = enc.gate
     d_know = d_star * gate
     d_sg = d_star * (1.0 - gate)
-    d_gate_pre = d_star * (enc.knowledge - enc.sg) * gate * (1.0 - gate)
     _, agcn, _ = _kind_params(store, enc.kind)
     grads = agcn_backward(enc.cache, agcn, enc.knowledge, d_sg)
     know, ctx, weights, attention, gate_pre = buffer.of_kind(enc.kind)
     know[enc.ids] += d_know + grads.owner_knowledge
-    gate_pre += d_gate_pre.sum(axis=0)
-    attention += grads.attention
-    for acc, dw in zip(weights, grads.weights):
-        acc += dw
+    if weights is not None:
+        d_gate_pre = d_star * (enc.knowledge - enc.sg) * gate * (1.0 - gate)
+        gate_pre += d_gate_pre.sum(axis=0)
+        attention += grads.attention
+        for acc, dw in zip(weights, grads.weights):
+            acc += dw
     ids, at = np.unique(enc.member_ids, return_inverse=True)
     ctx[ids] += _scatter_rows(at, grads.h0[enc.member_rows], ids.size)
+    buffer.encoded[0 if enc.kind == ENTITY else 1] += len(enc.ids)
 
 
 # -- forward / backward over triples -------------------------------------------
@@ -440,19 +482,30 @@ def forward_triple(triple: Triple, store: ParameterStore, contexts: ContextTable
 
 
 class GradBuffer:
-    """Dense gradient accumulators matching the store's parameter layout."""
+    """Dense gradient accumulators matching the store's parameter layout.
 
-    def __init__(self, store: ParameterStore):
+    With ``rows_only`` it holds the four row tables only, for SGD that keeps
+    the encoders, attention vectors and gates frozen; their accumulators are
+    then None, and ``backward_pass`` skips their gradients.  ``encoded``
+    counts the objects back-propagated into the buffer: entities, relations.
+    """
+
+    def __init__(self, store: ParameterStore, rows_only: bool = False):
         self.ent_know = np.zeros_like(store.ent_know)
         self.ent_ctx = np.zeros_like(store.ent_ctx)
         self.rel_know = np.zeros_like(store.rel_know)
         self.rel_ctx = np.zeros_like(store.rel_ctx)
-        self.ent_weights = [np.zeros_like(w) for w in store.entity_agcn.weights]
-        self.rel_weights = [np.zeros_like(w) for w in store.relation_agcn.weights]
-        self.ent_attention = np.zeros_like(store.entity_agcn.attention)
-        self.rel_attention = np.zeros_like(store.relation_agcn.attention)
-        self.ent_gate_pre = np.zeros_like(store.ent_gate_pre)
-        self.rel_gate_pre = np.zeros_like(store.rel_gate_pre)
+        self.encoded = np.zeros(2, dtype=np.int64)
+        self.ent_weights = self.rel_weights = None
+        self.ent_attention = self.rel_attention = None
+        self.ent_gate_pre = self.rel_gate_pre = None
+        if not rows_only:
+            self.ent_weights = [np.zeros_like(w) for w in store.entity_agcn.weights]
+            self.rel_weights = [np.zeros_like(w) for w in store.relation_agcn.weights]
+            self.ent_attention = np.zeros_like(store.entity_agcn.attention)
+            self.rel_attention = np.zeros_like(store.relation_agcn.attention)
+            self.ent_gate_pre = np.zeros_like(store.ent_gate_pre)
+            self.rel_gate_pre = np.zeros_like(store.rel_gate_pre)
 
     def of_kind(self, kind: str):
         """(knowledge, context, weights, attention, gate) accumulators."""
@@ -463,9 +516,43 @@ class GradBuffer:
                 self.rel_attention, self.rel_gate_pre)
 
 
+def _batch_rows(kind: str, ids: np.ndarray, store: ParameterStore,
+                contexts: ContextTable,
+                fixed: FixedRows | None) -> tuple[np.ndarray, list[tuple[np.ndarray | slice, EncodedPass]]]:
+    """Joint rows of a batch's distinct objects ``ids`` of one kind, plus
+    the encoder passes behind them, each with its positions in ``ids``.
+
+    Without fixed rows every object is encoded, and a pass's positions are
+    a slice; with them only the movable ones are, and the others are read
+    from the fixed table.  Pass k holds the objects to encode among
+    ``ids[k * ENCODE_PASS:(k + 1) * ENCODE_PASS]``, so a contextual row sums
+    the same per-pass gradients in the same order with fixed rows as
+    without.
+    """
+    starts = range(0, len(ids) + ENCODE_PASS, ENCODE_PASS)
+    if fixed is None:
+        star = np.empty((len(ids), store.dim))
+        groups = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        contexts.build(kind, ids)
+    else:
+        table, movable = fixed.rows(kind)
+        star = table[ids]
+        at = np.flatnonzero(np.isin(ids, movable))
+        cuts = at.searchsorted(starts).tolist()
+        groups = [at[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+        contexts.build(kind, ids[at])
+    passes = []
+    for group in groups:
+        enc = encode(kind, ids[group], store, contexts)
+        star[group] = enc.star
+        passes.append((group, enc))
+    return star, passes
+
+
 def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
                store: ParameterStore, contexts: ContextTable, margin: float,
-               buffer: GradBuffer | None = None) -> float:
+               buffer: GradBuffer | None = None,
+               fixed: FixedRows | None = None) -> float:
     """Summed margin loss over (positive, corrupted) pairs, given as a
     (P, 2, 3) id array (as ``corrupt_rows`` returns) or as a list of
     ``Triple`` pairs; either form gives the same loss and gradients.
@@ -474,7 +561,10 @@ def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
     distinct objects of the batch are encoded once per call, grouped by kind
     in passes of at most ENCODE_PASS objects; the pairs are scored as arrays,
     the upstream gradients of each object are merged, and each pass runs one
-    backward pass.
+    backward pass.  With ``fixed`` rows, only the movable objects are encoded
+    and back-propagated: the loss is the same, and so are the gradients of
+    the movable objects' knowledge rows and of the contextual rows that no
+    fixed object's context reads, the emerging objects' among them.
     """
     if len(pairs) == 0:
         return 0.0
@@ -483,10 +573,8 @@ def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
     rel_ids, rel_at = np.unique(triples[:, :, 1], return_inverse=True)
     ent_at = ent_at.reshape(len(pairs), 2, 2)             # (pair, pos/neg, head/tail)
     rel_at = rel_at.reshape(len(pairs), 2)
-    ent_passes = list(encode_passes(ENTITY, ent_ids, store, contexts))
-    rel_passes = list(encode_passes(RELATION, rel_ids, store, contexts))
-    ent_star = np.concatenate([p.star for p in ent_passes])
-    rel_star = np.concatenate([p.star for p in rel_passes])
+    ent_star, ent_passes = _batch_rows(ENTITY, ent_ids, store, contexts, fixed)
+    rel_star, rel_passes = _batch_rows(RELATION, rel_ids, store, contexts, fixed)
 
     residual = ent_star[ent_at[:, :, 0]] + rel_star[rel_at] - ent_star[ent_at[:, :, 1]]
     f = np.abs(residual).sum(axis=2)                      # (P, 2)
@@ -507,8 +595,6 @@ def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
                           np.concatenate((sign, -sign)), len(ent_ids))
     d_rel = _scatter_rows(rel_at[active].ravel(), sign, len(rel_ids))
     for passes, d_star in ((ent_passes, d_ent), (rel_passes, d_rel)):
-        offset = 0
-        for enc in passes:
-            backward_pass(enc, d_star[offset:offset + len(enc.ids)], store, buffer)
-            offset += len(enc.ids)
+        for at, enc in passes:
+            backward_pass(enc, d_star[at], store, buffer)
     return total

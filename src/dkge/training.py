@@ -19,14 +19,19 @@ comparing their contexts on both snapshots (``contexts.context_changes``, as
 
 Both modes end by attaching the joint embedding of every object to the
 returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
-``answer`` need not encode.  The tables are attached only after SGD ends:
-validation inside the loop and the best-epoch copies always encode afresh.
-Scratch training encodes every object in one sweep over its context table.
-An online update carries the previous tables over by id map and re-encodes
-exactly the objects whose knowledge row trained, the emerging and changed
-ones (no other capped context reads a trained row); when the previous
-store's tables were not encoded on the old snapshot, it encodes every
-object.
+``answer`` need not encode.  The tables are attached only after SGD ends,
+so the store validation ranks with and the best-epoch copies carry none.
+Scratch training encodes every distinct object of each batch, validates on
+a fresh encoding of every object, and ends with one sweep over its context
+table.  In an online update only the objects whose knowledge row trains,
+the emerging and changed ones, can change their joint embedding (no other
+capped context reads a trained row).  Before SGD the update fixes the joint
+row of every other object: the previous tables carried over by id map or,
+when they were not encoded on the old snapshot, every object encoded once
+under the migrated store (``model.FixedRows``).  SGD encodes and
+back-propagates only the movable objects and reads the rest from that
+table; validation ranks against the table with the movable rows encoded
+afresh, and the update ends by re-encoding them once more.
 """
 from __future__ import annotations
 
@@ -38,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS, ENTITY,
-                       IdArrays, RELATION, candidate_objects, context_changes)
+from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS,
+                       IdArrays, candidate_objects, context_changes)
 from .errors import ConfigError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
-from .model import (GradBuffer, JointCache, ParameterStore, RelationStats,
-                    batch_loss, corrupt_rows, init_params, joint_rows,
+from .model import (FixedRows, GradBuffer, JointCache, ParameterStore,
+                    RelationStats, batch_loss, corrupt_rows, init_params,
                     joint_table, relation_stats)
 
 logger = logging.getLogger(__name__)
@@ -109,6 +114,9 @@ class TrainReport:
     # positives left out of their batch because every negative drawn for
     # them was a known triple, summed over the epochs run
     negatives_dropped: int
+    # objects SGD encoded and back-propagated, summed over its batches
+    sgd_encoded_entities: int
+    sgd_encoded_relations: int
 
 
 @dataclass
@@ -159,8 +167,13 @@ def _progress_line(epoch: int, loss: float, hits: float | None, seconds: float) 
 def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
               table: ContextTable, stats: RelationStats,
               valid_triples: list[Triple] | None, config: TrainConfig,
-              mask: UpdateMask | None, shuffle_rng: np.random.Generator,
-              negative_rng: np.random.Generator, log) -> tuple[ParameterStore, list[float], float | None, int | None, int, int]:
+              mask: UpdateMask | None, fixed: FixedRows | None,
+              shuffle_rng: np.random.Generator, negative_rng: np.random.Generator,
+              log) -> tuple[ParameterStore, list[float], float | None, int | None, int, int, np.ndarray]:
+    """Minibatch SGD with early stopping on validation Hits@10.  Under an
+    update ``mask``, ``fixed`` holds the joint rows that cannot move:
+    ``batch_loss`` reads them instead of encoding, and validation ranks
+    against them with the movable rows encoded afresh."""
     best_store = None
     best_hits = -1.0
     best_epoch = None
@@ -169,6 +182,7 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
     n = len(train_rows)
     epochs_run = 0
     dropped = 0
+    encoded = np.zeros(2, dtype=np.int64)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
         epochs_run = epoch
@@ -178,16 +192,18 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
             batch = train_rows[order[start:start + config.batch_size]]
             pairs = corrupt_rows(batch, stats, snapshot, negative_rng)
             dropped += len(batch) - len(pairs)
-            buf = GradBuffer(store)
-            epoch_loss += batch_loss(pairs, store, table, config.margin, buf)
+            buf = GradBuffer(store, rows_only=mask is not None)
+            epoch_loss += batch_loss(pairs, store, table, config.margin, buf, fixed)
+            encoded += buf.encoded
             _apply_sgd(store, buf, config.learning_rate, mask)
         mean_loss = epoch_loss / n
         losses.append(mean_loss)
         hits = None
         stop = False
         if valid_triples and epoch % config.eval_every == 0:
+            joint = None if fixed is None else fixed.refreshed(store, table)
             report = evaluate(valid_triples, store, snapshot, snapshot.triple_ids,
-                              ks=(10,), contexts=table)
+                              ks=(10,), contexts=table, joint=joint)
             hits = report.hits_at[10]
             if hits > best_hits:
                 best_hits = hits
@@ -204,8 +220,8 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
         if stop:
             break
     if best_store is not None:
-        return best_store, losses, best_hits, best_epoch, epochs_run, dropped
-    return store, losses, None, None, epochs_run, dropped
+        return best_store, losses, best_hits, best_epoch, epochs_run, dropped, encoded
+    return store, losses, None, None, epochs_run, dropped, encoded
 
 
 def _check_valid_triples(valid, snapshot: Snapshot) -> list[Triple]:
@@ -240,9 +256,9 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
     table = store.context_table(snapshot)
     table.build_all()
     stats = relation_stats(snapshot)
-    store, losses, best_hits, best_epoch, epochs, dropped = _sgd_loop(
+    store, losses, best_hits, best_epoch, epochs, dropped, encoded = _sgd_loop(
         snapshot, snapshot.triple_ids, store, table, stats, valid_triples,
-        config, None, np.random.default_rng(shuffle_ss),
+        config, None, None, np.random.default_rng(shuffle_ss),
         np.random.default_rng(neg_ss), log)
     store.attach_joint(joint_table(store, snapshot, table), snapshot)
     report = TrainReport(
@@ -251,7 +267,8 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
         seconds=time.perf_counter() - t_start, retrained_triples=None,
         updated_parameters=store.parameter_count(), frozen_parameters=0,
         reencoded_entities=store.num_entities,
-        reencoded_relations=store.num_relations, negatives_dropped=dropped)
+        reencoded_relations=store.num_relations, negatives_dropped=dropped,
+        sgd_encoded_entities=int(encoded[0]), sgd_encoded_relations=int(encoded[1]))
     return store, report
 
 
@@ -296,36 +313,6 @@ def _migrate_store(store: ParameterStore, g_new: Snapshot, diff: SnapshotDiff,
         entity_agcn=store.entity_agcn.copy(), relation_agcn=store.relation_agcn.copy(),
         ent_gate_pre=store.ent_gate_pre.copy(), rel_gate_pre=store.rel_gate_pre.copy(),
         cap=store.cap, seed=store.seed, max_midpoints=store.max_midpoints)
-
-
-def _update_joint(store: ParameterStore, old: ParameterStore, g_old: Snapshot,
-                  g_new: Snapshot, table: ContextTable, mask: UpdateMask,
-                  diff: SnapshotDiff) -> tuple[int, int]:
-    """Attach the joint tables for g_new to the updated store and return the
-    rows encoded per kind.  When the old store's tables were encoded on
-    g_old, rows carry over through the diff's id maps and only the objects
-    whose knowledge row trained are re-encoded; otherwise every row is
-    encoded.
-
-    Those objects are enough: every other object keeps its capped context,
-    its rows and the frozen encoder and gate, and no capped context of such
-    an object reads a trained contextual row.  Only emerging objects'
-    contextual rows train, and a context holding an emerging object did not
-    exist on g_old, so its owner is emerging or changed: its knowledge row
-    trained."""
-    if old.joint_digest != g_old.digest:
-        store.attach_joint(joint_table(store, g_new, table), g_new)
-        return store.num_entities, store.num_relations
-    tables, counts = [], []
-    for kind, rows, id_map, ids in zip(
-            (ENTITY, RELATION), (old.ent_star, old.rel_star), (diff.entity_map, diff.relation_map),
-            (mask.ent_know_rows, mask.rel_know_rows)):
-        carried = _carry_rows(rows, id_map.to_old)
-        carried[ids] = joint_rows(kind, ids, store, table)
-        tables.append(carried)
-        counts.append(len(ids))
-    store.attach_joint(JointCache(*tables), g_new)
-    return counts[0], counts[1]
 
 
 def _holdout_validation(g_new: Snapshot, t_ol: np.ndarray,
@@ -376,8 +363,23 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
 
     updated = mask.updated_count * store.dim
     frozen = store.parameter_count() - updated
+    # Only the movable objects' joint rows can change during SGD: every other
+    # object keeps its capped context, its rows and the frozen encoder and
+    # gate, and no capped context of such an object reads a trained
+    # contextual row.  Only emerging objects' contextual rows train, and a
+    # context holding an emerging object did not exist on g_old, so its
+    # owner is emerging or changed: its knowledge row trains.
+    if old.joint_digest == g_old.digest:
+        joint = JointCache(_carry_rows(old.ent_star, diff.entity_map.to_old),
+                           _carry_rows(old.rel_star, diff.relation_map.to_old))
+        n_ent, n_rel = len(mask.ent_know_rows), len(mask.rel_know_rows)
+    else:
+        joint = joint_table(store, g_new, table)
+        n_ent, n_rel = store.num_entities, store.num_relations
+    fixed = FixedRows(joint, mask.ent_know_rows, mask.rel_know_rows)
 
     losses, best_hits, best_epoch, epochs, dropped = [], None, None, 0, 0
+    encoded = np.zeros(2, dtype=np.int64)
     if len(t_ol):
         if valid:
             valid_triples = _check_valid_triples(valid, g_new)
@@ -385,15 +387,16 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
             valid_triples = _holdout_validation(g_new, t_ol,
                                                 np.random.default_rng(holdout_ss))
         stats = relation_stats(g_new)
-        store, losses, best_hits, best_epoch, epochs, dropped = _sgd_loop(
-            g_new, t_ol, store, table, stats, valid_triples, config, mask,
+        store, losses, best_hits, best_epoch, epochs, dropped, encoded = _sgd_loop(
+            g_new, t_ol, store, table, stats, valid_triples, config, mask, fixed,
             np.random.default_rng(shuffle_ss), np.random.default_rng(neg_ss), log)
-    n_ent, n_rel = _update_joint(store, old, g_old, g_new, table, mask, diff)
+    store.attach_joint(fixed.refreshed(store, table), g_new)
     report = TrainReport(
         mode="online", epochs_run=epochs, epoch_losses=losses,
         best_valid_hits10=best_hits, best_epoch=best_epoch,
         seconds=time.perf_counter() - t_start, retrained_triples=len(t_ol),
         updated_parameters=updated, frozen_parameters=frozen,
         reencoded_entities=n_ent, reencoded_relations=n_rel,
-        negatives_dropped=dropped)
+        negatives_dropped=dropped, sgd_encoded_entities=int(encoded[0]),
+        sgd_encoded_relations=int(encoded[1]))
     return store, report
