@@ -563,8 +563,10 @@ def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
     the upstream gradients of each object are merged, and each pass runs one
     backward pass.  With ``fixed`` rows, only the movable objects are encoded
     and back-propagated: the loss is the same, and so are the gradients of
-    the movable objects' knowledge rows and of the contextual rows that no
-    fixed object's context reads, the emerging objects' among them.
+    the movable objects' knowledge rows.  The contextual rows that no fixed
+    object's context reads, the emerging objects' among them, get the same
+    gradients too, up to rounding in ``agcn_backward``'s BLAS products,
+    whose rows can depend on how many rows a pass holds.
     """
     if len(pairs) == 0:
         return 0.0
