@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
+from .contexts import (DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, build_contexts,
                        candidate_objects, context_changes)
 from .errors import ConfigError, DkgeError, IntegrityError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
@@ -229,8 +229,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.checkpoint:
         max_midpoints = load_checkpoint(args.checkpoint).model_config()["max_midpoints"]
     diff = diff_snapshots(g_old, g_new)
-    changed = context_changes(g_old, ContextTable(g_new, max_midpoints=max_midpoints), diff,
-                              candidate_objects(g_new, diff))
+    # uncapped contexts only: nothing here encodes, so no table stores them
+    changed = context_changes(
+        g_old, diff, candidate_objects(g_new, diff),
+        lambda kind, ids: build_contexts(g_new, kind, ids, max_midpoints), max_midpoints)
     t_ol = collect_retrain_set(g_new, diff, changed)
     print(f"added_triples={len(diff.added_triples)} "
           f"deleted_triples={len(diff.deleted_triples)} "
@@ -248,8 +250,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
             (f"changed {RELATION}", changed[1], r_names)):
         for name in sorted(names[i] for i in ids):
             print(what, name)
-    for h, r, t in sorted(g_new.triple_names(row) for row in t_ol):
-        print(f"retrain {h} {r} {t}")
+    # name order: names are unique, and the ranks follow str order
+    rank = g_new.name_rank
+    order = np.lexsort((rank[t_ol[:, 2]], g_new.relation_rank[t_ol[:, 1]], rank[t_ol[:, 0]]))
+    if order.size:
+        print("\n".join(f"retrain {e_names[h]} {r_names[r]} {e_names[t]}"
+                        for h, r, t in t_ol[order].tolist()))
     return 0
 
 

@@ -28,7 +28,10 @@ arithmetic (``ContextTable.gather``).
 compares the *uncapped* contexts of ``candidate_objects`` on both snapshots
 as arrays, old ids mapped to new ones, and reports id arrays; it finds what
 ``changed_context_objects`` finds by comparing ``context_signature``s,
-content hashes over names.
+content hashes over names.  It builds the old side itself and takes the new
+side built from its caller: ``dkge diff`` builds it with ``build_contexts``
+and stores nothing, ``dkge update`` takes it from its ``ContextTable``,
+which keeps the capped copies its encoder passes read.
 """
 from __future__ import annotations
 
@@ -36,13 +39,13 @@ import hashlib
 import logging
 from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import sparse
 
 from . import agcn
-from .errors import ConfigError
+from .errors import ConfigError, UnknownObjectError
 from .kg_store import Snapshot, SnapshotDiff
 
 logger = logging.getLogger(__name__)
@@ -227,11 +230,15 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _entity_contexts(snapshot: Snapshot, owners: np.ndarray) -> ContextArrays:
     """``entity_context`` of every owner, from the CSR links.
 
-    Each vertex u of each context scans its links (u, w); w's index in the
-    context is found by looking the link (owner, w) up in the sorted link
-    codes, so edges come out in (i, j) order, a self-loop placed first.
+    The owner's row holds an edge to each of its links, in order.  A
+    neighbour u at local index i scans only the part of its link list
+    above its own name rank, found by one lookup of (u, u); each w there
+    lies above u in the owner's name-ordered list, so j > i, and w's index
+    j is found by looking the link (owner, w) up in the sorted link codes.
+    Each row lists its self-loop first, then its edges in j order.
     """
     links = snapshot.links
+    n_e, rank = snapshot.num_entities, snapshot.name_rank
     deg = np.diff(links.ptr)
     sizes = deg[owners] + 1
     first = np.cumsum(sizes) - sizes
@@ -243,18 +250,22 @@ def _entity_contexts(snapshot: Snapshot, owners: np.ndarray) -> ContextArrays:
     context = np.repeat(np.arange(owners.size), sizes)
     local = np.arange(verts.size) - first[context]
 
-    row = np.repeat(np.arange(verts.size), deg[verts])       # vertex scanning a link
-    other = links.nbrs[_ranges(links.ptr[verts], deg[verts])]
+    nbr = np.flatnonzero(neighbour)
+    u = verts[nbr]
+    above = np.searchsorted(links.keys, u * n_e + rank[u])
+    count = links.ptr[u + 1] - above
+    row = np.repeat(nbr, count)                              # vertex scanning a link
     owner = owners[context[row]]
-    code = owner * snapshot.num_entities + snapshot.name_rank[other]
+    code = owner * n_e + rank[links.nbrs[_ranges(above, count)]]
     at = np.minimum(np.searchsorted(links.keys, code), links.keys.size - 1)
-    j = at - links.ptr[owner] + 1
-    i = local[row]
-    inside = (links.keys[at] == code) & (j > i)
+    inside = links.keys[at] == code
+    row = row[inside]
     loops = np.flatnonzero(links.loop[verts])
-    rows = np.concatenate((loops, row[inside]))
+    rows = np.concatenate((loops, first[context[nbr]], row))
     pairs = np.concatenate((np.repeat(local[loops], 2).reshape(-1, 2),
-                            np.stack((i[inside], j[inside]), axis=1)))
+                            np.stack((np.zeros_like(nbr), local[nbr]), axis=1),
+                            np.stack((local[row], at[inside] - links.ptr[owner[inside]] + 1),
+                                     axis=1)))
     return ContextArrays(
         owners=owners, sizes=sizes,
         vertex_members=np.ones(verts.size, dtype=np.intp), members=verts,
@@ -290,14 +301,15 @@ def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
     other = r1 != relation[row]
     path_rows, path_codes = [row[other]], [rank[r1[other]] * width]
 
-    # midpoints c: the out-pairs (a, c), in c's name order, then (c, b)
+    # midpoints c: the out-pairs (a, c), in c's name order, then (c, b),
+    # looked up in the transposed index as one ascending run per owner pair
     deg = np.diff(pairs.out)
     row = np.repeat(np.arange(pair.size), deg[head])
     first_leg = _ranges(pairs.out[head], deg[head])
-    code = pairs.tails[first_leg] * n_e + pairs.keys[pair[row]] % n_e
-    at = np.minimum(np.searchsorted(pairs.keys, code), pairs.keys.size - 1)
-    found = pairs.keys[at] == code
-    row, first_leg, second_leg = row[found], first_leg[found], at[found]
+    code = pairs.tails[pair[row]] * n_e + pairs.keys[first_leg] % n_e
+    at = np.minimum(np.searchsorted(pairs.into_keys, code), pairs.into_keys.size - 1)
+    found = pairs.into_keys[at] == code
+    row, first_leg, second_leg = row[found], first_leg[found], pairs.into_pair[at[found]]
     n_mids = np.bincount(row, minlength=pair.size)
     kept = _ranges(0, n_mids) < max_midpoints
     row, first_leg, second_leg = row[kept], first_leg[kept], second_leg[kept]
@@ -467,24 +479,29 @@ def _same_contexts(old: ContextArrays, new: ContextArrays, to_new: np.ndarray) -
     return same
 
 
-def context_changes(g_old: Snapshot, table: ContextTable, diff: SnapshotDiff,
-                    candidates: IdArrays) -> IdArrays:
+def context_changes(g_old: Snapshot, diff: SnapshotDiff, candidates: IdArrays,
+                    new_contexts: Callable[[str, np.ndarray], ContextArrays],
+                    max_midpoints: int) -> IdArrays:
     """The objects of ``changed_context_objects`` among the entity and
-    relation ``candidates`` of ``candidate_objects`` in ``table.snapshot``,
-    as id arrays.
+    relation ``candidates`` of ``candidate_objects``, as id arrays of g_new.
 
-    Per kind, entities first, the uncapped contexts of the candidates that
-    survived are built on ``g_old`` in one ``build_contexts`` call, and then
-    those of every candidate through ``table.contexts``, which stores the
-    capped copies; the two are compared as arrays.
+    ``new_contexts(kind, ids)`` gives the uncapped g_new contexts of
+    ``ids`` in their order, built under ``max_midpoints``: ``dkge diff``
+    passes ``build_contexts`` on g_new and stores nothing, ``dkge update``
+    passes ``ContextTable.contexts``, which keeps the capped copies its
+    encoder passes read.  Per kind, entities first, the contexts of the
+    candidates that survived are built on ``g_old`` in one
+    ``build_contexts`` call, then those of every candidate are asked for,
+    so g_old's truncation warnings come first; the two are compared as
+    arrays.
     """
     changed = []
     for kind, ids, id_map in zip((ENTITY, RELATION), candidates,
                                  (diff.entity_map, diff.relation_map)):
         old_ids = id_map.to_old[ids]
         survived = old_ids >= 0
-        old = build_contexts(g_old, kind, old_ids[survived], table.max_midpoints)
-        new = _select(table.contexts(kind, ids), survived)
+        old = build_contexts(g_old, kind, old_ids[survived], max_midpoints)
+        new = _select(new_contexts(kind, ids), survived)
         changed.append(ids[survived][~_same_contexts(old, new, id_map.to_new)])
     return tuple(changed)
 
@@ -626,6 +643,17 @@ class ContextTable:
         return (self.snapshot.entity_names if kind == ENTITY
                 else self.snapshot.relation_names)
 
+    def _ids(self, kind: str, ids) -> np.ndarray:
+        """``ids`` as an intp array; an id outside ``[0, n)`` for the kind
+        raises UnknownObjectError naming the kind and the id."""
+        if kind not in self._stores:
+            raise ValueError(f"unknown object kind: {kind}")
+        ids = np.asarray(ids, dtype=np.intp)
+        bad = ids[(ids < 0) | (ids >= self._stores[kind].slot.size)]
+        if bad.size:
+            raise UnknownObjectError(kind, int(bad[0]))
+        return ids
+
     def _capped(self, kind: str, ctx: ContextArrays, new: np.ndarray) -> ContextArrays:
         """The contexts of the ``new`` owners, each above the cap sampled
         down to the owner plus cap - 1 other vertices in their order."""
@@ -656,7 +684,7 @@ class ContextTable:
 
     def build(self, kind: str, ids) -> None:
         """Build the contexts of ``ids`` not stored yet, in one bulk call."""
-        ids = np.asarray(ids, dtype=np.intp)
+        ids = self._ids(kind, ids)
         missing = ids[self._stores[kind].slot[ids] < 0]
         if missing.size:
             self.contexts(kind, np.unique(missing))
@@ -668,10 +696,10 @@ class ContextTable:
     def gather(self, kind: str, ids) -> ContextPass:
         """The capped contexts of ``ids``, objects of one kind, for one
         encoder pass; builds the missing ones first."""
-        ids = np.asarray(ids, dtype=np.intp)
+        ids = self._ids(kind, ids)
         store = self._stores[kind]
         at = store.slot[ids]
-        if at.min() < 0:
+        if (at < 0).any():
             self.build(kind, ids)
             at = store.slot[ids]
         return store.gather(at)
@@ -681,13 +709,7 @@ class ContextTable:
         code that makes the stored copy (``build_contexts``, then
         ``_capped``); nothing is stored."""
         kind, obj = ref
-        if kind == ENTITY:
-            self.snapshot._check_entity(obj)
-        elif kind == RELATION:
-            self.snapshot._check_relation(obj)
-        else:
-            raise ValueError(f"unknown object kind: {kind}")
-        ctx = self._capped(kind, build_contexts(self.snapshot, kind, np.array([obj]),
+        ctx = self._capped(kind, build_contexts(self.snapshot, kind, self._ids(kind, [obj]),
                                                 self.max_midpoints), np.ones(1, dtype=bool))
         members = iter(ctx.members.tolist())
         other = ENTITY if kind == ENTITY else RELATION_PATH
@@ -710,7 +732,7 @@ class ContextTable:
         copies of those not stored yet are stored, so a later pass does not
         build them again.
         """
-        ids = np.asarray(ids, dtype=np.intp)
+        ids = self._ids(kind, ids)
         ctx = build_contexts(self.snapshot, kind, ids, self.max_midpoints)
         store = self._stores[kind]
         new = store.slot[ids] < 0

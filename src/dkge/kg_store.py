@@ -44,6 +44,10 @@ class Links(NamedTuple):
     in either direction, e itself excluded, in name order; ``loop[e]`` is set
     when a triple links e to itself; ``keys`` holds the sorted codes
     ``e * n_e + name_rank[v]`` of the same links, for membership lookups.
+    A lookup of the links (e, v) of one e in ascending name order of v is an
+    ascending run of needles inside e's segment of ``keys``: the bulk
+    builders order their needles so, which keeps ``np.searchsorted`` from
+    missing the branch predictor on every step.
     """
 
     ptr: np.ndarray    # (n_e + 1,)
@@ -60,6 +64,13 @@ class Pairs(NamedTuple):
     and pair k links ``tails[k]``; ``rels[ptr[k]:ptr[k + 1]]`` are the
     relations linking pair k, ascending; ``of_relation[rptr[r]:rptr[r + 1]]``
     are the pairs relation r links, in file order.
+
+    ``into_keys`` is the transposed index: the sorted codes
+    ``tail * n_e + name_rank[head]``, pair ``into_pair[k]`` having code
+    ``into_keys[k]``.  The pairs (c, b) entering one b, looked up in
+    ascending name order of c, are then an ascending run of needles inside
+    b's segment, as in ``Links``; looked up in ``keys``, the same needles
+    would jump across the whole array.
     """
 
     keys: np.ndarray         # (P,) int64, ascending
@@ -69,6 +80,8 @@ class Pairs(NamedTuple):
     rels: np.ndarray         # (n,)
     rptr: np.ndarray         # (n_r + 1,)
     of_relation: np.ndarray  # (n,)
+    into_keys: np.ndarray    # (P,) int64, ascending
+    into_pair: np.ndarray    # (P,)
 
 
 def _name_rank(names: tuple[str, ...]) -> np.ndarray:
@@ -248,9 +261,13 @@ class Snapshot:
         np.cumsum(np.bincount(keys // n, minlength=n), out=out[1:])
         rptr = np.zeros(self.num_relations + 1, dtype=np.intp)
         np.cumsum(np.bincount(r, minlength=self.num_relations), out=rptr[1:])
-        return Pairs(keys=keys, tails=t[order[first]], out=out,
+        tails = t[order[first]]
+        into = tails * n + self.name_rank[keys // n]
+        into_pair = np.argsort(into)
+        return Pairs(keys=keys, tails=tails, out=out,
                      ptr=np.append(first, codes.size), rels=r[order], rptr=rptr,
-                     of_relation=pair[np.argsort(r, kind="stable")])
+                     of_relation=pair[np.argsort(r, kind="stable")],
+                     into_keys=into[into_pair], into_pair=into_pair)
 
     @cached_property
     def neighbor_map(self) -> dict[int, frozenset[int]]:

@@ -354,7 +354,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     store = _migrate_store(store, g_new, diff, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
     candidates = candidate_objects(g_new, diff)
-    changed = context_changes(g_old, table, diff, candidates)
+    changed = context_changes(g_old, diff, candidates, table.contexts, table.max_midpoints)
     t_ol = collect_retrain_set(g_new, diff, changed)
     mask = UpdateMask(ent_know_rows=np.union1d(diff.emerging_entities, changed[0]),
                       ent_ctx_rows=diff.emerging_entities,

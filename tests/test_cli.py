@@ -8,13 +8,14 @@ import re
 import numpy as np
 import pytest
 
+import dkge.agcn
 import dkge.contexts
 from dkge.checkpoint import load_checkpoint, save_checkpoint
 from dkge.cli import main, parse_config_file
 from dkge.contexts import ContextTable, changed_context_objects, entity_context
 from dkge.errors import ConfigError
 from dkge.evaluation import answer
-from dkge.kg_store import diff_snapshots, load_snapshot_dir
+from dkge.kg_store import Snapshot, diff_snapshots, load_snapshot_dir
 from dkge.model import forward_triple
 from dkge.training import collect_retrain_set
 
@@ -517,8 +518,21 @@ def test_diff_takes_max_midpoints_from_checkpoint(tmp_path, capsys):
     assert "changed relation r" in changed
 
 
+# file and id order differ from name order, and str order puts "Zé" before
+# "a" before "a'" before "b" before "é"
+NAME_ORDER_OLD = [("b", "s", "a'"), ("é", "s", "a"), ("Zé", "s", "b"), ("a'", "Ré", "Zé"),
+                  ("a", "Ré", "b")]
+NAME_ORDER_NEW = [("é", "s", "Zé"), ("Zé", "s", "a"), ("Zé", "Ré", "a'"), ("b", "Ré", "é"),
+                  *reversed(NAME_ORDER_OLD[:4])]
+
+
 def test_diff_matches_oracle_over_update_traces(tmp_path, capsys):
-    for trace, g_old, g_new in update_traces():
+    """Changed objects and retrain lines as the one-object oracle gives them;
+    the retrain lines come in the name order of their triples."""
+    named = ("names", Snapshot.from_name_triples(NAME_ORDER_OLD),
+             Snapshot.from_name_triples(NAME_ORDER_NEW, time_step=1))
+    assert sorted(named[2].entity_names) != list(named[2].entity_names)
+    for trace, g_old, g_new in (*update_traces(), named):
         old, new = tmp_path / f"{trace}a", tmp_path / f"{trace}b"
         write_snapshot_dir(old, g_old.name_triples())
         write_snapshot_dir(new, g_new.name_triples())
@@ -531,9 +545,56 @@ def test_diff_matches_oracle_over_update_traces(tmp_path, capsys):
             f"changed {kind} "
             f"{(g_new.entity_names if kind == 'entity' else g_new.relation_names)[obj]}"
             for kind, obj in oracle)
-        assert retrain == sorted("retrain " + " ".join(g_new.triple_names(t))
-                                 for t in collect_retrain_set(g_new, diff, split_refs(oracle)))
+        t_ol = collect_retrain_set(g_new, diff, split_refs(oracle))
+        assert retrain == sorted("retrain " + " ".join(g_new.triple_names(t)) for t in t_ol)
+        assert [line for line in out.splitlines() if line.startswith("retrain ")] == [
+            "retrain " + " ".join(names)
+            for names in sorted(g_new.triple_names(row) for row in t_ol)]
         assert int(counts["changed_context"]) == len(oracle)
+    assert len(retrain) > 3
+
+
+# ``dkge diff`` of the toy trace, as the commit before it stopped storing
+# capped contexts printed it
+TOY_DIFF = """\
+added_triples=2 deleted_triples=0 emerging_entities=1 emerging_relations=1 \
+removed_entities=0 removed_relations=0 changed_context=4 retrain_triples=8
+emerging entity e7
+emerging relation r7
+changed entity e1
+changed entity e3
+changed entity e6
+changed relation r5
+retrain e1 r1 e2
+retrain e1 r1 e5
+retrain e1 r5 e3
+retrain e1 r6 e6
+retrain e3 r1 e4
+retrain e3 r4 e2
+retrain e6 r5 e3
+retrain e7 r7 e6
+"""
+
+
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["default", "checkpoint"])
+def test_diff_builds_no_capped_contexts(dirs, capsys, monkeypatch, checkpoint):
+    """``dkge diff`` compares uncapped contexts only: it makes no context
+    table, samples no capped copy and computes no S entry."""
+    tmp, old, new = dirs
+    argv = ["diff", str(old), str(new)]
+    if checkpoint:
+        assert run(capsys, "train", str(old), str(tmp / "c.pkl"), *FAST_FLAGS)[0] == 0
+        argv += ["--checkpoint", str(tmp / "c.pkl")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dkge diff built capped contexts")
+
+    monkeypatch.setattr(ContextTable, "__init__", refuse)
+    monkeypatch.setattr(ContextTable, "_capped", refuse)
+    monkeypatch.setattr(dkge.agcn, "normalize_adjacency", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == TOY_DIFF
 
 
 # -- determinism --------------------------------------------------------------

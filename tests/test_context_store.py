@@ -23,7 +23,7 @@ from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextSubgraph, ContextTable, ENTITY, RELATION,
                            build_contexts, candidate_objects, entity_context,
                            relation_context)
-from dkge.errors import ConfigError
+from dkge.errors import ConfigError, UnknownObjectError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import context_features
 from dkge.training import TrainConfig, train_from_scratch, train_online
@@ -158,6 +158,40 @@ def test_table_rejects_negative_max_midpoints():
     ``relation_context`` would keep all but the last: a table refuses it."""
     with pytest.raises(ConfigError, match="max midpoints must be >= 0"):
         ContextTable(toy_snapshot(1), max_midpoints=-1)
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
+@pytest.mark.parametrize("call, kind, bad", [
+    ("gather", ENTITY, -1), ("gather", ENTITY, "n"), ("gather", RELATION, -1),
+    ("gather", RELATION, "n"), ("build", ENTITY, -1), ("build", RELATION, "n"),
+    ("contexts", ENTITY, "n"), ("contexts", RELATION, -1),
+])
+def test_table_rejects_ids_out_of_range(built, call, kind, bad):
+    """An id outside [0, n) names its kind and value, whether or not the
+    table holds contexts yet; -1 does not wrap round to the last object."""
+    g = toy_snapshot(1)
+    n = g.num_entities if kind == ENTITY else g.num_relations
+    bad = n if bad == "n" else bad
+    table = ContextTable(g)
+    if built:
+        table.build_all()
+    with pytest.raises(UnknownObjectError, match=f"unknown {kind}: {bad}$") as err:
+        getattr(table, call)(kind, [0, bad])
+    assert (err.value.kind, err.value.key) == (kind, bad)
+
+
+@pytest.mark.parametrize("kind", [ENTITY, RELATION])
+def test_table_takes_empty_ids(kind):
+    """No ids: an empty pass, no contexts, nothing stored."""
+    table = ContextTable(toy_snapshot(1))
+    table.build(kind, [])
+    ctx = table.contexts(kind, [])
+    assert ctx.owners.size == ctx.sizes.size == ctx.members.size == 0
+    assert ctx.edges.shape == (0, 2)
+    gathered = table.gather(kind, np.array([], dtype=np.intp))
+    assert gathered.batch.norm_adj.shape == (0, 0)
+    assert gathered.member_rows.size == gathered.member_ids.size == 0
+    assert (table._stores[kind].slot < 0).all()
 
 
 def test_graph_of_self_loops_only():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
-                           RELATION_PATH, build_context, candidate_objects,
+                           RELATION_PATH, build_context, build_contexts, candidate_objects,
                            changed_context_objects, context_changes, context_signature,
                            entity_context, relation_context)
 from dkge.kg_store import Snapshot, diff_snapshots
@@ -16,6 +16,12 @@ from dkge.training import collect_retrain_set
 from graphs import (TOY_T1, TOY_T2, candidate_changed_names, churned_triples,
                     random_name_triples, reference_changes, retrain_set_by_loop,
                     signatures_by_name, split_refs, toy_snapshot)
+
+
+def new_contexts(g, max_midpoints=DEFAULT_MAX_MIDPOINTS):
+    """The g_new side ``dkge diff`` gives ``context_changes``: uncapped
+    contexts built on ``g``, stored nowhere."""
+    return lambda kind, ids: build_contexts(g, kind, ids, max_midpoints)
 
 
 def all_contexts(g):
@@ -239,7 +245,8 @@ def test_signature_invariant_to_file_order(g1):
     assert signatures_by_name(g1) == signatures_by_name(g1b)
     diff = diff_snapshots(g1, g1b)
     every = (np.arange(g1b.num_entities), np.arange(g1b.num_relations))
-    assert [ids.size for ids in context_changes(g1, ContextTable(g1b), diff, every)] == [0, 0]
+    changed = context_changes(g1, diff, every, new_contexts(g1b), DEFAULT_MAX_MIDPOINTS)
+    assert [ids.size for ids in changed] == [0, 0]
 
 
 def test_signature_distinguishes_kinds():
@@ -318,7 +325,8 @@ def test_changes_cover_the_uncapped_context():
     assert [v.members for v in new_table.entity(g_new.entity_id("hub")).vertices] == [
         (g_new.entity_id(g.entity_names[v.members[0]]),)
         for v in table.entity(g.entity_id("hub")).vertices]
-    changed = context_changes(g, new_table, diff, candidate_objects(g_new, diff))
+    changed = context_changes(g, diff, candidate_objects(g_new, diff), new_table.contexts,
+                              new_table.max_midpoints)
     assert g_new.entity_id("hub") in changed[0].tolist()
     assert [ids.tolist() for ids in changed] == [
         ids.tolist() for ids in split_refs(changed_context_objects(g, g_new))]
@@ -416,7 +424,7 @@ def test_changed_contexts_toy(g1, g2):
     ent_cand, rel_cand = candidate_changed_names(g1, g2, diff)
     table = ContextTable(g2)
     candidates = candidate_objects(g2, diff)
-    changed = context_changes(g1, table, diff, candidates)
+    changed = context_changes(g1, diff, candidates, table.contexts, table.max_midpoints)
     want = split_refs(changed_context_objects(g1, g2, diff))
     assert [ids.tolist() for ids in changed] == [ids.tolist() for ids in want]
     stored = {(kind, (g2.entity_names if kind == ENTITY else g2.relation_names)[obj])
@@ -444,8 +452,8 @@ def test_context_changes_equal_the_reference(seed, max_midpoints):
     g_new = Snapshot.from_name_triples(churned_triples(rng, base, churn=0.3), time_step=1)
     diff = diff_snapshots(g_old, g_new)
     candidates = candidate_objects(g_new, diff)
-    changed = context_changes(g_old, ContextTable(g_new, max_midpoints=max_midpoints),
-                              diff, candidates)
+    changed = context_changes(g_old, diff, candidates, new_contexts(g_new, max_midpoints),
+                              max_midpoints)
     want = reference_changes(g_old, g_new, diff, candidates, max_midpoints)
     assert [ids.tolist() for ids in changed] == [ids.tolist() for ids in want]
     if max_midpoints == DEFAULT_MAX_MIDPOINTS:
@@ -465,7 +473,8 @@ def test_changes_see_members_regroup_into_paths():
                                         ("x", "c", "y")], time_step=1)
     r = g_new.relation_id("r")
     diff = diff_snapshots(g_old, g_new)
-    changed = context_changes(g_old, ContextTable(g_new), diff, candidate_objects(g_new, diff))
+    changed = context_changes(g_old, diff, candidate_objects(g_new, diff), new_contexts(g_new),
+                              DEFAULT_MAX_MIDPOINTS)
     assert r in changed[1].tolist()
     assert [ids.tolist() for ids in changed] == [
         ids.tolist() for ids in split_refs(changed_context_objects(g_old, g_new))]

@@ -320,7 +320,8 @@ def test_pair_and_relation_views(g1):
 @settings(max_examples=30, deadline=None)
 def test_pair_index_matches_the_dict_views(seed):
     """``Snapshot.pairs`` holds ``pair_map``, ``out_map``'s distinct tails
-    in name order and ``relation_pairs``, as arrays."""
+    in name order and ``relation_pairs``, as arrays; its transposed index
+    lists the pairs entering each tail in head name order."""
     rng = np.random.default_rng(seed)
     g = Snapshot.from_name_triples(random_name_triples(rng, 40, 8, 3))
     p, n = g.pairs, g.num_entities
@@ -337,6 +338,13 @@ def test_pair_index_matches_the_dict_views(seed):
         pairs = p.of_relation[p.rptr[r]:p.rptr[r + 1]]
         assert list(zip((p.keys[pairs] // n).tolist(), p.tails[pairs].tolist())) == list(
             g.relation_pairs[r])
+    assert (np.diff(p.into_keys) > 0).all()
+    assert sorted(p.into_pair.tolist()) == list(range(len(heads)))
+    for b in range(n):
+        entering = p.into_pair[p.into_keys.searchsorted(b * n):p.into_keys.searchsorted(b * n + n)]
+        assert (p.tails[entering] == b).all()
+        assert [heads[k] for k in entering.tolist()] == sorted(
+            {h for h, t in g.pair_map if t == b}, key=g.entity_names.__getitem__)
     assert sorted(range(g.num_relations), key=g.relation_rank.__getitem__) == sorted(
         range(g.num_relations), key=g.relation_names.__getitem__)
 
