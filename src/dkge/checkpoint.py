@@ -14,9 +14,9 @@ that never had joint tables saves ``None`` in their place.  Format version
 be unpickled, is not a dict, lacks a key or has another version, and naming
 the key too when the names are not distinct strs, a setting is not an int
 in its range, an array's dtype or shape disagrees with ``dim``, the names or
-the layer count, or the joint tables and their digest are neither all
-``None`` nor all present.  The payload is still unpickled, so a checkpoint
-from an untrusted source can run code.
+the layer count, an array holds a NaN or an infinity, or the joint tables
+and their digest are neither all ``None`` nor all present.  The payload is
+still unpickled, so a checkpoint from an untrusted source can run code.
 """
 from __future__ import annotations
 
@@ -75,9 +75,9 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 def _check_payload(path, payload: dict) -> None:
     """Raise IntegrityError naming the first key that disagrees with the
     rest: names that are not distinct strs, a setting that is not an int in
-    its range, the joint tables and their digest partly None, or an array
+    its range, the joint tables and their digest partly None, an array
     whose dtype or shape is not the one ``dim``, the names and the layer
-    count imply."""
+    count imply, or an array with a non-finite entry."""
     for key in ("entity_names", "relation_names"):
         names = payload[key]
         if not (isinstance(names, (tuple, list)) and all(type(n) is str for n in names)
@@ -117,6 +117,8 @@ def _check_payload(path, payload: dict) -> None:
                    else type(a).__name__)
             raise IntegrityError(f"{path}: checkpoint {key} is {got}, "
                                  f"expected {dtype} {shape}")
+        if not np.isfinite(a).all():
+            raise IntegrityError(f"{path}: checkpoint {key} holds a non-finite entry")
 
 
 def load_checkpoint(path) -> ParameterStore:

@@ -4,6 +4,14 @@ Option precedence is CLI flag > config file > built-in default.  The config
 file is flat ``key = value`` text; unknown keys fail fast.  The environment
 variable DKGE_CONFIG names a default config path used when --config is
 absent.
+
+Each command takes flags for the settings it reads and echoes only those:
+``train`` and ``update`` the model and optimiser settings, ``eval`` the
+model and ranking settings.  The config file is shared, so it may hold any
+known key; a command ignores the keys it does not read.  ``update``
+refuses an old snapshot whose triples are not the ones the checkpoint was
+trained on, and a run whose epoch loss is not finite fails before anything
+is saved.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ from .training import (TrainConfig, collect_retrain_set, train_from_scratch,
 
 logger = logging.getLogger(__name__)
 
-# key -> (type, default); order fixed for the run header
+# key -> (type, default)
 CONFIG_KEYS: dict[str, tuple[type, object]] = {
     **{f.name: (type(f.default), f.default) for f in dataclasses.fields(TrainConfig)},
     "filter_mode": (str, "train"),
@@ -86,7 +94,7 @@ def effective_config(args: argparse.Namespace, inherited: dict | None = None) ->
     return merged
 
 
-def run_header(merged: dict, keys=tuple(CONFIG_KEYS)) -> str:
+def run_header(merged: dict, keys) -> str:
     return "config: " + " ".join(f"{key}={merged[key]}" for key in keys)
 
 
@@ -94,24 +102,30 @@ def train_config(merged: dict) -> TrainConfig:
     return TrainConfig(**{key: merged[key] for key in TRAIN_KEYS})
 
 
-def _add_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--d", dest="dim", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--batch", dest="batch_size", type=int)
-    p.add_argument("--margin", type=float)
     p.add_argument("--xe", dest="entity_layers", type=int)
     p.add_argument("--xr", dest="relation_layers", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--cap", type=int)
     p.add_argument("--max-midpoints", dest="max_midpoints", type=int)
+
+
+def _add_optimiser_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--batch", dest="batch_size", type=int)
+    p.add_argument("--margin", type=float)
+    p.add_argument("--max-epochs", dest="max_epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--eval-every", dest="eval_every", type=int)
+    p.add_argument("--log-file", dest="log_file")
+
+
+def _add_ranking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filter-mode", dest="filter_mode", choices=("train", "all"))
     p.add_argument("--tie-mode", dest="tie_mode",
                    choices=(TIE_OPTIMISTIC, TIE_PESSIMISTIC))
-    p.add_argument("--log-file", dest="log_file")
 
 
 def _write_report(report_dict: dict, path: str) -> None:
@@ -133,19 +147,24 @@ def _require_snapshot(store, snapshot, checkpoint: str, snapshot_dir: str) -> No
                              f"match the snapshot in {snapshot_dir}")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    merged = effective_config(args)
-    print(run_header(merged))
-    cfg = train_config(merged)
-    sd = load_snapshot_dir(args.snapshot_dir)
-    valid = _resolved_or_empty(sd.valid, sd.train)
+def _train_and_save(args: argparse.Namespace, train, *inputs):
     with contextlib.ExitStack() as stack:
         log = sys.stdout
         if args.log_file:
             log = stack.enter_context(open(args.log_file, "a", encoding="utf-8"))
-        store, report = train_from_scratch(sd.train, valid, cfg, log=log)
+        store, report = train(*inputs, log=log)
     save_checkpoint(store, args.checkpoint_out)
     _write_report(dataclasses.asdict(report), args.checkpoint_out + ".report.json")
+    return report
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    merged = effective_config(args)
+    print(run_header(merged, TRAIN_KEYS))
+    cfg = train_config(merged)
+    sd = load_snapshot_dir(args.snapshot_dir)
+    valid = _resolved_or_empty(sd.valid, sd.train)
+    report = _train_and_save(args, train_from_scratch, sd.train, valid, cfg)
     print(f"saved checkpoint {args.checkpoint_out} "
           f"epochs={report.epochs_run} seconds={report.seconds:.3f}")
     return 0
@@ -156,20 +175,19 @@ def cmd_update(args: argparse.Namespace) -> int:
     # an explicit one that disagrees with it
     store = load_checkpoint(args.checkpoint_in)
     merged = effective_config(args, inherited=store.model_config())
-    print(run_header(merged))
+    print(run_header(merged, TRAIN_KEYS))
     cfg = train_config(merged)
     old_sd = load_snapshot_dir(args.old_dir)
     _require_snapshot(store, old_sd.train, args.checkpoint_in, args.old_dir)
+    # joint_digest is the digest of the triples the checkpoint was trained
+    # on; an old snapshot with other triples would hide changes or invent them
+    if store.joint_digest is not None and store.joint_digest != old_sd.train.digest:
+        raise IntegrityError(f"{args.checkpoint_in}: checkpoint was trained on other "
+                             f"triples than those in {args.old_dir}")
     new_sd = load_snapshot_dir(args.new_dir)
     g_new = new_sd.train
     valid = _resolved_or_empty(new_sd.valid, g_new)
-    with contextlib.ExitStack() as stack:
-        log = sys.stdout
-        if args.log_file:
-            log = stack.enter_context(open(args.log_file, "a", encoding="utf-8"))
-        store, report = train_online(old_sd.train, g_new, store, valid, cfg, log=log)
-    save_checkpoint(store, args.checkpoint_out)
-    _write_report(dataclasses.asdict(report), args.checkpoint_out + ".report.json")
+    report = _train_and_save(args, train_online, old_sd.train, g_new, store, valid, cfg)
     print(f"saved checkpoint {args.checkpoint_out} "
           f"retrained_triples={report.retrained_triples} "
           f"updated_parameters={report.updated_parameters} "
@@ -269,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from scratch on a snapshot")
     p.add_argument("snapshot_dir")
     p.add_argument("checkpoint_out")
-    _add_flags(p)
+    _add_model_flags(p)
+    _add_optimiser_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("update", help="online-update a checkpoint to a new snapshot")
@@ -277,14 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("new_dir")
     p.add_argument("checkpoint_in")
     p.add_argument("checkpoint_out")
-    _add_flags(p)
+    _add_model_flags(p)
+    _add_optimiser_flags(p)
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("eval", help="filtered link-prediction metrics on test.txt")
     p.add_argument("snapshot_dir")
     p.add_argument("checkpoint")
     p.add_argument("--report-file", dest="report_file")
-    _add_flags(p)
+    _add_model_flags(p)
+    _add_ranking_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("answer", help="top-k tail entities for a (head, relation) query")

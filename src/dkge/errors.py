@@ -34,4 +34,5 @@ class ConfigError(DkgeError):
 
 
 class IntegrityError(DkgeError):
-    """Stored parameters and a snapshot do not describe the same graph."""
+    """Stored parameters are unreadable or non-finite, or they and a snapshot
+    do not describe the same graph."""

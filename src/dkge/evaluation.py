@@ -29,7 +29,7 @@ from typing import Collection, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .contexts import ContextTable
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 from .kg_store import NameTriple, Snapshot, Triple, triple_codes
 from .model import JointCache, ParameterStore, joint_table
 
@@ -101,10 +101,15 @@ def sum_rows(x: np.ndarray) -> np.ndarray:
 class _Scorer:
     """L1 scores of one query against every entity, |h* + r* - t*|_1.
 
-    Returned scores live in the scorer's buffer until its next query.
+    Returned scores live in the scorer's buffer until its next query.  A
+    joint table with a non-finite entry raises IntegrityError: a NaN score
+    would rank first, since no candidate compares below it.
     """
 
     def __init__(self, cache: JointCache):
+        if not (np.isfinite(cache.ent_star).all() and np.isfinite(cache.rel_star).all()):
+            raise IntegrityError("joint embeddings hold a non-finite entry; "
+                                 "no rank or score is computed from them")
         self.ent = cache.ent_star
         self.rel = cache.rel_star
         self.ent_t = np.ascontiguousarray(cache.ent_star.T)   # (d, n_e)

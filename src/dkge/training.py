@@ -45,7 +45,7 @@ import numpy as np
 
 from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS,
                        IdArrays, candidate_objects, context_changes)
-from .errors import ConfigError
+from .errors import ConfigError, DkgeError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
 from .model import (FixedRows, GradBuffer, JointCache, ParameterStore,
@@ -173,7 +173,9 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
     """Minibatch SGD with early stopping on validation Hits@10.  Under an
     update ``mask``, ``fixed`` holds the joint rows that cannot move:
     ``batch_loss`` reads them instead of encoding, and validation ranks
-    against them with the movable rows encoded afresh."""
+    against them with the movable rows encoded afresh.  An epoch whose mean
+    loss is not finite raises DkgeError naming the epoch and the learning
+    rate."""
     best_store = None
     best_hits = -1.0
     best_epoch = None
@@ -197,6 +199,9 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
             encoded += buf.encoded
             _apply_sgd(store, buf, config.learning_rate, mask)
         mean_loss = epoch_loss / n
+        if not math.isfinite(mean_loss):
+            raise DkgeError(f"training diverged: epoch {epoch} mean loss is {mean_loss} "
+                            f"at learning rate {config.learning_rate}")
         losses.append(mean_loss)
         hits = None
         stop = False

@@ -1,5 +1,6 @@
 """Checkpoint serialization: exact round trips, stable bytes, version gate."""
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -176,4 +177,26 @@ def test_damaged_array_names_path_and_key(tmp_path, store, key, damage):
 def test_joint_tables_all_or_none(tmp_path, store, key):
     path = _damaged(tmp_path, store, key, lambda value: None)
     with pytest.raises(IntegrityError, match="model.pkl.*all None"):
+        load_checkpoint(path)
+
+
+def _poisoned(a, value):
+    a = a.copy()
+    a.flat[a.size // 2] = value
+    return a
+
+
+NON_FINITE = [
+    ("ent_star", lambda a: _poisoned(a, np.nan)),
+    ("rel_know", lambda a: _poisoned(a, np.inf)),
+    ("entity_weights[0]", lambda ws: [_poisoned(ws[0], np.nan)] + ws[1:]),
+    ("ent_gate_pre", lambda a: _poisoned(a, -np.inf)),
+]
+
+
+@pytest.mark.parametrize("key,damage", NON_FINITE, ids=[key for key, _ in NON_FINITE])
+def test_non_finite_array_names_path_and_key(tmp_path, store, key, damage):
+    path = _damaged(tmp_path, store, key.split("[")[0], damage)
+    with pytest.raises(IntegrityError, match=rf"model.pkl: checkpoint {re.escape(key)} "
+                                             r"holds a non-finite entry"):
         load_checkpoint(path)

@@ -1,4 +1,5 @@
 """Command-line behavior: precedence, plumbing, output formats, exit codes."""
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,8 @@ import pytest
 import dkge.agcn
 import dkge.contexts
 from dkge.checkpoint import load_checkpoint, save_checkpoint
-from dkge.cli import main, parse_config_file
+from dkge.cli import (CONFIG_KEYS, EVAL_KEYS, TRAIN_KEYS, build_parser, main,
+                      parse_config_file)
 from dkge.contexts import ContextTable, changed_context_objects, entity_context
 from dkge.errors import ConfigError
 from dkge.evaluation import answer
@@ -105,6 +107,44 @@ def test_flag_overrides_file_overrides_default(dirs, capsys):
     assert load_checkpoint(tmp / "m.pkl").dim == 20
 
 
+MODEL_KEYS = ("dim", "entity_layers", "relation_layers", "cap", "seed", "max_midpoints")
+
+
+def test_each_command_echoes_every_setting_it_takes():
+    """A settings flag that a command accepts is a setting it reads, so it
+    is in the config line the command prints; ``answer`` and ``diff``
+    print none and take none."""
+    echoed = {"train": TRAIN_KEYS, "update": TRAIN_KEYS,
+              "eval": MODEL_KEYS + EVAL_KEYS, "answer": (), "diff": ()}
+    exempt = {"--config", "--log-file", "--report-file"}
+    others = {"answer": {"-k"}, "diff": {"--checkpoint"}}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(echoed)
+    for name, parser in commands.items():
+        flags = [a for a in parser._actions if a.option_strings
+                 and not isinstance(a, argparse._HelpAction)
+                 and not exempt & set(a.option_strings)]
+        settings = [a.dest for a in flags if a.dest in CONFIG_KEYS]
+        assert sorted(settings) == sorted(echoed[name]), name
+        rest = {a.option_strings[0] for a in flags if a.dest not in CONFIG_KEYS}
+        assert rest == others.get(name, set()), name
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("eval", "{old}", "{tmp}/m.pkl", "--lr", "1"), "--lr 1"),
+    (("train", "{old}", "{tmp}/m.pkl", "--tie-mode", "pessimistic"),
+     "--tie-mode pessimistic"),
+], ids=["eval-lr", "train-tie-mode"])
+def test_command_refuses_a_setting_it_does_not_read(dirs, capsys, argv, flag):
+    tmp, old, _ = dirs
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.format(tmp=tmp, old=old) for arg in argv])
+    assert exit_.value.code == 2
+    assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp / "m.pkl").exists()
+
+
 def test_env_var_names_default_config(dirs, capsys, monkeypatch):
     tmp, old, _ = dirs
     cfg = tmp / "env.cfg"
@@ -123,6 +163,11 @@ def test_train_writes_checkpoint_and_report(dirs, capsys):
     out_path = tmp / "m.pkl"
     code, out, _ = run(capsys, "train", str(old), str(out_path), *FAST_FLAGS)
     assert code == 0
+    # the settings train reads, and no ranking setting
+    assert out.splitlines()[0] == (
+        "config: dim=8 learning_rate=0.01 batch_size=8 margin=2.0 entity_layers=1 "
+        "relation_layers=1 max_epochs=4 patience=5 eval_every=10 seed=0 cap=35 "
+        "max_midpoints=1000")
     store = load_checkpoint(out_path)
     assert store.dim == 8
     report = json.loads((tmp / "m.pkl.report.json").read_text())
@@ -619,13 +664,19 @@ def test_cli_runs_are_reproducible(dirs, capsys):
 
 @pytest.fixture(scope="module")
 def misuse_dirs(tmp_path_factory):
-    """A checkpoint of toy step 1; toy step 2, which it does not match; and
-    4,000-line train files with one malformed or undecodable line."""
+    """A checkpoint of toy step 1; toy step 2, which it does not match; toy
+    step 1 without (e3, r1, e4), which keeps every name; a copy of the
+    checkpoint with a NaN row in ``ent_star``; and 4,000-line train files
+    with one malformed or undecodable line."""
     tmp = tmp_path_factory.mktemp("misuse")
     write_snapshot_dir(tmp / "t1", TOY_T1)
     write_snapshot_dir(tmp / "t2", TOY_T2, test=[("e1", "r1", "e5")])
+    write_snapshot_dir(tmp / "t1-other", [t for t in TOY_T1 if t != ("e3", "r1", "e4")])
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["train", str(tmp / "t1"), str(tmp / "m1.pkl"), *FAST_FLAGS]) == 0
+    payload = pickle.loads((tmp / "m1.pkl").read_bytes())
+    payload["ent_star"][2] = np.nan
+    (tmp / "nan.pkl").write_bytes(pickle.dumps(payload, protocol=4))
     lines = [b"e%d\tr\te%d\n" % (i, i + 1) for i in range(4000)]
     for name, bad_at, bad in (("malformed", 3000, b"e1\tr\n"),
                               ("undecodable", 4000, b"e1\tr\t\xffe2\n")):
@@ -650,13 +701,24 @@ def misuse_dirs(tmp_path_factory):
      "{tmp}/undecodable/train.txt:4001: not UTF-8: invalid start byte"),
     (("answer", "{tmp}/empty", "{m1}", "e1", "r1"),
      "{tmp}/empty/train.txt:0: required training file is missing"),
+    (("update", "{tmp}/t1-other", "{t2}", "{m1}", "{tmp}/m2.pkl", *FAST_FLAGS),
+     "{m1}: checkpoint was trained on other triples than those in {tmp}/t1-other"),
+    # numpy's overflow warnings come before the divergence is seen
+    pytest.param(("train", "{t1}", "{tmp}/m3.pkl", "--d", "8", "--lr", "1e6", "--batch", "4",
+                  "--max-epochs", "30"),
+                 "training diverged: epoch 5 mean loss is nan at learning rate 1000000.0",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    (("update", "{t1}", "{t2}", "{tmp}/nan.pkl", "{tmp}/m2.pkl"),
+     "{tmp}/nan.pkl: checkpoint ent_star holds a non-finite entry"),
 ], ids=["k-zero", "k-negative", "answer-mismatch", "eval-mismatch", "update-mismatch",
-        "malformed-line", "non-utf8-byte", "missing-train"])
+        "malformed-line", "non-utf8-byte", "missing-train", "update-wrong-old",
+        "train-diverges", "nan-checkpoint"])
 def test_misuse_prints_one_error_line(misuse_dirs, capsys, argv, message):
     """A bad invocation exits 1 with one stderr line naming the file or the
-    flag, and writes no checkpoint."""
+    flag, and writes no checkpoint and no report."""
     paths = {"tmp": misuse_dirs, "t1": misuse_dirs / "t1", "t2": misuse_dirs / "t2",
              "m1": misuse_dirs / "m1.pkl"}
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, err) == (1, f"error: {message.format(**paths)}\n")
-    assert not {"m2.pkl", "m3.pkl"} & {p.name for p in misuse_dirs.iterdir()}
+    written = {"m2.pkl", "m3.pkl", "m2.pkl.report.json", "m3.pkl.report.json"}
+    assert not written & {p.name for p in misuse_dirs.iterdir()}

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dkge.errors import ConfigError
+from dkge.errors import ConfigError, IntegrityError
 from dkge.evaluation import (HEAD, TAIL, TIE_OPTIMISTIC, TIE_PESSIMISTIC,
                              answer, evaluate, rank_entity,
                              resolve_test_triples)
@@ -164,3 +164,19 @@ def test_joint_cache_reuses_entity_matrix(setup):
     assert cache.ent_star is store.ent_star
     assert cache.rel_star is store.rel_star
     assert cache.ent_star.shape == (g.num_entities, store.dim)
+
+
+@pytest.mark.parametrize("table", ["ent_star", "rel_star"])
+def test_non_finite_joint_table_is_rejected(setup, table):
+    """A library store can hold a NaN joint row; no rank or answer comes
+    from it, since a NaN score would rank first."""
+    g, store, contexts = setup
+    store = store.copy()
+    store.attach_joint(joint_table(store, g, contexts), g)
+    getattr(store, table)[1] = np.nan
+    triple = next(iter(g.triples))
+    for call in (lambda: evaluate([triple], store, g, g.triple_ids),
+                 lambda: rank_entity((TAIL, triple), store, g, g.triple_set),
+                 lambda: answer(triple.head, triple.relation, 3, store, g)):
+        with pytest.raises(IntegrityError, match="non-finite"):
+            call()
