@@ -8,8 +8,7 @@ them by name, and list what an incremental retrain would have to touch.
 from pathlib import Path
 
 from dkge import changed_context_objects, diff_snapshots, load_snapshot_dir
-from dkge.contexts import (DEFAULT_MAX_MIDPOINTS, ENTITY, build_contexts, candidate_objects,
-                           context_changes)
+from dkge.contexts import DEFAULT_MAX_MIDPOINTS, ENTITY, context_changes
 from dkge.training import collect_retrain_set
 
 data = Path(__file__).parent / "data"
@@ -37,13 +36,12 @@ for kind, obj in sorted(changed_context_objects(old, new, diff)):
             else new.relation_names[obj])
     print("changed context:", kind, name)
 
-# the commands build only the contexts of the candidates a changed triple
-# can reach, on both snapshots, compare them as arrays, and report the
-# changed objects as entity and relation id arrays
-changed = context_changes(
-    old, diff, candidate_objects(new, diff),
-    lambda kind, ids: build_contexts(new, kind, ids, DEFAULT_MAX_MIDPOINTS),
-    DEFAULT_MAX_MIDPOINTS)
+# the commands find the same objects without building an entity context:
+# an entity's context changes exactly when a link changes at it or between
+# two of its neighbours; only the relations a changed triple can reach have
+# their contexts built on both snapshots and compared as arrays.  The
+# changed objects come back as entity and relation id arrays
+changed = context_changes(old, new, diff, DEFAULT_MAX_MIDPOINTS)
 print("changed ids:", changed[0].tolist(), changed[1].tolist())
 
 # an online update only revisits triples touching emerging or changed

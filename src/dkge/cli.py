@@ -26,8 +26,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .contexts import (DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, build_contexts,
-                       candidate_objects, context_changes)
+from .contexts import DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, context_changes
 from .errors import ConfigError, DkgeError, IntegrityError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
@@ -247,10 +246,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.checkpoint:
         max_midpoints = load_checkpoint(args.checkpoint).model_config()["max_midpoints"]
     diff = diff_snapshots(g_old, g_new)
-    # uncapped contexts only: nothing here encodes, so no table stores them
-    changed = context_changes(
-        g_old, diff, candidate_objects(g_new, diff),
-        lambda kind, ids: build_contexts(g_new, kind, ids, max_midpoints), max_midpoints)
+    changed = context_changes(g_old, g_new, diff, max_midpoints)
     t_ol = collect_retrain_set(g_new, diff, changed)
     print(f"added_triples={len(diff.added_triples)} "
           f"deleted_triples={len(diff.deleted_triples)} "

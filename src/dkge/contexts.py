@@ -24,14 +24,15 @@ kept) and stores per kind, in flat arrays, only what an encoder pass reads:
 each context's vertex members and its normalised S entries, computed once
 when the context is built.  A pass gathers its contexts from there by index
 arithmetic (``ContextTable.gather``).
-``context_changes``, the detector ``dkge diff`` and ``dkge update`` share,
-compares the *uncapped* contexts of ``candidate_objects`` on both snapshots
-as arrays, old ids mapped to new ones, and reports id arrays; it finds what
-``changed_context_objects`` finds by comparing ``context_signature``s,
-content hashes over names.  It builds the old side itself and takes the new
-side built from its caller: ``dkge diff`` builds it with ``build_contexts``
-and stores nothing, ``dkge update`` takes it from its ``ContextTable``,
-which keeps the capped copies its encoder passes read.
+``context_changes``, the one detector ``dkge diff`` and ``dkge update``
+call, finds what ``changed_context_objects`` finds by comparing
+``context_signature``s, content hashes over names, and reports id arrays.
+It builds no entity context: an entity's context changes exactly when a
+link changes at it or between two of its neighbours, and only a pair that
+an added or deleted triple joins can change.  Relations are compared as
+*uncapped* contexts of ``candidate_relations``, built on both snapshots,
+old ids mapped to new ones.  It stores nothing; ``dkge update``'s table
+builds capped contexts later, of the objects it encodes.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -479,58 +480,91 @@ def _same_contexts(old: ContextArrays, new: ContextArrays, to_new: np.ndarray) -
     return same
 
 
-def context_changes(g_old: Snapshot, diff: SnapshotDiff, candidates: IdArrays,
-                    new_contexts: Callable[[str, np.ndarray], ContextArrays],
-                    max_midpoints: int) -> IdArrays:
-    """The objects of ``changed_context_objects`` among the entity and
-    relation ``candidates`` of ``candidate_objects``, as id arrays of g_new.
-
-    ``new_contexts(kind, ids)`` gives the uncapped g_new contexts of
-    ``ids`` in their order, built under ``max_midpoints``: ``dkge diff``
-    passes ``build_contexts`` on g_new and stores nothing, ``dkge update``
-    passes ``ContextTable.contexts``, which keeps the capped copies its
-    encoder passes read.  Per kind, entities first, the contexts of the
-    candidates that survived are built on ``g_old`` in one
-    ``build_contexts`` call, then those of every candidate are asked for,
-    so g_old's truncation warnings come first; the two are compared as
-    arrays.
-    """
-    changed = []
-    for kind, ids, id_map in zip((ENTITY, RELATION), candidates,
-                                 (diff.entity_map, diff.relation_map)):
-        old_ids = id_map.to_old[ids]
-        survived = old_ids >= 0
-        old = build_contexts(g_old, kind, old_ids[survived], max_midpoints)
-        new = _select(new_contexts(kind, ids), survived)
-        changed.append(ids[survived][~_same_contexts(old, new, id_map.to_new)])
-    return tuple(changed)
+def _changed_ends(diff: SnapshotDiff) -> tuple[np.ndarray, np.ndarray]:
+    """Heads and tails of the added, then the deleted triples, as g_new ids,
+    -1 for a removed entity."""
+    to_new = diff.entity_map.to_new
+    return tuple(np.concatenate((diff.added_triples[:, k], to_new[diff.deleted_triples[:, k]]))
+                 for k in (0, 2))
 
 
-def candidate_objects(g_new: Snapshot, diff: SnapshotDiff) -> IdArrays:
-    """Sound overapproximation of the objects whose context may have changed,
-    as sorted entity and relation id arrays of g_new.
+def _changed_entities(g_new: Snapshot, diff: SnapshotDiff) -> np.ndarray:
+    """Sorted g_new ids of the surviving entities whose context changed.
+
+    A link, an unordered entity pair with u = v allowed, changes when it is
+    linked in exactly one snapshot, so only a pair an added or deleted
+    triple joins can; g_old's triples joining it are g_new's less the added
+    plus the deleted ones.  An entity's context changes exactly when it is
+    an end of a changed link, or lies in g_new's closed neighbourhood of
+    both ends (for a loop on u, u's neighbours), which it then shares with
+    g_old."""
+    n = g_new.num_entities
+    heads, tails = _changed_ends(diff)
+    lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
+    # a pair with a removed end, all deleted, is linked in g_old alone
+    gone = lo < 0
+    code, pair = np.unique(lo[~gone] * n + hi[~gone], return_inverse=True)
+    n_added = len(diff.added_triples)
+    old_less_new = (np.bincount(pair[n_added:], minlength=code.size)
+                    - np.bincount(pair[:n_added], minlength=code.size))
+    u, v = np.divmod(code, n)
+    pairs, rank = g_new.pairs, g_new.name_rank
+    # g_new's triples (u, v), then (v, u)
+    key = np.concatenate((u, v)) * n + rank[np.concatenate((v, u))]
+    at = np.minimum(np.searchsorted(pairs.keys, key), pairs.keys.size - 1)
+    joining = np.where(pairs.keys[at] == key, np.diff(pairs.ptr)[at], 0)
+    new = joining[:u.size] + np.where(u < v, joining[u.size:], 0)
+    changed = (new > 0) != (new + old_less_new > 0)
+    u, v = u[changed], v[changed]
+    # the common neighbours: the links of the end with fewer, each looked
+    # up among the other end's
+    links = g_new.links
+    deg = np.diff(links.ptr)
+    fewer = deg[u] <= deg[v]
+    a, b = np.where(fewer, u, v), np.where(fewer, v, u)
+    w = links.nbrs[_ranges(links.ptr[a], deg[a])]
+    key = np.repeat(b, deg[a]) * n + rank[w]
+    at = np.minimum(np.searchsorted(links.keys, key), links.keys.size - 1)
+    ids = np.unique(np.concatenate((u, v, hi[gone], w[links.keys[at] == key])))
+    return ids[(ids >= 0) & (diff.entity_map.to_old[ids] >= 0)]
+
+
+def candidate_relations(g_new: Snapshot, diff: SnapshotDiff) -> np.ndarray:
+    """Sound overapproximation of the relations whose context may have
+    changed, as sorted g_new ids.
 
     Any context change is triggered by an added or deleted triple; the
-    affected entities are its endpoints and their neighbors, and the
-    affected relations are those of changed triples plus any relation with a
-    pair starting at a changed head or ending at a changed tail.  An
-    endpoint's neighbor in the old snapshot that is not one in g_new lost
-    every triple linking the two, so it is itself an endpoint; and every
-    emerging object is an endpoint or relation of an added triple.  Only
-    candidates need their contexts compared.
+    affected relations are those of changed triples plus any relation with
+    a pair starting at a changed head or ending at a changed tail.  Every
+    emerging relation is the relation of an added triple.  Only candidates
+    need their contexts compared.
     """
-    added, deleted = diff.added_triples, diff.deleted_triples
-    to_new = diff.entity_map.to_new
-    # a changed triple's heads and tails in g_new, -1 for a removed entity
-    heads, tails = (np.concatenate((added[:, k], to_new[deleted[:, k]])) for k in (0, 2))
+    heads, tails = _changed_ends(diff)
     ids = g_new.triple_ids
     near = np.isin(ids[:, 0], heads) | np.isin(ids[:, 2], tails)
-    rel = np.concatenate((added[:, 1], diff.relation_map.to_new[deleted[:, 1]], ids[near, 1]))
-    ends = np.unique(np.concatenate((heads, tails)))
-    ends = ends[ends >= 0]
-    ptr = g_new.links.ptr
-    ent = np.concatenate((ends, g_new.links.nbrs[_ranges(ptr[ends], ptr[ends + 1] - ptr[ends])]))
-    return np.unique(ent), np.unique(rel[rel >= 0])
+    rel = np.concatenate((diff.added_triples[:, 1],
+                          diff.relation_map.to_new[diff.deleted_triples[:, 1]], ids[near, 1]))
+    return np.unique(rel[rel >= 0])
+
+
+def context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff,
+                    max_midpoints: int) -> IdArrays:
+    """The objects of ``changed_context_objects``, as sorted entity and
+    relation id arrays of g_new, under ``max_midpoints``.
+
+    Entities are read off the changed links (``_changed_entities``),
+    building no context.  Relations are found among ``candidate_relations``:
+    the uncapped contexts of those that survived are built on g_old, then
+    those of every candidate on g_new, so g_old's truncation warning comes
+    first, and the two are compared as arrays.
+    """
+    ids = candidate_relations(g_new, diff)
+    old_ids = diff.relation_map.to_old[ids]
+    survived = old_ids >= 0
+    old = build_contexts(g_old, RELATION, old_ids[survived], max_midpoints)
+    new = _select(build_contexts(g_new, RELATION, ids, max_midpoints), survived)
+    return (_changed_entities(g_new, diff),
+            ids[survived][~_same_contexts(old, new, diff.relation_map.to_new)])
 
 
 # -- per-run context table ---------------------------------------------------
@@ -654,14 +688,14 @@ class ContextTable:
             raise UnknownObjectError(kind, int(bad[0]))
         return ids
 
-    def _capped(self, kind: str, ctx: ContextArrays, new: np.ndarray) -> ContextArrays:
-        """The contexts of the ``new`` owners, each above the cap sampled
-        down to the owner plus cap - 1 other vertices in their order."""
+    def _capped(self, kind: str, ctx: ContextArrays) -> ContextArrays:
+        """The contexts, each above the cap sampled down to the owner plus
+        cap - 1 other vertices in their order."""
         sizes = ctx.sizes
         first = np.cumsum(sizes) - sizes
-        kept = np.repeat(new, sizes)
+        kept = np.ones(int(sizes.sum()), dtype=bool)
         names = self._names(kind)
-        for b in np.flatnonzero(new & (sizes > self.cap)).tolist():
+        for b in np.flatnonzero(sizes > self.cap).tolist():
             rng = np.random.default_rng(_object_seed(self.seed, kind, names[ctx.owners[b]]))
             rest = rng.choice(np.arange(1, sizes[b]), size=self.cap - 1, replace=False)
             kept[first[b] + 1:first[b] + sizes[b]] = False
@@ -675,11 +709,11 @@ class ContextTable:
         edges = position[first[edge_context, None] + ctx.edges]
         live = (edges >= 0).all(axis=1)
         return ContextArrays(
-            owners=ctx.owners[new],
-            sizes=np.bincount(context[kept], minlength=sizes.size)[new],
+            owners=ctx.owners,
+            sizes=np.bincount(context[kept], minlength=sizes.size),
             vertex_members=ctx.vertex_members[kept],
             members=ctx.members[np.repeat(kept, ctx.vertex_members)],
-            edge_counts=np.bincount(edge_context[live], minlength=sizes.size)[new],
+            edge_counts=np.bincount(edge_context[live], minlength=sizes.size),
             edges=edges[live])
 
     def build(self, kind: str, ids) -> None:
@@ -687,7 +721,8 @@ class ContextTable:
         ids = self._ids(kind, ids)
         missing = ids[self._stores[kind].slot[ids] < 0]
         if missing.size:
-            self.contexts(kind, np.unique(missing))
+            ctx = build_contexts(self.snapshot, kind, np.unique(missing), self.max_midpoints)
+            self._stores[kind].append(self._capped(kind, ctx))
 
     def build_all(self) -> None:
         self.build(ENTITY, np.arange(self.snapshot.num_entities))
@@ -710,7 +745,7 @@ class ContextTable:
         ``_capped``); nothing is stored."""
         kind, obj = ref
         ctx = self._capped(kind, build_contexts(self.snapshot, kind, self._ids(kind, [obj]),
-                                                self.max_midpoints), np.ones(1, dtype=bool))
+                                                self.max_midpoints))
         members = iter(ctx.members.tolist())
         other = ENTITY if kind == ENTITY else RELATION_PATH
         vertices = tuple(ContextVertex(kind if p == 0 else other,
@@ -723,19 +758,3 @@ class ContextTable:
 
     def relation(self, r: int) -> ContextSubgraph:
         return self.get((RELATION, r))
-
-    def contexts(self, kind: str, ids) -> ContextArrays:
-        """Uncapped contexts of ``ids``, distinct objects of one kind, in the
-        order of ``ids``.
-
-        They are built here in one ``build_contexts`` call, and the capped
-        copies of those not stored yet are stored, so a later pass does not
-        build them again.
-        """
-        ids = self._ids(kind, ids)
-        ctx = build_contexts(self.snapshot, kind, ids, self.max_midpoints)
-        store = self._stores[kind]
-        new = store.slot[ids] < 0
-        if new.any():
-            store.append(self._capped(kind, ctx, new))
-        return ctx

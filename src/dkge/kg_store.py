@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,18 +139,10 @@ class Snapshot:
     @staticmethod
     def from_name_triples(name_triples: Iterable[NameTriple], time_step: int = 0,
                           duplicates_collapsed: int = 0) -> "Snapshot":
-        entity_ids: dict[str, int] = {}
-        relation_ids: dict[str, int] = {}
-        flat: list[int] = []
-        for h, r, t in name_triples:
-            flat += (entity_ids.setdefault(h, len(entity_ids)),
-                     relation_ids.setdefault(r, len(relation_ids)),
-                     entity_ids.setdefault(t, len(entity_ids)))
-        if not flat:
+        columns = tuple(zip(*name_triples))
+        if not columns:
             raise EmptySnapshotError("snapshot has no triples")
-        return _first_occurrences(np.array(flat, dtype=np.int64).reshape(-1, 3),
-                                  tuple(entity_ids), tuple(relation_ids), time_step,
-                                  duplicates_collapsed)
+        return _interned(*columns, time_step, duplicates_collapsed)
 
     # -- dictionaries ------------------------------------------------------
 
@@ -342,16 +334,27 @@ class Snapshot:
         return Triple(self.entity_id(h), self.relation_id(r), self.entity_id(t))
 
 
-def _first_occurrences(ids: np.ndarray, entity_names: tuple[str, ...],
-                       relation_names: tuple[str, ...], time_step: int,
-                       duplicates_collapsed: int) -> Snapshot:
-    """The Snapshot of id rows in file order, each triple's first row kept."""
+def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[str],
+              time_step: int, duplicates_collapsed: int) -> Snapshot:
+    """The Snapshot of name columns in file order: ids in first-occurrence
+    order, heads and tails interleaved, and each triple's first row kept."""
+    n = len(heads)
+    ends = [""] * (2 * n)
+    ends[0::2] = heads
+    ends[1::2] = tails
+    entity_names = tuple(dict.fromkeys(ends))
+    relation_names = tuple(dict.fromkeys(relations))
+    entity_ids = dict(zip(entity_names, range(len(entity_names))))
+    relation_ids = dict(zip(relation_names, range(len(relation_names))))
+    ids = np.empty((n, 3), dtype=np.int64)
+    ids[:, 0::2] = np.fromiter(map(entity_ids.__getitem__, ends), np.int64, 2 * n).reshape(n, 2)
+    ids[:, 1] = np.fromiter(map(relation_ids.__getitem__, relations), np.int64, n)
     # a duplicate's names occurred before it, so dropping it keeps the ids
     _, first = np.unique(triple_codes(ids, len(entity_names), len(relation_names)),
                          return_index=True)
     return Snapshot(time_step=time_step, triple_ids=ids[np.sort(first)],
                     entity_names=entity_names, relation_names=relation_names,
-                    duplicates_collapsed=duplicates_collapsed + len(ids) - first.size)
+                    duplicates_collapsed=duplicates_collapsed + n - first.size)
 
 
 class IdMap(NamedTuple):
@@ -512,20 +515,9 @@ def load_snapshot(path, time_step: int = 0) -> Snapshot:
     """
     file = Path(path)
     (heads, relations, tails), dups = _read_columns(file)
-    n = len(heads)
-    if not n:
+    if not heads:
         raise EmptySnapshotError(f"{path} contains no triples")
-    ends = [""] * (2 * n)  # heads and tails interleaved: first-occurrence order
-    ends[0::2] = heads
-    ends[1::2] = tails
-    entity_names = tuple(dict.fromkeys(ends))
-    relation_names = tuple(dict.fromkeys(relations))
-    entity_ids = dict(zip(entity_names, range(len(entity_names))))
-    relation_ids = dict(zip(relation_names, range(len(relation_names))))
-    ids = np.empty((n, 3), dtype=np.int64)
-    ids[:, 0::2] = np.fromiter(map(entity_ids.__getitem__, ends), np.int64, 2 * n).reshape(n, 2)
-    ids[:, 1] = np.fromiter(map(relation_ids.__getitem__, relations), np.int64, n)
-    snapshot = _first_occurrences(ids, entity_names, relation_names, time_step, dups)
+    snapshot = _interned(heads, relations, tails, time_step, dups)
     _warn_duplicates(file, snapshot.duplicates_collapsed)
     return snapshot
 

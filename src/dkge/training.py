@@ -13,9 +13,11 @@ vectors, gates, and every other embedding stay frozen, so parameters outside
 the affected set remain bit-identical.
 
 An online update carries every per-object row over through the diff's id
-maps and finds the changed contexts among the candidate objects only, by
-comparing their contexts on both snapshots (``contexts.context_changes``, as
-``dkge diff`` does).  The retrain set is id rows in (h, r, t) order.
+maps and finds the changed contexts as ``dkge diff`` does
+(``contexts.context_changes``: entities from the changed links, relations
+by comparing the candidates' contexts on both snapshots); the context
+table then builds only the capped contexts the update encodes.  The
+retrain set is id rows in (h, r, t) order.
 
 Both modes end by attaching the joint embedding of every object to the
 returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS,
-                       IdArrays, candidate_objects, context_changes)
+                       IdArrays, context_changes)
 from .errors import ConfigError, DkgeError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
@@ -190,14 +192,16 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
         epochs_run = epoch
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = train_rows[order[start:start + config.batch_size]]
-            pairs = corrupt_rows(batch, stats, snapshot, negative_rng)
-            dropped += len(batch) - len(pairs)
-            buf = GradBuffer(store, rows_only=mask is not None)
-            epoch_loss += batch_loss(pairs, store, table, config.margin, buf, fixed)
-            encoded += buf.encoded
-            _apply_sgd(store, buf, config.learning_rate, mask)
+        # an overflow shows as a non-finite loss, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, config.batch_size):
+                batch = train_rows[order[start:start + config.batch_size]]
+                pairs = corrupt_rows(batch, stats, snapshot, negative_rng)
+                dropped += len(batch) - len(pairs)
+                buf = GradBuffer(store, rows_only=mask is not None)
+                epoch_loss += batch_loss(pairs, store, table, config.margin, buf, fixed)
+                encoded += buf.encoded
+                _apply_sgd(store, buf, config.learning_rate, mask)
         mean_loss = epoch_loss / n
         if not math.isfinite(mean_loss):
             raise DkgeError(f"training diverged: epoch {epoch} mean loss is {mean_loss} "
@@ -358,8 +362,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     old = store
     store = _migrate_store(store, g_new, diff, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
-    candidates = candidate_objects(g_new, diff)
-    changed = context_changes(g_old, diff, candidates, table.contexts, table.max_midpoints)
+    changed = context_changes(g_old, g_new, diff, table.max_midpoints)
     t_ol = collect_retrain_set(g_new, diff, changed)
     mask = UpdateMask(ent_know_rows=np.union1d(diff.emerging_entities, changed[0]),
                       ent_ctx_rows=diff.emerging_entities,

@@ -166,21 +166,16 @@ def retrain_set_by_loop(g_new: Snapshot, diff: SnapshotDiff, changed) -> frozens
                      if t.head in flag_e or t.tail in flag_e or t.relation in flag_r)
 
 
-def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
-                            diff: SnapshotDiff) -> tuple[set[str], set[str]]:
-    """The names of the objects whose context a change may reach, in either
-    snapshot, by a loop over the changed triples: the oracle that
-    ``contexts.candidate_objects`` equals on g_new.
+def candidate_changed_names(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff) -> set[str]:
+    """The names of the relations whose context a change may reach, in
+    either snapshot, by a loop over the changed triples: the oracle that
+    ``contexts.candidate_relations`` equals on g_new.
 
-    The affected entities are a changed triple's endpoints and their
-    neighbors (old or new side); the affected relations are those of changed
-    triples plus any relation with a pair starting at a changed head or
-    ending at a changed tail.
+    The affected relations are those of changed triples plus any relation
+    with a pair starting at a changed head or ending at a changed tail.
     """
     changed_names = ([g_new.triple_names(t) for t in diff.added_triples]
                      + [g_old.triple_names(t) for t in diff.deleted_triples])
-    ent: set[str] = set()
-    rel: set[str] = set()
     ids = g_new.triple_ids
     near = np.zeros(len(ids), dtype=bool)
     for k in (0, 2):   # triples from a changed triple's head, into its tail
@@ -188,22 +183,8 @@ def candidate_changed_names(g_old: Snapshot, g_new: Snapshot,
         changed_end[[g_new.entity_ids[nt[k]] for nt in changed_names
                      if nt[k] in g_new.entity_ids]] = True
         near |= changed_end[ids[:, k]]
-    rel.update(g_new.relation_names[r] for r in np.unique(ids[near, 1]).tolist())
-
-    def neighbor_names(snap: Snapshot, name: str) -> set[str]:
-        eid = snap.entity_ids.get(name)
-        if eid is None:
-            return set()
-        ptr, nbrs = snap.links.ptr, snap.links.nbrs
-        return {snap.entity_names[n] for n in nbrs[ptr[eid]:ptr[eid + 1]].tolist()}
-
-    for h, r, t in changed_names:
-        rel.add(r)
-        for endpoint in (h, t):
-            ent.add(endpoint)
-            ent |= neighbor_names(g_old, endpoint)
-            ent |= neighbor_names(g_new, endpoint)
-    return ent, rel
+    return ({g_new.relation_names[r] for r in np.unique(ids[near, 1]).tolist()}
+            | {r for _, r, _ in changed_names})
 
 
 def assert_tables_fresh(store: ParameterStore, snapshot: Snapshot) -> None:

@@ -21,7 +21,7 @@ import dkge.cli
 import dkge.contexts as contexts
 from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextSubgraph, ContextTable, ENTITY, RELATION,
-                           build_contexts, candidate_objects, entity_context,
+                           build_contexts, candidate_relations, entity_context,
                            relation_context)
 from dkge.errors import ConfigError, UnknownObjectError
 from dkge.kg_store import Snapshot, diff_snapshots
@@ -164,7 +164,7 @@ def test_table_rejects_negative_max_midpoints():
 @pytest.mark.parametrize("call, kind, bad", [
     ("gather", ENTITY, -1), ("gather", ENTITY, "n"), ("gather", RELATION, -1),
     ("gather", RELATION, "n"), ("build", ENTITY, -1), ("build", RELATION, "n"),
-    ("contexts", ENTITY, "n"), ("contexts", RELATION, -1),
+    ("build", ENTITY, "n"), ("build", RELATION, -1),
 ])
 def test_table_rejects_ids_out_of_range(built, call, kind, bad):
     """An id outside [0, n) names its kind and value, whether or not the
@@ -185,7 +185,7 @@ def test_table_takes_empty_ids(kind):
     """No ids: an empty pass, no contexts, nothing stored."""
     table = ContextTable(toy_snapshot(1))
     table.build(kind, [])
-    ctx = table.contexts(kind, [])
+    ctx = build_contexts(table.snapshot, kind, [])
     assert ctx.owners.size == ctx.sizes.size == ctx.members.size == 0
     assert ctx.edges.shape == (0, 2)
     gathered = table.gather(kind, np.array([], dtype=np.intp))
@@ -244,8 +244,9 @@ def test_chunked_build_equals_unchunked(g, max_midpoints):
             mp.setattr(contexts, "BUILD_CHUNK", chunk)
             table = ContextTable(g, cap=CAP, seed=1, max_midpoints=max_midpoints)
             kinds = ((ENTITY, g.num_entities), (RELATION, g.num_relations))
-            uncapped = [split(table.contexts(kind, np.arange(n))) for kind, n in kinds]
-        passes = [table.gather(kind, np.arange(n)) for kind, n in kinds]
+            uncapped = [split(build_contexts(g, kind, np.arange(n), max_midpoints))
+                        for kind, n in kinds]
+            passes = [table.gather(kind, np.arange(n)) for kind, n in kinds]
         built.append(([[(m, e.tolist()) for m, e in ctx] for ctx in uncapped], passes))
     (uncapped_a, passes_a), (uncapped_b, passes_b) = built
     assert uncapped_a == uncapped_b
@@ -333,19 +334,16 @@ def candidate_relations_by_name_loop(g_old, g_new, diff):
 
 
 def assert_candidates_equal_the_name_loops(g_old, g_new):
-    """``candidate_objects`` holds the relations of the first definition and
-    is the name loop's candidate set restricted to g_new, sorted, with every
-    emerging object in it."""
+    """``candidate_relations`` holds the relations of the first definition
+    and is the name loop's candidate set restricted to g_new, sorted, with
+    every emerging relation in it."""
     diff = diff_snapshots(g_old, g_new)
-    ent_ids, rel_ids = candidate_objects(g_new, diff)
+    rel_ids = candidate_relations(g_new, diff)
     rel = {g_new.relation_names[r] for r in rel_ids.tolist()}
     assert rel == candidate_relations_by_name_loop(g_old, g_new, diff) & set(g_new.relation_names)
-    ent_names, rel_names = candidate_changed_names(g_old, g_new, diff)
-    assert ent_ids.tolist() == sorted(g_new.entity_ids[n] for n in ent_names
-                                      if n in g_new.entity_ids)
+    rel_names = candidate_changed_names(g_old, g_new, diff)
     assert rel_ids.tolist() == sorted(g_new.relation_ids[n] for n in rel_names
                                       if n in g_new.relation_ids)
-    assert set(diff.emerging_entities.tolist()) <= set(ent_ids.tolist())
     assert set(diff.emerging_relations.tolist()) <= set(rel_ids.tolist())
 
 

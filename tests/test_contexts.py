@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
-                           RELATION_PATH, build_context, build_contexts, candidate_objects,
+                           RELATION_PATH, build_context, build_contexts, candidate_relations,
                            changed_context_objects, context_changes, context_signature,
                            entity_context, relation_context)
 from dkge.kg_store import Snapshot, diff_snapshots
@@ -16,12 +16,6 @@ from dkge.training import collect_retrain_set
 from graphs import (TOY_T1, TOY_T2, candidate_changed_names, churned_triples,
                     random_name_triples, reference_changes, retrain_set_by_loop,
                     signatures_by_name, split_refs, toy_snapshot)
-
-
-def new_contexts(g, max_midpoints=DEFAULT_MAX_MIDPOINTS):
-    """The g_new side ``dkge diff`` gives ``context_changes``: uncapped
-    contexts built on ``g``, stored nowhere."""
-    return lambda kind, ids: build_contexts(g, kind, ids, max_midpoints)
 
 
 def all_contexts(g):
@@ -243,9 +237,7 @@ def test_signature_invariant_to_file_order(g1):
     g1b = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
     assert g1b.entity_names != g1.entity_names
     assert signatures_by_name(g1) == signatures_by_name(g1b)
-    diff = diff_snapshots(g1, g1b)
-    every = (np.arange(g1b.num_entities), np.arange(g1b.num_relations))
-    changed = context_changes(g1, diff, every, new_contexts(g1b), DEFAULT_MAX_MIDPOINTS)
+    changed = context_changes(g1, g1b, diff_snapshots(g1, g1b), DEFAULT_MAX_MIDPOINTS)
     assert [ids.size for ids in changed] == [0, 0]
 
 
@@ -325,8 +317,7 @@ def test_changes_cover_the_uncapped_context():
     assert [v.members for v in new_table.entity(g_new.entity_id("hub")).vertices] == [
         (g_new.entity_id(g.entity_names[v.members[0]]),)
         for v in table.entity(g.entity_id("hub")).vertices]
-    changed = context_changes(g, diff, candidate_objects(g_new, diff), new_table.contexts,
-                              new_table.max_midpoints)
+    changed = context_changes(g, g_new, diff, new_table.max_midpoints)
     assert g_new.entity_id("hub") in changed[0].tolist()
     assert [ids.tolist() for ids in changed] == [
         ids.tolist() for ids in split_refs(changed_context_objects(g, g_new))]
@@ -374,12 +365,12 @@ def test_table_draws_no_rng_for_contexts_within_cap(g1, monkeypatch):
 
 
 def test_contexts_of_named_objects_only(g1):
-    """``ContextTable.contexts`` gives the uncapped contexts of the ids it
-    is given, in their order, as the one-object definitions build them."""
+    """``build_contexts`` gives the uncapped contexts of the ids it is
+    given, in their order, as the one-object definitions build them."""
     e1, e3 = g1.entity_id("e1"), g1.entity_id("e3")
     r5 = g1.relation_id("r5")
     for kind, ids in ((ENTITY, [e3, e1]), (RELATION, [r5]), (ENTITY, [])):
-        ctx = ContextTable(g1, cap=2).contexts(kind, ids)
+        ctx = build_contexts(g1, kind, ids)
         subs = [build_context(g1, (kind, obj)) for obj in ids]
         assert ctx.owners.tolist() == ids
         assert ctx.sizes.tolist() == [len(sub.vertices) for sub in subs]
@@ -389,7 +380,7 @@ def test_contexts_of_named_objects_only(g1):
 
 
 def test_contexts_cache_the_capped_context(monkeypatch):
-    """``contexts`` builds each context once; ``get`` then serves the same
+    """``build`` builds each context once; ``get`` then serves the same
     capped sample a fresh table builds.  Counts the owners the bulk builder
     receives."""
     import dkge.contexts
@@ -403,8 +394,8 @@ def test_contexts_cache_the_capped_context(monkeypatch):
 
     monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
     table = ContextTable(g, cap=5, seed=3)
-    table.contexts(ENTITY, np.arange(g.num_entities))
-    table.contexts(RELATION, np.arange(g.num_relations))
+    table.build(ENTITY, np.arange(g.num_entities))
+    table.build(RELATION, np.arange(g.num_relations))
     table.build_all()
     assert sorted(built) == sorted(set(built))
     assert len(built) == g.num_entities + g.num_relations
@@ -417,21 +408,27 @@ def test_contexts_cache_the_capped_context(monkeypatch):
 
 # -- change detection ---------------------------------------------------------
 
-def test_changed_contexts_toy(g1, g2):
-    """The toy trace's changes; the new contexts of every candidate are
-    built, and stored capped, by the detector."""
+def test_changed_contexts_toy(g1, g2, monkeypatch):
+    """The toy trace's changes; the detector builds the contexts of the
+    relation candidates only, on g1 those that survived, then on g2 all."""
+    import dkge.contexts
     diff = diff_snapshots(g1, g2)
-    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff)
-    table = ContextTable(g2)
-    candidates = candidate_objects(g2, diff)
-    changed = context_changes(g1, diff, candidates, table.contexts, table.max_midpoints)
+    rel_cand = candidate_changed_names(g1, g2, diff)
+    built = []
+    build = dkge.contexts.build_contexts
+
+    def counted(snapshot, kind, owners, *args):
+        built.append((snapshot, kind, sorted(owners.tolist())))
+        return build(snapshot, kind, owners, *args)
+
+    monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
+    changed = context_changes(g1, g2, diff, DEFAULT_MAX_MIDPOINTS)
     want = split_refs(changed_context_objects(g1, g2, diff))
     assert [ids.tolist() for ids in changed] == [ids.tolist() for ids in want]
-    stored = {(kind, (g2.entity_names if kind == ENTITY else g2.relation_names)[obj])
-              for kind in (ENTITY, RELATION)
-              for obj in np.flatnonzero(table._stores[kind].slot >= 0).tolist()}
-    assert stored == ({(ENTITY, n) for n in ent_cand if n in g2.entity_ids}
-                      | {(RELATION, n) for n in rel_cand if n in g2.relation_ids})
+    assert built == [
+        (g1, RELATION, sorted(g1.relation_ids[n] for n in rel_cand if n in g1.relation_ids
+                              and n in g2.relation_ids)),
+        (g2, RELATION, sorted(g2.relation_ids[n] for n in rel_cand if n in g2.relation_ids))]
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -439,22 +436,31 @@ def test_changed_contexts_toy(g1, g2):
 @settings(max_examples=30, deadline=None)
 def test_context_changes_equal_the_reference(seed, max_midpoints):
     """The detector finds what comparing ``context_signature``s one object
-    at a time finds, under any midpoint bound, on churned pairs with
-    self-loops and parallel relations; under the default bound that is
-    ``changed_context_objects``, and the retrain set built on it equals the
-    loop's, in (h, r, t) order."""
+    at a time finds, every entity and the relation candidates, under any
+    midpoint bound, on churned pairs with self-loops and parallel
+    relations, where the churn also adds and removes self-loops, removes
+    every triple of an entity, adds entities and shuffles the file order;
+    under the default bound that is ``changed_context_objects``, and the
+    retrain set built on it equals the loop's, in (h, r, t) order."""
     rng = np.random.default_rng(seed)
     base = random_name_triples(rng, int(rng.integers(5, 60)), 12, 4)
     base += [(h, r, h) for h, r, _ in base[:int(rng.integers(0, 4))]]
     base += [(h, "r0" if r != "r0" else "r1", t) for h, r, t in base[:int(rng.integers(0, 6))]]
     base = list(dict.fromkeys(base))
+    new = churned_triples(rng, base, churn=0.3)
+    names = sorted({e for h, _, t in new for e in (h, t)})
+    gone = names[int(rng.integers(len(names)))]
+    new += [(names[k], "r0", names[k]) for k in rng.integers(len(names), size=3).tolist()]
+    new = [t for t in new if gone not in (t[0], t[2]) and (t[0] != t[2] or rng.random() < 0.7)]
+    new = list(dict.fromkeys(new + [("y0", "r1", names[int(rng.integers(len(names)))])]))
     g_old = Snapshot.from_name_triples(base)
-    g_new = Snapshot.from_name_triples(churned_triples(rng, base, churn=0.3), time_step=1)
+    g_new = Snapshot.from_name_triples([new[k] for k in rng.permutation(len(new)).tolist()],
+                                       time_step=1)
     diff = diff_snapshots(g_old, g_new)
-    candidates = candidate_objects(g_new, diff)
-    changed = context_changes(g_old, diff, candidates, new_contexts(g_new, max_midpoints),
-                              max_midpoints)
-    want = reference_changes(g_old, g_new, diff, candidates, max_midpoints)
+    changed = context_changes(g_old, g_new, diff, max_midpoints)
+    want = reference_changes(g_old, g_new, diff, (np.arange(g_new.num_entities),
+                                                  candidate_relations(g_new, diff)),
+                             max_midpoints)
     assert [ids.tolist() for ids in changed] == [ids.tolist() for ids in want]
     if max_midpoints == DEFAULT_MAX_MIDPOINTS:
         reference = changed_context_objects(g_old, g_new, diff)
@@ -473,8 +479,7 @@ def test_changes_see_members_regroup_into_paths():
                                         ("x", "c", "y")], time_step=1)
     r = g_new.relation_id("r")
     diff = diff_snapshots(g_old, g_new)
-    changed = context_changes(g_old, diff, candidate_objects(g_new, diff), new_contexts(g_new),
-                              DEFAULT_MAX_MIDPOINTS)
+    changed = context_changes(g_old, g_new, diff, DEFAULT_MAX_MIDPOINTS)
     assert r in changed[1].tolist()
     assert [ids.tolist() for ids in changed] == [
         ids.tolist() for ids in split_refs(changed_context_objects(g_old, g_new))]
@@ -494,31 +499,20 @@ def test_changed_context_objects_no_change(g1):
 
 
 def test_candidates_cover_changed(g1, g2):
-    ent_ids, rel_ids = candidate_objects(g2, diff_snapshots(g1, g2))
-    ent_cand = {g2.entity_names[e] for e in ent_ids.tolist()}
-    rel_cand = {g2.relation_names[r] for r in rel_ids.tolist()}
+    rel_ids = candidate_relations(g2, diff_snapshots(g1, g2))
     changed = changed_context_objects(g1, g2)
-    for kind, obj in changed:
-        if kind == ENTITY:
-            assert g2.entity_names[obj] in ent_cand
-        else:
-            assert g2.relation_names[obj] in rel_cand
+    assert {obj for kind, obj in changed if kind == RELATION} <= set(rel_ids.tolist())
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_candidate_overapproximation_sound(seed):
-    """Every signature-changed object is inside the candidate set."""
+    """Every signature-changed relation is inside the candidate set."""
     rng = np.random.default_rng(seed)
     base = random_name_triples(rng, 25, 10, 4)
     g_old = Snapshot.from_name_triples(base)
     g_new = Snapshot.from_name_triples(churned_triples(rng, base), time_step=1)
     diff = diff_snapshots(g_old, g_new)
-    ent_ids, rel_ids = candidate_objects(g_new, diff)
-    ent_cand = {g_new.entity_names[e] for e in ent_ids.tolist()}
-    rel_cand = {g_new.relation_names[r] for r in rel_ids.tolist()}
-    for kind, obj in changed_context_objects(g_old, g_new, diff):
-        if kind == ENTITY:
-            assert g_new.entity_names[obj] in ent_cand
-        else:
-            assert g_new.relation_names[obj] in rel_cand
+    rel_ids = candidate_relations(g_new, diff)
+    changed = changed_context_objects(g_old, g_new, diff)
+    assert {obj for kind, obj in changed if kind == RELATION} <= set(rel_ids.tolist())

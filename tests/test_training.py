@@ -1,11 +1,12 @@
 """Trainers: scratch SGD, early stopping, online migration and masking."""
 import io
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from dkge.contexts import ENTITY, RELATION, candidate_objects, changed_context_objects
+from dkge.contexts import ENTITY, RELATION, candidate_relations, changed_context_objects
 from dkge.errors import ConfigError, IntegrityError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import joint_table
@@ -268,18 +269,19 @@ def test_online_computes_candidates_once(g1, g2, monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return candidate_objects(*args)
+        return candidate_relations(*args)
 
-    monkeypatch.setattr("dkge.training.candidate_objects", counted)
+    monkeypatch.setattr("dkge.contexts.candidate_relations", counted)
     run_online(g1, g2)
     assert len(calls) == 1
 
 
 def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
-    """Change detection builds the old contexts of the candidates that
-    survived, once each, and no other old context; each new context is
-    built at most once, since SGD and the joint re-encode reuse the capped
-    copies detection stored.  Counts the owners the bulk builder receives."""
+    """Change detection builds no entity context: on g1 it builds the
+    relation candidates that survived, once each, and on g2 every relation
+    candidate once.  The table then builds on g2 the capped contexts SGD
+    and the joint re-encode read, of the movable objects only, once each.
+    Counts the owners the bulk builder receives."""
     import dkge.contexts as contexts
     cfg = TrainConfig(**{**FAST, "cap": 3})
     store, _ = train_from_scratch(g1, set(), cfg, log=None)
@@ -296,14 +298,19 @@ def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
     old = [ref for g, ref in built if g is g1]
     new = [ref for g, ref in built if g is g2]
     assert len(old) + len(new) == len(built)
-    assert len(new) == len(set(new))
-    ent_cand, rel_cand = candidate_changed_names(g1, g2, diff_snapshots(g1, g2))
-    survived = sorted([(ENTITY, g1.entity_ids[n]) for n in ent_cand
-                       if n in g1.entity_ids and n in g2.entity_ids]
-                      + [(RELATION, g1.relation_ids[n]) for n in rel_cand
-                         if n in g1.relation_ids and n in g2.relation_ids])
-    assert 0 < len(survived) < g1.num_entities + g1.num_relations
+    diff = diff_snapshots(g1, g2)
+    rel_cand = candidate_changed_names(g1, g2, diff)
+    survived = sorted((RELATION, g1.relation_ids[n]) for n in rel_cand
+                      if n in g1.relation_ids and n in g2.relation_ids)
+    assert 0 < len(survived) < g1.num_relations
     assert sorted(old) == survived
+    changed = split_refs(changed_context_objects(g1, g2, diff))
+    movable = [np.union1d(emerging, ids).tolist() for emerging, ids in
+               zip((diff.emerging_entities, diff.emerging_relations), changed)]
+    assert sorted(obj for kind, obj in new if kind == ENTITY) == movable[0]
+    assert Counter(obj for kind, obj in new if kind == RELATION) == (
+        Counter(g2.relation_ids[n] for n in rel_cand if n in g2.relation_ids)
+        + Counter(movable[1]))
     monkeypatch.undo()
     assert_tables_fresh(after, g2)
 
