@@ -20,14 +20,25 @@ depends only on its own context, so the context table computes each
 context's S entries once, when it builds the context, and an encoder pass
 only gathers them (``contexts.ContextTable.gather``).  The softmax and the
 pooling run per segment with ``np.maximum.reduceat`` and
-``np.add.reduceat``.  The dense per-vertex products of the forward pass
-(``P W`` and the scores ``. u``) use ``np.einsum``, whose rows do not depend
-on how many rows are stacked, where a BLAS product's rows do; a context's
-encoding is therefore bit-identical whatever else shares its batch.
+``np.add.reduceat``.
+
+The dense per-vertex products, the forward ``P W`` and the backward
+``d_z W^T``, go through ``_block_product``, which multiplies in BLAS calls
+of one fixed shape, _BLOCK rows at a time (the fixed micro-kernel shapes of
+Goto and van de Geijn, "Anatomy of High-Performance Matrix Multiplication",
+ACM TOMS 2008): the full blocks are a view of the input and only the tail
+block is zero-padded.  A BLAS product's rows can depend on how many rows it
+has (numpy sends one row to gemv, and gemm picks its kernels by shape); a
+call of one fixed shape computes every row the same way, so a row's bits
+depend on that row alone, at about a tenth of the cost of ``np.einsum``'s
+sequential sums, which give the same promise.  The scores ``. u`` still
+use ``np.einsum``, which is cheap for a vector.  A context's encoding is
+therefore bit-identical whatever else shares its batch, and so are its rows
+of the h0 and owner gradients.
 
 The backward pass is derived by hand and returns gradients for h0, each
-owner's o_k, and the layer weights and attention vector u summed over the
-batch.  relu'(0) is taken as 0.
+owner's o_k, and, unless asked not to, the layer weights and attention
+vector u summed over the batch.  relu'(0) is taken as 0.
 """
 from __future__ import annotations
 
@@ -128,22 +139,49 @@ class ContextBatch:
         return np.add.reduceat(values, self.starts, axis=0)
 
 
+# Rows of every BLAS call of ``_block_product``.
+_BLOCK = 64
+
+
+def _block_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for an (n, d) ``x``, in (_BLOCK, d) @ (d, e) BLAS calls.
+
+    numpy's matmul runs one gemm per block of the stacked full blocks, which
+    are a reshape of a C-contiguous ``x``, with no copy; only the tail block
+    is zero-padded.  Every call has one shape, so row i of the result
+    depends only on row i of ``x`` and on ``w``.  Returns the first n rows
+    of the padded product, C-contiguous.
+    """
+    n, d = x.shape
+    e = w.shape[1]
+    full = n - n % _BLOCK
+    out = np.empty((-(-n // _BLOCK) * _BLOCK, e))
+    np.matmul(x[:full].reshape(-1, _BLOCK, d), w,
+              out=out[:full].reshape(-1, _BLOCK, e))
+    if full < n:
+        tail = np.zeros((_BLOCK, d))
+        tail[:n - full] = x[full:]
+        np.matmul(tail, w, out=out[full:])
+    return out[:n]
+
+
 @dataclass
 class AgcnCache:
-    """Forward intermediates needed by the backward pass."""
+    """Forward intermediates the backward pass reads."""
 
     batch: ContextBatch
-    hs: list[np.ndarray]          # x + 1 arrays of shape (n, d): h0 .. H^x
+    hs: list[np.ndarray]          # x arrays of shape (n, d): H^1 .. H^x
     pooled: list[np.ndarray]      # x arrays S @ H^{l-1}
+    relu_attn: np.ndarray         # (n, d) relu(v_i * o_k)
     alpha: np.ndarray             # (n,)
 
 
 @dataclass
 class AgcnGrads:
-    h0: np.ndarray                # (n, d)
-    weights: list[np.ndarray]     # summed over the batch
-    attention: np.ndarray         # summed over the batch
-    owner_knowledge: np.ndarray   # (B, d)
+    h0: np.ndarray                        # (n, d)
+    owner_knowledge: np.ndarray           # (B, d)
+    weights: list[np.ndarray] | None      # summed over the batch
+    attention: np.ndarray | None          # summed over the batch
 
 
 def agcn_forward(h0: np.ndarray, batch: ContextBatch, params: AgcnParams,
@@ -159,46 +197,51 @@ def agcn_forward(h0: np.ndarray, batch: ContextBatch, params: AgcnParams,
     if owner_knowledge.shape != (batch.size, d) or params.dim != d:
         raise ValueError("dimension mismatch between features and parameters")
 
-    hs = [h0]
+    hs = []
     pooled = []
+    v = h0
     for w in params.weights:
-        p = batch.norm_adj @ hs[-1]
+        p = batch.norm_adj @ v
         pooled.append(p)
-        hs.append(np.maximum(np.einsum("nd,de->ne", p, w, optimize=False), 0.0))
-    v = hs[-1]
+        v = np.maximum(_block_product(p, w), 0.0)
+        hs.append(v)
     relu_attn = np.maximum(v * owner_knowledge[batch.segment], 0.0)
     alpha = batch.softmax(np.einsum("nd,d->n", relu_attn, params.attention,
                                     optimize=False))
     out = batch.pool(alpha[:, None] * v)
-    return out, AgcnCache(batch=batch, hs=hs, pooled=pooled, alpha=alpha)
+    return out, AgcnCache(batch=batch, hs=hs, pooled=pooled, relu_attn=relu_attn,
+                          alpha=alpha)
 
 
 def agcn_backward(cache: AgcnCache, params: AgcnParams, owner_knowledge: np.ndarray,
-                  grad_out: np.ndarray) -> AgcnGrads:
-    """Gradients of sum_b (grad_out[b] . output[b]) w.r.t. h0, weights, u,
-    and each o_k."""
+                  grad_out: np.ndarray, *, param_grads: bool = True) -> AgcnGrads:
+    """Gradients of sum_b (grad_out[b] . output[b]) w.r.t. h0, each o_k,
+    and, with ``param_grads``, the weights and u; without it those two are
+    None and are not computed.  The h0 and o_k gradients are the same
+    either way."""
     batch = cache.batch
     v = cache.hs[-1]
     alpha = cache.alpha
+    relu_attn = cache.relu_attn
     owner = owner_knowledge[batch.segment]
     grad = grad_out[batch.segment]
-    relu_attn = np.maximum(v * owner, 0.0)
 
     # attention pooling: out_b = sum_{i in b} alpha_i v_i
     d_alpha = (v * grad).sum(axis=1)
     d_scores = alpha * (d_alpha - batch.pool(alpha * d_alpha)[batch.segment])
-    d_attention = relu_attn.T @ d_scores
     d_pre = (d_scores[:, None] * params.attention[None, :]) * (relu_attn > 0.0)
     d_owner = batch.pool(d_pre * v)
     d_v = alpha[:, None] * grad + d_pre * owner
 
     # convolution layers, top down; S is symmetric
-    d_weights: list[np.ndarray] = [np.empty(0)] * len(params.weights)
+    d_weights = [np.empty(0)] * len(params.weights) if param_grads else None
     d_h = d_v
     for l in range(len(params.weights) - 1, -1, -1):
-        d_z = d_h * (cache.hs[l + 1] > 0.0)
-        d_weights[l] = cache.pooled[l].T @ d_z
-        d_h = batch.norm_adj @ (d_z @ params.weights[l].T)
+        d_z = d_h * (cache.hs[l] > 0.0)
+        if param_grads:
+            d_weights[l] = cache.pooled[l].T @ d_z
+        d_h = batch.norm_adj @ _block_product(
+            d_z, np.ascontiguousarray(params.weights[l].T))
 
-    return AgcnGrads(h0=d_h, weights=d_weights, attention=d_attention,
-                     owner_knowledge=d_owner)
+    return AgcnGrads(h0=d_h, owner_knowledge=d_owner, weights=d_weights,
+                     attention=relu_attn.T @ d_scores if param_grads else None)

@@ -31,8 +31,11 @@ It builds no entity context: an entity's context changes exactly when a
 link changes at it or between two of its neighbours, and only a pair that
 an added or deleted triple joins can change.  Relations are compared as
 *uncapped* contexts of ``candidate_relations``, built on both snapshots,
-old ids mapped to new ones.  It stores nothing; ``dkge update``'s table
-builds capped contexts later, of the objects it encodes.
+old ids mapped to new ones.  It stores nothing, and returns g_new's
+contexts of the emerging and changed relations with the ids;
+``dkge update``'s table stores capped copies of those
+(``ContextTable.add``) and builds the other capped contexts it encodes
+later.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -547,24 +550,40 @@ def candidate_relations(g_new: Snapshot, diff: SnapshotDiff) -> np.ndarray:
     return np.unique(rel[rel >= 0])
 
 
+class ContextChanges(NamedTuple):
+    """What ``context_changes`` finds; the first two fields are the changed
+    objects as ``IdArrays``."""
+
+    entities: np.ndarray               # sorted g_new ids, context changed
+    relations: np.ndarray              # sorted g_new ids, context changed
+    # uncapped g_new contexts of the emerging and the changed relations
+    relation_contexts: ContextArrays
+
+
 def context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff,
-                    max_midpoints: int) -> IdArrays:
+                    max_midpoints: int) -> ContextChanges:
     """The objects of ``changed_context_objects``, as sorted entity and
-    relation id arrays of g_new, under ``max_midpoints``.
+    relation id arrays of g_new, under ``max_midpoints``, and the g_new
+    contexts of the relations an update encodes.
 
     Entities are read off the changed links (``_changed_entities``),
     building no context.  Relations are found among ``candidate_relations``:
     the uncapped contexts of those that survived are built on g_old, then
     those of every candidate on g_new, so g_old's truncation warning comes
-    first, and the two are compared as arrays.
+    first, and the two are compared as arrays.  Every emerging relation is
+    a candidate, so g_new's build holds the contexts of the emerging and
+    the changed relations, which are kept.
     """
     ids = candidate_relations(g_new, diff)
     old_ids = diff.relation_map.to_old[ids]
     survived = old_ids >= 0
     old = build_contexts(g_old, RELATION, old_ids[survived], max_midpoints)
-    new = _select(build_contexts(g_new, RELATION, ids, max_midpoints), survived)
-    return (_changed_entities(g_new, diff),
-            ids[survived][~_same_contexts(old, new, diff.relation_map.to_new)])
+    new = build_contexts(g_new, RELATION, ids, max_midpoints)
+    moved = ~survived
+    moved[survived] = ~_same_contexts(old, _select(new, survived),
+                                      diff.relation_map.to_new)
+    return ContextChanges(_changed_entities(g_new, diff), ids[moved & survived],
+                          _select(new, moved))
 
 
 # -- per-run context table ---------------------------------------------------
@@ -716,13 +735,20 @@ class ContextTable:
             edge_counts=np.bincount(edge_context[live], minlength=sizes.size),
             edges=edges[live])
 
+    def add(self, kind: str, ctx: ContextArrays) -> None:
+        """Store capped copies of the uncapped contexts ``ctx``, as
+        ``build_contexts`` gives them on this table's snapshot under its
+        ``max_midpoints``, of objects of one kind not stored yet."""
+        if ctx.owners.size:
+            self._stores[kind].append(self._capped(kind, ctx))
+
     def build(self, kind: str, ids) -> None:
         """Build the contexts of ``ids`` not stored yet, in one bulk call."""
         ids = self._ids(kind, ids)
         missing = ids[self._stores[kind].slot[ids] < 0]
         if missing.size:
-            ctx = build_contexts(self.snapshot, kind, np.unique(missing), self.max_midpoints)
-            self._stores[kind].append(self._capped(kind, ctx))
+            self.add(kind, build_contexts(self.snapshot, kind, np.unique(missing),
+                                          self.max_midpoints))
 
     def build_all(self) -> None:
         self.build(ENTITY, np.arange(self.snapshot.num_entities))

@@ -29,7 +29,8 @@ but those of the update region, so most joint rows cannot move.  Given
 ``FixedRows`` (a joint table of every object and the ids of the objects
 whose rows can move), ``batch_loss`` reads the other objects' rows from the
 table and encodes and back-propagates only the movable ones, into a
-``GradBuffer`` that holds the four row tables only.
+``GradBuffer`` that holds the four row tables only; those backward passes
+compute no encoder, attention or gate gradient.
 
 A store can carry the joint embedding of every object, encoded on one
 snapshot and keyed by that snapshot's digest; ``joint_table`` serves those
@@ -293,10 +294,22 @@ def context_features(kind: str, contexts: ContextPass,
     Entity contexts hold entity vertices and read the entity table; relation
     contexts hold relation and relation-path vertices and read the relation
     table.  Row ``member_rows[j]`` sums ``table[member_ids[j]]`` over j.
+    Every vertex holds at least one member; when each holds exactly one,
+    as in every entity pass, the rows are the members' own, plus 0.0 to
+    give the sum's bits (a -0.0 entry sums to 0.0).
     """
     table = store.ent_ctx if kind == ENTITY else store.rel_ctx
-    return _scatter_rows(contexts.member_rows, table[contexts.member_ids],
-                         contexts.batch.rows)
+    members = table[contexts.member_ids]
+    if _one_member_each(contexts.member_rows, contexts.batch.rows):
+        members += 0.0
+        return members
+    return _scatter_rows(contexts.member_rows, members, contexts.batch.rows)
+
+
+def _one_member_each(member_rows: np.ndarray, n: int) -> bool:
+    """Whether each of the n vertices holds one member: ``member_rows``,
+    non-decreasing and covering every vertex, is then ``arange(n)``."""
+    return member_rows.size == n
 
 
 def _scatter_rows(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -409,15 +422,16 @@ def backward_pass(enc: EncodedPass, d_star: np.ndarray, store: ParameterStore,
 
     The knowledge embedding receives both the gate path and the attention
     path; context members collect the rows of the h0 gradient.  The weight,
-    attention and gate gradients are accumulated only into a buffer that
-    holds them.
+    attention and gate gradients are computed and accumulated only for a
+    buffer that holds them.
     """
     gate = enc.gate
     d_know = d_star * gate
     d_sg = d_star * (1.0 - gate)
     _, agcn, _ = _kind_params(store, enc.kind)
-    grads = agcn_backward(enc.cache, agcn, enc.knowledge, d_sg)
     know, ctx, weights, attention, gate_pre = buffer.of_kind(enc.kind)
+    grads = agcn_backward(enc.cache, agcn, enc.knowledge, d_sg,
+                          param_grads=weights is not None)
     know[enc.ids] += d_know + grads.owner_knowledge
     if weights is not None:
         d_gate_pre = d_star * (enc.knowledge - enc.sg) * gate * (1.0 - gate)
@@ -425,8 +439,11 @@ def backward_pass(enc: EncodedPass, d_star: np.ndarray, store: ParameterStore,
         attention += grads.attention
         for acc, dw in zip(weights, grads.weights):
             acc += dw
+    d_members = grads.h0
+    if not _one_member_each(enc.member_rows, len(grads.h0)):
+        d_members = d_members[enc.member_rows]
     ids, at = np.unique(enc.member_ids, return_inverse=True)
-    ctx[ids] += _scatter_rows(at, grads.h0[enc.member_rows], ids.size)
+    ctx[ids] += _scatter_rows(at, d_members, ids.size)
     buffer.encoded[0 if enc.kind == ENTITY else 1] += len(enc.ids)
 
 
@@ -486,8 +503,9 @@ class GradBuffer:
 
     With ``rows_only`` it holds the four row tables only, for SGD that keeps
     the encoders, attention vectors and gates frozen; their accumulators are
-    then None, and ``backward_pass`` skips their gradients.  ``encoded``
-    counts the objects back-propagated into the buffer: entities, relations.
+    then None, and ``backward_pass`` neither computes nor adds their
+    gradients.  ``encoded`` counts the objects back-propagated into the
+    buffer: entities, relations.
     """
 
     def __init__(self, store: ParameterStore, rows_only: bool = False):
@@ -563,10 +581,10 @@ def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
     the upstream gradients of each object are merged, and each pass runs one
     backward pass.  With ``fixed`` rows, only the movable objects are encoded
     and back-propagated: the loss is the same, and so are the gradients of
-    the movable objects' knowledge rows.  The contextual rows that no fixed
-    object's context reads, the emerging objects' among them, get the same
-    gradients too, up to rounding in ``agcn_backward``'s BLAS products,
-    whose rows can depend on how many rows a pass holds.
+    the movable objects' knowledge rows and of the contextual rows that no
+    fixed object's context reads, the emerging objects' among them, bit for
+    bit: a row of ``agcn_backward``'s h0 gradient does not depend on what
+    else its pass holds.
     """
     if len(pairs) == 0:
         return 0.0

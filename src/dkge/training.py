@@ -15,9 +15,10 @@ the affected set remain bit-identical.
 An online update carries every per-object row over through the diff's id
 maps and finds the changed contexts as ``dkge diff`` does
 (``contexts.context_changes``: entities from the changed links, relations
-by comparing the candidates' contexts on both snapshots); the context
-table then builds only the capped contexts the update encodes.  The
-retrain set is id rows in (h, r, t) order.
+by comparing the candidates' contexts on both snapshots).  The context
+table stores capped copies of the detector's g_new contexts of the
+emerging and changed relations, and builds only the other capped contexts
+the update encodes.  The retrain set is id rows in (h, r, t) order.
 
 Both modes end by attaching the joint embedding of every object to the
 returned store (``ParameterStore.ent_star``/``rel_star``), so ``eval`` and
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS,
-                       IdArrays, context_changes)
+                       IdArrays, RELATION, context_changes)
 from .errors import ConfigError, DkgeError
 from .evaluation import evaluate
 from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
@@ -363,6 +364,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     store = _migrate_store(store, g_new, diff, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
     changed = context_changes(g_old, g_new, diff, table.max_midpoints)
+    table.add(RELATION, changed.relation_contexts)
     t_ol = collect_retrain_set(g_new, diff, changed)
     mask = UpdateMask(ent_know_rows=np.union1d(diff.emerging_entities, changed[0]),
                       ent_ctx_rows=diff.emerging_entities,

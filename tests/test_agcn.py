@@ -2,11 +2,13 @@
 
 A context is (vertex count, (m, 2) edge array).  Most tests encode one
 context, the smallest batch; the batch tests at the end stack several."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dkge.agcn import (AgcnParams, ContextBatch, agcn_backward, agcn_forward,
-                       normalize_adjacency)
+from dkge.agcn import (AgcnParams, ContextBatch, _block_product, agcn_backward,
+                       agcn_forward, normalize_adjacency)
 
 
 def make_params(rng, d, layers):
@@ -123,7 +125,7 @@ def test_forward_two_vertices_hand_computed():
     o_k = np.array([1.0, 1.0])
     out, cache = forward_one(h0, (2, edges((0, 1))), params, o_k)
     # S = [[.5,.5],[.5,.5]], H1 = S @ H0 = [[.5,.5],[.5,.5]], scores equal
-    assert np.allclose(cache.hs[1], [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(cache.hs[0], [[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(cache.alpha, [0.5, 0.5])
     assert np.allclose(out, [0.5, 0.5])
 
@@ -264,8 +266,8 @@ def test_normalize_checks_every_block():
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_batch_matches_contexts_encoded_alone(layers):
-    """Forward rows are bit-identical to one-context batches; backward rows
-    and the summed weight gradients agree to rounding."""
+    """Forward rows and the backward h0 and owner rows are bit-identical to
+    one-context batches; the summed weight gradients agree to rounding."""
     rng = np.random.default_rng(10 + layers)
     d = 5
     params = make_params(rng, d, layers)
@@ -284,11 +286,48 @@ def test_batch_matches_contexts_encoded_alone(layers):
         assert alone.tobytes() == out[b].tobytes()
         one = agcn_backward(alone_cache, params, o_k[b:b + 1], probe[b:b + 1])
         n = h0.shape[0]
-        assert np.allclose(grads.h0[start:start + n], one.h0, rtol=1e-12, atol=1e-12)
-        assert np.allclose(grads.owner_knowledge[b], one.owner_knowledge[0],
-                           rtol=1e-12, atol=1e-12)
+        assert grads.h0[start:start + n].tobytes() == one.h0.tobytes()
+        assert grads.owner_knowledge[b].tobytes() == one.owner_knowledge[0].tobytes()
         for acc, dw in zip(weight_sum, one.weights):
             acc += dw
         start += n
     for got, want in zip(grads.weights, weight_sum):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_backward_without_parameter_gradients_equals_the_full_rows(layers):
+    """Without parameter gradients, agcn_backward returns the full pass's h0
+    and owner gradients bit for bit, and neither reads the layer inputs a
+    weight gradient needs nor returns weight or attention gradients."""
+    rng = np.random.default_rng(20 + layers)
+    d = 8
+    params = make_params(rng, d, layers)
+    sizes = (3, 70, 1, 12)
+    ctxs = [random_context(rng, n) for n in sizes]
+    o_k = rng.normal(size=(len(sizes), d))
+    probe = rng.normal(size=(len(sizes), d))
+    _, cache = agcn_forward(rng.normal(size=(sum(sizes), d)), batch_of(*ctxs), params, o_k)
+    full = agcn_backward(cache, params, o_k, probe)
+    rows = agcn_backward(replace(cache, pooled=None), params, o_k, probe,
+                         param_grads=False)
+    assert rows.weights is None and rows.attention is None
+    assert rows.h0.tobytes() == full.h0.tobytes()
+    assert rows.owner_knowledge.tobytes() == full.owner_knowledge.tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_block_product_row_does_not_depend_on_the_product(d):
+    """Row i of x @ w is the same bits alone and inside products of 1, 37,
+    63, 64, 65 and 200 rows, at every offset, and equals x @ w to
+    rounding."""
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(400, d))
+    w = rng.normal(size=(d, d))
+    alone = [_block_product(x[i:i + 1], w)[0].tobytes() for i in range(len(x))]
+    for n in (1, 37, 63, 64, 65, 200):
+        for lo in (0, 1, 63, 64, 130, 400 - n):
+            got = _block_product(x[lo:lo + n], w)
+            assert got.shape == (n, d) and got.flags.c_contiguous
+            np.testing.assert_allclose(got, x[lo:lo + n] @ w, rtol=1e-12, atol=1e-12)
+            assert [row.tobytes() for row in got] == alone[lo:lo + n]

@@ -29,10 +29,18 @@ def g():
                            n_entities=30, n_relations=6)
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-@pytest.mark.parametrize("kind", [ENTITY, RELATION])
-def test_encoding_does_not_depend_on_the_pass(g, kind, layers, monkeypatch):
-    store, table = tiny_store(g, d=8, seed=5, cap=CAP, entity_layers=layers,
+def at_dims(argnames, cases):
+    """Parametrize over ``cases`` and over d in (8, 16, 32), the benchmark's
+    dimensions among them; the d=8 cases keep their plain ids."""
+    return pytest.mark.parametrize(
+        f"{argnames}, d",
+        [pytest.param(*case, d, id="-".join(map(str, case)) + ("" if d == 8 else f"-d{d}"))
+         for d in (8, 16, 32) for case in cases])
+
+
+@at_dims("kind, layers", [(kind, layers) for kind in (ENTITY, RELATION) for layers in (1, 2)])
+def test_encoding_does_not_depend_on_the_pass(g, kind, layers, d, monkeypatch):
+    store, table = tiny_store(g, d=d, seed=5, cap=CAP, entity_layers=layers,
                               relation_layers=layers)
     n = g.num_entities if kind == ENTITY else g.num_relations
     ids = np.arange(n)
@@ -58,13 +66,13 @@ def test_encoding_does_not_depend_on_the_pass(g, kind, layers, monkeypatch):
         assert split[i].tobytes() == want
 
 
-@pytest.mark.parametrize("pass_size", [ENCODE_PASS, 4])
-def test_joint_cache_rows_equal_object_forward(g, pass_size, monkeypatch):
+@at_dims("pass_size", [(ENCODE_PASS,), (4,)])
+def test_joint_cache_rows_equal_object_forward(g, pass_size, d, monkeypatch):
     monkeypatch.setattr(model, "ENCODE_PASS", pass_size)
-    store, table = tiny_store(g, d=8, seed=6, cap=CAP, entity_layers=2)
+    store, table = tiny_store(g, d=d, seed=6, cap=CAP, entity_layers=2)
     cache = joint_table(store, g, table)
-    assert cache.ent_star.shape == (g.num_entities, 8)
-    assert cache.rel_star.shape == (g.num_relations, 8)
+    assert cache.ent_star.shape == (g.num_entities, d)
+    assert cache.rel_star.shape == (g.num_relations, d)
     for e in range(g.num_entities):
         assert (cache.ent_star[e].tobytes()
                 == object_forward((ENTITY, e), store, table).star.tobytes())
