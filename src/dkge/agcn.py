@@ -203,9 +203,13 @@ def agcn_forward(h0: np.ndarray, batch: ContextBatch, params: AgcnParams,
     for w in params.weights:
         p = batch.norm_adj @ v
         pooled.append(p)
-        v = np.maximum(_block_product(p, w), 0.0)
+        v = _block_product(p, w)
+        np.maximum(v, 0.0, out=v)
         hs.append(v)
-    relu_attn = np.maximum(v * owner_knowledge[batch.segment], 0.0)
+    # the gathered owner rows are a copy: relu(v_i * o_k) is built in them
+    relu_attn = owner_knowledge[batch.segment]
+    relu_attn *= v
+    np.maximum(relu_attn, 0.0, out=relu_attn)
     alpha = batch.softmax(np.einsum("nd,d->n", relu_attn, params.attention,
                                     optimize=False))
     out = batch.pool(alpha[:, None] * v)
@@ -223,21 +227,31 @@ def agcn_backward(cache: AgcnCache, params: AgcnParams, owner_knowledge: np.ndar
     v = cache.hs[-1]
     alpha = cache.alpha
     relu_attn = cache.relu_attn
-    owner = owner_knowledge[batch.segment]
+    # gathered rows are copies, so grad and owner are this pass's own buffers
     grad = grad_out[batch.segment]
 
     # attention pooling: out_b = sum_{i in b} alpha_i v_i
-    d_alpha = (v * grad).sum(axis=1)
+    d_pre = v * grad
+    d_alpha = d_pre.sum(axis=1)
     d_scores = alpha * (d_alpha - batch.pool(alpha * d_alpha)[batch.segment])
-    d_pre = (d_scores[:, None] * params.attention[None, :]) * (relu_attn > 0.0)
-    d_owner = batch.pool(d_pre * v)
-    d_v = alpha[:, None] * grad + d_pre * owner
+    # d_pre's buffer, once d_alpha is summed, holds the score gradient
+    np.multiply(d_scores[:, None], params.attention[None, :], out=d_pre)
+    d_pre *= relu_attn > 0.0
+    # d_v = alpha_i grad_i + d_pre_i * o_k, accumulated in grad
+    owner = owner_knowledge[batch.segment]
+    owner *= d_pre
+    grad *= alpha[:, None]
+    grad += owner
+    d_owner = batch.pool(np.multiply(d_pre, v, out=owner))
+    d_h = grad
+    del owner, d_pre, grad
 
-    # convolution layers, top down; S is symmetric
+    # convolution layers, top down; S is symmetric.  The first d_z is
+    # built in d_v's buffer, each later one in the previous layer's product.
     d_weights = [np.empty(0)] * len(params.weights) if param_grads else None
-    d_h = d_v
     for l in range(len(params.weights) - 1, -1, -1):
-        d_z = d_h * (cache.hs[l] > 0.0)
+        d_z = d_h
+        d_z *= cache.hs[l] > 0.0
         if param_grads:
             d_weights[l] = cache.pooled[l].T @ d_z
         d_h = batch.norm_adj @ _block_product(

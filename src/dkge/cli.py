@@ -146,6 +146,14 @@ def _require_snapshot(store, snapshot, checkpoint: str, snapshot_dir: str) -> No
                              f"match the snapshot in {snapshot_dir}")
 
 
+def _note_full_encode(store, snapshot, checkpoint: str, snapshot_dir: str) -> None:
+    # joint_table serves the stored tables only on the snapshot they were
+    # encoded on; on any other it encodes every object, which costs time
+    if store.joint_digest != snapshot.digest:
+        logger.warning("%s holds no joint tables for the triples in %s; "
+                       "encoding every entity and relation", checkpoint, snapshot_dir)
+
+
 def _train_and_save(args: argparse.Namespace, train, *inputs):
     with contextlib.ExitStack() as stack:
         log = sys.stdout
@@ -207,6 +215,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"no {TEST_FILE} in {args.snapshot_dir}; evaluation needs one")
     _require_snapshot(store, sd.train, args.checkpoint, args.snapshot_dir)
+    _note_full_encode(store, sd.train, args.checkpoint, args.snapshot_dir)
     # resolved once: evaluate and the filter share it, and its one warning
     test, skipped = resolve_test_triples(sd.test, sd.train)
     known = sd.train.triple_ids
@@ -231,6 +240,7 @@ def cmd_answer(args: argparse.Namespace) -> int:
     sd = load_snapshot_dir(args.snapshot_dir)
     store = load_checkpoint(args.checkpoint)
     _require_snapshot(store, sd.train, args.checkpoint, args.snapshot_dir)
+    _note_full_encode(store, sd.train, args.checkpoint, args.snapshot_dir)
     head = sd.train.entity_id(args.head)
     relation = sd.train.relation_id(args.relation)
     results = answer(head, relation, args.k, store, sd.train)

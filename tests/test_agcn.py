@@ -2,6 +2,7 @@
 
 A context is (vertex count, (m, 2) edge array).  Most tests encode one
 context, the smallest batch; the batch tests at the end stack several."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -331,3 +332,62 @@ def test_block_product_row_does_not_depend_on_the_product(d):
             assert got.shape == (n, d) and got.flags.c_contiguous
             np.testing.assert_allclose(got, x[lo:lo + n] @ w, rtol=1e-12, atol=1e-12)
             assert [row.tobytes() for row in got] == alone[lo:lo + n]
+
+
+# -- buffers --------------------------------------------------------------------
+
+def random_pass(rng, d, layers, sizes):
+    """(h0, batch, params, owner rows, grad_out) of a random batch."""
+    params = make_params(rng, d, layers)
+    batch = batch_of(*[random_context(rng, n) for n in sizes])
+    return (rng.normal(size=(batch.rows, d)), batch, params,
+            rng.normal(size=(batch.size, d)), rng.normal(size=(batch.size, d)))
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_passes_never_write_into_their_inputs_or_cache(layers):
+    """The forward pass leaves h0 and the owner rows as they were; backward
+    twice on one cache, with and without parameter gradients, returns the
+    same bits and leaves the cache and grad_out as they were."""
+    rng = np.random.default_rng(30 + layers)
+    h0, batch, params, o_k, probe = random_pass(rng, 8, layers, (3, 70, 1, 12))
+    inputs = h0.tobytes(), o_k.tobytes()
+    _, cache = agcn_forward(h0, batch, params, o_k)
+    assert (h0.tobytes(), o_k.tobytes()) == inputs
+    relu = (*cache.hs, cache.relu_attn)
+    assert all((a > 0.0).any() and (a == 0.0).any() for a in relu)
+
+    def held():
+        return [a.tobytes() for a in (*cache.hs, *cache.pooled, cache.relu_attn,
+                                      cache.alpha, o_k, probe)]
+
+    before = held()
+    runs = [agcn_backward(cache, params, o_k, probe, param_grads=full)
+            for full in (True, False, True, False)]
+    assert held() == before
+    for got in runs[1:]:
+        assert got.h0.tobytes() == runs[0].h0.tobytes()
+        assert got.owner_knowledge.tobytes() == runs[0].owner_knowledge.tobytes()
+    for dw, again in zip(runs[0].weights, runs[2].weights):
+        assert dw.tobytes() == again.tobytes()
+    assert runs[0].attention.tobytes() == runs[2].attention.tobytes()
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("d", [16, 32])
+def test_backward_allocates_at_most_four_row_arrays(d, layers):
+    """One backward pass over 128 contexts peaks at no more than four (n, d)
+    float64 arrays above its start: the gathered rows are its working
+    buffers, and the masks and products are built in them."""
+    rng = np.random.default_rng(d + layers)
+    _, batch, params, o_k, probe = pass_ = random_pass(
+        rng, d, layers, rng.integers(1, 22, size=128))
+    _, cache = agcn_forward(*pass_[:4])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        agcn_backward(cache, params, o_k, probe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (batch.rows * d * 8) <= 4.0

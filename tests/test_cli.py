@@ -411,7 +411,11 @@ def _eval_and_answer(capsys, snapshot_dir, ckpt):
     return outputs
 
 
-def test_eval_and_answer_build_no_context(dirs, capsys, monkeypatch):
+def _full_encode_notes(caplog):
+    return [r.getMessage() for r in caplog.records if "encoding every" in r.getMessage()]
+
+
+def test_eval_and_answer_build_no_context(dirs, capsys, caplog, monkeypatch):
     tmp, old, new = dirs
     run(capsys, "train", str(old), str(tmp / "m1.pkl"), *FAST_FLAGS)
     run(capsys, "update", str(old), str(new), str(tmp / "m1.pkl"),
@@ -423,14 +427,18 @@ def test_eval_and_answer_build_no_context(dirs, capsys, monkeypatch):
         raise AssertionError("built a context")
 
     monkeypatch.setattr(dkge.contexts, "build_contexts", no_context)
+    caplog.clear()
     assert _eval_and_answer(capsys, new, tmp / "m2.pkl") == want
+    assert not _full_encode_notes(caplog)
     with pytest.raises(AssertionError, match="built a context"):
         _eval_and_answer(capsys, new, tmp / "bare.pkl")
 
 
-def test_eval_and_answer_on_other_triples_encode_afresh(dirs, capsys, monkeypatch):
+def test_eval_and_answer_on_other_triples_encode_afresh(dirs, capsys, caplog,
+                                                        monkeypatch):
     """Same dictionaries, one more triple: the stored tables belong to
-    another graph, so eval and answer encode as a store without them does."""
+    another graph, so eval and answer encode as a store without them does,
+    and each says so in one warning."""
     tmp, old, _ = dirs
     run(capsys, "train", str(old), str(tmp / "m1.pkl"), *FAST_FLAGS)
     other = tmp / "other"
@@ -447,8 +455,12 @@ def test_eval_and_answer_on_other_triples_encode_afresh(dirs, capsys, monkeypatc
         return build(*args, **kwargs)
 
     monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
+    caplog.clear()
     assert _eval_and_answer(capsys, other, tmp / "m1.pkl") == want
     assert built
+    assert _full_encode_notes(caplog) == [
+        f"{tmp / 'm1.pkl'} holds no joint tables for the triples in {other}; "
+        "encoding every entity and relation"] * 2
 
 
 # -- answer -------------------------------------------------------------------
