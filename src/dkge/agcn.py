@@ -39,6 +39,22 @@ of the h0 and owner gradients.
 The backward pass is derived by hand and returns gradients for h0, each
 owner's o_k, and, unless asked not to, the layer weights and attention
 vector u summed over the batch.  relu'(0) is taken as 0.
+
+A pass computes in arrays it owns.  The forward pass allocates, per layer,
+the sparse product S H (kept as ``AgcnCache.pooled``) and the padded block
+product, whose ReLU it applies in place; ``AgcnCache.hs`` holds views of
+the first n rows of those 64-row-padded blocks.  It builds relu(v_i * o_k)
+in place in the gathered owner rows, which fancy indexing copies.  The
+backward pass gathers grad_out's and the owners' rows the same way: the
+first buffer turns into d_v in place, then into the top layer's d_z;
+the second holds d_pre * o_k and then d_pre * v; the score gradient d_pre
+is built in the buffer that first held v * grad.  Each later d_z is masked
+in place in the layer above's fresh sparse product; a backward pass peaks
+at about three (n, d) arrays above what it started with.  Every float
+operation keeps its operands and order, so the in-place steps give the
+bits of the expressions they replace.  Neither pass writes into h0,
+owner_knowledge, grad_out or the cache, so backward can run twice on one
+cache.
 """
 from __future__ import annotations
 
@@ -170,7 +186,7 @@ class AgcnCache:
     """Forward intermediates the backward pass reads."""
 
     batch: ContextBatch
-    hs: list[np.ndarray]          # x arrays of shape (n, d): H^1 .. H^x
+    hs: list[np.ndarray]          # x (n, d) views of padded blocks: H^1 .. H^x
     pooled: list[np.ndarray]      # x arrays S @ H^{l-1}
     relu_attn: np.ndarray         # (n, d) relu(v_i * o_k)
     alpha: np.ndarray             # (n,)
@@ -227,7 +243,7 @@ def agcn_backward(cache: AgcnCache, params: AgcnParams, owner_knowledge: np.ndar
     v = cache.hs[-1]
     alpha = cache.alpha
     relu_attn = cache.relu_attn
-    # gathered rows are copies, so grad and owner are this pass's own buffers
+    # gathered rows are copies: grad and owner below are this pass's own
     grad = grad_out[batch.segment]
 
     # attention pooling: out_b = sum_{i in b} alpha_i v_i
@@ -246,8 +262,8 @@ def agcn_backward(cache: AgcnCache, params: AgcnParams, owner_knowledge: np.ndar
     d_h = grad
     del owner, d_pre, grad
 
-    # convolution layers, top down; S is symmetric.  The first d_z is
-    # built in d_v's buffer, each later one in the previous layer's product.
+    # convolution layers, top down; S is symmetric.  The top d_z is built
+    # in d_v's buffer, each lower one in the layer above's sparse product.
     d_weights = [np.empty(0)] * len(params.weights) if param_grads else None
     for l in range(len(params.weights) - 1, -1, -1):
         d_z = d_h
