@@ -754,6 +754,20 @@ class ContextTable:
         self.build(ENTITY, np.arange(self.snapshot.num_entities))
         self.build(RELATION, np.arange(self.snapshot.num_relations))
 
+    def rows(self, kind: str, ids) -> np.ndarray:
+        """Vertex counts of the capped contexts of ``ids``, objects of one
+        kind, owner included.  An entity's is min(degree + 1, cap), read
+        off the links, and builds nothing; a relation's is known once its
+        context is built, so the missing ones are built first."""
+        ids = self._ids(kind, ids)
+        if kind == ENTITY:
+            ptr = self.snapshot.links.ptr
+            return np.minimum(ptr[ids + 1] - ptr[ids] + 1, self.cap)
+        self.build(kind, ids)
+        store = self._stores[kind]
+        at = store.slot[ids]
+        return store.vptr[at + 1] - store.vptr[at]
+
     def gather(self, kind: str, ids) -> ContextPass:
         """The capped contexts of ``ids``, objects of one kind, for one
         encoder pass; builds the missing ones first."""

@@ -18,8 +18,10 @@ objects of one kind from the context table, their member rows and their
 normalised S entries as one block-diagonal graph
 (``contexts.ContextTable.gather``), and runs the encoder once over it (see
 ``agcn``); a pass builds no context and computes no S unless an object's
-context was never built.  ``batch_loss`` encodes a batch's distinct objects
-in passes of at most ENCODE_PASS per kind, scores all pairs as arrays, and
+context was never built.  Passes are cut by capped context rows, not by
+objects: a pass stacks about PASS_ROWS rows, however small or large its
+contexts.  ``batch_loss`` encodes a batch's distinct objects in such
+passes per kind (its relations in one), scores all pairs as arrays, and
 runs one backward pass per encoder pass.  ``object_forward`` is a pass of
 one, and an object's joint embedding is bit-identical whichever pass
 encodes it.
@@ -265,8 +267,23 @@ def corrupt_rows(rows: np.ndarray, stats: RelationStats, snapshot: Snapshot,
 
 # -- batched encoder ------------------------------------------------------------
 
-# Most objects one encoder pass stacks; bounds the memory of a pass.
-ENCODE_PASS = 128
+# Most capped context rows, owners' rows included, that one encoder pass
+# stacks; a pass runs past it by less than one context.  Large enough to
+# spread a pass's fixed cost over many rows; larger passes ran slower again
+# (ROADMAP, "Other encoder pass sizes").
+PASS_ROWS = 1536
+
+
+def _windows(rows: np.ndarray) -> np.ndarray:
+    """For contexts of ``rows`` rows stacked in order, the window of
+    PASS_ROWS rows that each one's first row falls in."""
+    return (np.cumsum(rows) - rows) // PASS_ROWS
+
+
+def _split(at: np.ndarray, window: np.ndarray) -> list[np.ndarray]:
+    """``at`` cut where the non-decreasing ``window`` of its entries
+    changes: one group per window that holds any."""
+    return np.split(at, np.flatnonzero(np.diff(window)) + 1) if at.size else []
 
 
 @dataclass
@@ -346,11 +363,11 @@ def encode(kind: str, ids: Sequence[int], store: ParameterStore,
 
 def encode_passes(kind: str, ids: np.ndarray, store: ParameterStore,
                   contexts: ContextTable) -> Iterator[EncodedPass]:
-    """``encode`` over ``ids`` in passes of at most ENCODE_PASS objects,
-    after one bulk build of the contexts not built yet."""
+    """``encode`` over ``ids`` in passes cut by their capped context rows
+    (``_windows``), after one bulk build of the contexts not built yet."""
     contexts.build(kind, ids)
-    for start in range(0, len(ids), ENCODE_PASS):
-        yield encode(kind, ids[start:start + ENCODE_PASS], store, contexts)
+    for part in _split(ids, _windows(contexts.rows(kind, ids))):
+        yield encode(kind, part, store, contexts)
 
 
 def joint_rows(kind: str, ids: np.ndarray, store: ParameterStore,
@@ -536,29 +553,32 @@ class GradBuffer:
 
 def _batch_rows(kind: str, ids: np.ndarray, store: ParameterStore,
                 contexts: ContextTable,
-                fixed: FixedRows | None) -> tuple[np.ndarray, list[tuple[np.ndarray | slice, EncodedPass]]]:
+                fixed: FixedRows | None) -> tuple[np.ndarray, list[tuple[np.ndarray, EncodedPass]]]:
     """Joint rows of a batch's distinct objects ``ids`` of one kind, plus
     the encoder passes behind them, each with its positions in ``ids``.
 
-    Without fixed rows every object is encoded, and a pass's positions are
-    a slice; with them only the movable ones are, and the others are read
-    from the fixed table.  Pass k holds the objects to encode among
-    ``ids[k * ENCODE_PASS:(k + 1) * ENCODE_PASS]``, so a contextual row sums
-    the same per-pass gradients in the same order with fixed rows as
-    without.
+    Without fixed rows every object is encoded; with them only the movable
+    ones are, and the others are read from the fixed table.  Entities are
+    cut into windows of PASS_ROWS capped context rows over all of ``ids``
+    (``_windows``; an entity's rows need no build), and each window's
+    encoded entities form one pass.  Relations form one pass: a batch holds
+    at most batch-size of them, and a relation's rows are known only once
+    its context is built, which an update does for the movable ones alone.
+    So a contextual row sums the same per-pass gradients in the same order
+    with fixed rows as without.
     """
-    starts = range(0, len(ids) + ENCODE_PASS, ENCODE_PASS)
     if fixed is None:
         star = np.empty((len(ids), store.dim))
-        groups = [slice(a, b) for a, b in zip(starts, starts[1:])]
-        contexts.build(kind, ids)
+        at = np.arange(len(ids))
     else:
         table, movable = fixed.rows(kind)
         star = table[ids]
         at = np.flatnonzero(np.isin(ids, movable))
-        cuts = at.searchsorted(starts).tolist()
-        groups = [at[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
-        contexts.build(kind, ids[at])
+    contexts.build(kind, ids[at])
+    if kind == ENTITY:
+        groups = _split(at, _windows(contexts.rows(kind, ids))[at])
+    else:
+        groups = [at] if at.size else []
     passes = []
     for group in groups:
         enc = encode(kind, ids[group], store, contexts)
@@ -577,7 +597,8 @@ def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
 
     With a buffer, also accumulates the gradient of the summed loss.  The
     distinct objects of the batch are encoded once per call, grouped by kind
-    in passes of at most ENCODE_PASS objects; the pairs are scored as arrays,
+    in passes (``_batch_rows``): entities cut by their capped context rows,
+    relations all in one; the pairs are scored as arrays,
     the upstream gradients of each object are merged, and each pass runs one
     backward pass.  With ``fixed`` rows, only the movable objects are encoded
     and back-propagated: the loss is the same, and so are the gradients of

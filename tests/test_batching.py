@@ -4,16 +4,15 @@ The encoder stacks the contexts of many objects of one kind into one
 block-diagonal graph.  Every object's joint embedding must be bit-identical
 whether it is encoded alone, with all other objects of its kind, in shuffled
 order, or split across passes; criteria 4 and 5 rely on it.  batch_loss must
-encode a batch's distinct objects in passes of ENCODE_PASS, not one by one.
+encode a batch's distinct objects in passes cut by their capped context
+rows (PASS_ROWS), not one by one.
 """
-import math
-
 import numpy as np
 import pytest
 
 import dkge.model as model
 from dkge.contexts import ENTITY, RELATION, RELATION_PATH, entity_context
-from dkge.model import (ENCODE_PASS, GradBuffer, batch_loss, bernoulli_corrupt,
+from dkge.model import (PASS_ROWS, GradBuffer, batch_loss, bernoulli_corrupt,
                         encode, encode_passes, joint_table, object_forward,
                         relation_stats)
 
@@ -57,18 +56,21 @@ def test_encoding_does_not_depend_on_the_pass(g, kind, layers, d, monkeypatch):
     order = np.random.default_rng(layers).permutation(n)
     shuffled = np.empty_like(full)
     shuffled[order] = encode(kind, order, store, table).star
-    monkeypatch.setattr(model, "ENCODE_PASS", 4)
-    split = np.concatenate([p.star for p in encode_passes(kind, ids, store, table)])
+    splits = []
+    for pass_rows in (PASS_ROWS, 128, 4):
+        monkeypatch.setattr(model, "PASS_ROWS", pass_rows)
+        splits.append(np.concatenate([p.star for p in encode_passes(kind, ids, store, table)]))
     for i in ids:
         want = alone[i].tobytes()
         assert full[i].tobytes() == want
         assert shuffled[i].tobytes() == want
-        assert split[i].tobytes() == want
+        for split in splits:
+            assert split[i].tobytes() == want
 
 
-@at_dims("pass_size", [(ENCODE_PASS,), (4,)])
-def test_joint_cache_rows_equal_object_forward(g, pass_size, d, monkeypatch):
-    monkeypatch.setattr(model, "ENCODE_PASS", pass_size)
+@at_dims("pass_rows", [(PASS_ROWS,), (128,), (4,)])
+def test_joint_cache_rows_equal_object_forward(g, pass_rows, d, monkeypatch):
+    monkeypatch.setattr(model, "PASS_ROWS", pass_rows)
     store, table = tiny_store(g, d=d, seed=6, cap=CAP, entity_layers=2)
     cache = joint_table(store, g, table)
     assert cache.ent_star.shape == (g.num_entities, d)
@@ -82,27 +84,33 @@ def test_joint_cache_rows_equal_object_forward(g, pass_size, d, monkeypatch):
 
 
 def test_batch_loss_encodes_in_passes():
-    """One batch of criterion 7's trace: ceil(distinct / ENCODE_PASS) encoder
-    passes per kind, however large the batch."""
+    """One 500-triple batch of criterion 7's trace: the entity passes are
+    the windows of PASS_ROWS capped rows, min(degree + 1, cap), over the
+    batch's distinct entities in id order, none holding more than
+    PASS_ROWS + cap - 1 rows; the relations go in one pass."""
     _, g_new = _speedup_trace()
-    store, table = tiny_store(g_new, d=16, seed=0)
+    store, table = tiny_store(g_new, d=16, seed=0, cap=12)
     rng = np.random.default_rng(0)
     stats = relation_stats(g_new)
     batch = [g_new.triples[i] for i in rng.permutation(len(g_new.triples))[:500]]
     pairs = [(t, bernoulli_corrupt(t, stats, g_new, rng)) for t in batch]
-    entities = {e for pair in pairs for t in pair for e in (t.head, t.tail)}
-    relations = {t.relation for pair in pairs for t in pair}
-    assert len(entities) > ENCODE_PASS and len(relations) > ENCODE_PASS
+    entities = np.unique([e for pair in pairs for t in pair for e in (t.head, t.tail)])
+    degree = np.diff(g_new.links.ptr)[entities]
+    rows = np.minimum(degree + 1, store.cap)
+    assert rows.sum() > 2 * PASS_ROWS and (degree + 1 > store.cap).any()
+    window = (np.cumsum(rows) - rows) // PASS_ROWS
 
-    calls = {ENTITY: 0, RELATION: 0}
+    passes = {ENTITY: [], RELATION: []}
     forward = model.agcn_forward
 
     def counting(h0, batch, params, owner_knowledge):
-        calls[ENTITY if params is store.entity_agcn else RELATION] += 1
+        passes[ENTITY if params is store.entity_agcn else RELATION].append(len(h0))
         return forward(h0, batch, params, owner_knowledge)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "agcn_forward", counting)
         batch_loss(pairs, store, table, 4.0, GradBuffer(store))
-    assert calls == {ENTITY: math.ceil(len(entities) / ENCODE_PASS),
-                     RELATION: math.ceil(len(relations) / ENCODE_PASS)}
+    assert len(passes[ENTITY]) == window[-1] + 1
+    assert passes[ENTITY] == np.bincount(window, weights=rows).astype(int).tolist()
+    assert max(passes[ENTITY]) <= PASS_ROWS + store.cap - 1
+    assert len(passes[RELATION]) == 1

@@ -205,6 +205,39 @@ def test_graph_of_self_loops_only():
             ([v.members for v in sub.vertices], sub.edges.tolist()) for sub in subs]
 
 
+def test_entity_rows_are_read_off_the_links(monkeypatch):
+    """``ContextTable.rows`` of an entity, min(degree + 1, cap), builds no
+    context and equals the vertex count of its stored capped context, on a
+    graph with entities above and below the cap, self-loops and an entity
+    whose one triple is a self-loop.  A relation's rows come from its built context."""
+    rng = np.random.default_rng(3)
+    triples = random_name_triples(rng, 60, 20, 3)
+    triples += [("hub", "r0", f"e{i}") for i in range(10)]
+    triples += [("e1", "r1", "e1"), ("hub", "r2", "hub"), ("alone", "r0", "alone"),
+                ("x", "r1", "y")]
+    g = Snapshot.from_name_triples(triples)
+    table = ContextTable(g, cap=CAP, seed=2)
+    ids = np.arange(g.num_entities)
+
+    def no_build(*args):
+        raise AssertionError("rows built a context")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(contexts, "build_contexts", no_build)
+        rows = table.rows(ENTITY, ids)
+    assert (table._stores[ENTITY].slot < 0).all()
+    uncapped = [len(entity_context(g, e).vertices) for e in ids]
+    assert rows[g.entity_ids["alone"]] == uncapped[g.entity_ids["alone"]] == 1
+    assert max(uncapped) > CAP and uncapped[g.entity_ids["x"]] == 2
+    table.build(ENTITY, ids)
+    store = table._stores[ENTITY]
+    assert rows.tolist() == np.diff(store.vptr)[store.slot[ids]].tolist()
+    assert rows.tolist() == [len(table.entity(e).vertices) for e in ids]
+    rel_ids = np.arange(g.num_relations)
+    assert table.rows(RELATION, rel_ids).tolist() == [
+        len(table.relation(r).vertices) for r in rel_ids]
+
+
 @given(g=graphs(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_pass_gathers_s_and_h0_bit_for_bit(g, data):

@@ -14,7 +14,7 @@ import dkge.training as training
 from dkge.contexts import ENTITY, RELATION
 from dkge.evaluation import evaluate
 from dkge.kg_store import Snapshot, diff_snapshots
-from dkge.model import ENCODE_PASS, GradBuffer, batch_loss, object_forward
+from dkge.model import PASS_ROWS, GradBuffer, batch_loss, object_forward
 from dkge.training import TrainConfig, train_from_scratch, train_online
 
 from graphs import churned_triples, random_name_triples, tiny_store
@@ -49,19 +49,19 @@ def batch_objects(pairs):
     return np.unique(pairs[:, :, [0, 2]]), np.unique(pairs[:, :, 1])
 
 
-@pytest.mark.parametrize("pass_size", [ENCODE_PASS, 4])
+@pytest.mark.parametrize("pass_rows", [PASS_ROWS, 128, 4])
 @pytest.mark.parametrize("layers", [1, 2])
-def test_movable_only_batch_matches_the_full_batch(layers, pass_size, monkeypatch):
+def test_movable_only_batch_matches_the_full_batch(layers, pass_rows, monkeypatch):
     """One update batch with an emerging entity and relation: the
     movable-only loss and the gradients of every trainable row equal the
     full-batch ones bit for bit, and the buffer holds no encoder, attention
     or gate accumulator.
 
-    With passes of 4, an emerging contextual row sums gradients from
-    several passes, and a pass of the movable objects alone can hold a
-    single context vertex; its rows of the h0 gradient still equal the full
+    Passes are cut at PASS_ROWS, 128 and 4 context rows.  At 4, an
+    emerging contextual row sums gradients from several passes, and a pass
+    of the movable objects alone can hold a single context vertex; its rows of the h0 gradient still equal the full
     pass's, since the encoder multiplies in blocks of one fixed shape."""
-    monkeypatch.setattr(model, "ENCODE_PASS", pass_size)
+    monkeypatch.setattr(model, "PASS_ROWS", pass_rows)
     g_old, g_new = attached_graph(1)
     diff = diff_snapshots(g_old, g_new)
     emerging = diff.emerging_entities
