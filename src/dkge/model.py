@@ -598,9 +598,9 @@ def batch_loss(pairs: np.ndarray | Sequence[tuple[Triple, Triple]],
     With a buffer, also accumulates the gradient of the summed loss.  The
     distinct objects of the batch are encoded once per call, grouped by kind
     in passes (``_batch_rows``): entities cut by their capped context rows,
-    relations all in one; the pairs are scored as arrays,
-    the upstream gradients of each object are merged, and each pass runs one
-    backward pass.  With ``fixed`` rows, only the movable objects are encoded
+    relations all in one.  The pairs are scored as arrays, the upstream
+    gradients of each object are merged, and each pass runs one backward
+    pass.  With ``fixed`` rows, only the movable objects are encoded
     and back-propagated: the loss is the same, and so are the gradients of
     the movable objects' knowledge rows and of the contextual rows that no
     fixed object's context reads, the emerging objects' among them, bit for

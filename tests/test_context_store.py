@@ -209,7 +209,8 @@ def test_entity_rows_are_read_off_the_links(monkeypatch):
     """``ContextTable.rows`` of an entity, min(degree + 1, cap), builds no
     context and equals the vertex count of its stored capped context, on a
     graph with entities above and below the cap, self-loops and an entity
-    whose one triple is a self-loop.  A relation's rows come from its built context."""
+    whose one triple is a self-loop.  A relation's rows come from its built
+    context."""
     rng = np.random.default_rng(3)
     triples = random_name_triples(rng, 60, 20, 3)
     triples += [("hub", "r0", f"e{i}") for i in range(10)]

@@ -59,8 +59,9 @@ def test_movable_only_batch_matches_the_full_batch(layers, pass_rows, monkeypatc
 
     Passes are cut at PASS_ROWS, 128 and 4 context rows.  At 4, an
     emerging contextual row sums gradients from several passes, and a pass
-    of the movable objects alone can hold a single context vertex; its rows of the h0 gradient still equal the full
-    pass's, since the encoder multiplies in blocks of one fixed shape."""
+    of the movable objects alone can hold a single context vertex; its rows
+    of the h0 gradient still equal the full pass's, since the encoder
+    multiplies in blocks of one fixed shape."""
     monkeypatch.setattr(model, "PASS_ROWS", pass_rows)
     g_old, g_new = attached_graph(1)
     diff = diff_snapshots(g_old, g_new)
