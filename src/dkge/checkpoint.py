@@ -2,8 +2,9 @@
 
 The payload is a plain pickled dict of arrays and metadata, written through
 a temp file and renamed into place, so a reader never sees a half-written
-checkpoint.  Two runs that produce the same parameters produce byte-identical
-files: nothing time- or path-dependent enters the payload.
+checkpoint; a failed save raises OSError naming the checkpoint's path, not
+the temp file's.  Two runs that produce the same parameters produce
+byte-identical files: nothing time- or path-dependent enters the payload.
 
 Besides the parameters and the model settings, a checkpoint holds every
 object's joint embedding, ``ent_star`` (n_e, d) and ``rel_star`` (n_r, d),
@@ -60,16 +61,19 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         "joint_digest": store.joint_digest,
     }
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."),
-                                    prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(payload, fh, protocol=4)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                                        suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(payload, fh, protocol=4)
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _check_payload(path, payload: dict) -> None:

@@ -11,7 +11,9 @@ model and ranking settings.  The config file is shared, so it may hold any
 known key; a command ignores the keys it does not read.  ``update``
 refuses an old snapshot whose triples are not the ones the checkpoint was
 trained on, and a run whose epoch loss is not finite fails before anything
-is saved.
+is saved.  An output path whose directory is missing, or that is a
+directory, fails before the command's work, and ``eval`` fails when no
+test triple can be scored.  Reports are strict JSON.
 """
 from __future__ import annotations
 
@@ -127,9 +129,19 @@ def _add_ranking_flags(p: argparse.ArgumentParser) -> None:
                    choices=(TIE_OPTIMISTIC, TIE_PESSIMISTIC))
 
 
+def _check_output(path: str) -> None:
+    """Fail before a command's work when ``path`` cannot be written: its
+    directory must exist and it must not be a directory itself."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{path}: output path is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{path}: directory {parent} does not exist")
+
+
 def _write_report(report_dict: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_dict, fh, indent=2, sort_keys=True)
+        json.dump(report_dict, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -149,19 +161,22 @@ def _require_snapshot(store, snapshot, checkpoint: str, snapshot_dir: str) -> No
 def _note_full_encode(store, snapshot, checkpoint: str, snapshot_dir: str) -> None:
     # joint_table serves the stored tables only on the snapshot they were
     # encoded on; on any other it encodes every object, which costs time
-    if store.joint_digest != snapshot.digest:
+    if store.stored_joint(snapshot) is None:
         logger.warning("%s holds no joint tables for the triples in %s; "
                        "encoding every entity and relation", checkpoint, snapshot_dir)
 
 
 def _train_and_save(args: argparse.Namespace, train, *inputs):
+    report_path = args.checkpoint_out + ".report.json"
+    for path in (args.checkpoint_out, report_path):
+        _check_output(path)
     with contextlib.ExitStack() as stack:
         log = sys.stdout
         if args.log_file:
             log = stack.enter_context(open(args.log_file, "a", encoding="utf-8"))
         store, report = train(*inputs, log=log)
     save_checkpoint(store, args.checkpoint_out)
-    _write_report(dataclasses.asdict(report), args.checkpoint_out + ".report.json")
+    _write_report(dataclasses.asdict(report), report_path)
     return report
 
 
@@ -203,6 +218,8 @@ def cmd_update(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.report_file:
+        _check_output(args.report_file)
     # the model settings come from the checkpoint; a flag or config value
     # that disagrees with them is an error
     store = load_checkpoint(args.checkpoint)
@@ -218,6 +235,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _note_full_encode(store, sd.train, args.checkpoint, args.snapshot_dir)
     # resolved once: evaluate and the filter share it, and its one warning
     test, skipped = resolve_test_triples(sd.test, sd.train)
+    if not test:
+        why = (f"every triple names an unknown object ({skipped} skipped)" if skipped
+               else "it holds no triple")
+        raise ConfigError(f"{os.path.join(args.snapshot_dir, TEST_FILE)}: "
+                          f"nothing to score: {why}")
     known = sd.train.triple_ids
     if merged["filter_mode"] != "train":
         known = np.concatenate((known, sd.train.id_rows(test),

@@ -28,11 +28,11 @@ encodes it.
 
 Online SGD freezes the encoders, attention vectors, gates and every row
 but those of the update region, so most joint rows cannot move.  Given
-``FixedRows`` (a joint table of every object and the ids of the objects
-whose rows can move), ``batch_loss`` reads the other objects' rows from the
-table and encodes and back-propagates only the movable ones, into a
-``GradBuffer`` that holds the four row tables only; those backward passes
-compute no encoder, attention or gate gradient.
+``FixedRows`` (what an update moves, and a joint table of every object),
+``batch_loss`` reads the other objects' rows from the table and encodes
+and back-propagates only the movable ones, into a ``GradBuffer`` that
+holds the four row tables only; those backward passes compute no encoder,
+attention or gate gradient.
 
 A store can carry the joint embedding of every object, encoded on one
 snapshot and keyed by that snapshot's digest; ``joint_table`` serves those
@@ -128,9 +128,16 @@ class ParameterStore:
         return ContextTable(snapshot, cap=self.cap, seed=self.seed,
                             max_midpoints=self.max_midpoints)
 
+    def stored_joint(self, snapshot: Snapshot) -> JointCache | None:
+        """The stored joint tables when they were encoded on ``snapshot``
+        (same digest), else None.  The caller checks the dictionaries."""
+        if self.joint_digest == snapshot.digest:
+            return JointCache(self.ent_star, self.rel_star)
+        return None
+
     def attach_joint(self, joint: JointCache, snapshot: Snapshot) -> None:
         """Keep joint embeddings encoded with the current parameters on
-        ``snapshot``; ``joint_table`` serves them for that snapshot only."""
+        ``snapshot``; ``stored_joint`` serves them for that snapshot only."""
         self.require_snapshot(snapshot)
         self.ent_star, self.rel_star = joint
         self.joint_digest = snapshot.digest
@@ -385,18 +392,29 @@ class JointCache(NamedTuple):
 
 
 class FixedRows(NamedTuple):
-    """The joint rows online SGD holds fixed, and the objects that can move.
+    """What an online update moves, and the joint rows it holds fixed.
 
-    ``joint`` holds a row for every object of the snapshot; the rows of the
-    movable objects (sorted ids per kind) are stale and never read.  Every
-    other row equals a fresh encoding under the store for as long as SGD
-    moves only the movable objects' knowledge rows and the contextual rows
-    no fixed object's context reads.
+    SGD trains the knowledge rows of the movable objects (``entities`` and
+    ``relations``: the emerging and changed-context ids, sorted per kind)
+    and the contextual rows of the emerging ones (``emerging_entities`` and
+    ``emerging_relations``); every other parameter stays frozen.  ``joint``
+    holds a row for every object of the snapshot; the movable objects' rows
+    are stale and never read.  Every other row stays equal to a fresh
+    encoding under the store: no fixed object's capped context reads a
+    trained contextual row, since a context holding an emerging object did
+    not exist on the old snapshot, so its owner is movable.
     """
 
     joint: JointCache
     entities: np.ndarray
     relations: np.ndarray
+    emerging_entities: np.ndarray
+    emerging_relations: np.ndarray
+
+    @property
+    def trained_rows(self) -> int:
+        """Rows SGD may move, over the four row tables."""
+        return sum(ids.size for ids in self[1:])
 
     def rows(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """(joint table, movable ids) of one kind."""
@@ -424,8 +442,9 @@ def joint_table(store: ParameterStore, snapshot: Snapshot,
     encode over ``contexts`` (by default the store's context table).
     """
     store.require_snapshot(snapshot)
-    if store.joint_digest == snapshot.digest:
-        return JointCache(store.ent_star, store.rel_star)
+    stored = store.stored_joint(snapshot)
+    if stored is not None:
+        return stored
     if contexts is None:
         contexts = store.context_table(snapshot)
     return JointCache(

@@ -5,12 +5,13 @@ negative per positive.  A batch travels as id arrays: its shuffled rows go
 to ``model.corrupt_rows``, whose (positive, negative) array goes to
 ``batch_loss``.  A positive whose negative sampling runs out of retries is
 left out of its batch and counted in ``TrainReport.negatives_dropped``.
-Online learning reuses a previous run's
-parameters: removed objects are dropped, emerging objects get fresh
-embeddings, and only triples touching emerging or changed-context objects
-are retrained.  During the online pass the encoder weights, attention
-vectors, gates, and every other embedding stay frozen, so parameters outside
-the affected set remain bit-identical.
+Online learning reuses a previous run's parameters: removed objects are
+dropped, emerging objects get fresh embeddings, and only triples touching
+emerging or changed-context objects are retrained.  One ``model.FixedRows``
+says what the update moves: the knowledge rows of the emerging and
+changed-context objects, and the contextual rows of the emerging ones.
+The encoder weights, attention vectors, gates, and every other embedding
+stay frozen, so parameters outside the affected set remain bit-identical.
 
 An online update carries every per-object row over through the diff's id
 maps and finds the changed contexts as ``dkge diff`` does
@@ -28,10 +29,10 @@ Scratch training encodes every distinct object of each batch, validates on
 a fresh encoding of every object, and ends with one sweep over its context
 table.  In an online update only the objects whose knowledge row trains,
 the emerging and changed ones, can change their joint embedding (no other
-capped context reads a trained row).  Before SGD the update fixes the joint
-row of every other object: the previous tables carried over by id map or,
-when they were not encoded on the old snapshot, every object encoded once
-under the migrated store (``model.FixedRows``).  SGD encodes and
+capped context reads a trained row).  Before SGD the update's ``FixedRows``
+fixes the joint row of every other object: the previous tables carried
+over by id map or, when they were not encoded on the old snapshot, every
+object encoded once under the migrated store.  SGD encodes and
 back-propagates only the movable objects and reads the rest from that
 table; validation ranks against the table with the movable rows encoded
 afresh, and the update ends by re-encoding them once more.
@@ -42,7 +43,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,42 +105,28 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     mode: str
-    epochs_run: int
-    epoch_losses: list[float]
-    best_valid_hits10: float | None
-    best_epoch: int | None
     seconds: float
     retrained_triples: int | None
     updated_parameters: int
     frozen_parameters: int
     reencoded_entities: int
     reencoded_relations: int
+    # what SGD did (``_sgd_loop``); the defaults say that no epoch ran
+    epochs_run: int = 0
+    epoch_losses: list[float] = field(default_factory=list)
+    best_valid_hits10: float | None = None
+    best_epoch: int | None = None
     # positives left out of their batch because every negative drawn for
     # them was a known triple, summed over the epochs run
-    negatives_dropped: int
+    negatives_dropped: int = 0
     # objects SGD encoded and back-propagated, summed over its batches
-    sgd_encoded_entities: int
-    sgd_encoded_relations: int
-
-
-@dataclass
-class UpdateMask:
-    """Rows allowed to move during online SGD; everything else is frozen."""
-
-    ent_know_rows: np.ndarray
-    ent_ctx_rows: np.ndarray
-    rel_know_rows: np.ndarray
-    rel_ctx_rows: np.ndarray
-
-    @property
-    def updated_count(self) -> int:
-        return int(self.ent_know_rows.size + self.ent_ctx_rows.size
-                   + self.rel_know_rows.size + self.rel_ctx_rows.size)
+    sgd_encoded_entities: int = 0
+    sgd_encoded_relations: int = 0
 
 
 def _apply_sgd(store: ParameterStore, buf: GradBuffer, lr: float,
-               mask: UpdateMask | None) -> None:
-    if mask is None:
+               fixed: FixedRows | None) -> None:
+    if fixed is None:
         store.ent_know -= lr * buf.ent_know
         store.ent_ctx -= lr * buf.ent_ctx
         store.rel_know -= lr * buf.rel_know
@@ -154,10 +141,10 @@ def _apply_sgd(store: ParameterStore, buf: GradBuffer, lr: float,
         store.rel_gate_pre -= lr * buf.rel_gate_pre
         return
     for rows, target, grad in (
-            (mask.ent_know_rows, store.ent_know, buf.ent_know),
-            (mask.ent_ctx_rows, store.ent_ctx, buf.ent_ctx),
-            (mask.rel_know_rows, store.rel_know, buf.rel_know),
-            (mask.rel_ctx_rows, store.rel_ctx, buf.rel_ctx)):
+            (fixed.entities, store.ent_know, buf.ent_know),
+            (fixed.emerging_entities, store.ent_ctx, buf.ent_ctx),
+            (fixed.relations, store.rel_know, buf.rel_know),
+            (fixed.emerging_relations, store.rel_ctx, buf.rel_ctx)):
         if rows.size:
             target[rows] -= lr * grad[rows]
 
@@ -170,27 +157,28 @@ def _progress_line(epoch: int, loss: float, hits: float | None, seconds: float) 
 def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
               table: ContextTable, stats: RelationStats,
               valid_triples: list[Triple] | None, config: TrainConfig,
-              mask: UpdateMask | None, fixed: FixedRows | None,
-              shuffle_rng: np.random.Generator, negative_rng: np.random.Generator,
-              log) -> tuple[ParameterStore, list[float], float | None, int | None, int, int, np.ndarray]:
-    """Minibatch SGD with early stopping on validation Hits@10.  Under an
-    update ``mask``, ``fixed`` holds the joint rows that cannot move:
-    ``batch_loss`` reads them instead of encoding, and validation ranks
-    against them with the movable rows encoded afresh.  An epoch whose mean
-    loss is not finite raises DkgeError naming the epoch and the learning
-    rate."""
+              fixed: FixedRows | None, shuffle_rng: np.random.Generator,
+              negative_rng: np.random.Generator, log) -> tuple[ParameterStore, dict]:
+    """Minibatch SGD with early stopping on validation Hits@10.
+
+    ``fixed`` is None for scratch training, which moves every parameter.
+    In an online update it says which rows SGD moves and holds the joint
+    rows of every other object: ``batch_loss`` reads those instead of
+    encoding, and validation ranks against them with the movable rows
+    encoded afresh.  Returns the store of the best validation point (or the
+    last store when validation never ran) and ``TrainReport``'s SGD fields.
+    An epoch whose mean loss is not finite raises DkgeError naming the
+    epoch and the learning rate."""
     best_store = None
-    best_hits = -1.0
+    best_hits = None
     best_epoch = None
     patience_left = config.patience
     losses: list[float] = []
     n = len(train_rows)
-    epochs_run = 0
     dropped = 0
     encoded = np.zeros(2, dtype=np.int64)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        epochs_run = epoch
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         # an overflow shows as a non-finite loss, which the check below reports
@@ -199,10 +187,10 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
                 batch = train_rows[order[start:start + config.batch_size]]
                 pairs = corrupt_rows(batch, stats, snapshot, negative_rng)
                 dropped += len(batch) - len(pairs)
-                buf = GradBuffer(store, rows_only=mask is not None)
+                buf = GradBuffer(store, rows_only=fixed is not None)
                 epoch_loss += batch_loss(pairs, store, table, config.margin, buf, fixed)
                 encoded += buf.encoded
-                _apply_sgd(store, buf, config.learning_rate, mask)
+                _apply_sgd(store, buf, config.learning_rate, fixed)
         mean_loss = epoch_loss / n
         if not math.isfinite(mean_loss):
             raise DkgeError(f"training diverged: epoch {epoch} mean loss is {mean_loss} "
@@ -215,7 +203,7 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
             report = evaluate(valid_triples, store, snapshot, snapshot.triple_ids,
                               ks=(10,), contexts=table, joint=joint)
             hits = report.hits_at[10]
-            if hits > best_hits:
+            if best_hits is None or hits > best_hits:
                 best_hits = hits
                 best_epoch = epoch
                 best_store = store.copy()
@@ -229,9 +217,11 @@ def _sgd_loop(snapshot: Snapshot, train_rows: np.ndarray, store: ParameterStore,
                   file=log, flush=True)
         if stop:
             break
-    if best_store is not None:
-        return best_store, losses, best_hits, best_epoch, epochs_run, dropped, encoded
-    return store, losses, None, None, epochs_run, dropped, encoded
+    return (store if best_store is None else best_store,
+            dict(epochs_run=len(losses), epoch_losses=losses, best_valid_hits10=best_hits,
+                 best_epoch=best_epoch, negatives_dropped=dropped,
+                 sgd_encoded_entities=int(encoded[0]),
+                 sgd_encoded_relations=int(encoded[1])))
 
 
 def _check_valid_triples(valid, snapshot: Snapshot) -> list[Triple]:
@@ -266,19 +256,16 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
     table = store.context_table(snapshot)
     table.build_all()
     stats = relation_stats(snapshot)
-    store, losses, best_hits, best_epoch, epochs, dropped, encoded = _sgd_loop(
+    store, sgd = _sgd_loop(
         snapshot, snapshot.triple_ids, store, table, stats, valid_triples,
-        config, None, None, np.random.default_rng(shuffle_ss),
+        config, None, np.random.default_rng(shuffle_ss),
         np.random.default_rng(neg_ss), log)
     store.attach_joint(joint_table(store, snapshot, table), snapshot)
     report = TrainReport(
-        mode="scratch", epochs_run=epochs, epoch_losses=losses,
-        best_valid_hits10=best_hits, best_epoch=best_epoch,
-        seconds=time.perf_counter() - t_start, retrained_triples=None,
-        updated_parameters=store.parameter_count(), frozen_parameters=0,
-        reencoded_entities=store.num_entities,
-        reencoded_relations=store.num_relations, negatives_dropped=dropped,
-        sgd_encoded_entities=int(encoded[0]), sgd_encoded_relations=int(encoded[1]))
+        mode="scratch", seconds=time.perf_counter() - t_start,
+        retrained_triples=None, updated_parameters=store.parameter_count(),
+        frozen_parameters=0, reencoded_entities=store.num_entities,
+        reencoded_relations=store.num_relations, **sgd)
     return store, report
 
 
@@ -366,30 +353,22 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     changed = context_changes(g_old, g_new, diff, table.max_midpoints)
     table.add(RELATION, changed.relation_contexts)
     t_ol = collect_retrain_set(g_new, diff, changed)
-    mask = UpdateMask(ent_know_rows=np.union1d(diff.emerging_entities, changed[0]),
-                      ent_ctx_rows=diff.emerging_entities,
-                      rel_know_rows=np.union1d(diff.emerging_relations, changed[1]),
-                      rel_ctx_rows=diff.emerging_relations)
-
-    updated = mask.updated_count * store.dim
-    frozen = store.parameter_count() - updated
-    # Only the movable objects' joint rows can change during SGD: every other
-    # object keeps its capped context, its rows and the frozen encoder and
-    # gate, and no capped context of such an object reads a trained
-    # contextual row.  Only emerging objects' contextual rows train, and a
-    # context holding an emerging object did not exist on g_old, so its
-    # owner is emerging or changed: its knowledge row trains.
-    if old.joint_digest == g_old.digest:
-        joint = JointCache(_carry_rows(old.ent_star, diff.entity_map.to_old),
-                           _carry_rows(old.rel_star, diff.relation_map.to_old))
-        n_ent, n_rel = len(mask.ent_know_rows), len(mask.rel_know_rows)
+    movable = (np.union1d(diff.emerging_entities, changed[0]),
+               np.union1d(diff.emerging_relations, changed[1]))
+    # Only the movable objects' joint rows can change during SGD
+    # (``FixedRows``), so the previous tables serve every other row.
+    stored = old.stored_joint(g_old)
+    if stored is not None:
+        joint = JointCache(_carry_rows(stored.ent_star, diff.entity_map.to_old),
+                           _carry_rows(stored.rel_star, diff.relation_map.to_old))
+        n_ent, n_rel = map(len, movable)
     else:
         joint = joint_table(store, g_new, table)
         n_ent, n_rel = store.num_entities, store.num_relations
-    fixed = FixedRows(joint, mask.ent_know_rows, mask.rel_know_rows)
+    fixed = FixedRows(joint, *movable, diff.emerging_entities, diff.emerging_relations)
+    updated = fixed.trained_rows * store.dim
 
-    losses, best_hits, best_epoch, epochs, dropped = [], None, None, 0, 0
-    encoded = np.zeros(2, dtype=np.int64)
+    sgd = {}
     if len(t_ol):
         if valid:
             valid_triples = _check_valid_triples(valid, g_new)
@@ -397,16 +376,13 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
             valid_triples = _holdout_validation(g_new, t_ol,
                                                 np.random.default_rng(holdout_ss))
         stats = relation_stats(g_new)
-        store, losses, best_hits, best_epoch, epochs, dropped, encoded = _sgd_loop(
-            g_new, t_ol, store, table, stats, valid_triples, config, mask, fixed,
+        store, sgd = _sgd_loop(
+            g_new, t_ol, store, table, stats, valid_triples, config, fixed,
             np.random.default_rng(shuffle_ss), np.random.default_rng(neg_ss), log)
     store.attach_joint(fixed.refreshed(store, table), g_new)
     report = TrainReport(
-        mode="online", epochs_run=epochs, epoch_losses=losses,
-        best_valid_hits10=best_hits, best_epoch=best_epoch,
-        seconds=time.perf_counter() - t_start, retrained_triples=len(t_ol),
-        updated_parameters=updated, frozen_parameters=frozen,
-        reencoded_entities=n_ent, reencoded_relations=n_rel,
-        negatives_dropped=dropped, sgd_encoded_entities=int(encoded[0]),
-        sgd_encoded_relations=int(encoded[1]))
+        mode="online", seconds=time.perf_counter() - t_start,
+        retrained_triples=len(t_ol), updated_parameters=updated,
+        frozen_parameters=store.parameter_count() - updated,
+        reencoded_entities=n_ent, reencoded_relations=n_rel, **sgd)
     return store, report

@@ -57,6 +57,19 @@ def test_no_temp_files_left_behind(tmp_path, store):
     assert names == {"model.pkl"}
 
 
+@pytest.mark.parametrize("name", ["missing/model.pkl", "taken"])
+def test_failed_save_names_the_checkpoint_path(tmp_path, store, name):
+    """A save into a missing directory or onto a directory names the path
+    it was given, not its temp file, and leaves no temp file behind."""
+    (tmp_path / "taken").mkdir()
+    path = tmp_path / name
+    with pytest.raises(OSError) as err:
+        save_checkpoint(store, path)
+    assert err.value.filename == str(path)
+    assert {p.name for p in tmp_path.iterdir()} == {"taken"}
+    assert not any((tmp_path / "taken").iterdir())
+
+
 def test_version_mismatch_rejected(tmp_path, store):
     path = tmp_path / "model.pkl"
     save_checkpoint(store, path)

@@ -679,11 +679,15 @@ def test_cli_runs_are_reproducible(dirs, capsys):
 @pytest.fixture(scope="module")
 def misuse_dirs(tmp_path_factory):
     """A checkpoint of toy step 1; toy step 2, which it does not match; toy
-    step 1 without (e3, r1, e4), which keeps every name; a copy of the
+    step 1 without (e3, r1, e4), which keeps every name; toy step 1 with a
+    scorable, an empty and an all-unknown test file; a copy of the
     checkpoint with a NaN row in ``ent_star``; and 4,000-line train files
     with one malformed or undecodable line."""
     tmp = tmp_path_factory.mktemp("misuse")
     write_snapshot_dir(tmp / "t1", TOY_T1)
+    for name, test in (("t1-test", [("e1", "r1", "e2")]), ("t1-empty-test", []),
+                       ("t1-unknown-test", [("e1", "r1", "x9"), ("e1", "r9", "e2")])):
+        write_snapshot_dir(tmp / name, TOY_T1, test=test)
     write_snapshot_dir(tmp / "t2", TOY_T2, test=[("e1", "r1", "e5")])
     write_snapshot_dir(tmp / "t1-other", [t for t in TOY_T1 if t != ("e3", "r1", "e4")])
     with contextlib.redirect_stdout(io.StringIO()):
@@ -722,9 +726,24 @@ def misuse_dirs(tmp_path_factory):
      "training diverged: epoch 5 mean loss is nan at learning rate 1000000.0"),
     (("update", "{t1}", "{t2}", "{tmp}/nan.pkl", "{tmp}/m2.pkl"),
      "{tmp}/nan.pkl: checkpoint ent_star holds a non-finite entry"),
+    (("train", "{t1}", "{tmp}/missing/m3.pkl", *FAST_FLAGS),
+     "{tmp}/missing/m3.pkl: directory {tmp}/missing does not exist"),
+    (("train", "{t1}", "{tmp}/empty", *FAST_FLAGS),
+     "{tmp}/empty: output path is a directory"),
+    (("update", "{t1}", "{t2}", "{m1}", "{tmp}/empty", *FAST_FLAGS),
+     "{tmp}/empty: output path is a directory"),
+    (("eval", "{tmp}/t1-test", "{m1}", "--report-file", "{tmp}/missing/r.json"),
+     "{tmp}/missing/r.json: directory {tmp}/missing does not exist"),
+    (("eval", "{tmp}/t1-empty-test", "{m1}"),
+     "{tmp}/t1-empty-test/test.txt: nothing to score: it holds no triple"),
+    (("eval", "{tmp}/t1-unknown-test", "{m1}"),
+     "{tmp}/t1-unknown-test/test.txt: nothing to score: every triple names an "
+     "unknown object (2 skipped)"),
 ], ids=["k-zero", "k-negative", "answer-mismatch", "eval-mismatch", "update-mismatch",
         "malformed-line", "non-utf8-byte", "missing-train", "update-wrong-old",
-        "train-diverges", "nan-checkpoint"])
+        "train-diverges", "nan-checkpoint", "train-missing-out-dir", "train-out-is-dir",
+        "update-out-is-dir", "eval-missing-report-dir", "eval-empty-test",
+        "eval-unknown-test"])
 def test_misuse_prints_one_error_line(misuse_dirs, capsys, argv, message):
     """A bad invocation exits 1 with one stderr line naming the file or the
     flag, and writes no checkpoint and no report."""

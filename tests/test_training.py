@@ -1,4 +1,5 @@
 """Trainers: scratch SGD, early stopping, online migration and masking."""
+import dataclasses
 import io
 import re
 from collections import Counter
@@ -219,12 +220,28 @@ def test_online_rejects_dim_mismatch(g1, g2):
 def test_online_noop_when_nothing_changed(g1):
     other = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
     before, after, report = run_online(g1, other)
-    assert report.epochs_run == 0
+    # every SGD field at its "no epoch ran" default
+    assert (report.epochs_run, report.epoch_losses, report.best_valid_hits10,
+            report.best_epoch, report.negatives_dropped, report.sgd_encoded_entities,
+            report.sgd_encoded_relations) == (0, [], None, None, 0, 0, 0)
     assert report.retrained_triples == 0
     assert report.updated_parameters == 0
     for name in g1.entity_names:
         assert before.ent_know[g1.entity_id(name)].tobytes() \
             == after.ent_know[other.entity_id(name)].tobytes()
+
+
+def test_both_modes_report_the_same_keys(g1, g2):
+    """The report JSON of train and update: 14 keys, whatever the field order."""
+    keys = {"mode", "epochs_run", "epoch_losses", "best_valid_hits10", "best_epoch",
+            "seconds", "retrained_triples", "updated_parameters", "frozen_parameters",
+            "reencoded_entities", "reencoded_relations", "negatives_dropped",
+            "sgd_encoded_entities", "sgd_encoded_relations"}
+    cfg = TrainConfig(**FAST)
+    store, scratch = train_from_scratch(g1, set(), cfg, log=None)
+    _, online = train_online(g1, g2, store, set(), cfg, log=None)
+    for report in (scratch, online):
+        assert set(dataclasses.asdict(report)) == keys
 
 
 def test_online_migration_drops_removed_objects(g1):
