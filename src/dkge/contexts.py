@@ -50,7 +50,7 @@ from scipy import sparse
 
 from . import agcn
 from .errors import ConfigError, UnknownObjectError
-from .kg_store import Snapshot, SnapshotDiff
+from .kg_store import Snapshot, SnapshotDiff, distinct, lookup
 
 logger = logging.getLogger(__name__)
 
@@ -261,8 +261,8 @@ def _entity_contexts(snapshot: Snapshot, owners: np.ndarray) -> ContextArrays:
     row = np.repeat(nbr, count)                              # vertex scanning a link
     owner = owners[context[row]]
     code = owner * n_e + rank[links.nbrs[_ranges(above, count)]]
-    at = np.minimum(np.searchsorted(links.keys, code), links.keys.size - 1)
-    inside = links.keys[at] == code
+    at = lookup(links.keys, code)
+    inside = at >= 0
     row = row[inside]
     loops = np.flatnonzero(links.loop[verts])
     rows = np.concatenate((loops, first[context[nbr]], row))
@@ -307,12 +307,13 @@ def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
 
     # midpoints c: the out-pairs (a, c), in c's name order, then (c, b),
     # looked up in the transposed index as one ascending run per owner pair
-    deg = np.diff(pairs.out)
-    row = np.repeat(np.arange(pair.size), deg[head])
-    first_leg = _ranges(pairs.out[head], deg[head])
-    code = pairs.tails[pair[row]] * n_e + pairs.keys[first_leg] % n_e
-    at = np.minimum(np.searchsorted(pairs.into_keys, code), pairs.into_keys.size - 1)
-    found = pairs.into_keys[at] == code
+    deg = np.diff(pairs.out)[head]
+    row = np.repeat(np.arange(pair.size), deg)
+    first_leg = _ranges(pairs.out[head], deg)
+    code = (np.repeat(pairs.tails[pair] * n_e, deg)
+            + snapshot.name_rank[pairs.tails[first_leg]])
+    at = lookup(pairs.into_keys, code)
+    found = np.flatnonzero(at >= 0)
     row, first_leg, second_leg = row[found], first_leg[found], pairs.into_pair[at[found]]
     n_mids = np.bincount(row, minlength=pair.size)
     kept = _ranges(0, n_mids) < max_midpoints
@@ -332,10 +333,10 @@ def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
 
     # each pair's distinct paths; each owner's distinct paths are its vertices
     square = width * width
-    row, path = np.divmod(np.unique(np.concatenate(path_rows) * square
-                                    + np.concatenate(path_codes)), square)
+    row, path = np.divmod(distinct(np.concatenate(path_rows) * square
+                                   + np.concatenate(path_codes)), square)
     owner_path = owner_of[row] * square + path
-    vertex_codes = np.unique(owner_path)
+    vertex_codes = distinct(owner_path)
     sizes = 1 + np.bincount(vertex_codes // square, minlength=owners.size)
     first = np.cumsum(sizes) - sizes
     context = np.repeat(np.arange(owners.size), sizes)
@@ -343,7 +344,7 @@ def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
     is_path[first] = False
     paths = np.flatnonzero(is_path)
     local = np.arange(context.size) - first[context]
-    vertex = paths[np.searchsorted(vertex_codes, owner_path)]
+    vertex = paths[lookup(vertex_codes, owner_path)]
 
     # edges: the owner to every path, and the paths of one pair to each other
     group = np.bincount(row, minlength=pair.size)
@@ -351,7 +352,7 @@ def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
     left = np.repeat(np.arange(row.size), partners)
     right = left + 1 + _ranges(0, partners)
     span = int(sizes.max(initial=1))
-    at, j = np.divmod(np.unique(np.concatenate((
+    at, j = np.divmod(distinct(np.concatenate((
         first[context[paths]] * span + local[paths],
         vertex[left] * span + local[vertex[right]]))), span)
 
@@ -514,8 +515,8 @@ def _changed_entities(g_new: Snapshot, diff: SnapshotDiff) -> np.ndarray:
     pairs, rank = g_new.pairs, g_new.name_rank
     # g_new's triples (u, v), then (v, u)
     key = np.concatenate((u, v)) * n + rank[np.concatenate((v, u))]
-    at = np.minimum(np.searchsorted(pairs.keys, key), pairs.keys.size - 1)
-    joining = np.where(pairs.keys[at] == key, np.diff(pairs.ptr)[at], 0)
+    at = lookup(pairs.keys, key)
+    joining = np.where(at >= 0, np.diff(pairs.ptr)[at], 0)
     new = joining[:u.size] + np.where(u < v, joining[u.size:], 0)
     changed = (new > 0) != (new + old_less_new > 0)
     u, v = u[changed], v[changed]
@@ -527,8 +528,7 @@ def _changed_entities(g_new: Snapshot, diff: SnapshotDiff) -> np.ndarray:
     a, b = np.where(fewer, u, v), np.where(fewer, v, u)
     w = links.nbrs[_ranges(links.ptr[a], deg[a])]
     key = np.repeat(b, deg[a]) * n + rank[w]
-    at = np.minimum(np.searchsorted(links.keys, key), links.keys.size - 1)
-    ids = np.unique(np.concatenate((u, v, hi[gone], w[links.keys[at] == key])))
+    ids = distinct(np.concatenate((u, v, hi[gone], w[lookup(links.keys, key) >= 0])))
     return ids[(ids >= 0) & (diff.entity_map.to_old[ids] >= 0)]
 
 
@@ -547,7 +547,7 @@ def candidate_relations(g_new: Snapshot, diff: SnapshotDiff) -> np.ndarray:
     near = np.isin(ids[:, 0], heads) | np.isin(ids[:, 2], tails)
     rel = np.concatenate((diff.added_triples[:, 1],
                           diff.relation_map.to_new[diff.deleted_triples[:, 1]], ids[near, 1]))
-    return np.unique(rel[rel >= 0])
+    return distinct(rel[rel >= 0])
 
 
 class ContextChanges(NamedTuple):
@@ -747,7 +747,7 @@ class ContextTable:
         ids = self._ids(kind, ids)
         missing = ids[self._stores[kind].slot[ids] < 0]
         if missing.size:
-            self.add(kind, build_contexts(self.snapshot, kind, np.unique(missing),
+            self.add(kind, build_contexts(self.snapshot, kind, distinct(missing),
                                           self.max_midpoints))
 
     def build_all(self) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .contexts import ContextTable
 from .errors import ConfigError, IntegrityError
-from .kg_store import NameTriple, Snapshot, Triple, triple_codes
+from .kg_store import NameTriple, Snapshot, Triple, distinct, triple_codes
 from .model import JointCache, ParameterStore, joint_table
 
 logger = logging.getLogger(__name__)
@@ -160,9 +160,9 @@ def _known_triples(known: Collection[Triple] | np.ndarray,
         rows, hrt = known, snapshot.sorted_codes
     else:
         rows = snapshot.id_rows(known)
-        hrt = np.unique(triple_codes(rows, n_e, n_r))
+        hrt = distinct(triple_codes(rows, n_e, n_r))
     h, r, t = rows.T
-    return _KnownTriples(hrt, np.unique((r * n_e + t) * n_e + h), n_e, n_r)
+    return _KnownTriples(hrt, distinct((r * n_e + t) * n_e + h), n_e, n_r)
 
 
 def _rank(direction: str, triple: Triple, scorer: _Scorer, known: _KnownTriples,

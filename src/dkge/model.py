@@ -51,7 +51,7 @@ from .agcn import AgcnCache, AgcnParams, agcn_backward, agcn_forward
 from .contexts import (ContextPass, ContextTable, DEFAULT_CAP,
                        DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, ObjectRef)
 from .errors import ConfigError, IntegrityError
-from .kg_store import Snapshot, Triple, triple_codes
+from .kg_store import Snapshot, Triple, distinct, lookup, triple_codes
 
 
 @dataclass
@@ -212,10 +212,10 @@ def relation_stats(snapshot: Snapshot) -> RelationStats:
     h, r, t = snapshot.triple_ids.T
     counts = np.bincount(r, minlength=n_r).astype(np.float64)
 
-    def distinct(ends):   # distinct (relation, entity) pairs per relation
-        return np.bincount(np.unique(r * n_e + ends) // n_e, minlength=n_r)
+    def pairs(ends):   # distinct (relation, entity) pairs per relation
+        return np.bincount(distinct(r * n_e + ends) // n_e, minlength=n_r)
 
-    return RelationStats(tph=counts / distinct(h), hpt=counts / distinct(t))
+    return RelationStats(tph=counts / pairs(h), hpt=counts / pairs(t))
 
 
 def bernoulli_corrupt(triple: Triple, stats: RelationStats, snapshot: Snapshot,
@@ -265,8 +265,7 @@ def corrupt_rows(rows: np.ndarray, stats: RelationStats, snapshot: Snapshot,
         candidates[:, 2] = np.where(replace_head, candidates[:, 2], other)
         negatives[open_rows] = candidates
         codes = triple_codes(candidates, n_e, n_r)
-        at = np.minimum(known.searchsorted(codes), known.size - 1)
-        open_rows = open_rows[known[at] == codes]
+        open_rows = open_rows[lookup(known, codes) >= 0]
     kept = np.ones(len(rows), dtype=bool)
     kept[open_rows] = False
     return np.stack((rows[kept], negatives[kept]), axis=1)

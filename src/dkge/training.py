@@ -51,7 +51,8 @@ from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS,
                        IdArrays, RELATION, context_changes)
 from .errors import ConfigError, DkgeError
 from .evaluation import evaluate
-from .kg_store import Snapshot, SnapshotDiff, Triple, diff_snapshots, triple_codes
+from .kg_store import (Snapshot, SnapshotDiff, Triple, diff_snapshots, distinct, lookup,
+                       triple_codes)
 from .model import (FixedRows, GradBuffer, JointCache, ParameterStore,
                     RelationStats, batch_loss, corrupt_rows, init_params,
                     joint_table, relation_stats)
@@ -321,7 +322,8 @@ def _holdout_validation(g_new: Snapshot, t_ol: np.ndarray,
     n_e, n_r = g_new.num_entities, g_new.num_relations
     ent_count = np.bincount(ids[:, [0, 2]].ravel(), minlength=n_e)
     rel_count = np.bincount(r, minlength=n_r)
-    fresh = ~np.isin(triple_codes(ids, n_e, n_r), triple_codes(t_ol, n_e, n_r))
+    # t_ol is sorted by code
+    fresh = lookup(triple_codes(t_ol, n_e, n_r), triple_codes(ids, n_e, n_r)) < 0
     pool = np.flatnonzero(fresh & (ent_count[h] >= 2) & (ent_count[t] >= 2)
                           & (rel_count[r] >= 2) & ((h != t) | (ent_count[h] >= 3)))
     if not pool.size:
@@ -353,8 +355,8 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     changed = context_changes(g_old, g_new, diff, table.max_midpoints)
     table.add(RELATION, changed.relation_contexts)
     t_ol = collect_retrain_set(g_new, diff, changed)
-    movable = (np.union1d(diff.emerging_entities, changed[0]),
-               np.union1d(diff.emerging_relations, changed[1]))
+    movable = (distinct(np.concatenate((diff.emerging_entities, changed[0]))),
+               distinct(np.concatenate((diff.emerging_relations, changed[1]))))
     # Only the movable objects' joint rows can change during SGD
     # (``FixedRows``), so the previous tables serve every other row.
     stored = old.stored_joint(g_old)

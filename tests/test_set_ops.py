@@ -1,0 +1,123 @@
+"""Set operations by sort: ``distinct`` and ``lookup`` against numpy's own,
+and a scan that keeps numpy's hash-table ``unique`` out of the package."""
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dkge
+from dkge.kg_store import distinct, lookup
+
+
+def membership(keys, needles):
+    """Position of each needle in sorted distinct ``keys`` by binary
+    search, -1 where absent."""
+    at = np.searchsorted(keys, needles)
+    found = at < keys.size
+    found[found] = keys[at[found]] == needles[found]
+    return np.where(found, at, -1)
+
+
+def dense(keys, needles) -> bool:
+    """Whether ``lookup`` takes its table path."""
+    return keys.size > 0 and keys[-1] - keys[0] <= 6 * (keys.size + needles.size)
+
+
+@st.composite
+def keys_and_needles(draw, reach: int, spread: int):
+    """At least two sorted distinct keys, multiples of ``spread`` in
+    [-reach, reach] * spread, and up to 60 needles that repeat keys or fall
+    between, below and above them."""
+    keys = np.array(sorted(draw(st.sets(st.integers(-reach, reach), min_size=2,
+                                        max_size=30))), dtype=np.int64) * spread
+    pool = st.one_of(st.sampled_from(keys.tolist()),
+                     st.integers(-(reach + 3) * spread, (reach + 3) * spread))
+    return keys, np.array(draw(st.lists(pool, max_size=60)), dtype=np.int64)
+
+
+@given(values=st.lists(st.integers(-2**40, 2**40), max_size=80),
+       dtype=st.sampled_from([np.int64, np.intp]))
+@settings(max_examples=100, deadline=None)
+def test_distinct_equals_unique(values, dtype):
+    a = np.array(values, dtype=dtype)
+    got, want = distinct(a), np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_distinct_flattens_as_unique_does():
+    a = np.array([[3, 1], [1, 3], [2, 2]])
+    assert np.array_equal(distinct(a), np.unique(a))
+    assert distinct(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+
+@given(case=keys_and_needles(5, 1))
+@settings(max_examples=100, deadline=None)
+def test_lookup_by_table_equals_search(case):
+    keys, needles = case
+    assert dense(keys, needles)
+    got = lookup(keys, needles)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, membership(keys, needles))
+
+
+@given(case=keys_and_needles(40, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_lookup_by_search_equals_search(case):
+    keys, needles = case
+    assert not dense(keys, needles)
+    got = lookup(keys, needles)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, membership(keys, needles))
+
+
+@pytest.mark.parametrize("spread", [1, 10**6], ids=["table", "search"])
+def test_lookup_below_above_and_repeated(spread):
+    keys = np.array([3, 5, 9]) * spread
+    needles = np.array([-1, 3, 3, 4, 9, 10, 100, 5]) * spread
+    assert dense(keys, needles) == (spread == 1)
+    assert lookup(keys, needles).tolist() == [-1, 0, 0, -1, 2, -1, -1, 1]
+
+
+def test_lookup_empty_keys_and_needles():
+    empty = np.zeros(0, dtype=np.int64)
+    assert lookup(empty, np.array([0, 7, -3])).tolist() == [-1, -1, -1]
+    assert lookup(empty, empty).shape == (0,)
+    for keys in (np.array([4, 6]), np.array([4, 6 * 10**6])):
+        got = lookup(keys, empty)
+        assert got.shape == (0,) and got.dtype == np.intp
+
+
+HASHED = {"unique_values", "union1d"}
+
+
+def hashed_set_operations(source: str) -> list[int]:
+    """Lines calling ``np.unique`` without a ``return_*`` keyword,
+    ``np.unique_values`` or ``np.union1d``: numpy >= 2.3 answers these
+    on ints with a hash table."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in {"np", "numpy"}):
+            continue
+        name = node.func.attr
+        flagged = any((k.arg or "").startswith("return_") for k in node.keywords)
+        if name in HASHED or (name == "unique" and not flagged):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_hashed_set_operations():
+    source = ("np.unique(a)\nnp.unique(a, return_inverse=True)\n"
+              "numpy.union1d(a, b)\nnp.unique_values(a)\nnp.sort(a)\n")
+    assert hashed_set_operations(source) == [1, 3, 4]
+
+
+def test_package_uses_no_hashed_set_operations():
+    found = {path.name: lines
+             for path in sorted(Path(dkge.__file__).parent.glob("*.py"))
+             if (lines := hashed_set_operations(path.read_text(encoding="utf-8")))}
+    assert found == {}
