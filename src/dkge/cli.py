@@ -32,7 +32,8 @@ from .contexts import DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, context_changes
 from .errors import ConfigError, DkgeError, IntegrityError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
-from .kg_store import TEST_FILE, diff_snapshots, load_snapshot_dir, undecodable_line
+from .kg_store import (TEST_FILE, VALID_FILE, SnapshotDir, diff_snapshots, load_snapshot_dir,
+                       undecodable_line)
 from .training import (TrainConfig, collect_retrain_set, train_from_scratch,
                        train_online)
 
@@ -145,10 +146,14 @@ def _write_report(report_dict: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _resolved_or_empty(name_triples, snapshot):
-    if not name_triples:
+def _valid_triples(sd: SnapshotDir) -> list:
+    """The id triples of the directory's valid.txt, none without one."""
+    if not sd.valid:
         return []
-    triples, _ = resolve_test_triples(name_triples, snapshot)
+    triples, skipped = resolve_test_triples(sd.valid, sd.train)
+    if not triples:
+        logger.warning("skipped all %d %s triples: each names an unknown object",
+                       skipped, VALID_FILE)
     return triples
 
 
@@ -185,7 +190,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(run_header(merged, TRAIN_KEYS))
     cfg = train_config(merged)
     sd = load_snapshot_dir(args.snapshot_dir)
-    valid = _resolved_or_empty(sd.valid, sd.train)
+    valid = _valid_triples(sd)
     report = _train_and_save(args, train_from_scratch, sd.train, valid, cfg)
     print(f"saved checkpoint {args.checkpoint_out} "
           f"epochs={report.epochs_run} seconds={report.seconds:.3f}")
@@ -208,7 +213,7 @@ def cmd_update(args: argparse.Namespace) -> int:
                              f"triples than those in {args.old_dir}")
     new_sd = load_snapshot_dir(args.new_dir)
     g_new = new_sd.train
-    valid = _resolved_or_empty(new_sd.valid, g_new)
+    valid = _valid_triples(new_sd)
     report = _train_and_save(args, train_online, old_sd.train, g_new, store, valid, cfg)
     print(f"saved checkpoint {args.checkpoint_out} "
           f"retrained_triples={report.retrained_triples} "
@@ -243,7 +248,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     known = sd.train.triple_ids
     if merged["filter_mode"] != "train":
         known = np.concatenate((known, sd.train.id_rows(test),
-                                sd.train.id_rows(_resolved_or_empty(sd.valid, sd.train))))
+                                sd.train.id_rows(_valid_triples(sd))))
     report = dataclasses.replace(
         evaluate(test, store, sd.train, known, tie_mode=merged["tie_mode"]),
         skipped=skipped)

@@ -203,7 +203,9 @@ def rank_entity(query: tuple[str, Triple], store: ParameterStore, snapshot: Snap
 def resolve_test_triples(test: Iterable[Triple | NameTriple],
                          snapshot: Snapshot) -> tuple[list[Triple], int]:
     """Map test triples onto snapshot ids, skipping unknown names; an id
-    triple with an id outside the dictionaries raises UnknownObjectError."""
+    triple with an id outside the dictionaries raises UnknownObjectError.
+    Skips are logged as one warning only when some triple is left to score;
+    with none left, the caller says so."""
     resolved: list[Triple] = []
     skipped = 0
     for item in test:
@@ -217,7 +219,7 @@ def resolve_test_triples(test: Iterable[Triple | NameTriple],
         else:
             resolved.append(Triple(*item))
     snapshot.id_rows(resolved)
-    if skipped:
+    if skipped and resolved:
         logger.warning("skipped %d test triples with unknown objects", skipped)
     return resolved, skipped
 

@@ -345,6 +345,31 @@ def test_eval_warns_once_about_unknown_test_triples(tmp_path, capsys, caplog,
     assert out.splitlines()[-1].endswith(" queries=2 skipped=1")
 
 
+def test_eval_with_nothing_to_score_only_fails(tmp_path, capsys, caplog):
+    """An all-unknown test.txt gives the one error line and no warning
+    about the skipped triples before it."""
+    snap = tmp_path / "t1"
+    write_snapshot_dir(snap, TOY_T1, test=[("ghost", "r1", "e5"), ("e1", "r9", "e2")])
+    run(capsys, "train", str(snap), str(tmp_path / "m.pkl"), *FAST_FLAGS)
+    caplog.clear()
+    code, _, err = run(capsys, "eval", str(snap), str(tmp_path / "m.pkl"))
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {snap / 'test.txt'}: nothing to score: every triple names an unknown "
+        f"object (2 skipped)"]
+    assert not [r for r in caplog.records
+                if r.name == "dkge.evaluation" and r.levelname == "WARNING"]
+
+
+def test_train_warns_when_no_valid_triple_is_known(tmp_path, capsys, caplog):
+    snap = tmp_path / "t1"
+    write_snapshot_dir(snap, TOY_T1, valid=[("ghost", "r1", "e5"), ("e1", "r9", "e2")])
+    code, _, _ = run(capsys, "train", str(snap), str(tmp_path / "m.pkl"), *FAST_FLAGS)
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["skipped all 2 valid.txt triples: each names an unknown object"]
+
+
 def test_eval_header_shows_checkpoint_settings(capped_run, capsys):
     tmp, old, _ = capped_run
     triples = load_snapshot_dir(old).train.name_triples()
