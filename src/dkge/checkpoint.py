@@ -4,7 +4,11 @@ The payload is a plain pickled dict of arrays and metadata, written through
 a temp file and renamed into place, so a reader never sees a half-written
 checkpoint; a failed save raises OSError naming the checkpoint's path, not
 the temp file's.  Two runs that produce the same parameters produce
-byte-identical files: nothing time- or path-dependent enters the payload.
+byte-identical files: nothing time- or path-dependent enters the payload,
+and every array is written with numpy's own float64 dtype instance.
+Pickle memoizes objects by identity, and an unpickled array carries a
+dtype instance of its own, so a store mixing loaded and fresh arrays would
+otherwise write one dtype record more.
 
 Besides the parameters and the model settings, a checkpoint holds every
 object's joint embedding, ``ent_star`` (n_e, d) and ``rel_star`` (n_r, d),
@@ -37,27 +41,32 @@ FORMAT_VERSION = 5
 SETTINGS = (("dim", 1), ("cap", 1), ("seed", 0), ("max_midpoints", 0))
 
 
+def _canonical(a: np.ndarray | None) -> np.ndarray | None:
+    """``a`` C-contiguous, with numpy's own float64 dtype instance."""
+    return None if a is None else np.ascontiguousarray(a).view(np.float64)
+
+
 def save_checkpoint(store: ParameterStore, path) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "dim": store.dim,
         "entity_names": store.entity_names,
         "relation_names": store.relation_names,
-        "ent_know": np.ascontiguousarray(store.ent_know),
-        "ent_ctx": np.ascontiguousarray(store.ent_ctx),
-        "rel_know": np.ascontiguousarray(store.rel_know),
-        "rel_ctx": np.ascontiguousarray(store.rel_ctx),
-        "entity_weights": [np.ascontiguousarray(w) for w in store.entity_agcn.weights],
-        "entity_attention": np.ascontiguousarray(store.entity_agcn.attention),
-        "relation_weights": [np.ascontiguousarray(w) for w in store.relation_agcn.weights],
-        "relation_attention": np.ascontiguousarray(store.relation_agcn.attention),
-        "ent_gate_pre": np.ascontiguousarray(store.ent_gate_pre),
-        "rel_gate_pre": np.ascontiguousarray(store.rel_gate_pre),
+        "ent_know": _canonical(store.ent_know),
+        "ent_ctx": _canonical(store.ent_ctx),
+        "rel_know": _canonical(store.rel_know),
+        "rel_ctx": _canonical(store.rel_ctx),
+        "entity_weights": [_canonical(w) for w in store.entity_agcn.weights],
+        "entity_attention": _canonical(store.entity_agcn.attention),
+        "relation_weights": [_canonical(w) for w in store.relation_agcn.weights],
+        "relation_attention": _canonical(store.relation_agcn.attention),
+        "ent_gate_pre": _canonical(store.ent_gate_pre),
+        "rel_gate_pre": _canonical(store.rel_gate_pre),
         "cap": store.cap,
         "seed": store.seed,
         "max_midpoints": store.max_midpoints,
-        "ent_star": store.ent_star,
-        "rel_star": store.rel_star,
+        "ent_star": _canonical(store.ent_star),
+        "rel_star": _canonical(store.rel_star),
         "joint_digest": store.joint_digest,
     }
     path = Path(path)

@@ -1,4 +1,5 @@
 """Checkpoint serialization: exact round trips, stable bytes, version gate."""
+import copy
 import pickle
 import re
 
@@ -42,6 +43,22 @@ def test_rewrite_is_byte_identical(tmp_path, store):
     save_checkpoint(store, a)
     save_checkpoint(store, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_equal_parameters_save_to_equal_bytes(tmp_path, store):
+    """A loaded store and a copy of it whose ``ent_know`` is a fresh array
+    with equal values save to the same bytes: an unpickled array's dtype
+    is not numpy's own float64 instance, and pickle memoizes by identity."""
+    save_checkpoint(store, tmp_path / "a.pkl")
+    loaded = load_checkpoint(tmp_path / "a.pkl")
+    assert loaded.ent_know.dtype is not np.dtype(np.float64)
+    fresh = copy.copy(loaded)
+    fresh.ent_know = np.empty(loaded.ent_know.shape)
+    fresh.ent_know[...] = loaded.ent_know
+    save_checkpoint(loaded, tmp_path / "b.pkl")
+    save_checkpoint(fresh, tmp_path / "c.pkl")
+    assert (tmp_path / "b.pkl").read_bytes() == (tmp_path / "c.pkl").read_bytes()
+    assert (tmp_path / "b.pkl").read_bytes() == (tmp_path / "a.pkl").read_bytes()
 
 
 def test_save_replaces_existing_file(tmp_path, store):
