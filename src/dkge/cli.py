@@ -147,7 +147,8 @@ def _write_report(report_dict: dict, path: str) -> None:
 
 
 def _valid_triples(sd: SnapshotDir) -> list:
-    """The id triples of the directory's valid.txt, none without one."""
+    """The id triples of the directory's valid.txt, none without one; a
+    warning says so when every triple names an unknown object."""
     if not sd.valid:
         return []
     triples, skipped = resolve_test_triples(sd.valid, sd.train)
