@@ -117,7 +117,8 @@ def normalize_adjacency(sizes: Sequence[int], edges: np.ndarray,
     cols = np.concatenate((j, i, diag))
     a_hat = np.concatenate((np.ones(2 * i.size),
                             1.0 + np.bincount(pairs[loop, 0], minlength=n)))
-    order = np.lexsort((cols, rows))
+    # distinct mixed-radix keys, like triple_codes, below n * n
+    order = np.argsort(rows * n + cols)
     rows, cols, a_hat = rows[order], cols[order], a_hat[order]
     indptr = np.searchsorted(rows, np.arange(n + 1))
     inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, indptr[:-1]))

@@ -33,7 +33,7 @@ from .errors import ConfigError, DkgeError, IntegrityError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
 from .kg_store import (TEST_FILE, VALID_FILE, SnapshotDir, diff_snapshots, load_snapshot_dir,
-                       undecodable_line)
+                       triple_codes, undecodable_line)
 from .training import (TrainConfig, collect_retrain_set, train_from_scratch,
                        train_online)
 
@@ -302,9 +302,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
             (f"changed {RELATION}", changed[1], r_names)):
         for name in sorted(names[i] for i in ids):
             print(what, name)
-    # name order: names are unique, and the ranks follow str order
+    # name order: names are unique, and the ranks follow str order, so the
+    # triple codes of the ranks are distinct and sort as the name triples
     rank = g_new.name_rank
-    order = np.lexsort((rank[t_ol[:, 2]], g_new.relation_rank[t_ol[:, 1]], rank[t_ol[:, 0]]))
+    ranked = np.stack((rank[t_ol[:, 0]], g_new.relation_rank[t_ol[:, 1]], rank[t_ol[:, 2]]),
+                      axis=1)
+    order = np.argsort(triple_codes(ranked, g_new.num_entities, g_new.num_relations))
     if order.size:
         print("\n".join(f"retrain {e_names[h]} {r_names[r]} {e_names[t]}"
                         for h, r, t in t_ol[order].tolist()))

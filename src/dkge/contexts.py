@@ -50,7 +50,7 @@ from scipy import sparse
 
 from . import agcn
 from .errors import ConfigError, UnknownObjectError
-from .kg_store import Snapshot, SnapshotDiff, distinct, lookup
+from .kg_store import Snapshot, SnapshotDiff, carry_name_ranks, distinct, lookup
 
 logger = logging.getLogger(__name__)
 
@@ -270,11 +270,14 @@ def _entity_contexts(snapshot: Snapshot, owners: np.ndarray) -> ContextArrays:
                             np.stack((np.zeros_like(nbr), local[nbr]), axis=1),
                             np.stack((local[row], at[inside] - links.ptr[owner[inside]] + 1),
                                      axis=1)))
+    # by row, then column: distinct mixed-radix keys, like triple_codes,
+    # below verts.size * span
+    span = int(sizes.max(initial=1))
     return ContextArrays(
         owners=owners, sizes=sizes,
         vertex_members=np.ones(verts.size, dtype=np.intp), members=verts,
         edge_counts=np.bincount(context[rows], minlength=owners.size),
-        edges=pairs[np.argsort(rows, kind="stable")])
+        edges=pairs[np.argsort(rows * span + pairs[:, 1])])
 
 
 def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
@@ -577,6 +580,7 @@ def context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff,
     ids = candidate_relations(g_new, diff)
     old_ids = diff.relation_map.to_old[ids]
     survived = old_ids >= 0
+    carry_name_ranks(g_old, g_new, diff)
     old = build_contexts(g_old, RELATION, old_ids[survived], max_midpoints)
     new = build_contexts(g_new, RELATION, ids, max_midpoints)
     moved = ~survived

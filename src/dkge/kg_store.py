@@ -13,6 +13,7 @@ import io
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,15 +85,35 @@ class Pairs(NamedTuple):
     into_pair: np.ndarray    # (P,)
 
 
-def _name_rank(names: tuple[str, ...]) -> np.ndarray:
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.intp)
-    rank[order] = np.arange(len(names))
+def _rank_of(order: list[int]) -> np.ndarray:
+    """The inverse permutation of ``order``: each id's position in it."""
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
     return rank
 
 
+def _name_rank(names: tuple[str, ...]) -> np.ndarray:
+    return _rank_of(sorted(range(len(names)), key=names.__getitem__))
+
+
+def _carried_rank(old_names: tuple[str, ...], new_rank: np.ndarray,
+                  id_map: IdMap) -> np.ndarray:
+    """``_name_rank(old_names)`` from the new snapshot's ranks: the
+    survivors, listed in new name order, are one sorted run, which
+    ``list.sort`` (timsort) merges with the removed ids appended to it.
+    Names are unique, so the order, and the rank, is the plain sort's."""
+    by_rank = np.empty_like(new_rank)
+    by_rank[new_rank] = np.arange(new_rank.size)
+    survivors = id_map.to_old[by_rank]
+    order = np.concatenate((survivors[survivors >= 0],
+                            np.flatnonzero(id_map.to_new < 0))).tolist()
+    order.sort(key=old_names.__getitem__)
+    return _rank_of(order)
+
+
 def triple_codes(ids: np.ndarray, n_e: int, n_r: int) -> np.ndarray:
-    """One int64 code per id triple, ordered as the (h, r, t) tuples are."""
+    """One int64 code per id triple, ordered as the (h, r, t) tuples are:
+    a mixed-radix number below n_e * n_e * n_r."""
     return (ids[:, 0] * n_r + ids[:, 1]) * n_e + ids[:, 2]
 
 
@@ -182,6 +203,8 @@ class Snapshot:
 
     @cached_property
     def entity_ids(self) -> dict[str, int]:
+        """name -> id; a snapshot the loader interned keeps its dict here,
+        as it does for ``relation_ids``."""
         return {name: i for i, name in enumerate(self.entity_names)}
 
     @cached_property
@@ -245,7 +268,8 @@ class Snapshot:
 
     @cached_property
     def name_rank(self) -> np.ndarray:
-        """(n_e,) position of each entity's name in sorted name order."""
+        """(n_e,) position of each entity's name in sorted name order; an
+        old snapshot of a diff may have it carried over (``carry_name_ranks``)."""
         return _name_rank(self.entity_names)
 
     @cached_property
@@ -274,10 +298,12 @@ class Snapshot:
     @cached_property
     def pairs(self) -> Pairs:
         """The ordered entity pairs with their relations as CSR arrays (``Pairs``)."""
-        n = self.num_entities
+        n, n_r = self.num_entities, self.num_relations
         h, r, t = self.triple_ids.T
         codes = h * n + self.name_rank[t]
-        order = np.lexsort((r, codes))
+        # one distinct mixed-radix key per triple, below n_e * n_e * n_r
+        # like triple_codes, so its one sorted order is (code, r)'s
+        order = np.argsort(codes * n_r + r)
         new = np.diff(codes[order], prepend=-1) != 0
         first = np.flatnonzero(new)
         keys = codes[order[first]]
@@ -285,14 +311,17 @@ class Snapshot:
         pair[order] = np.cumsum(new) - 1
         out = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(keys // n, minlength=n), out=out[1:])
-        rptr = np.zeros(self.num_relations + 1, dtype=np.intp)
-        np.cumsum(np.bincount(r, minlength=self.num_relations), out=rptr[1:])
+        rptr = np.zeros(n_r + 1, dtype=np.intp)
+        np.cumsum(np.bincount(r, minlength=n_r), out=rptr[1:])
         tails = t[order[first]]
         into = tails * n + self.name_rank[keys // n]
         into_pair = np.argsort(into)
+        # file order within each relation: distinct mixed-radix keys, like
+        # triple_codes, below n_r * m for m triples (and n_r <= m)
+        by_relation = np.argsort(r * r.size + np.arange(r.size))
         return Pairs(keys=keys, tails=tails, out=out,
                      ptr=np.append(first, codes.size), rels=r[order], rptr=rptr,
-                     of_relation=pair[np.argsort(r, kind="stable")],
+                     of_relation=pair[by_relation],
                      into_keys=into[into_pair], into_pair=into_pair)
 
     @cached_property
@@ -383,12 +412,18 @@ def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[st
     ids = np.empty((n, 3), dtype=np.int64)
     ids[:, 0::2] = np.fromiter(map(entity_ids.__getitem__, ends), np.int64, 2 * n).reshape(n, 2)
     ids[:, 1] = np.fromiter(map(relation_ids.__getitem__, relations), np.int64, n)
-    # a duplicate's names occurred before it, so dropping it keeps the ids
-    _, first = np.unique(triple_codes(ids, len(entity_names), len(relation_names)),
-                         return_index=True)
-    return Snapshot(time_step=time_step, triple_ids=ids[np.sort(first)],
-                    entity_names=entity_names, relation_names=relation_names,
-                    duplicates_collapsed=duplicates_collapsed + n - first.size)
+    # a duplicate's names occurred before it, so dropping it keeps the ids;
+    # a triple's first row is the least row of its run of equal codes
+    codes = triple_codes(ids, len(entity_names), len(relation_names))
+    order = np.argsort(codes)
+    first = np.sort(np.minimum.reduceat(
+        order, np.flatnonzero(np.diff(codes[order], prepend=-1))))
+    snapshot = Snapshot(time_step=time_step, triple_ids=ids[first],
+                        entity_names=entity_names, relation_names=relation_names,
+                        duplicates_collapsed=duplicates_collapsed + n - first.size)
+    # the interning dicts are the ones ``entity_ids`` and ``relation_ids`` build
+    vars(snapshot).update(entity_ids=entity_ids, relation_ids=relation_ids)
+    return snapshot
 
 
 class IdMap(NamedTuple):
@@ -592,7 +627,7 @@ def load_snapshot_dir(dirpath, time_step: int = 0) -> SnapshotDir:
 
 
 def _id_map(old_names: tuple[str, ...], new_ids: dict[str, int], n_new: int) -> IdMap:
-    to_new = np.array([new_ids.get(n, -1) for n in old_names], dtype=np.intp)
+    to_new = np.fromiter(map(new_ids.get, old_names, repeat(-1)), np.intp, len(old_names))
     to_old = np.full(n_new, -1, dtype=np.intp)
     to_old[to_new[to_new >= 0]] = np.flatnonzero(to_new >= 0)
     return IdMap(to_new, to_old)
@@ -612,5 +647,26 @@ def diff_snapshots(g_old: Snapshot, g_new: Snapshot) -> SnapshotDiff:
     # code -1 for a triple naming a removed object: it matches no triple of g_new
     old_codes = np.where((moved >= 0).all(axis=1), triple_codes(moved, n_e, n_r), -1)
     new_codes = triple_codes(g_new.triple_ids, n_e, n_r)
-    return SnapshotDiff(g_new.triple_ids[lookup(distinct(old_codes), new_codes) < 0],
-                        old[lookup(g_new.sorted_codes, old_codes) < 0], ent, rel)
+    return SnapshotDiff(g_new.triple_ids[_absent(distinct(old_codes), new_codes)],
+                        old[_absent(g_new.sorted_codes, old_codes)], ent, rel)
+
+
+def _absent(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Whether each needle is missing from ``keys``, sorted distinct ints.
+    The needles are looked up in ascending order, which keeps ``lookup``'s
+    binary search from missing the cache and branch predictor on every step."""
+    order = np.argsort(needles)
+    absent = np.empty(needles.size, dtype=bool)
+    absent[order] = lookup(keys, needles[order]) < 0
+    return absent
+
+
+def carry_name_ranks(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff) -> None:
+    """Give g_old the ``name_rank`` and ``relation_rank`` it would sort
+    itself, carried over from g_new's through ``diff``'s id maps (see
+    ``_carried_rank``), unless it has them already."""
+    cache = vars(g_old)
+    for attr, names, id_map in (("name_rank", g_old.entity_names, diff.entity_map),
+                                ("relation_rank", g_old.relation_names, diff.relation_map)):
+        if attr not in cache:
+            cache[attr] = _carried_rank(names, getattr(g_new, attr), id_map)

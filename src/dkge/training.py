@@ -300,10 +300,12 @@ def _migrate_store(store: ParameterStore, g_new: Snapshot, diff: SnapshotDiff,
     tables = []
     for know, ctx, source in ((store.ent_know, store.ent_ctx, diff.entity_map.to_old),
                               (store.rel_know, store.rel_ctx, diff.relation_map.to_old)):
-        rows = _carry_rows(np.stack((know, ctx), axis=1), source)
         new = source < 0
-        rows[new] = rng.uniform(-bound, bound, size=(int(new.sum()), 2, d))
-        tables += [rows[:, 0].copy(), rows[:, 1].copy()]
+        drawn = rng.uniform(-bound, bound, size=(int(new.sum()), 2, d))
+        for k, old_rows in enumerate((know, ctx)):
+            rows = old_rows[source]  # a fresh array; emerging rows are drawn
+            rows[new] = drawn[:, k]
+            tables.append(rows)
     ent_know, ent_ctx, rel_know, rel_ctx = tables
     return ParameterStore(
         dim=d, entity_names=g_new.entity_names, relation_names=g_new.relation_names,

@@ -1,5 +1,6 @@
 """Set operations by sort: ``distinct`` and ``lookup`` against numpy's own,
-and a scan that keeps numpy's hash-table ``unique`` out of the package."""
+and scans that keep numpy's hash-table ``unique`` and multi-key or stable
+integer sorts out of the package."""
 import ast
 from pathlib import Path
 
@@ -120,4 +121,46 @@ def test_package_uses_no_hashed_set_operations():
     found = {path.name: lines
              for path in sorted(Path(dkge.__file__).parent.glob("*.py"))
              if (lines := hashed_set_operations(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+STABLE_KINDS = {"stable", "mergesort"}
+# (module, sorted name): the one stable sort left, ``answer``'s top-k over
+# float scores, where equal scores keep the smaller entity id first
+STABLE_ALLOWED = {("evaluation.py", "scores")}
+
+
+def multi_key_sorts(source: str, module: str) -> list[int]:
+    """Lines calling ``np.lexsort``, or a ``sort``/``argsort`` of a stable
+    kind outside ``STABLE_ALLOWED``: the index builders sort by one
+    ``np.argsort`` over a distinct int64 key instead."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        name = node.func.attr
+        if name == "lexsort":
+            lines.append(node.lineno)
+        elif name in {"sort", "argsort"} and any(
+                k.arg == "kind" and isinstance(k.value, ast.Constant)
+                and k.value.value in STABLE_KINDS for k in node.keywords):
+            first = node.args[0] if node.args else None
+            sorted_name = first.id if isinstance(first, ast.Name) else None
+            if (module, sorted_name) not in STABLE_ALLOWED:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_multi_key_sorts():
+    source = ("np.lexsort((a, b))\nnp.argsort(r, kind='stable')\n"
+              "a.sort(kind='mergesort')\nnp.argsort(scores, kind='stable')\n"
+              "np.argsort(codes)\nnp.sort(a, kind='quicksort')\n")
+    assert multi_key_sorts(source, "contexts.py") == [1, 2, 3, 4]
+    assert multi_key_sorts(source, "evaluation.py") == [1, 2, 3]
+
+
+def test_package_sorts_by_one_key():
+    found = {path.name: lines
+             for path in sorted(Path(dkge.__file__).parent.glob("*.py"))
+             if (lines := multi_key_sorts(path.read_text(encoding="utf-8"), path.name))}
     assert found == {}
