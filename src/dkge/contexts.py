@@ -571,7 +571,8 @@ def context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff,
 
     Entities are read off the changed links (``_changed_entities``),
     building no context.  Relations are found among ``candidate_relations``:
-    the uncapped contexts of those that survived are built on g_old, then
+    the uncapped contexts of those that survived are built on g_old, whose
+    name ranks are carried over from g_new's (``carry_name_ranks``), then
     those of every candidate on g_new, so g_old's truncation warning comes
     first, and the two are compared as arrays.  Every emerging relation is
     a candidate, so g_new's build holds the contexts of the emerging and

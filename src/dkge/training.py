@@ -303,7 +303,7 @@ def _migrate_store(store: ParameterStore, g_new: Snapshot, diff: SnapshotDiff,
         new = source < 0
         drawn = rng.uniform(-bound, bound, size=(int(new.sum()), 2, d))
         for k, old_rows in enumerate((know, ctx)):
-            rows = old_rows[source]  # a fresh array; emerging rows are drawn
+            rows = old_rows[source]  # fresh; an emerging row's -1 is drawn over
             rows[new] = drawn[:, k]
             tables.append(rows)
     ent_know, ent_ctx, rel_know, rel_ctx = tables
