@@ -8,7 +8,7 @@ them by name, and list what an incremental retrain would have to touch.
 from pathlib import Path
 
 from dkge import changed_context_objects, diff_snapshots, load_snapshot_dir
-from dkge.contexts import DEFAULT_MAX_MIDPOINTS, ENTITY, context_changes
+from dkge.contexts import ENTITY, context_changes
 from dkge.training import collect_retrain_set
 
 data = Path(__file__).parent / "data"
@@ -41,7 +41,7 @@ for kind, obj in sorted(changed_context_objects(old, new, diff)):
 # two of its neighbours; only the relations a changed triple can reach have
 # their contexts built on both snapshots and compared as arrays.  The
 # changed objects come back as entity and relation id arrays
-changed = context_changes(old, new, diff, DEFAULT_MAX_MIDPOINTS)
+changed = context_changes(old, new, diff)
 print("changed ids:", changed[0].tolist(), changed[1].tolist())
 
 # an online update only revisits triples touching emerging or changed

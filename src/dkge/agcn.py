@@ -93,10 +93,10 @@ def normalize_adjacency(sizes: Sequence[int], edges: np.ndarray,
     """Block-diagonal S = D^{-1/2} (A + I) D^{-1/2} of a batch of contexts.
 
     Context b has ``sizes[b] >= 1`` vertices and ``edge_counts[b]`` unique
-    (i, j), i <= j, index pairs, stacked in context order in the (m, 2) array
-    ``edges``.  Degrees are integer counts, so S is exact and exactly
-    symmetric; a vertex without edges still gets degree 1 from the added
-    self-connection, and a self-loop weighs 2 on the diagonal.  Row i's
+    (i, j), i <= j, index pairs in ascending order, stacked in context order
+    in the (m, 2) array ``edges``.  Degrees are integer counts, so S is exact
+    and exactly symmetric; a vertex without edges still gets degree 1 from
+    the added self-connection, and a self-loop weighs 2 on the diagonal.  Row i's
     entries depend on its own context only, whatever shares the batch.
     """
     if not len(sizes):
@@ -113,12 +113,15 @@ def normalize_adjacency(sizes: Sequence[int], edges: np.ndarray,
     loop = pairs[:, 0] == pairs[:, 1]
     i, j = pairs[~loop].T
     diag = np.arange(n)
-    rows = np.concatenate((i, j, diag))
-    cols = np.concatenate((j, i, diag))
-    a_hat = np.concatenate((np.ones(2 * i.size),
-                            1.0 + np.bincount(pairs[loop, 0], minlength=n)))
-    # distinct mixed-radix keys, like triple_codes, below n * n
-    order = np.argsort(rows * n + cols)
+    # the pairs are in ascending order, so each row lists its lower entries
+    # (j, i), its diagonal, then its upper entries (i, j) in column order,
+    # and a stable sort by row sorts by (row, column)
+    rows = np.concatenate((j, diag, i))
+    cols = np.concatenate((i, diag, j))
+    a_hat = np.concatenate((np.ones(i.size),
+                            1.0 + np.bincount(pairs[loop, 0], minlength=n),
+                            np.ones(i.size)))
+    order = np.argsort(rows, kind="stable")
     rows, cols, a_hat = rows[order], cols[order], a_hat[order]
     indptr = np.searchsorted(rows, np.arange(n + 1))
     inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, indptr[:-1]))

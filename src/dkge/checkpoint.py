@@ -15,13 +15,17 @@ object's joint embedding, ``ent_star`` (n_e, d) and ``rel_star`` (n_r, d),
 with the digest of the snapshot they were encoded on; with these, ``eval``
 and ``answer`` on that snapshot score without building a context.  A store
 that never had joint tables saves ``None`` in their place.  Format version
-5.  Loading raises IntegrityError, naming the file, when the payload cannot
-be unpickled, is not a dict, lacks a key or has another version, and naming
-the key too when the names are not distinct strs, a setting is not an int
-in its range, an array's dtype or shape disagrees with ``dim``, the names or
-the layer count, an array holds a NaN or an infinity, or the joint tables
-and their digest are neither all ``None`` nor all present.  The payload is
-still unpickled, so a checkpoint from an untrusted source can run code.
+6.  The midpoint limit of relation contexts is a constant of the code
+(``contexts.MAX_MIDPOINTS``), not a stored setting; version 5 stored one,
+so a version-5 file, which may have been trained under another limit, is
+refused like every other version.  Loading raises IntegrityError, naming
+the file, when the payload cannot be unpickled, is not a dict, lacks a key
+or has another version, and naming the key too when the names are not
+distinct strs, a setting is not an int in its range, an array's dtype or
+shape disagrees with ``dim``, the names or the layer count, an array holds
+a NaN or an infinity, or the joint tables and their digest are neither all
+``None`` nor all present.  The payload is still unpickled, so a checkpoint
+from an untrusted source can run code.
 """
 from __future__ import annotations
 
@@ -36,9 +40,9 @@ from .agcn import AgcnParams
 from .errors import IntegrityError
 from .model import ParameterStore
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # (key, least value) of the int settings
-SETTINGS = (("dim", 1), ("cap", 1), ("seed", 0), ("max_midpoints", 0))
+SETTINGS = (("dim", 1), ("cap", 1), ("seed", 0))
 
 
 def _canonical(a: np.ndarray | None) -> np.ndarray | None:
@@ -64,7 +68,6 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         "rel_gate_pre": _canonical(store.rel_gate_pre),
         "cap": store.cap,
         "seed": store.seed,
-        "max_midpoints": store.max_midpoints,
         "ent_star": _canonical(store.ent_star),
         "rel_star": _canonical(store.rel_star),
         "joint_digest": store.joint_digest,
@@ -164,7 +167,6 @@ def load_checkpoint(path) -> ParameterStore:
             rel_gate_pre=payload["rel_gate_pre"],
             cap=payload["cap"],
             seed=payload["seed"],
-            max_midpoints=payload["max_midpoints"],
             ent_star=payload["ent_star"],
             rel_star=payload["rel_star"],
             joint_digest=payload["joint_digest"],

@@ -7,7 +7,10 @@ absent.
 
 Each command takes flags for the settings it reads and echoes only those:
 ``train`` and ``update`` the model and optimiser settings, ``eval`` the
-model and ranking settings.  The config file is shared, so it may hold any
+model and ranking settings.  ``answer`` and ``diff`` take none: the
+midpoint limit of relation contexts is one constant,
+``contexts.MAX_MIDPOINTS``, so ``diff`` finds the changes ``update`` finds
+without reading a checkpoint.  The config file is shared, so it may hold any
 known key; a command ignores the keys it does not read.  ``update``
 refuses an old snapshot whose triples are not the ones the checkpoint was
 trained on, and a run whose epoch loss is not finite fails before anything
@@ -28,7 +31,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .contexts import DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, context_changes
+from .contexts import ENTITY, RELATION, context_changes
 from .errors import ConfigError, DkgeError, IntegrityError
 from .evaluation import (TIE_OPTIMISTIC, TIE_PESSIMISTIC, answer, evaluate,
                          resolve_test_triples)
@@ -111,7 +114,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xr", dest="relation_layers", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--cap", type=int)
-    p.add_argument("--max-midpoints", dest="max_midpoints", type=int)
 
 
 def _add_optimiser_flags(p: argparse.ArgumentParser) -> None:
@@ -280,11 +282,8 @@ def cmd_answer(args: argparse.Namespace) -> int:
 def cmd_diff(args: argparse.Namespace) -> int:
     g_old = load_snapshot_dir(args.old_dir).train
     g_new = load_snapshot_dir(args.new_dir).train
-    max_midpoints = DEFAULT_MAX_MIDPOINTS
-    if args.checkpoint:
-        max_midpoints = load_checkpoint(args.checkpoint).model_config()["max_midpoints"]
     diff = diff_snapshots(g_old, g_new)
-    changed = context_changes(g_old, g_new, diff, max_midpoints)
+    changed = context_changes(g_old, g_new, diff)
     t_ol = collect_retrain_set(g_new, diff, changed)
     print(f"added_triples={len(diff.added_triples)} "
           f"deleted_triples={len(diff.deleted_triples)} "
@@ -356,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="compare two snapshots and report the retrain set")
     p.add_argument("old_dir")
     p.add_argument("new_dir")
-    p.add_argument("--checkpoint",
-                   help="take max_midpoints from this model's settings")
     p.set_defaults(func=cmd_diff)
     return parser
 

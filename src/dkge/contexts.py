@@ -5,7 +5,10 @@ one-hop neighbors, including the edges among the neighbors themselves.  The
 context of a relation r contains r plus every relation path of length 1 or 2
 (following triple direction) that connects an ordered entity pair also linked
 by r; r is adjacent to every path vertex, and two path vertices are adjacent
-iff some pair is connected by both.
+iff some pair is connected by both.  A pair's length-2 paths go through at
+most ``MAX_MIDPOINTS`` midpoints, the first in name order; the limit is one
+constant for every command, so a model's contexts are rebuilt the same way
+by ``train``, ``update``, ``eval``, ``answer`` and ``diff``.
 
 A context keeps its edges as one sorted array of vertex index pairs
 (``ContextSubgraph``), PyG's ``edge_index`` (arXiv 1903.02428) in one
@@ -64,7 +67,10 @@ ObjectRef = tuple[str, int]
 IdArrays = tuple[np.ndarray, np.ndarray]
 
 DEFAULT_CAP = 35
-DEFAULT_MAX_MIDPOINTS = 1000
+# Candidate midpoints of one entity pair that its length-2 paths go through,
+# the first in name order: a guard on build cost, not a model setting, read
+# by both relation-context builders at call time.
+MAX_MIDPOINTS = 1000
 # Work one bulk build step takes on: link-list entries an entity context
 # scans, or out-pairs a relation context scans for midpoints; bounds the
 # step's temporaries.
@@ -139,8 +145,8 @@ def entity_context(snapshot: Snapshot, e: int) -> ContextSubgraph:
     return ContextSubgraph((ENTITY, e), vertices, _edge_array(edges))
 
 
-def _relation_paths(snapshot: Snapshot, r: int, pair: tuple[int, int],
-                    max_midpoints: int) -> set[tuple[int, ...]]:
+def _relation_paths(snapshot: Snapshot, r: int,
+                    pair: tuple[int, int]) -> set[tuple[int, ...]]:
     """Forward-direction relation paths of length 1 or 2 connecting ``pair``.
 
     Length-1 paths exclude r itself (it is the owner vertex).  Midpoints may
@@ -153,12 +159,12 @@ def _relation_paths(snapshot: Snapshot, r: int, pair: tuple[int, int],
             paths.add((r1,))
     mids = sorted({t for _, t in snapshot.out_map[a] if (t, b) in snapshot.pair_map},
                   key=lambda i: snapshot.entity_names[i])
-    if len(mids) > max_midpoints:
+    if len(mids) > MAX_MIDPOINTS:
         logger.warning(
             "relation %s pair (%s, %s): %d candidate midpoints truncated to %d",
             snapshot.relation_names[r], snapshot.entity_names[a],
-            snapshot.entity_names[b], len(mids), max_midpoints)
-        mids = mids[:max_midpoints]
+            snapshot.entity_names[b], len(mids), MAX_MIDPOINTS)
+        mids = mids[:MAX_MIDPOINTS]
     for c in mids:
         for r1 in snapshot.pair_map[(a, c)]:
             for r2 in snapshot.pair_map[(c, b)]:
@@ -166,8 +172,7 @@ def _relation_paths(snapshot: Snapshot, r: int, pair: tuple[int, int],
     return paths
 
 
-def relation_context(snapshot: Snapshot, r: int,
-                     max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextSubgraph:
+def relation_context(snapshot: Snapshot, r: int) -> ContextSubgraph:
     """Relation paths alongside r, deduplicated across its entity pairs.
 
     The owner r sits at index 0 and is adjacent to every path vertex; two
@@ -176,9 +181,7 @@ def relation_context(snapshot: Snapshot, r: int,
     """
     snapshot._check_relation(r)
     pairs = snapshot.relation_pairs[r]
-    by_pair: list[set[tuple[int, ...]]] = [
-        _relation_paths(snapshot, r, p, max_midpoints) for p in pairs
-    ]
+    by_pair = [_relation_paths(snapshot, r, p) for p in pairs]
     all_paths = sorted(
         {path for paths in by_pair for path in paths},
         key=lambda path: tuple(snapshot.relation_names[m] for m in path),
@@ -192,13 +195,12 @@ def relation_context(snapshot: Snapshot, r: int,
     return ContextSubgraph((RELATION, r), tuple(vertices), _edge_array(edges))
 
 
-def build_context(snapshot: Snapshot, ref: ObjectRef,
-                  max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextSubgraph:
+def build_context(snapshot: Snapshot, ref: ObjectRef) -> ContextSubgraph:
     kind, obj = ref
     if kind == ENTITY:
         return entity_context(snapshot, obj)
     if kind == RELATION:
-        return relation_context(snapshot, obj, max_midpoints=max_midpoints)
+        return relation_context(snapshot, obj)
     raise ValueError(f"unknown object kind: {kind}")
 
 
@@ -239,7 +241,8 @@ def _entity_contexts(snapshot: Snapshot, owners: np.ndarray) -> ContextArrays:
     above its own name rank, found by one lookup of (u, u); each w there
     lies above u in the owner's name-ordered list, so j > i, and w's index
     j is found by looking the link (owner, w) up in the sorted link codes.
-    Each row lists its self-loop first, then its edges in j order.
+    Each row lists its self-loop first, then its edges in j order, so a
+    stable sort by row puts every edge in place.
     """
     links = snapshot.links
     n_e, rank = snapshot.num_entities, snapshot.name_rank
@@ -270,18 +273,15 @@ def _entity_contexts(snapshot: Snapshot, owners: np.ndarray) -> ContextArrays:
                             np.stack((np.zeros_like(nbr), local[nbr]), axis=1),
                             np.stack((local[row], at[inside] - links.ptr[owner[inside]] + 1),
                                      axis=1)))
-    # by row, then column: distinct mixed-radix keys, like triple_codes,
-    # below verts.size * span
-    span = int(sizes.max(initial=1))
     return ContextArrays(
         owners=owners, sizes=sizes,
         vertex_members=np.ones(verts.size, dtype=np.intp), members=verts,
         edge_counts=np.bincount(context[rows], minlength=owners.size),
-        edges=pairs[np.argsort(rows * span + pairs[:, 1])])
+        edges=pairs[np.argsort(rows, kind="stable")])
 
 
-def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
-                       max_midpoints: int) -> tuple[ContextArrays, np.ndarray]:
+def _relation_contexts(snapshot: Snapshot,
+                       owners: np.ndarray) -> tuple[ContextArrays, np.ndarray]:
     """``relation_context`` of every owner, from the pair index.
 
     A path is coded by its relations' name ranks as
@@ -319,9 +319,9 @@ def _relation_contexts(snapshot: Snapshot, owners: np.ndarray,
     found = np.flatnonzero(at >= 0)
     row, first_leg, second_leg = row[found], first_leg[found], pairs.into_pair[at[found]]
     n_mids = np.bincount(row, minlength=pair.size)
-    kept = _ranges(0, n_mids) < max_midpoints
+    kept = _ranges(0, n_mids) < MAX_MIDPOINTS
     row, first_leg, second_leg = row[kept], first_leg[kept], second_leg[kept]
-    cut = np.flatnonzero(n_mids > max_midpoints)
+    cut = np.flatnonzero(n_mids > MAX_MIDPOINTS)
     truncated = np.stack((relation[cut], head[cut], pairs.tails[pair[cut]], n_mids[cut]),
                          axis=1)
 
@@ -400,8 +400,7 @@ def _concat(parts: list[ContextArrays]) -> ContextArrays:
                             for f in fields(ContextArrays)})
 
 
-def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray,
-                   max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ContextArrays:
+def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray) -> ContextArrays:
     """Uncapped contexts of ``owners``, objects of one kind, in flat form:
     the vertices and edges ``build_context`` gives for each, in owner order.
     They are built in runs of about BUILD_CHUNK work (``_chunks``), which
@@ -413,13 +412,12 @@ def build_contexts(snapshot: Snapshot, kind: str, owners: np.ndarray,
                         for part in _chunks(snapshot, kind, owners)])
     if kind != RELATION:
         raise ValueError(f"unknown object kind: {kind}")
-    built = [_relation_contexts(snapshot, part, max_midpoints)
-             for part in _chunks(snapshot, kind, owners)]
+    built = [_relation_contexts(snapshot, part) for part in _chunks(snapshot, kind, owners)]
     truncated = np.concatenate([cut for _, cut in built])
     if truncated.size:
         logger.warning(
             "%d relation pairs: candidate midpoints truncated to %d (largest count %d); "
-            "relations: %s", len(truncated), max_midpoints, truncated[:, 3].max(),
+            "relations: %s", len(truncated), MAX_MIDPOINTS, truncated[:, 3].max(),
             ", ".join(snapshot.relation_names[r]
                       for r in dict.fromkeys(truncated[:, 0].tolist())))
     return _concat([ctx for ctx, _ in built])
@@ -563,11 +561,10 @@ class ContextChanges(NamedTuple):
     relation_contexts: ContextArrays
 
 
-def context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff,
-                    max_midpoints: int) -> ContextChanges:
+def context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff) -> ContextChanges:
     """The objects of ``changed_context_objects``, as sorted entity and
-    relation id arrays of g_new, under ``max_midpoints``, and the g_new
-    contexts of the relations an update encodes.
+    relation id arrays of g_new, and the g_new contexts of the relations an
+    update encodes.
 
     Entities are read off the changed links (``_changed_entities``),
     building no context.  Relations are found among ``candidate_relations``:
@@ -582,8 +579,8 @@ def context_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff,
     old_ids = diff.relation_map.to_old[ids]
     survived = old_ids >= 0
     carry_name_ranks(g_old, g_new, diff)
-    old = build_contexts(g_old, RELATION, old_ids[survived], max_midpoints)
-    new = build_contexts(g_new, RELATION, ids, max_midpoints)
+    old = build_contexts(g_old, RELATION, old_ids[survived])
+    new = build_contexts(g_new, RELATION, ids)
     moved = ~survived
     moved[survived] = ~_same_contexts(old, _select(new, survived),
                                       diff.relation_map.to_new)
@@ -684,16 +681,12 @@ class ContextTable:
     reproduce the identical sample under the same seed.
     """
 
-    def __init__(self, snapshot: Snapshot, *, cap: int = DEFAULT_CAP,
-                 seed: int = 0, max_midpoints: int = DEFAULT_MAX_MIDPOINTS):
+    def __init__(self, snapshot: Snapshot, *, cap: int = DEFAULT_CAP, seed: int = 0):
         if cap < 1:
             raise ConfigError(f"cap must be >= 1, got {cap}")
-        if max_midpoints < 0:
-            raise ConfigError(f"max midpoints must be >= 0, got {max_midpoints}")
         self.snapshot = snapshot
         self.cap = cap
         self.seed = seed
-        self.max_midpoints = max_midpoints
         self._stores = {ENTITY: _FlatStore(snapshot.num_entities),
                         RELATION: _FlatStore(snapshot.num_relations)}
 
@@ -742,8 +735,8 @@ class ContextTable:
 
     def add(self, kind: str, ctx: ContextArrays) -> None:
         """Store capped copies of the uncapped contexts ``ctx``, as
-        ``build_contexts`` gives them on this table's snapshot under its
-        ``max_midpoints``, of objects of one kind not stored yet."""
+        ``build_contexts`` gives them on this table's snapshot, of objects
+        of one kind not stored yet."""
         if ctx.owners.size:
             self._stores[kind].append(self._capped(kind, ctx))
 
@@ -752,8 +745,7 @@ class ContextTable:
         ids = self._ids(kind, ids)
         missing = ids[self._stores[kind].slot[ids] < 0]
         if missing.size:
-            self.add(kind, build_contexts(self.snapshot, kind, distinct(missing),
-                                          self.max_midpoints))
+            self.add(kind, build_contexts(self.snapshot, kind, distinct(missing)))
 
     def build_all(self) -> None:
         self.build(ENTITY, np.arange(self.snapshot.num_entities))
@@ -789,8 +781,7 @@ class ContextTable:
         code that makes the stored copy (``build_contexts``, then
         ``_capped``); nothing is stored."""
         kind, obj = ref
-        ctx = self._capped(kind, build_contexts(self.snapshot, kind, self._ids(kind, [obj]),
-                                                self.max_midpoints))
+        ctx = self._capped(kind, build_contexts(self.snapshot, kind, self._ids(kind, [obj])))
         members = iter(ctx.members.tolist())
         other = ENTITY if kind == ENTITY else RELATION_PATH
         vertices = tuple(ContextVertex(kind if p == 0 else other,

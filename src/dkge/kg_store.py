@@ -163,7 +163,6 @@ class Snapshot:
     by identity.
     """
 
-    time_step: int
     triple_ids: np.ndarray
     entity_names: tuple[str, ...]
     relation_names: tuple[str, ...]
@@ -192,12 +191,12 @@ class Snapshot:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_name_triples(name_triples: Iterable[NameTriple], time_step: int = 0,
+    def from_name_triples(name_triples: Iterable[NameTriple],
                           duplicates_collapsed: int = 0) -> "Snapshot":
         columns = tuple(zip(*name_triples))
         if not columns:
             raise EmptySnapshotError("snapshot has no triples")
-        return _interned(*columns, time_step, duplicates_collapsed)
+        return _interned(*columns, duplicates_collapsed)
 
     # -- dictionaries ------------------------------------------------------
 
@@ -398,7 +397,7 @@ class Snapshot:
 
 
 def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[str],
-              time_step: int, duplicates_collapsed: int) -> Snapshot:
+              duplicates_collapsed: int) -> Snapshot:
     """The Snapshot of name columns in file order: ids in first-occurrence
     order, heads and tails interleaved, and each triple's first row kept."""
     n = len(heads)
@@ -418,7 +417,7 @@ def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[st
     order = np.argsort(codes)
     first = np.sort(np.minimum.reduceat(
         order, np.flatnonzero(np.diff(codes[order], prepend=-1))))
-    snapshot = Snapshot(time_step=time_step, triple_ids=ids[first],
+    snapshot = Snapshot(triple_ids=ids[first],
                         entity_names=entity_names, relation_names=relation_names,
                         duplicates_collapsed=duplicates_collapsed + n - first.size)
     # the interning dicts are the ones ``entity_ids`` and ``relation_ids`` build
@@ -575,7 +574,7 @@ def parse_triple_file(path) -> tuple[list[NameTriple], int]:
     return out, dups
 
 
-def load_snapshot(path, time_step: int = 0) -> Snapshot:
+def load_snapshot(path) -> Snapshot:
     """Load one triple file as a Snapshot.
 
     Its dictionaries, ids and duplicate count are those that
@@ -586,7 +585,7 @@ def load_snapshot(path, time_step: int = 0) -> Snapshot:
     (heads, relations, tails), dups = _read_columns(file)
     if not heads:
         raise EmptySnapshotError(f"{path} contains no triples")
-    snapshot = _interned(heads, relations, tails, time_step, dups)
+    snapshot = _interned(heads, relations, tails, dups)
     _warn_duplicates(file, snapshot.duplicates_collapsed)
     return snapshot
 
@@ -612,12 +611,12 @@ class SnapshotDir:
     test: tuple[NameTriple, ...] | None
 
 
-def load_snapshot_dir(dirpath, time_step: int = 0) -> SnapshotDir:
+def load_snapshot_dir(dirpath) -> SnapshotDir:
     dirpath = Path(dirpath)
     train_path = dirpath / TRAIN_FILE
     if not train_path.is_file():
         raise ParseError(train_path, 0, "required training file is missing")
-    train = load_snapshot(train_path, time_step=time_step)
+    train = load_snapshot(train_path)
     valid = test = None
     if (dirpath / VALID_FILE).is_file():
         valid = tuple(parse_triple_file(dirpath / VALID_FILE)[0])

@@ -48,8 +48,7 @@ import numpy as np
 from scipy.special import expit
 
 from .agcn import AgcnCache, AgcnParams, agcn_backward, agcn_forward
-from .contexts import (ContextPass, ContextTable, DEFAULT_CAP,
-                       DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION, ObjectRef)
+from .contexts import ContextPass, ContextTable, DEFAULT_CAP, ENTITY, RELATION, ObjectRef
 from .errors import ConfigError, IntegrityError
 from .kg_store import Snapshot, Triple, distinct, lookup, triple_codes
 
@@ -71,7 +70,6 @@ class ParameterStore:
     rel_gate_pre: np.ndarray  # (d,)
     cap: int
     seed: int
-    max_midpoints: int
     # joint embeddings of every object under these parameters, encoded on
     # the snapshot whose digest is joint_digest; None until train or update
     # fills them, and never set while the parameters still move
@@ -112,8 +110,7 @@ class ParameterStore:
         return {"dim": self.dim,
                 "entity_layers": len(self.entity_agcn.weights),
                 "relation_layers": len(self.relation_agcn.weights),
-                "cap": self.cap, "seed": self.seed,
-                "max_midpoints": self.max_midpoints}
+                "cap": self.cap, "seed": self.seed}
 
     def require_model_config(self, settings: Mapping[str, object]) -> None:
         """Raise ConfigError naming the first model setting that differs."""
@@ -125,8 +122,7 @@ class ParameterStore:
     def context_table(self, snapshot: Snapshot) -> ContextTable:
         """Context table reproducing the contexts this store was trained with."""
         self.require_snapshot(snapshot)
-        return ContextTable(snapshot, cap=self.cap, seed=self.seed,
-                            max_midpoints=self.max_midpoints)
+        return ContextTable(snapshot, cap=self.cap, seed=self.seed)
 
     def stored_joint(self, snapshot: Snapshot) -> JointCache | None:
         """The stored joint tables when they were encoded on ``snapshot``
@@ -145,8 +141,7 @@ class ParameterStore:
 
 def init_params(snapshot: Snapshot, d: int, rng: np.random.Generator, *,
                 entity_layers: int = 1, relation_layers: int = 1,
-                cap: int = DEFAULT_CAP, seed: int = 0,
-                max_midpoints: int = DEFAULT_MAX_MIDPOINTS) -> ParameterStore:
+                cap: int = DEFAULT_CAP, seed: int = 0) -> ParameterStore:
     """Fresh parameters: embeddings and encoder weights from U(-6/sqrt(d),
     6/sqrt(d)), gates at zero so each blend starts at one half."""
     if d < 1:
@@ -171,7 +166,7 @@ def init_params(snapshot: Snapshot, d: int, rng: np.random.Generator, *,
         rel_know=rel_know, rel_ctx=rel_ctx,
         entity_agcn=entity_agcn, relation_agcn=relation_agcn,
         ent_gate_pre=np.zeros(d), rel_gate_pre=np.zeros(d),
-        cap=cap, seed=seed, max_midpoints=max_midpoints,
+        cap=cap, seed=seed,
     )
 
 

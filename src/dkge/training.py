@@ -47,8 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contexts import (ContextTable, DEFAULT_CAP, DEFAULT_MAX_MIDPOINTS,
-                       IdArrays, RELATION, context_changes)
+from .contexts import ContextTable, DEFAULT_CAP, IdArrays, RELATION, context_changes
 from .errors import ConfigError, DkgeError
 from .evaluation import evaluate
 from .kg_store import (Snapshot, SnapshotDiff, Triple, diff_snapshots, distinct, lookup,
@@ -73,7 +72,6 @@ class TrainConfig:
     eval_every: int = 10
     seed: int = 0
     cap: int = DEFAULT_CAP
-    max_midpoints: int = DEFAULT_MAX_MIDPOINTS
 
     def __post_init__(self):
         if self.dim < 1:
@@ -99,8 +97,6 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
-        if self.max_midpoints < 0:
-            raise ConfigError(f"max midpoints must be >= 0, got {self.max_midpoints}")
 
 
 @dataclass
@@ -252,8 +248,7 @@ def train_from_scratch(snapshot: Snapshot, valid, config: TrainConfig,
     store = init_params(snapshot, config.dim, np.random.default_rng(init_ss),
                         entity_layers=config.entity_layers,
                         relation_layers=config.relation_layers,
-                        cap=config.cap, seed=config.seed,
-                        max_midpoints=config.max_midpoints)
+                        cap=config.cap, seed=config.seed)
     table = store.context_table(snapshot)
     table.build_all()
     stats = relation_stats(snapshot)
@@ -312,7 +307,7 @@ def _migrate_store(store: ParameterStore, g_new: Snapshot, diff: SnapshotDiff,
         ent_know=ent_know, ent_ctx=ent_ctx, rel_know=rel_know, rel_ctx=rel_ctx,
         entity_agcn=store.entity_agcn.copy(), relation_agcn=store.relation_agcn.copy(),
         ent_gate_pre=store.ent_gate_pre.copy(), rel_gate_pre=store.rel_gate_pre.copy(),
-        cap=store.cap, seed=store.seed, max_midpoints=store.max_midpoints)
+        cap=store.cap, seed=store.seed)
 
 
 def _holdout_validation(g_new: Snapshot, t_ol: np.ndarray,
@@ -354,7 +349,7 @@ def train_online(g_old: Snapshot, g_new: Snapshot, store: ParameterStore, valid,
     old = store
     store = _migrate_store(store, g_new, diff, np.random.default_rng(init_ss))
     table = store.context_table(g_new)
-    changed = context_changes(g_old, g_new, diff, table.max_midpoints)
+    changed = context_changes(g_old, g_new, diff)
     table.add(RELATION, changed.relation_contexts)
     t_ol = collect_retrain_set(g_new, diff, changed)
     movable = (distinct(np.concatenate((diff.emerging_entities, changed[0]))),

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dkge.contexts import (ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY, RELATION,
-                           build_context, context_signature)
+from dkge.contexts import ContextTable, ENTITY, RELATION, build_context, context_signature
 from dkge.kg_store import NameTriple, Snapshot, SnapshotDiff, Triple
 from dkge.model import (ParameterStore, encode, init_params, object_forward,
                         score_triple)
@@ -29,7 +28,7 @@ TOY_T2: tuple[NameTriple, ...] = TOY_T1 + (("e6", "r5", "e3"), ("e7", "r7", "e6"
 
 def toy_snapshot(step: int) -> Snapshot:
     triples = {0: TOY_T0, 1: TOY_T1, 2: TOY_T2}[step]
-    return Snapshot.from_name_triples(triples, time_step=step)
+    return Snapshot.from_name_triples(triples)
 
 
 def write_snapshot_dir(path, train, valid=None, test=None) -> None:
@@ -60,10 +59,9 @@ def random_name_triples(rng: np.random.Generator, n_triples: int,
 
 
 def random_snapshot(rng: np.random.Generator, n_triples=30, n_entities=12,
-                    n_relations=4, time_step=0) -> Snapshot:
+                    n_relations=4) -> Snapshot:
     return Snapshot.from_name_triples(
-        random_name_triples(rng, n_triples, n_entities, n_relations),
-        time_step=time_step)
+        random_name_triples(rng, n_triples, n_entities, n_relations))
 
 
 def churned_triples(rng: np.random.Generator, base: list[NameTriple],
@@ -109,7 +107,7 @@ def update_traces(count: int = 50):
         base = random_name_triples(rng, int(rng.integers(60, 200)), 40, 8)
         g_old = Snapshot.from_name_triples(base)
         g_new = Snapshot.from_name_triples(
-            churned_triples(rng, base, churn=0.1), time_step=1)
+            churned_triples(rng, base, churn=0.1))
         yield trace, g_old, g_new
 
 
@@ -126,13 +124,13 @@ def signatures_by_name(g: Snapshot) -> dict[tuple[str, str], int]:
             for obj, name in enumerate(names)}
 
 
-def reference_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff, candidates,
-                      max_midpoints=DEFAULT_MAX_MIDPOINTS) -> tuple[np.ndarray, np.ndarray]:
+def reference_changes(g_old: Snapshot, g_new: Snapshot, diff: SnapshotDiff,
+                      candidates) -> tuple[np.ndarray, np.ndarray]:
     """The entity and relation ``candidates`` (ids of g_new) that survived
     and whose ``context_signature`` differs between the snapshots, one
     object at a time: what ``context_changes`` must find."""
     def signature(g, kind, obj):
-        return context_signature(build_context(g, (kind, obj), max_midpoints), g)
+        return context_signature(build_context(g, (kind, obj)), g)
 
     out = []
     for kind, ids, id_map in zip((ENTITY, RELATION), candidates,

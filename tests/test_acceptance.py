@@ -245,7 +245,7 @@ def test_criterion_4_invariance_over_traces():
         base = random_name_triples(rng, int(rng.integers(60, 200)), 40, 8)
         g_old = Snapshot.from_name_triples(base)
         g_new = Snapshot.from_name_triples(
-            churned_triples(rng, base, churn=0.1), time_step=1)
+            churned_triples(rng, base, churn=0.1))
         seed = trace
         cfg = TrainConfig(dim=6, learning_rate=0.02, batch_size=64, margin=2.0,
                           max_epochs=2, seed=seed)
@@ -374,7 +374,7 @@ def _speedup_trace():
             existing.add(cand)
             added += 1
         i += 1
-    return Snapshot.from_name_triples(base), Snapshot.from_name_triples(new, time_step=1)
+    return Snapshot.from_name_triples(base), Snapshot.from_name_triples(new)
 
 
 def test_criterion_7_online_speedup():

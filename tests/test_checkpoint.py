@@ -115,7 +115,7 @@ def test_version_2_rejected(tmp_path, store):
     path = tmp_path / "model.pkl"
     save_checkpoint(store, path)
     payload = pickle.loads(path.read_bytes())
-    for version in (2, 3, 4):
+    for version in (2, 3, 4, 5):
         payload["format_version"] = version
         path.write_bytes(pickle.dumps(payload, protocol=4))
         with pytest.raises(IntegrityError, match=f"model.pkl.*version: {version}"):
@@ -189,7 +189,6 @@ DAMAGES = [
     ("cap", lambda cap: 0),
     ("seed", lambda seed: 1.5),
     ("seed", lambda seed: -1),
-    ("max_midpoints", lambda m: None),
     ("entity_names", lambda names: None),
     ("entity_names", lambda names: names[:1] + names[:-1]),
     ("relation_names", lambda names: tuple(range(len(names)))),

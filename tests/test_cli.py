@@ -16,7 +16,6 @@ from dkge.cli import (CONFIG_KEYS, EVAL_KEYS, TRAIN_KEYS, build_parser, main,
                       parse_config_file)
 from dkge.contexts import ContextTable, changed_context_objects, entity_context
 from dkge.errors import ConfigError
-from dkge.evaluation import answer
 from dkge.kg_store import Snapshot, diff_snapshots, load_snapshot_dir
 from dkge.model import forward_triple
 from dkge.training import collect_retrain_set
@@ -107,7 +106,7 @@ def test_flag_overrides_file_overrides_default(dirs, capsys):
     assert load_checkpoint(tmp / "m.pkl").dim == 20
 
 
-MODEL_KEYS = ("dim", "entity_layers", "relation_layers", "cap", "seed", "max_midpoints")
+MODEL_KEYS = ("dim", "entity_layers", "relation_layers", "cap", "seed")
 
 
 def test_each_command_echoes_every_setting_it_takes():
@@ -117,7 +116,7 @@ def test_each_command_echoes_every_setting_it_takes():
     echoed = {"train": TRAIN_KEYS, "update": TRAIN_KEYS,
               "eval": MODEL_KEYS + EVAL_KEYS, "answer": (), "diff": ()}
     exempt = {"--config", "--log-file", "--report-file"}
-    others = {"answer": {"-k"}, "diff": {"--checkpoint"}}
+    others = {"answer": {"-k"}}
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     assert set(commands) == set(echoed)
@@ -135,7 +134,13 @@ def test_each_command_echoes_every_setting_it_takes():
     (("eval", "{old}", "{tmp}/m.pkl", "--lr", "1"), "--lr 1"),
     (("train", "{old}", "{tmp}/m.pkl", "--tie-mode", "pessimistic"),
      "--tie-mode pessimistic"),
-], ids=["eval-lr", "train-tie-mode"])
+    (("train", "{old}", "{tmp}/m.pkl", "--max-midpoints", "2"), "--max-midpoints 2"),
+    (("update", "{old}", "{old}", "{tmp}/c.pkl", "{tmp}/m.pkl", "--max-midpoints", "2"),
+     "--max-midpoints 2"),
+    (("eval", "{old}", "{tmp}/m.pkl", "--max-midpoints", "2"), "--max-midpoints 2"),
+    (("diff", "{old}", "{old}", "--checkpoint", "c.pkl"), "--checkpoint c.pkl"),
+], ids=["eval-lr", "train-tie-mode", "train-max-midpoints", "update-max-midpoints",
+        "eval-max-midpoints", "diff-checkpoint"])
 def test_command_refuses_a_setting_it_does_not_read(dirs, capsys, argv, flag):
     tmp, old, _ = dirs
     with pytest.raises(SystemExit) as exit_:
@@ -166,8 +171,7 @@ def test_train_writes_checkpoint_and_report(dirs, capsys):
     # the settings train reads, and no ranking setting
     assert out.splitlines()[0] == (
         "config: dim=8 learning_rate=0.01 batch_size=8 margin=2.0 entity_layers=1 "
-        "relation_layers=1 max_epochs=4 patience=5 eval_every=10 seed=0 cap=35 "
-        "max_midpoints=1000")
+        "relation_layers=1 max_epochs=4 patience=5 eval_every=10 seed=0 cap=35")
     store = load_checkpoint(out_path)
     assert store.dim == 8
     report = json.loads((tmp / "m.pkl.report.json").read_text())
@@ -286,29 +290,30 @@ def test_update_rejects_model_flag_that_disagrees(capped_run, capsys):
     assert not (tmp / "c1.pkl").exists()
 
 
-def test_answer_uses_trained_max_midpoints(tmp_path, capsys):
-    """Relation r has six two-step paths; training keeps two of them, and
-    answer must rebuild r's context the same way."""
+def test_answer_uses_trained_max_midpoints(tmp_path, capsys, caplog, monkeypatch):
+    """Relation r has six two-step paths; under a midpoint limit of two,
+    training keeps two of them.  Given the checkpoint without its joint
+    tables, answer must rebuild r's context the same way and print what
+    the trained tables give."""
     triples = [("a", "r", "b")]
     for i in range(6):
         triples += [("a", f"g{i}", f"m{i}"), (f"m{i}", f"h{i}", "b")]
-    write_snapshot_dir(tmp_path / "s", triples)
-    ckpt = tmp_path / "m.pkl"
-    code, _, _ = run(capsys, "train", str(tmp_path / "s"), str(ckpt),
-                     "--max-midpoints", "2", *FAST_FLAGS)
-    assert code == 0
-    code, out, _ = run(capsys, "answer", str(tmp_path / "s"), str(ckpt), "a", "r",
-                       "-k", "5")
-    assert code == 0
+    s, ckpt, bare = tmp_path / "s", tmp_path / "m.pkl", tmp_path / "bare.pkl"
+    write_snapshot_dir(s, triples)
+    monkeypatch.setattr(dkge.contexts, "MAX_MIDPOINTS", 2)
+    assert run(capsys, "train", str(s), str(ckpt), *FAST_FLAGS)[0] == 0
 
-    g = load_snapshot_dir(tmp_path / "s").train
+    g = load_snapshot_dir(s).train
     store = load_checkpoint(ckpt)
     assert len(store.context_table(g).relation(g.relation_id("r")).vertices) == 3
-    trained = ContextTable(g, cap=store.cap, seed=store.seed, max_midpoints=2)
-    want = [f"{rank} {g.entity_names[e]} {score:.6f}" for rank, (e, score) in enumerate(
-        answer(g.entity_id("a"), g.relation_id("r"), 5, store, g, contexts=trained),
-        start=1)]
-    assert out.splitlines() == want
+    _without_joint_tables(ckpt, bare)
+    outputs = []
+    for path in (ckpt, bare):
+        caplog.clear()
+        code, out, _ = run(capsys, "answer", str(s), str(path), "a", "r", "-k", "5")
+        assert code == 0
+        outputs.append((out, bool(_full_encode_notes(caplog))))
+    assert outputs == [(outputs[0][0], False), (outputs[0][0], True)]
 
 
 # -- eval ---------------------------------------------------------------------
@@ -378,7 +383,7 @@ def test_eval_header_shows_checkpoint_settings(capped_run, capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header == ("config: dim=8 entity_layers=1 relation_layers=1 cap=10 "
-                      "seed=3 max_midpoints=1000 filter_mode=train "
+                      "seed=3 filter_mode=train "
                       "tie_mode=optimistic")
 
 
@@ -573,9 +578,10 @@ def _diff_changed(out):
     return counts, changed, retrain
 
 
-def test_diff_takes_max_midpoints_from_checkpoint(tmp_path, capsys):
-    """r links (a, b) through five midpoints; a model keeping two of them
-    does not see the sixth, so r's context does not change for it."""
+def test_diff_and_update_agree_on_truncated_contexts(tmp_path, capsys, monkeypatch):
+    """r links (a, b) through five midpoints; under a midpoint limit of two
+    r's context does not see the sixth, so neither ``diff`` nor ``update``
+    finds r changed, and both retrain the same triples."""
     triples = [("a", "r", "b")]
     for i in range(5):
         triples += [("a", f"g{i}", f"m{i}"), (f"m{i}", f"h{i}", "b")]
@@ -583,9 +589,10 @@ def test_diff_takes_max_midpoints_from_checkpoint(tmp_path, capsys):
     write_snapshot_dir(old, triples)
     write_snapshot_dir(new, triples + [("a", "g3", "m9"), ("m9", "h4", "b")])
     c0, c1 = str(tmp_path / "c0.pkl"), str(tmp_path / "c1.pkl")
-    assert run(capsys, "train", str(old), c0, "--max-midpoints", "2", *FAST_FLAGS)[0] == 0
+    monkeypatch.setattr(dkge.contexts, "MAX_MIDPOINTS", 2)
+    assert run(capsys, "train", str(old), c0, *FAST_FLAGS)[0] == 0
 
-    code, out, _ = run(capsys, "diff", str(old), str(new), "--checkpoint", c0)
+    code, out, _ = run(capsys, "diff", str(old), str(new))
     assert code == 0
     counts, changed, retrain = _diff_changed(out)
     assert changed == ["changed entity a", "changed entity b"]
@@ -596,6 +603,7 @@ def test_diff_takes_max_midpoints_from_checkpoint(tmp_path, capsys):
     # a and b train their knowledge rows, the emerging m9 both rows; d = 8
     assert report["updated_parameters"] == (2 + 2 * 1) * 8
 
+    monkeypatch.undo()
     _, changed, _ = _diff_changed(run(capsys, "diff", str(old), str(new))[1])
     assert "changed relation r" in changed
 
@@ -612,7 +620,7 @@ def test_diff_matches_oracle_over_update_traces(tmp_path, capsys):
     """Changed objects and retrain lines as the one-object oracle gives them;
     the retrain lines come in the name order of their triples."""
     named = ("names", Snapshot.from_name_triples(NAME_ORDER_OLD),
-             Snapshot.from_name_triples(NAME_ORDER_NEW, time_step=1))
+             Snapshot.from_name_triples(NAME_ORDER_NEW))
     assert sorted(named[2].entity_names) != list(named[2].entity_names)
     for trace, g_old, g_new in (*update_traces(), named):
         old, new = tmp_path / f"{trace}a", tmp_path / f"{trace}b"
@@ -658,16 +666,11 @@ retrain e7 r7 e6
 """
 
 
-@pytest.mark.parametrize("checkpoint", [False, True], ids=["default", "checkpoint"])
-def test_diff_builds_no_capped_contexts(dirs, capsys, monkeypatch, checkpoint):
+def test_diff_builds_no_capped_contexts(dirs, capsys, monkeypatch):
     """``dkge diff`` compares uncapped relation contexts only: it builds no
     entity context, makes no context table, samples no capped copy and
     computes no S entry."""
-    tmp, old, new = dirs
-    argv = ["diff", str(old), str(new)]
-    if checkpoint:
-        assert run(capsys, "train", str(old), str(tmp / "c.pkl"), *FAST_FLAGS)[0] == 0
-        argv += ["--checkpoint", str(tmp / "c.pkl")]
+    _, old, new = dirs
 
     def refuse(*args, **kwargs):
         raise AssertionError("dkge diff built an entity or a capped context")
@@ -676,7 +679,7 @@ def test_diff_builds_no_capped_contexts(dirs, capsys, monkeypatch, checkpoint):
     monkeypatch.setattr(ContextTable, "__init__", refuse)
     monkeypatch.setattr(ContextTable, "_capped", refuse)
     monkeypatch.setattr(dkge.agcn, "normalize_adjacency", refuse)
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, "diff", str(old), str(new))
     assert code == 0
     assert out == TOY_DIFF
 
@@ -706,8 +709,9 @@ def misuse_dirs(tmp_path_factory):
     """A checkpoint of toy step 1; toy step 2, which it does not match; toy
     step 1 without (e3, r1, e4), which keeps every name; toy step 1 with a
     scorable, an empty and an all-unknown test file; a copy of the
-    checkpoint with a NaN row in ``ent_star``; and 4,000-line train files
-    with one malformed or undecodable line."""
+    checkpoint with a NaN row in ``ent_star``; 4,000-line train files with
+    one malformed or undecodable line; and a config file setting the
+    removed ``max_midpoints``."""
     tmp = tmp_path_factory.mktemp("misuse")
     write_snapshot_dir(tmp / "t1", TOY_T1)
     for name, test in (("t1-test", [("e1", "r1", "e2")]), ("t1-empty-test", []),
@@ -726,6 +730,7 @@ def misuse_dirs(tmp_path_factory):
         (tmp / name).mkdir()
         (tmp / name / "train.txt").write_bytes(b"".join(lines[:bad_at] + [bad] + lines[bad_at:]))
     (tmp / "empty").mkdir()
+    (tmp / "midpoints.cfg").write_text("max_midpoints = 2\n", encoding="utf-8")
     return tmp
 
 
@@ -764,11 +769,13 @@ def misuse_dirs(tmp_path_factory):
     (("eval", "{tmp}/t1-unknown-test", "{m1}"),
      "{tmp}/t1-unknown-test/test.txt: nothing to score: every triple names an "
      "unknown object (2 skipped)"),
+    (("train", "{t1}", "{tmp}/m3.pkl", "--config", "{tmp}/midpoints.cfg"),
+     "{tmp}/midpoints.cfg:1: unknown key 'max_midpoints'"),
 ], ids=["k-zero", "k-negative", "answer-mismatch", "eval-mismatch", "update-mismatch",
         "malformed-line", "non-utf8-byte", "missing-train", "update-wrong-old",
         "train-diverges", "nan-checkpoint", "train-missing-out-dir", "train-out-is-dir",
         "update-out-is-dir", "eval-missing-report-dir", "eval-empty-test",
-        "eval-unknown-test"])
+        "eval-unknown-test", "config-max-midpoints"])
 def test_misuse_prints_one_error_line(misuse_dirs, capsys, argv, message):
     """A bad invocation exits 1 with one stderr line naming the file or the
     flag, and writes no checkpoint and no report."""

@@ -5,12 +5,14 @@
 must reproduce, bit for bit, what ``entity_context``, ``relation_context``,
 the per-name cap sample, ``normalize_adjacency`` and the member sums give
 one object at a time, on graphs with self-loops, links in both directions,
-several relations per pair, hubs above the cap and shuffled file order.  Relation contexts are also checked under every
-midpoint bound, truncation warnings included.  The commands must run on the
+several relations per pair, hubs above the cap and shuffled file order.
+Relation contexts are also checked with ``contexts.MAX_MIDPOINTS`` patched
+to small limits, truncation warnings included.  The commands must run on the
 array indexes alone, never on the dict indexes the definitions read.
 """
 import logging
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from dkge.agcn import normalize_adjacency
 from dkge.contexts import (ContextSubgraph, ContextTable, ENTITY, RELATION,
                            build_contexts, candidate_relations, entity_context,
                            relation_context)
-from dkge.errors import ConfigError, UnknownObjectError
+from dkge.errors import UnknownObjectError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import context_features
 from dkge.training import TrainConfig, train_from_scratch, train_online
@@ -33,7 +35,8 @@ from graphs import (candidate_changed_names, churned_triples, random_name_triple
 
 CAP = 4
 NAME = st.text(alphabet="ab'\"Zé09", min_size=1, max_size=3)
-MAX_MIDPOINTS = st.sampled_from([0, 1, 2, 1000])
+# values patched into contexts.MAX_MIDPOINTS, its own included
+MIDPOINT_LIMITS = st.sampled_from([0, 1, 2, contexts.MAX_MIDPOINTS])
 # what ``relation_context`` logs for one truncated pair
 PAIR_WARNING = "relation %s pair (%s, %s): %d candidate midpoints truncated to %d"
 DICT_INDEXES = {"pair_map", "out_map", "relation_pairs", "neighbor_map"}
@@ -117,20 +120,20 @@ def test_bulk_contexts_equal_one_by_one(g, kind):
 @given(g=graphs(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_bulk_relation_contexts_truncate_as_one_by_one(g, data):
-    """Under any midpoint bound and for any owners, bulk relation contexts
+    """Under any midpoint limit and for any owners, bulk relation contexts
     equal ``relation_context``'s, and the truncated pairs are the ones it
     warns about, in its order."""
-    max_midpoints = data.draw(MAX_MIDPOINTS)
+    limit = data.draw(MIDPOINT_LIMITS)
     owners = data.draw(st.lists(st.integers(0, g.num_relations - 1), max_size=6))
-    with logged_warnings() as want:
-        subs = [relation_context(g, r, max_midpoints) for r in owners]
-    ctx, truncated = contexts._relation_contexts(g, np.array(owners, dtype=np.intp),
-                                                 max_midpoints)
+    with mock.patch.object(contexts, "MAX_MIDPOINTS", limit):
+        with logged_warnings() as want:
+            subs = [relation_context(g, r) for r in owners]
+        ctx, truncated = contexts._relation_contexts(g, np.array(owners, dtype=np.intp))
     for (members, edges), sub in zip(split(ctx), subs, strict=True):
         assert members == [v.members for v in sub.vertices]
         assert edges.tolist() == sub.edges.tolist()
     assert [PAIR_WARNING % (g.relation_names[r], g.entity_names[a], g.entity_names[b],
-                            n, max_midpoints)
+                            n, limit)
             for r, a, b, n in truncated.tolist()] == want
 
 
@@ -143,21 +146,15 @@ def test_one_truncation_warning_per_build(caplog, monkeypatch):
                     ("c", "go", f"m{i}"), (f"m{i}", "back", "d")]
     triples += [("a", "s", "m9"), ("m9", "back", "b"), ("a", "go", "m9")]
     g = Snapshot.from_name_triples(triples)
+    monkeypatch.setattr(contexts, "MAX_MIDPOINTS", 2)
     for chunk in (contexts.BUILD_CHUNK, 1):
         caplog.clear()
         monkeypatch.setattr(contexts, "BUILD_CHUNK", chunk)
         with caplog.at_level(logging.WARNING, logger=contexts.__name__):
-            ContextTable(g, max_midpoints=2).build_all()
+            ContextTable(g).build_all()
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [(
             "WARNING", "3 relation pairs: candidate midpoints truncated to 2 (largest "
                        "count 5); relations: r, s")]
-
-
-def test_table_rejects_negative_max_midpoints():
-    """The bulk build keeps no midpoint under a negative bound, where
-    ``relation_context`` would keep all but the last: a table refuses it."""
-    with pytest.raises(ConfigError, match="max midpoints must be >= 0"):
-        ContextTable(toy_snapshot(1), max_midpoints=-1)
 
 
 @pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
@@ -269,17 +266,16 @@ def test_pass_gathers_s_and_h0_bit_for_bit(g, data):
             assert table.get((kind, o)).edges.tolist() == sub.edges.tolist()
 
 
-@given(g=graphs(), max_midpoints=MAX_MIDPOINTS)
+@given(g=graphs(), limit=MIDPOINT_LIMITS)
 @settings(max_examples=40, deadline=None)
-def test_chunked_build_equals_unchunked(g, max_midpoints):
+def test_chunked_build_equals_unchunked(g, limit):
     built = []
     for chunk in (1, 1 << 40):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contexts, "BUILD_CHUNK", chunk)
-            table = ContextTable(g, cap=CAP, seed=1, max_midpoints=max_midpoints)
+        with mock.patch.object(contexts, "MAX_MIDPOINTS", limit), \
+                mock.patch.object(contexts, "BUILD_CHUNK", chunk):
+            table = ContextTable(g, cap=CAP, seed=1)
             kinds = ((ENTITY, g.num_entities), (RELATION, g.num_relations))
-            uncapped = [split(build_contexts(g, kind, np.arange(n), max_midpoints))
-                        for kind, n in kinds]
+            uncapped = [split(build_contexts(g, kind, np.arange(n))) for kind, n in kinds]
             passes = [table.gather(kind, np.arange(n)) for kind, n in kinds]
         built.append(([[(m, e.tolist()) for m, e in ctx] for ctx in uncapped], passes))
     (uncapped_a, passes_a), (uncapped_b, passes_b) = built
@@ -328,7 +324,7 @@ def test_commands_stay_off_the_dict_indexes(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(6)
     base = random_name_triples(rng, 150, 30, 5)
     g_old = Snapshot.from_name_triples(base)
-    g_new = Snapshot.from_name_triples(churned_triples(rng, base), time_step=1)
+    g_new = Snapshot.from_name_triples(churned_triples(rng, base))
     config = TrainConfig(dim=4, batch_size=50, max_epochs=1, cap=6, margin=2.0)
     store, _ = train_from_scratch(g_old, set(), config, log=None)
     train_online(g_old, g_new, store, set(), config, log=None)

@@ -1,14 +1,16 @@
 """Context subgraphs: extraction, canonical signatures, capping, change detection."""
 import logging
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dkge.contexts as contexts
 from dkge.agcn import normalize_adjacency
-from dkge.contexts import (ContextArrays, ContextTable, DEFAULT_MAX_MIDPOINTS, ENTITY,
-                           RELATION, RELATION_PATH, build_context, build_contexts,
+from dkge.contexts import (ContextArrays, ContextTable, ENTITY, RELATION, RELATION_PATH,
+                           build_context, build_contexts,
                            candidate_relations, changed_context_objects, context_changes,
                            context_signature, entity_context, relation_context)
 from dkge.kg_store import Snapshot, diff_snapshots
@@ -204,19 +206,20 @@ def test_relation_context_dedupes_paths_across_pairs():
     assert names.count(("s",)) == 1
 
 
-def test_relation_context_midpoint_truncation(caplog):
+def test_relation_context_midpoint_truncation(caplog, monkeypatch):
     triples = [("a", "r", "b")]
     for i in range(8):
         triples.append(("a", "go", f"m{i}"))
         triples.append((f"m{i}", "back", "b"))
     g = Snapshot.from_name_triples(triples)
-    with caplog.at_level(logging.WARNING):
-        small = relation_context(g, g.relation_id("r"), max_midpoints=3)
-    assert any("midpoint" in rec.message for rec in caplog.records)
     full = relation_context(g, g.relation_id("r"))
+    monkeypatch.setattr(contexts, "MAX_MIDPOINTS", 3)
+    with caplog.at_level(logging.WARNING):
+        small = relation_context(g, g.relation_id("r"))
+    assert any("midpoint" in rec.message for rec in caplog.records)
     assert len(small.vertices) <= len(full.vertices)
     # truncation is canonical: same call, same result
-    again = relation_context(g, g.relation_id("r"), max_midpoints=3)
+    again = relation_context(g, g.relation_id("r"))
     assert context_signature(small, g) == context_signature(again, g)
     assert np.array_equal(small.edges, again.edges)
 
@@ -235,10 +238,10 @@ def test_build_context_dispatch(g1):
 def test_signature_invariant_to_file_order(g1):
     """A snapshot loaded from a reshuffled file assigns other ids; the
     signatures agree and the detector reports no change."""
-    g1b = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
+    g1b = Snapshot.from_name_triples(list(reversed(TOY_T1)))
     assert g1b.entity_names != g1.entity_names
     assert signatures_by_name(g1) == signatures_by_name(g1b)
-    changed = context_changes(g1, g1b, diff_snapshots(g1, g1b), DEFAULT_MAX_MIDPOINTS)
+    changed = context_changes(g1, g1b, diff_snapshots(g1, g1b))
     assert [ids.size for ids in changed[:2]] == [0, 0]
 
 
@@ -312,13 +315,13 @@ def test_changes_cover_the_uncapped_context():
     table = ContextTable(g, cap=3)
     kept = {g.entity_names[v.members[0]] for v in table.entity(g.entity_id("hub")).vertices}
     a, b = sorted({f"leaf{i:03d}" for i in range(60)} - kept)[:2]
-    g_new = Snapshot.from_name_triples(list(g.name_triples()) + [(a, "r", b)], time_step=1)
+    g_new = Snapshot.from_name_triples(list(g.name_triples()) + [(a, "r", b)])
     diff = diff_snapshots(g, g_new)
     new_table = ContextTable(g_new, cap=3)
     assert [v.members for v in new_table.entity(g_new.entity_id("hub")).vertices] == [
         (g_new.entity_id(g.entity_names[v.members[0]]),)
         for v in table.entity(g.entity_id("hub")).vertices]
-    changed = context_changes(g, g_new, diff, new_table.max_midpoints)
+    changed = context_changes(g, g_new, diff)
     assert g_new.entity_id("hub") in changed[0].tolist()
     assert [ids.tolist() for ids in changed[:2]] == [
         ids.tolist() for ids in split_refs(changed_context_objects(g, g_new))]
@@ -423,7 +426,7 @@ def test_changed_contexts_toy(g1, g2, monkeypatch):
         return build(snapshot, kind, owners, *args)
 
     monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
-    changed = context_changes(g1, g2, diff, DEFAULT_MAX_MIDPOINTS)
+    changed = context_changes(g1, g2, diff)
     want = split_refs(changed_context_objects(g1, g2, diff))
     assert [ids.tolist() for ids in changed[:2]] == [ids.tolist() for ids in want]
     assert built == [
@@ -433,12 +436,12 @@ def test_changed_contexts_toy(g1, g2, monkeypatch):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-       max_midpoints=st.sampled_from([0, 1, 2, DEFAULT_MAX_MIDPOINTS]))
+       limit=st.sampled_from([0, 1, 2, contexts.MAX_MIDPOINTS]))
 @settings(max_examples=30, deadline=None)
-def test_context_changes_equal_the_reference(seed, max_midpoints):
+def test_context_changes_equal_the_reference(seed, limit):
     """The detector finds what comparing ``context_signature``s one object
     at a time finds, every entity and the relation candidates, under any
-    midpoint bound, on churned pairs with self-loops and parallel
+    midpoint limit patched into ``contexts.MAX_MIDPOINTS``, on churned pairs with self-loops and parallel
     relations, where the churn also adds and removes self-loops, removes
     every triple of an entity, adds entities and shuffles the file order;
     under the default bound that is ``changed_context_objects``, and the
@@ -456,20 +459,19 @@ def test_context_changes_equal_the_reference(seed, max_midpoints):
     new = [t for t in new if gone not in (t[0], t[2]) and (t[0] != t[2] or rng.random() < 0.7)]
     new = list(dict.fromkeys(new + [("y0", "r1", names[int(rng.integers(len(names)))])]))
     g_old = Snapshot.from_name_triples(base)
-    g_new = Snapshot.from_name_triples([new[k] for k in rng.permutation(len(new)).tolist()],
-                                       time_step=1)
+    g_new = Snapshot.from_name_triples([new[k] for k in rng.permutation(len(new)).tolist()])
     diff = diff_snapshots(g_old, g_new)
-    changed = context_changes(g_old, g_new, diff, max_midpoints)
-    want = reference_changes(g_old, g_new, diff, (np.arange(g_new.num_entities),
-                                                  candidate_relations(g_new, diff)),
-                             max_midpoints)
+    with mock.patch.object(contexts, "MAX_MIDPOINTS", limit):
+        changed = context_changes(g_old, g_new, diff)
+        want = reference_changes(g_old, g_new, diff, (np.arange(g_new.num_entities),
+                                                      candidate_relations(g_new, diff)))
+        moved = np.union1d(diff.emerging_relations, changed.relations)
+        built = build_contexts(g_new, RELATION, moved)
     assert [ids.tolist() for ids in changed[:2]] == [ids.tolist() for ids in want]
-    moved = np.union1d(diff.emerging_relations, changed.relations)
-    built = build_contexts(g_new, RELATION, moved, max_midpoints)
     for field in fields(ContextArrays):
         assert (getattr(changed.relation_contexts, field.name).tolist()
                 == getattr(built, field.name).tolist())
-    if max_midpoints == DEFAULT_MAX_MIDPOINTS:
+    if limit == contexts.MAX_MIDPOINTS:
         reference = changed_context_objects(g_old, g_new, diff)
         assert [ids.tolist() for ids in changed[:2]] == [ids.tolist()
                                                          for ids in split_refs(reference)]
@@ -483,10 +485,10 @@ def test_changes_see_members_regroup_into_paths():
     g_old = Snapshot.from_name_triples([("x", "r", "y"), ("x", "a", "y"), ("x", "b", "m"),
                                         ("m", "c", "y")])
     g_new = Snapshot.from_name_triples([("x", "r", "y"), ("x", "a", "m"), ("m", "b", "y"),
-                                        ("x", "c", "y")], time_step=1)
+                                        ("x", "c", "y")])
     r = g_new.relation_id("r")
     diff = diff_snapshots(g_old, g_new)
-    changed = context_changes(g_old, g_new, diff, DEFAULT_MAX_MIDPOINTS)
+    changed = context_changes(g_old, g_new, diff)
     assert r in changed[1].tolist()
     assert [ids.tolist() for ids in changed[:2]] == [
         ids.tolist() for ids in split_refs(changed_context_objects(g_old, g_new))]
@@ -501,7 +503,7 @@ def test_changed_context_objects_toy(g1, g2):
 
 
 def test_changed_context_objects_no_change(g1):
-    other = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
+    other = Snapshot.from_name_triples(list(reversed(TOY_T1)))
     assert changed_context_objects(g1, other) == frozenset()
 
 
@@ -518,7 +520,7 @@ def test_candidate_overapproximation_sound(seed):
     rng = np.random.default_rng(seed)
     base = random_name_triples(rng, 25, 10, 4)
     g_old = Snapshot.from_name_triples(base)
-    g_new = Snapshot.from_name_triples(churned_triples(rng, base), time_step=1)
+    g_new = Snapshot.from_name_triples(churned_triples(rng, base))
     diff = diff_snapshots(g_old, g_new)
     rel_ids = candidate_relations(g_new, diff)
     changed = changed_context_objects(g_old, g_new, diff)

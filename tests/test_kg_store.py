@@ -217,11 +217,11 @@ def ids(rows):
 ])
 def test_snapshot_rejects_inconsistent_fields(triple_ids, entities, relations, message):
     with pytest.raises(ValueError, match=message):
-        Snapshot(0, triple_ids, entities, relations)
+        Snapshot(triple_ids, entities, relations)
 
 
 def test_snapshot_stores_a_read_only_array_and_compares_by_identity():
-    g = Snapshot(0, ids([[0, 0, 1], [1, 0, 1]]), ("a", "b"), ("r",))
+    g = Snapshot(ids([[0, 0, 1], [1, 0, 1]]), ("a", "b"), ("r",))
     assert not g.triple_ids.flags.writeable
     with pytest.raises(ValueError):
         g.triple_ids[0, 2] = 0
@@ -352,7 +352,7 @@ def test_pair_index_matches_the_dict_views(seed):
 def test_save_load_round_trip(tmp_path, g1):
     p = tmp_path / "snap.txt"
     save_snapshot(g1, p)
-    g = load_snapshot(p, time_step=1)
+    g = load_snapshot(p)
     assert g.triples == g1.triples
     assert g.entity_names == g1.entity_names
     assert g.relation_names == g1.relation_names
@@ -385,7 +385,7 @@ def test_diff_toy_step(g1, g2):
 
 
 def test_diff_identical_snapshots(g1):
-    other = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
+    other = Snapshot.from_name_triples(list(reversed(TOY_T1)))
     diff = diff_snapshots(g1, other)
     assert diff.is_empty
 

@@ -31,7 +31,7 @@ def attached_graph(seed):
     base = random_name_triples(rng, 120, 30, 5)
     grown = base + [("new0", "r1", "e3"), ("e7", "r2", "new0"), ("new0", "r0", "e11"),
                     ("new0", "r9", "e5")]
-    return Snapshot.from_name_triples(base), Snapshot.from_name_triples(grown, time_step=1)
+    return Snapshot.from_name_triples(base), Snapshot.from_name_triples(grown)
 
 
 def spy_batch_loss(monkeypatch, check):
@@ -128,7 +128,7 @@ def test_fixed_rows_equal_fresh_encodings_along_a_chain(monkeypatch):
     spy_batch_loss(monkeypatch, check)
     for step in range(1, 4):
         triples = churned_triples(rng, triples, churn=0.04)
-        g_new = Snapshot.from_name_triples(triples, time_step=step)
+        g_new = Snapshot.from_name_triples(triples)
         assert store.joint_digest == g.digest
         store, report = train_online(g, g_new, store, set(), cfg, log=None)
         assert report.retrained_triples > 0

@@ -1,10 +1,13 @@
 """Index orders by one sort key, and name ranks carried across a diff.
 
-The index builders sort each array by one ``np.argsort`` over a distinct
-int64 key.  Distinct keys have exactly one sorted order, so every index must
-equal, bit for bit, what the multi-key ``np.lexsort`` and stable-argsort
-expressions kept below give.  An old snapshot's name ranks are carried over
-from the new one's through the diff's id maps and must equal its own sort.
+The pair and link indexes sort each array by one ``np.argsort`` over a
+distinct int64 key.  Distinct keys have exactly one sorted order, so every
+index must equal, bit for bit, what the multi-key ``np.lexsort`` and
+stable-argsort expressions kept below give.  ``normalize_adjacency`` and
+``_entity_contexts`` sort by row alone with a stable sort, relying on each
+row's entries coming in column order; they must equal a ``np.lexsort`` by
+(row, column).  An old snapshot's name ranks are carried over from the new
+one's through the diff's id maps and must equal its own sort.
 """
 import contextlib
 import io
@@ -84,7 +87,7 @@ def reference_normalize(sizes, edges, edge_counts):
 
 
 def reference_entity_edges(g: Snapshot, owners: np.ndarray) -> np.ndarray:
-    """``_entity_contexts``' edges, the rows put in order by a stable sort."""
+    """``_entity_contexts``' edges, put in order by row, then column."""
     links, n_e, rank = g.links, g.num_entities, g.name_rank
     deg = np.diff(links.ptr)
     sizes = deg[owners] + 1
@@ -111,7 +114,7 @@ def reference_entity_edges(g: Snapshot, owners: np.ndarray) -> np.ndarray:
                             np.stack((np.zeros_like(nbr), local[nbr]), axis=1),
                             np.stack((local[row], at[inside] - links.ptr[owner[inside]] + 1),
                                      axis=1)))
-    return pairs[np.argsort(rows, kind="stable")]
+    return pairs[np.lexsort((pairs[:, 1], rows))]
 
 
 # -- drawn snapshots and batches ----------------------------------------------

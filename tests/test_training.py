@@ -7,7 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dkge.contexts import ENTITY, RELATION, candidate_relations, changed_context_objects
+from dkge.contexts import (ENTITY, MAX_MIDPOINTS, RELATION, candidate_relations,
+                           changed_context_objects)
 from dkge.errors import ConfigError, IntegrityError
 from dkge.kg_store import Snapshot, diff_snapshots
 from dkge.model import joint_table
@@ -38,7 +39,7 @@ def all_param_bytes(store):
 @pytest.mark.parametrize("bad", [
     dict(dim=0), dict(learning_rate=0.0), dict(batch_size=0), dict(margin=0.0),
     dict(entity_layers=3), dict(relation_layers=0), dict(max_epochs=0),
-    dict(patience=0), dict(eval_every=0), dict(cap=0), dict(max_midpoints=-1),
+    dict(patience=0), dict(eval_every=0), dict(cap=0),
     dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
     dict(margin=float("nan")), dict(margin=float("inf")), dict(seed=-1)])
 def test_config_validation(bad):
@@ -51,7 +52,7 @@ def test_config_defaults():
     assert (cfg.dim, cfg.learning_rate, cfg.batch_size, cfg.margin) \
         == (100, 0.005, 500, 10.0)
     assert (cfg.max_epochs, cfg.patience, cfg.eval_every) == (800, 5, 10)
-    assert (cfg.cap, cfg.max_midpoints) == (35, 1000)
+    assert (cfg.cap, MAX_MIDPOINTS) == (35, 1000)
 
 
 # -- scratch training ---------------------------------------------------------
@@ -104,8 +105,7 @@ def test_pairs_without_a_negative_are_dropped():
     assert all_param_bytes(one) == all_param_bytes(three)
     # an update retrains all five triples; only the new relation's has a
     # corruption
-    g_new = Snapshot.from_name_triples(list(g.name_triples()) + [("a", "s", "b")],
-                                       time_step=1)
+    g_new = Snapshot.from_name_triples(list(g.name_triples()) + [("a", "s", "b")])
     _, report = train_online(g, g_new, three, set(), TrainConfig(**{**FAST, "max_epochs": 2}),
                              log=None)
     assert (report.epochs_run, report.retrained_triples) == (2, 5)
@@ -118,7 +118,7 @@ def test_training_builds_no_triple_views():
     rng = np.random.default_rng(8)
     base = random_name_triples(rng, 120, 25, 4)
     g_old = Snapshot.from_name_triples(base)
-    g_new = Snapshot.from_name_triples(churned_triples(rng, base), time_step=1)
+    g_new = Snapshot.from_name_triples(churned_triples(rng, base))
     config = TrainConfig(**{**FAST, "max_epochs": 2})
     store, report = train_from_scratch(g_old, set(), config, log=None)
     _, update = train_online(g_old, g_new, store, set(), config, log=None)
@@ -158,7 +158,7 @@ def test_collect_retrain_set_toy(g1, g2):
 
 
 def test_collect_retrain_set_empty_when_unchanged(g1):
-    other = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
+    other = Snapshot.from_name_triples(list(reversed(TOY_T1)))
     diff = diff_snapshots(g1, other)
     changed = split_refs(changed_context_objects(g1, other, diff))
     assert row_triples(collect_retrain_set(other, diff, changed)) == frozenset()
@@ -218,7 +218,7 @@ def test_online_rejects_dim_mismatch(g1, g2):
 
 
 def test_online_noop_when_nothing_changed(g1):
-    other = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
+    other = Snapshot.from_name_triples(list(reversed(TOY_T1)))
     before, after, report = run_online(g1, other)
     # every SGD field at its "no epoch ran" default
     assert (report.epochs_run, report.epoch_losses, report.best_valid_hits10,
@@ -246,7 +246,7 @@ def test_both_modes_report_the_same_keys(g1, g2):
 
 def test_online_migration_drops_removed_objects(g1):
     shrunk = Snapshot.from_name_triples(
-        [t for t in TOY_T1 if t[0] != "e4" and t[2] != "e4"], time_step=1)
+        [t for t in TOY_T1 if t[0] != "e4" and t[2] != "e4"])
     before, after, report = run_online(g1, shrunk)
     assert after.ent_know.shape[0] == shrunk.num_entities
     assert "e4" not in after.entity_names
@@ -271,7 +271,7 @@ def test_online_detection_matches_pure_diff():
     for trial in range(6):
         base = random_name_triples(rng, 30, 10, 4)
         g_old = Snapshot.from_name_triples(base)
-        g_new = Snapshot.from_name_triples(churned_triples(rng, base), time_step=1)
+        g_new = Snapshot.from_name_triples(churned_triples(rng, base))
         cfg = TrainConfig(**{**FAST, "max_epochs": 1, "seed": trial})
         store, _ = train_from_scratch(g_old, set(), cfg, log=None)
         new_store, report = train_online(g_old, g_new, store, set(), cfg, log=None)
@@ -335,8 +335,7 @@ def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
 
 def test_online_rejects_model_config_mismatch(g1, g2):
     store, _ = train_from_scratch(g1, set(), TrainConfig(**FAST), log=None)
-    for key, value in (("cap", 10), ("seed", 1), ("max_midpoints", 2),
-                       ("entity_layers", 2)):
+    for key, value in (("cap", 10), ("seed", 1), ("entity_layers", 2)):
         with pytest.raises(ConfigError, match=key):
             train_online(g1, g2, store.copy(), set(),
                          TrainConfig(**{**FAST, key: value}), log=None)
@@ -377,7 +376,7 @@ def test_online_re_encodes_only_the_touched_region(g1, g2):
 
 
 def test_online_noop_carries_joint_tables(g1):
-    other = Snapshot.from_name_triples(list(reversed(TOY_T1)), time_step=1)
+    other = Snapshot.from_name_triples(list(reversed(TOY_T1)))
     _, after, report = run_online(g1, other)
     assert_tables_fresh(after, other)
     assert (report.reencoded_entities, report.reencoded_relations) == (0, 0)
@@ -423,7 +422,7 @@ def test_joint_tables_fresh_along_an_update_chain():
                for e in range(g.num_entities)) == 6
     for step in range(1, 4):
         triples = churned_triples(rng, triples, churn=0.04)
-        g_new = Snapshot.from_name_triples(triples, time_step=step)
+        g_new = Snapshot.from_name_triples(triples)
         store, report = train_online(g, g_new, store, set(), cfg, log=None)
         assert_tables_fresh(store, g_new)
         assert_reencodes_the_trained_rows(report, g, g_new, cfg.dim)
