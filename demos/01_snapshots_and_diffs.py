@@ -31,7 +31,7 @@ print("emerging relations:", sorted(new.relation_names[r] for r in diff.emerging
 # comparing contexts spots every existing object whose surroundings moved,
 # including second-order effects: a new edge between two neighbors of e1
 # changes e1's context even though e1 is on neither end of it
-for kind, obj in sorted(changed_context_objects(old, new, diff)):
+for kind, obj in sorted(changed_context_objects(old, new)):
     name = (new.entity_names[obj] if kind == ENTITY
             else new.relation_names[obj])
     print("changed context:", kind, name)

@@ -2,8 +2,9 @@
 
 The payload is a plain pickled dict of arrays and metadata, written through
 a temp file and renamed into place, so a reader never sees a half-written
-checkpoint; a failed save raises OSError naming the checkpoint's path, not
-the temp file's.  Two runs that produce the same parameters produce
+checkpoint; the file gets the mode a plain ``open()`` gives a new file, and
+a failed save raises OSError naming the checkpoint's path, not the temp
+file's.  Two runs that produce the same parameters produce
 byte-identical files: nothing time- or path-dependent enters the payload,
 and every array is written with numpy's own float64 dtype instance.
 Pickle memoizes objects by identity, and an unpickled array carries a
@@ -74,16 +75,18 @@ def save_checkpoint(store: ParameterStore, path) -> None:
     }
     path = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name,
-                                        suffix=".tmp")
+        # a file of its own temp directory, so open() gives it the mode any
+        # new file gets (0666 less the umask), not mkstemp's 0600
+        tmp_dir = tempfile.mkdtemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        tmp_name = os.path.join(tmp_dir, path.name)
         try:
-            with os.fdopen(fd, "wb") as fh:
+            with open(tmp_name, "wb") as fh:
                 pickle.dump(payload, fh, protocol=4)
             os.replace(tmp_name, path)
-        except BaseException:
+        finally:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
-            raise
+            os.rmdir(tmp_dir)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 

@@ -7,8 +7,9 @@ absent.
 
 Each command takes flags for the settings it reads and echoes only those:
 ``train`` and ``update`` the model and optimiser settings, ``eval`` the
-model and ranking settings.  ``answer`` and ``diff`` take none: the
-midpoint limit of relation contexts is one constant,
+ranking settings.  ``eval`` and ``answer`` read the model settings from the
+checkpoint alone, and ``eval`` echoes them too.  ``answer`` and ``diff``
+take none: the midpoint limit of relation contexts is one constant,
 ``contexts.MAX_MIDPOINTS``, so ``diff`` finds the changes ``update`` finds
 without reading a checkpoint.  The config file is shared, so it may hold any
 known key; a command ignores the keys it does not read.  ``update``
@@ -49,7 +50,7 @@ CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "tie_mode": (str, TIE_OPTIMISTIC),
 }
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
-# what eval uses: the model settings plus these
+# what eval reads besides the checkpoint's model settings
 EVAL_KEYS = ("filter_mode", "tie_mode")
 
 
@@ -228,12 +229,10 @@ def cmd_update(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.report_file:
         _check_output(args.report_file)
-    # the model settings come from the checkpoint; a flag or config value
-    # that disagrees with them is an error
+    # the model settings are the checkpoint's; a config file's are ignored
     store = load_checkpoint(args.checkpoint)
     model = store.model_config()
-    merged = effective_config(args, inherited=model)
-    store.require_model_config(merged)
+    merged = {**effective_config(args), **model}
     print(run_header(merged, (*model, *EVAL_KEYS)))
     sd = load_snapshot_dir(args.snapshot_dir)
     if sd.test is None:
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("snapshot_dir")
     p.add_argument("checkpoint")
     p.add_argument("--report-file", dest="report_file")
-    _add_model_flags(p)
+    p.add_argument("--config", help="flat key = value config file")
     _add_ranking_flags(p)
     p.set_defaults(func=cmd_eval)
 

@@ -437,13 +437,11 @@ def _select(ctx: ContextArrays, keep: np.ndarray) -> ContextArrays:
 # -- change detection --------------------------------------------------------
 
 
-def changed_context_objects(g_old: Snapshot, g_new: Snapshot,
-                            diff: SnapshotDiff | None = None) -> frozenset[ObjectRef]:
+def changed_context_objects(g_old: Snapshot, g_new: Snapshot) -> frozenset[ObjectRef]:
     """Objects present in both snapshots whose context signature changed.
 
     Ids in the result refer to the new snapshot.  Emerging and removed
-    objects are never included.  Objects are matched by name, so ``diff``
-    is not read; callers may pass the one they hold.
+    objects are never included.  Objects are matched by name.
     """
     changed: set[ObjectRef] = set()
     for kind, old_ids, new_ids, context in (

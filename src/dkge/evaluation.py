@@ -190,12 +190,12 @@ def _rank(direction: str, triple: Triple, scorer: _Scorer, known: _KnownTriples,
 
 def rank_entity(query: tuple[str, Triple], store: ParameterStore, snapshot: Snapshot,
                 filter_triples: Collection[Triple] | np.ndarray = frozenset(), *,
-                contexts: ContextTable | None = None,
                 tie_mode: str = TIE_OPTIMISTIC) -> RankResult:
-    """Filtered rank of the true entity for one (direction, triple) query."""
+    """Filtered rank of the true entity for one (direction, triple) query,
+    scored on ``joint_table(store, snapshot)``."""
     direction, triple = query
     snapshot.id_rows([triple])
-    cache = joint_table(store, snapshot, contexts)
+    cache = joint_table(store, snapshot)
     return _rank(direction, triple, _Scorer(cache),
                  _known_triples(filter_triples, snapshot), tie_mode)
 
@@ -258,9 +258,9 @@ def aggregate_ranks(ranks: Sequence[int], ks: Sequence[int],
 
 
 def answer(head: int, relation: int, k: int, store: ParameterStore,
-           snapshot: Snapshot, *,
-           contexts: ContextTable | None = None) -> list[tuple[int, float]]:
-    """Unfiltered top-k tail entities for (head, relation, ?), best first.
+           snapshot: Snapshot) -> list[tuple[int, float]]:
+    """Unfiltered top-k tail entities for (head, relation, ?), best first,
+    scored on ``joint_table(store, snapshot)``.
 
     Ties break toward the smaller entity id.  ``k`` below 1 raises
     ConfigError.
@@ -269,6 +269,6 @@ def answer(head: int, relation: int, k: int, store: ParameterStore,
         raise ConfigError(f"k must be at least 1, got {k}")
     snapshot._check_entity(head)
     snapshot._check_relation(relation)
-    scores = _Scorer(joint_table(store, snapshot, contexts)).tails(head, relation)
+    scores = _Scorer(joint_table(store, snapshot)).tails(head, relation)
     order = np.argsort(scores, kind="stable")[:k]
     return [(int(e), float(scores[e])) for e in order]

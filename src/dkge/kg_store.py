@@ -191,12 +191,11 @@ class Snapshot:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_name_triples(name_triples: Iterable[NameTriple],
-                          duplicates_collapsed: int = 0) -> "Snapshot":
+    def from_name_triples(name_triples: Iterable[NameTriple]) -> "Snapshot":
         columns = tuple(zip(*name_triples))
         if not columns:
             raise EmptySnapshotError("snapshot has no triples")
-        return _interned(*columns, duplicates_collapsed)
+        return _interned(*columns)
 
     # -- dictionaries ------------------------------------------------------
 
@@ -396,10 +395,10 @@ class Snapshot:
         return Triple(self.entity_id(h), self.relation_id(r), self.entity_id(t))
 
 
-def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[str],
-              duplicates_collapsed: int) -> Snapshot:
+def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[str]) -> Snapshot:
     """The Snapshot of name columns in file order: ids in first-occurrence
-    order, heads and tails interleaved, and each triple's first row kept."""
+    order, heads and tails interleaved, each triple's first row kept and
+    the later ones counted in ``duplicates_collapsed``."""
     n = len(heads)
     ends = [""] * (2 * n)
     ends[0::2] = heads
@@ -419,7 +418,7 @@ def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[st
         order, np.flatnonzero(np.diff(codes[order], prepend=-1))))
     snapshot = Snapshot(triple_ids=ids[first],
                         entity_names=entity_names, relation_names=relation_names,
-                        duplicates_collapsed=duplicates_collapsed + n - first.size)
+                        duplicates_collapsed=n - first.size)
     # the interning dicts are the ones ``entity_ids`` and ``relation_ids`` build
     vars(snapshot).update(entity_ids=entity_ids, relation_ids=relation_ids)
     return snapshot
@@ -473,12 +472,10 @@ def undecodable_line(path) -> int:
     return _first_undecodable(Path(path).read_bytes().splitlines())
 
 
-def _parse_lines(path: Path, lines: Iterable[str]) -> tuple[list[NameTriple], int]:
+def _parse_lines(path: Path, lines: Iterable[str]) -> list[NameTriple]:
     """The name triples of text lines numbered from 1, in order with
-    duplicates removed, and the number of duplicates collapsed."""
+    duplicates kept."""
     out: list[NameTriple] = []
-    seen: set[NameTriple] = set()
-    dups = 0
     for line_no, raw in enumerate(lines, start=1):
         text = raw.lstrip()
         if not text or text[0] == "#":
@@ -487,13 +484,8 @@ def _parse_lines(path: Path, lines: Iterable[str]) -> tuple[list[NameTriple], in
         if len(fields) != 3 or not all(fields):
             raise ParseError(path, line_no,
                              f"expected 3 tab-separated fields, got {len(fields)}")
-        nt: NameTriple = (fields[0], fields[1], fields[2])
-        if nt in seen:
-            dups += 1
-            continue
-        seen.add(nt)
-        out.append(nt)
-    return out, dups
+        out.append((fields[0], fields[1], fields[2]))
+    return out
 
 
 # every byte value but tab and newline, for bytes.translate to delete
@@ -525,14 +517,12 @@ def _split_regular(text: str) -> _Columns | None:
     return heads, fields[1::3], fields[2::3]
 
 
-def _read_columns(path: Path) -> tuple[_Columns, int]:
-    """The columns of a triple file and the number of duplicate lines
-    already dropped from them.
+def _read_columns(path: Path) -> _Columns:
+    """The columns of a triple file, in file order with duplicates kept.
 
-    A regular file is split whole, duplicates kept.  Any other goes through
-    the line reader, which drops them and alone raises ParseError for a
-    malformed line.  The first bad line in file order is the one reported,
-    whether it is malformed or not UTF-8.
+    A regular file is split whole.  Any other goes through the line reader,
+    which alone raises ParseError for a malformed line.  The first bad line
+    in file order is the one reported, whether it is malformed or not UTF-8.
     """
     data = path.read_bytes()
     try:
@@ -545,10 +535,10 @@ def _read_columns(path: Path) -> tuple[_Columns, int]:
         raise ParseError(path, bad, f"not UTF-8: {exc.reason}") from None
     columns = _split_regular(text)
     if columns is not None:
-        return columns, 0
+        return columns
     # text mode's line ends: \n, \r\n and \r
-    triples, dups = _parse_lines(path, io.StringIO(text, newline=None))
-    return tuple(map(list, zip(*triples))) or ([], [], []), dups
+    triples = _parse_lines(path, io.StringIO(text, newline=None))
+    return tuple(map(list, zip(*triples))) or ([], [], [])
 
 
 def _warn_duplicates(path: Path, dups: int) -> None:
@@ -566,10 +556,9 @@ def parse_triple_file(path) -> tuple[list[NameTriple], int]:
     malformed or not UTF-8.
     """
     path = Path(path)
-    columns, dups = _read_columns(path)
-    rows = list(zip(*columns))
+    rows = list(zip(*_read_columns(path)))
     out = list(dict.fromkeys(rows))
-    dups += len(rows) - len(out)
+    dups = len(rows) - len(out)
     _warn_duplicates(path, dups)
     return out, dups
 
@@ -578,14 +567,14 @@ def load_snapshot(path) -> Snapshot:
     """Load one triple file as a Snapshot.
 
     Its dictionaries, ids and duplicate count are those that
-    ``Snapshot.from_name_triples`` gives the triples ``parse_triple_file``
-    reads.
+    ``Snapshot.from_name_triples`` gives the file's rows, duplicates
+    included.
     """
     file = Path(path)
-    (heads, relations, tails), dups = _read_columns(file)
+    heads, relations, tails = _read_columns(file)
     if not heads:
         raise EmptySnapshotError(f"{path} contains no triples")
-    snapshot = _interned(heads, relations, tails, dups)
+    snapshot = _interned(heads, relations, tails)
     _warn_duplicates(file, snapshot.duplicates_collapsed)
     return snapshot
 

@@ -213,14 +213,18 @@ def relation_stats(snapshot: Snapshot) -> RelationStats:
     return RelationStats(tph=counts / pairs(h), hpt=counts / pairs(t))
 
 
+# Redraws of a corruption that is a known triple, read at call time
+MAX_RETRIES = 100
+
+
 def bernoulli_corrupt(triple: Triple, stats: RelationStats, snapshot: Snapshot,
-                      rng: np.random.Generator, max_retries: int = 100) -> Triple | None:
+                      rng: np.random.Generator) -> Triple | None:
     """One corrupted triple: head replaced with probability tph/(tph+hpt),
     otherwise tail; the replacement entity is uniform.  Redrawn while the
-    corrupted triple exists in the snapshot, up to max_retries; None when
-    every draw was a known triple."""
+    corrupted triple exists in the snapshot, up to MAX_RETRIES times; None
+    when every draw was a known triple."""
     p_head = stats.head_probability(triple.relation)
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         replace_head = rng.random() < p_head
         other = int(rng.integers(snapshot.num_entities))
         if replace_head:
@@ -233,14 +237,14 @@ def bernoulli_corrupt(triple: Triple, stats: RelationStats, snapshot: Snapshot,
 
 
 def corrupt_rows(rows: np.ndarray, stats: RelationStats, snapshot: Snapshot,
-                 rng: np.random.Generator, max_retries: int = 100) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """``bernoulli_corrupt`` for a batch of (n, 3) id rows at once.
 
     Returns a (P, 2, 3) int64 array of (positive, negative) rows, in batch
     order.  Each round draws the head/tail choices, then the replacement
     entities, of the rows still open, and tests the candidates' codes
     against ``snapshot.sorted_codes``; only the collisions are redrawn, for
-    at most max_retries + 1 rounds.  A row still colliding after the last
+    at most MAX_RETRIES + 1 rounds.  A row still colliding after the last
     round is left out, so P <= n.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -249,7 +253,7 @@ def corrupt_rows(rows: np.ndarray, stats: RelationStats, snapshot: Snapshot,
     p_head = (stats.tph / (stats.tph + stats.hpt))[rows[:, 1]]
     negatives = rows.copy()
     open_rows = np.arange(len(rows))
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         if not open_rows.size:
             break
         k = open_rows.size

@@ -253,7 +253,7 @@ def test_criterion_4_invariance_over_traces():
         after, report = train_online(g_old, g_new, before.copy(), set(), cfg,
                                      log=None)
         diff = diff_snapshots(g_old, g_new)
-        changed = changed_context_objects(g_old, g_new, diff)
+        changed = changed_context_objects(g_old, g_new)
         ents, rels = _untouched_refs(g_old, g_new, diff, changed)
         for a, b in zip(before.entity_agcn.weights, after.entity_agcn.weights):
             if a.tobytes() != b.tobytes():

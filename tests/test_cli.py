@@ -5,6 +5,7 @@ import io
 import json
 import pickle
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -106,15 +107,12 @@ def test_flag_overrides_file_overrides_default(dirs, capsys):
     assert load_checkpoint(tmp / "m.pkl").dim == 20
 
 
-MODEL_KEYS = ("dim", "entity_layers", "relation_layers", "cap", "seed")
-
-
 def test_each_command_echoes_every_setting_it_takes():
     """A settings flag that a command accepts is a setting it reads, so it
     is in the config line the command prints; ``answer`` and ``diff``
     print none and take none."""
     echoed = {"train": TRAIN_KEYS, "update": TRAIN_KEYS,
-              "eval": MODEL_KEYS + EVAL_KEYS, "answer": (), "diff": ()}
+              "eval": EVAL_KEYS, "answer": (), "diff": ()}
     exempt = {"--config", "--log-file", "--report-file"}
     others = {"answer": {"-k"}}
     commands = next(a for a in build_parser()._actions
@@ -139,15 +137,18 @@ def test_each_command_echoes_every_setting_it_takes():
      "--max-midpoints 2"),
     (("eval", "{old}", "{tmp}/m.pkl", "--max-midpoints", "2"), "--max-midpoints 2"),
     (("diff", "{old}", "{old}", "--checkpoint", "c.pkl"), "--checkpoint c.pkl"),
+    *((("eval", "{old}", "{tmp}/m.pkl", "--report-file", "{tmp}/r.json", flag, "3"),
+       f"{flag} 3") for flag in ("--d", "--xe", "--xr", "--seed", "--cap")),
 ], ids=["eval-lr", "train-tie-mode", "train-max-midpoints", "update-max-midpoints",
-        "eval-max-midpoints", "diff-checkpoint"])
+        "eval-max-midpoints", "diff-checkpoint", "eval-d", "eval-xe", "eval-xr",
+        "eval-seed", "eval-cap"])
 def test_command_refuses_a_setting_it_does_not_read(dirs, capsys, argv, flag):
     tmp, old, _ = dirs
     with pytest.raises(SystemExit) as exit_:
         main([arg.format(tmp=tmp, old=old) for arg in argv])
     assert exit_.value.code == 2
     assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
-    assert not (tmp / "m.pkl").exists()
+    assert not (tmp / "m.pkl").exists() and not (tmp / "r.json").exists()
 
 
 def test_env_var_names_default_config(dirs, capsys, monkeypatch):
@@ -180,6 +181,15 @@ def test_train_writes_checkpoint_and_report(dirs, capsys):
     assert len(report["epoch_losses"]) == 4
     assert report["negatives_dropped"] == 0
     assert "saved checkpoint" in out
+
+
+def test_checkpoint_gets_the_mode_of_its_report(dirs, capsys):
+    """The checkpoint, though written through a temp file, gets the mode a
+    plain open() gives a new file, as the report beside it does."""
+    tmp, old, _ = dirs
+    assert run(capsys, "train", str(old), str(tmp / "m.pkl"), *FAST_FLAGS)[0] == 0
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in (tmp / "m.pkl", tmp / "m.pkl.report.json")}
+    assert len(modes) == 1
 
 
 def test_train_missing_dir_names_path(tmp_path, capsys):
@@ -267,7 +277,7 @@ def test_update_inherits_model_config(capped_run, capsys):
                for e in range(g_old.num_entities)) > 10
     diff = diff_snapshots(g_old, g_new)
     retrain = row_triples(collect_retrain_set(
-        g_new, diff, split_refs(changed_context_objects(g_old, g_new, diff))))
+        g_new, diff, split_refs(changed_context_objects(g_old, g_new))))
     before, after = load_checkpoint(tmp / "c0.pkl"), load_checkpoint(tmp / "c1.pkl")
     table_old, table_new = before.context_table(g_old), after.context_table(g_new)
     memo_old, memo_new = {}, {}
@@ -387,23 +397,24 @@ def test_eval_header_shows_checkpoint_settings(capped_run, capsys):
                       "tie_mode=optimistic")
 
 
-def test_eval_rejects_model_flag_that_disagrees(dirs, capsys):
-    tmp, _, new = dirs
-    run(capsys, "train", str(new), str(tmp / "m.pkl"), *FAST_FLAGS)
-    code, out, err = run(capsys, "eval", str(new), str(tmp / "m.pkl"), "--d", "50")
-    assert code == 1
-    assert "dim=50" in err and "dim=8" in err
-    assert not any(l.startswith("mr=") for l in out.splitlines())
-
-    cfg = tmp / "eval.cfg"
+def test_eval_ignores_model_settings_in_config(capped_run, capsys, monkeypatch):
+    """A config file whose cap differs from the checkpoint's leaves what
+    eval and answer print as it is without the file: both read the model
+    settings from the checkpoint alone.  The checkpoint holds no joint
+    tables, so every context is rebuilt under its cap."""
+    tmp, old, _ = capped_run
+    triples = load_snapshot_dir(old).train.name_triples()
+    write_snapshot_dir(tmp / "e", triples, test=triples[:5])
+    _without_joint_tables(tmp / "c0.pkl", tmp / "bare.pkl")
+    want = _eval_and_answer(capsys, tmp / "e", tmp / "bare.pkl")
+    assert "cap=10" in want[0].splitlines()[0].split()
+    cfg = tmp / "model.cfg"
     cfg.write_text("cap = 3\n")
-    code, _, err = run(capsys, "eval", str(new), str(tmp / "m.pkl"), "--config", str(cfg))
-    assert code == 1
-    assert "cap=3" in err and "cap=35" in err
-
-    code, out, _ = run(capsys, "eval", str(new), str(tmp / "m.pkl"), "--d", "8")
-    assert code == 0
-    assert "dim=8" in out.splitlines()[0].split()
+    code, out, _ = run(capsys, "eval", str(tmp / "e"), str(tmp / "bare.pkl"),
+                       "--config", str(cfg))
+    assert (code, out) == (0, want[0])
+    monkeypatch.setenv("DKGE_CONFIG", str(cfg))
+    assert _eval_and_answer(capsys, tmp / "e", tmp / "bare.pkl") == want
 
 
 def test_eval_requires_test_file(dirs, capsys):
@@ -630,7 +641,7 @@ def test_diff_matches_oracle_over_update_traces(tmp_path, capsys):
         assert code == 0
         counts, changed, retrain = _diff_changed(out)
         diff = diff_snapshots(g_old, g_new)
-        oracle = changed_context_objects(g_old, g_new, diff)
+        oracle = changed_context_objects(g_old, g_new)
         assert changed == sorted(
             f"changed {kind} "
             f"{(g_new.entity_names if kind == 'entity' else g_new.relation_names)[obj]}"

@@ -427,7 +427,7 @@ def test_changed_contexts_toy(g1, g2, monkeypatch):
 
     monkeypatch.setattr(dkge.contexts, "build_contexts", counted)
     changed = context_changes(g1, g2, diff)
-    want = split_refs(changed_context_objects(g1, g2, diff))
+    want = split_refs(changed_context_objects(g1, g2))
     assert [ids.tolist() for ids in changed[:2]] == [ids.tolist() for ids in want]
     assert built == [
         (g1, RELATION, sorted(g1.relation_ids[n] for n in rel_cand if n in g1.relation_ids
@@ -472,7 +472,7 @@ def test_context_changes_equal_the_reference(seed, limit):
         assert (getattr(changed.relation_contexts, field.name).tolist()
                 == getattr(built, field.name).tolist())
     if limit == contexts.MAX_MIDPOINTS:
-        reference = changed_context_objects(g_old, g_new, diff)
+        reference = changed_context_objects(g_old, g_new)
         assert [ids.tolist() for ids in changed[:2]] == [ids.tolist()
                                                          for ids in split_refs(reference)]
         t_ol = collect_retrain_set(g_new, diff, changed)
@@ -523,5 +523,5 @@ def test_candidate_overapproximation_sound(seed):
     g_new = Snapshot.from_name_triples(churned_triples(rng, base))
     diff = diff_snapshots(g_old, g_new)
     rel_ids = candidate_relations(g_new, diff)
-    changed = changed_context_objects(g_old, g_new, diff)
+    changed = changed_context_objects(g_old, g_new)
     assert {obj for kind, obj in changed if kind == RELATION} <= set(rel_ids.tolist())

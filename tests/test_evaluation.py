@@ -24,8 +24,7 @@ def test_rank_matches_bruteforce_both_directions(setup):
     g, store, table = setup
     for triple in g.triples:
         for direction in (HEAD, TAIL):
-            got = rank_entity((direction, triple), store, g, g.triple_set,
-                              contexts=table)
+            got = rank_entity((direction, triple), store, g, g.triple_set)
             want = oracle_rank(direction, triple, store, g, g.triple_set, table)
             assert got.rank == want
 
@@ -37,8 +36,7 @@ def test_rank_random_models_match_oracle():
         store, table = tiny_store(g, d=5, seed=trial)
         for triple in list(g.triples)[:6]:
             for direction in (HEAD, TAIL):
-                got = rank_entity((direction, triple), store, g, g.triple_set,
-                                  contexts=table)
+                got = rank_entity((direction, triple), store, g, g.triple_set)
                 want = oracle_rank(direction, triple, store, g, g.triple_set, table)
                 assert got.rank == want
 
@@ -47,15 +45,15 @@ def test_filtering_excludes_known_competitors(setup):
     g, store, table = setup
     # rank of (e1, r1, e5) for tails: e2 is also a true tail of (e1, r1, .)
     t = g.resolve(("e1", "r1", "e5"))
-    raw = rank_entity((TAIL, t), store, g, frozenset(), contexts=table)
-    filt = rank_entity((TAIL, t), store, g, g.triple_set, contexts=table)
+    raw = rank_entity((TAIL, t), store, g, frozenset())
+    filt = rank_entity((TAIL, t), store, g, g.triple_set)
     assert filt.rank <= raw.rank
 
 
 def test_true_candidate_never_filtered(setup):
     g, store, table = setup
     t = g.triples[0]
-    res = rank_entity((TAIL, t), store, g, g.triple_set, contexts=table)
+    res = rank_entity((TAIL, t), store, g, g.triple_set)
     assert 1 <= res.rank <= g.num_entities
 
 
@@ -63,14 +61,12 @@ def test_tie_modes_on_forced_ties():
     # b and c are structurally interchangeable; with identical embedding rows
     # their joint embeddings coincide exactly and the scores tie
     g = Snapshot.from_name_triples([("a", "r", "b"), ("a", "r", "c")])
-    store, table = tiny_store(g, d=4, seed=2)
+    store, _ = tiny_store(g, d=4, seed=2)
     store.ent_know[:] = store.ent_know[0]
     store.ent_ctx[:] = store.ent_ctx[0]
     t = g.resolve(("a", "r", "b"))
-    opt = rank_entity((TAIL, t), store, g, frozenset(), contexts=table,
-                      tie_mode=TIE_OPTIMISTIC)
-    pes = rank_entity((TAIL, t), store, g, frozenset(), contexts=table,
-                      tie_mode=TIE_PESSIMISTIC)
+    opt = rank_entity((TAIL, t), store, g, frozenset(), tie_mode=TIE_OPTIMISTIC)
+    pes = rank_entity((TAIL, t), store, g, frozenset(), tie_mode=TIE_PESSIMISTIC)
     assert pes.rank == opt.rank + 1  # exactly one tied competitor (entity c)
 
 
@@ -123,8 +119,7 @@ def test_metrics_block_format(setup):
 
 def test_answer_orders_by_score(setup):
     g, store, table = setup
-    res = answer(g.entity_id("e1"), g.relation_id("r1"), 3, store, g,
-                 contexts=table)
+    res = answer(g.entity_id("e1"), g.relation_id("r1"), 3, store, g)
     assert len(res) == 3
     scores = [s for _, s in res]
     assert scores == sorted(scores)
@@ -132,8 +127,7 @@ def test_answer_orders_by_score(setup):
 
 def test_answer_is_unfiltered_and_k_capped(setup):
     g, store, table = setup
-    res = answer(g.entity_id("e1"), g.relation_id("r1"), 100, store, g,
-                 contexts=table)
+    res = answer(g.entity_id("e1"), g.relation_id("r1"), 100, store, g)
     assert len(res) == g.num_entities  # k larger than the entity count
 
 
@@ -141,15 +135,15 @@ def test_answer_is_unfiltered_and_k_capped(setup):
 def test_answer_rejects_k_below_one(setup, k):
     g, store, table = setup
     with pytest.raises(ConfigError, match=f"k must be at least 1, got {k}"):
-        answer(g.entity_id("e1"), g.relation_id("r1"), k, store, g, contexts=table)
+        answer(g.entity_id("e1"), g.relation_id("r1"), k, store, g)
 
 
 def test_answer_breaks_ties_by_id():
     g = Snapshot.from_name_triples([("a", "r", "b"), ("c", "r", "d")])
-    store, table = tiny_store(g, d=4, seed=6)
+    store, _ = tiny_store(g, d=4, seed=6)
     store.ent_know[:] = store.ent_know[0]
     store.ent_ctx[:] = store.ent_ctx[0]
-    res = answer(0, 0, 4, store, g, contexts=table)
+    res = answer(0, 0, 4, store, g)
     ids = [e for e, _ in res]
     scores = [s for _, s in res]
     assert len(set(scores)) == 1

@@ -1,5 +1,6 @@
 """Snapshot storage: parsing, interning, views, diffs."""
 import contextlib
+import dataclasses
 import logging
 
 import numpy as np
@@ -95,16 +96,19 @@ def test_parse_reports_the_first_bad_line(tmp_path, content, message):
 
 
 def reference_parse(path):
-    """The line reader over a text-mode file: how every triple file was
-    read before regular files were split whole."""
+    """The line reader over a text-mode file, duplicates dropped and
+    counted: how every triple file was read before regular files were
+    split whole."""
     try:
         with path.open("r", encoding="utf-8") as fh:
-            out, dups = _parse_lines(path, fh)
+            rows = _parse_lines(path, fh)
     except UnicodeDecodeError as exc:
         bad = undecodable_line(path)
         _parse_lines(path, (line.decode("utf-8")
                             for line in path.read_bytes().splitlines()[:bad - 1]))
         raise ParseError(path, bad, f"not UTF-8: {exc.reason}") from None
+    out = list(dict.fromkeys(rows))
+    dups = len(rows) - len(out)
     if dups:
         logging.getLogger("dkge.kg_store").warning(
             "%s: collapsed %d duplicate triples", path, dups)
@@ -115,7 +119,8 @@ def reference_load(path):
     name_triples, dups = reference_parse(path)
     if not name_triples:
         raise EmptySnapshotError(f"{path} contains no triples")
-    return Snapshot.from_name_triples(name_triples, duplicates_collapsed=dups)
+    g = Snapshot.from_name_triples(name_triples)
+    return dataclasses.replace(g, duplicates_collapsed=dups)
 
 
 def outcome(read, path):

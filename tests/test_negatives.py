@@ -1,8 +1,11 @@
 """Batch Bernoulli negatives: ``corrupt_rows`` against the snapshot's codes,
 and ``batch_loss`` on its (P, 2, 3) arrays."""
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from dkge import model
 from dkge.kg_store import Snapshot, Triple
 from dkge.model import GradBuffer, batch_loss, corrupt_rows, relation_stats
 
@@ -33,7 +36,8 @@ def is_subsequence(kept, rows):
 def test_negatives_are_one_sided_unknown_and_in_batch_order(g, seed, max_retries):
     rng = np.random.default_rng(seed)
     rows = g.triple_ids[rng.permutation(len(g.triple_ids))]
-    pairs = corrupt_rows(rows, relation_stats(g), g, rng, max_retries)
+    with mock.patch.object(model, "MAX_RETRIES", max_retries):
+        pairs = corrupt_rows(rows, relation_stats(g), g, rng)
     assert pairs.dtype == np.int64 and pairs.shape[1:] == (2, 3)
     pos, neg = pairs[:, 0], pairs[:, 1]
     assert not any(g.has_triple(Triple(*t)) for t in neg.tolist())
@@ -61,7 +65,8 @@ def test_exhausted_rows_are_dropped():
     rows = g.triple_ids[::-1]
     r = g.relation_id("r")
     for max_retries in (20, 100):
-        pairs = corrupt_rows(rows, relation_stats(g), g, np.random.default_rng(1), max_retries)
+        with mock.patch.object(model, "MAX_RETRIES", max_retries):
+            pairs = corrupt_rows(rows, relation_stats(g), g, np.random.default_rng(1))
         assert pairs[:, 0].tolist() == rows[rows[:, 1] != r].tolist()
     assert corrupt_rows(rows[:0], relation_stats(g), g,
                         np.random.default_rng(1)).shape == (0, 2, 3)

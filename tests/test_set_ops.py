@@ -1,6 +1,6 @@
 """Set operations by sort: ``distinct`` and ``lookup`` against numpy's own,
-and scans that keep numpy's hash-table ``unique``, ``np.lexsort`` and all
-but the listed stable sorts out of the package."""
+and scans that keep numpy's hash-table ``unique``, ``np.lexsort``, all but
+the listed stable sorts and parameters nothing reads out of the package."""
 import ast
 from pathlib import Path
 
@@ -167,4 +167,46 @@ def test_package_sorts_by_one_key():
     found = {path.name: lines
              for path in sorted(Path(dkge.__file__).parent.glob("*.py"))
              if (lines := multi_key_sorts(path.read_text(encoding="utf-8"), path.name))}
+    assert found == {}
+
+
+EXEMPT_PARAMETERS = {"self", "cls"}
+
+
+def unread_parameters(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each function or lambda parameter that its body
+    never reads; ``self``, ``cls`` and ``_``-prefixed names are exempt.  A
+    read in a nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, name) for name in params if name not in read
+                  and name not in EXEMPT_PARAMETERS and not name.startswith("_")]
+    return sorted(found)
+
+
+def test_scan_finds_unread_parameters():
+    source = ("def f(self, a, b, *args, c=1, _d=2, **kw):\n"
+              "    def g(e):\n"
+              "        return a + c\n"
+              "    b = 3\n"
+              "    return g\n"
+              "h = lambda x, y: x\n"
+              "def k(cls, /, p):\n"
+              "    del p\n")
+    assert unread_parameters(source) == [
+        (1, "args"), (1, "b"), (1, "kw"), (2, "e"), (6, "y"), (7, "p")]
+
+
+def test_package_reads_every_parameter():
+    found = {path.name: params
+             for path in sorted(Path(dkge.__file__).parent.glob("*.py"))
+             if (params := unread_parameters(path.read_text(encoding="utf-8")))}
     assert found == {}

@@ -136,11 +136,11 @@ def changed_objects(rng, g):
 @settings(max_examples=80, deadline=None)
 def test_interning_equals_the_loop(pair):
     for lines in pair:
-        g = Snapshot.from_name_triples(lines, duplicates_collapsed=2)
+        g = Snapshot.from_name_triples(lines)
         triples, entities, relations, dups = intern_by_loop(lines)
         assert g.triples == triples
         assert (g.entity_names, g.relation_names) == (entities, relations)
-        assert g.duplicates_collapsed == dups + 2
+        assert g.duplicates_collapsed == dups
         assert g.triple_ids.dtype == np.int64 and not g.triple_ids.flags.writeable
         assert g.name_triples() == tuple(g.triple_names(t) for t in triples)
 

@@ -149,7 +149,7 @@ def test_scratch_rejects_out_of_range_valid(g1):
 
 def test_collect_retrain_set_toy(g1, g2):
     diff = diff_snapshots(g1, g2)
-    changed = split_refs(changed_context_objects(g1, g2, diff))
+    changed = split_refs(changed_context_objects(g1, g2))
     t_ol = collect_retrain_set(g2, diff, changed)
     assert {g2.triple_names(t) for t in t_ol} == {
         ("e1", "r1", "e2"), ("e1", "r1", "e5"), ("e1", "r5", "e3"),
@@ -160,7 +160,7 @@ def test_collect_retrain_set_toy(g1, g2):
 def test_collect_retrain_set_empty_when_unchanged(g1):
     other = Snapshot.from_name_triples(list(reversed(TOY_T1)))
     diff = diff_snapshots(g1, other)
-    changed = split_refs(changed_context_objects(g1, other, diff))
+    changed = split_refs(changed_context_objects(g1, other))
     assert row_triples(collect_retrain_set(other, diff, changed)) == frozenset()
 
 
@@ -276,7 +276,7 @@ def test_online_detection_matches_pure_diff():
         store, _ = train_from_scratch(g_old, set(), cfg, log=None)
         new_store, report = train_online(g_old, g_new, store, set(), cfg, log=None)
         diff = diff_snapshots(g_old, g_new)
-        changed = split_refs(changed_context_objects(g_old, g_new, diff))
+        changed = split_refs(changed_context_objects(g_old, g_new))
         t_ol = collect_retrain_set(g_new, diff, changed)
         assert report.retrained_triples == len(t_ol)
 
@@ -322,7 +322,7 @@ def test_online_builds_each_context_at_most_once(g1, g2, monkeypatch):
                       if n in g1.relation_ids and n in g2.relation_ids)
     assert 0 < len(survived) < g1.num_relations
     assert sorted(old) == survived
-    changed = split_refs(changed_context_objects(g1, g2, diff))
+    changed = split_refs(changed_context_objects(g1, g2))
     movable = [np.union1d(emerging, ids).tolist() for emerging, ids in
                zip((diff.emerging_entities, diff.emerging_relations), changed)]
     assert sorted(obj for kind, obj in new if kind == ENTITY) == movable[0]
