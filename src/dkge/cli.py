@@ -12,12 +12,18 @@ checkpoint alone, and ``eval`` echoes them too.  ``answer`` and ``diff``
 take none: the midpoint limit of relation contexts is one constant,
 ``contexts.MAX_MIDPOINTS``, so ``diff`` finds the changes ``update`` finds
 without reading a checkpoint.  The config file is shared, so it may hold any
-known key; a command ignores the keys it does not read.  ``update``
-refuses an old snapshot whose triples are not the ones the checkpoint was
-trained on, and a run whose epoch loss is not finite fails before anything
-is saved.  An output path whose directory is missing, or that is a
-directory, fails before the command's work, and ``eval`` fails when no
-test triple can be scored.  Reports are strict JSON.
+known key; a command ignores the keys it does not read.
+
+``eval`` and ``answer`` load the checkpoint first, and ``update`` does too;
+a checkpoint carries the snapshot it was trained on, and a train.txt whose
+bytes it was loaded from (``eval``'s and ``answer``'s directory, ``update``'s
+old one) is taken from it unparsed.  Any other train.txt is parsed, and
+``train`` and ``diff`` always parse.  ``update`` refuses an old snapshot
+whose triples are not the ones the checkpoint was trained on, and a run
+whose epoch loss is not finite fails before anything is saved.  An output
+path whose directory is missing, or that is a directory, fails before the
+command's work, and ``eval`` fails when no test triple can be scored.
+Reports are strict JSON.
 """
 from __future__ import annotations
 
@@ -208,7 +214,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     merged = effective_config(args, inherited=store.model_config())
     print(run_header(merged, TRAIN_KEYS))
     cfg = train_config(merged)
-    old_sd = load_snapshot_dir(args.old_dir)
+    old_sd = load_snapshot_dir(args.old_dir, store.joint_snapshot)
     _require_snapshot(store, old_sd.train, args.checkpoint_in, args.old_dir)
     # joint_digest is the digest of the triples the checkpoint was trained
     # on; an old snapshot with other triples would hide changes or invent them
@@ -234,7 +240,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = store.model_config()
     merged = {**effective_config(args), **model}
     print(run_header(merged, (*model, *EVAL_KEYS)))
-    sd = load_snapshot_dir(args.snapshot_dir)
+    sd = load_snapshot_dir(args.snapshot_dir, store.joint_snapshot)
     if sd.test is None:
         raise ConfigError(
             f"no {TEST_FILE} in {args.snapshot_dir}; evaluation needs one")
@@ -266,8 +272,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_answer(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ConfigError(f"-k must be at least 1, got {args.k}")
-    sd = load_snapshot_dir(args.snapshot_dir)
     store = load_checkpoint(args.checkpoint)
+    sd = load_snapshot_dir(args.snapshot_dir, store.joint_snapshot)
     _require_snapshot(store, sd.train, args.checkpoint, args.snapshot_dir)
     _note_full_encode(store, sd.train, args.checkpoint, args.snapshot_dir)
     head = sd.train.entity_id(args.head)

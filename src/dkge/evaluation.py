@@ -192,7 +192,12 @@ def rank_entity(query: tuple[str, Triple], store: ParameterStore, snapshot: Snap
                 filter_triples: Collection[Triple] | np.ndarray = frozenset(), *,
                 tie_mode: str = TIE_OPTIMISTIC) -> RankResult:
     """Filtered rank of the true entity for one (direction, triple) query,
-    scored on ``joint_table(store, snapshot)``."""
+    scored on ``joint_table(store, snapshot)``.
+
+    A store without joint tables for ``snapshot`` is encoded in full on
+    every call.  A caller ranking many queries passes them to ``evaluate``,
+    which encodes once, or attaches the tables to the store first
+    (``store.attach_joint``)."""
     direction, triple = query
     snapshot.id_rows([triple])
     cache = joint_table(store, snapshot)

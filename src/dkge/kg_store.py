@@ -5,6 +5,12 @@ an int64 id array, with the per-run dictionaries mapping string names to
 integer ids.  Ids are assigned in first-occurrence order while scanning the
 triple list, so the same file always loads to the same ids.  Snapshots from
 different files get independent id spaces; diffing matches objects by name.
+
+A loaded snapshot keeps the digest of its file's bytes.  ``load_snapshot``
+and ``load_snapshot_dir`` may be handed a snapshot rebuilt elsewhere (a
+checkpoint stores the one it was trained on); when the file's bytes have
+its digest they return it without parsing the file, and any other file is
+parsed in full.
 """
 from __future__ import annotations
 
@@ -160,13 +166,15 @@ class Snapshot:
     removed, first occurrence wins), so serialization round-trips reproduce
     the exact id assignment.  ``triples``, ``triple_set``, ``name_triples()``
     and the dict indexes are views built on first use.  Snapshots compare
-    by identity.
+    by identity.  ``file_digest`` is the blake2b digest of the bytes of the
+    file the snapshot was loaded from, None for one built in memory.
     """
 
     triple_ids: np.ndarray
     entity_names: tuple[str, ...]
     relation_names: tuple[str, ...]
     duplicates_collapsed: int = 0
+    file_digest: str | None = None
 
     def __post_init__(self):
         n_e, n_r = len(self.entity_names), len(self.relation_names)
@@ -395,7 +403,8 @@ class Snapshot:
         return Triple(self.entity_id(h), self.relation_id(r), self.entity_id(t))
 
 
-def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[str]) -> Snapshot:
+def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[str],
+              file_digest: str | None = None) -> Snapshot:
     """The Snapshot of name columns in file order: ids in first-occurrence
     order, heads and tails interleaved, each triple's first row kept and
     the later ones counted in ``duplicates_collapsed``."""
@@ -418,7 +427,7 @@ def _interned(heads: Sequence[str], relations: Sequence[str], tails: Sequence[st
         order, np.flatnonzero(np.diff(codes[order], prepend=-1))))
     snapshot = Snapshot(triple_ids=ids[first],
                         entity_names=entity_names, relation_names=relation_names,
-                        duplicates_collapsed=n - first.size)
+                        duplicates_collapsed=n - first.size, file_digest=file_digest)
     # the interning dicts are the ones ``entity_ids`` and ``relation_ids`` build
     vars(snapshot).update(entity_ids=entity_ids, relation_ids=relation_ids)
     return snapshot
@@ -517,14 +526,14 @@ def _split_regular(text: str) -> _Columns | None:
     return heads, fields[1::3], fields[2::3]
 
 
-def _read_columns(path: Path) -> _Columns:
-    """The columns of a triple file, in file order with duplicates kept.
+def _read_columns(path: Path, data: bytes) -> _Columns:
+    """The columns of the bytes ``data`` of the triple file ``path``, in
+    file order with duplicates kept.
 
     A regular file is split whole.  Any other goes through the line reader,
     which alone raises ParseError for a malformed line.  The first bad line
     in file order is the one reported, whether it is malformed or not UTF-8.
     """
-    data = path.read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -556,25 +565,33 @@ def parse_triple_file(path) -> tuple[list[NameTriple], int]:
     malformed or not UTF-8.
     """
     path = Path(path)
-    rows = list(zip(*_read_columns(path)))
+    rows = list(zip(*_read_columns(path, path.read_bytes())))
     out = list(dict.fromkeys(rows))
     dups = len(rows) - len(out)
     _warn_duplicates(path, dups)
     return out, dups
 
 
-def load_snapshot(path) -> Snapshot:
+def load_snapshot(path, known: Snapshot | None = None) -> Snapshot:
     """Load one triple file as a Snapshot.
 
     Its dictionaries, ids and duplicate count are those that
     ``Snapshot.from_name_triples`` gives the file's rows, duplicates
-    included.
+    included, and its ``file_digest`` is that of the file's bytes.  When
+    ``known`` has that same ``file_digest``, it was loaded from these bytes,
+    so it is what parsing them gives and is returned without a parse.
+    Either way a file with duplicate rows logs the same warning.
     """
     file = Path(path)
-    heads, relations, tails = _read_columns(file)
-    if not heads:
-        raise EmptySnapshotError(f"{path} contains no triples")
-    snapshot = _interned(heads, relations, tails)
+    data = file.read_bytes()
+    digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+    if known is not None and known.file_digest == digest:
+        snapshot = known
+    else:
+        heads, relations, tails = _read_columns(file, data)
+        if not heads:
+            raise EmptySnapshotError(f"{path} contains no triples")
+        snapshot = _interned(heads, relations, tails, digest)
     _warn_duplicates(file, snapshot.duplicates_collapsed)
     return snapshot
 
@@ -600,12 +617,14 @@ class SnapshotDir:
     test: tuple[NameTriple, ...] | None
 
 
-def load_snapshot_dir(dirpath) -> SnapshotDir:
+def load_snapshot_dir(dirpath, known: Snapshot | None = None) -> SnapshotDir:
+    """The directory's files; its train.txt is ``known`` when that snapshot
+    was loaded from the same bytes (see ``load_snapshot``)."""
     dirpath = Path(dirpath)
     train_path = dirpath / TRAIN_FILE
     if not train_path.is_file():
         raise ParseError(train_path, 0, "required training file is missing")
-    train = load_snapshot(train_path)
+    train = load_snapshot(train_path, known)
     valid = test = None
     if (dirpath / VALID_FILE).is_file():
         valid = tuple(parse_triple_file(dirpath / VALID_FILE)[0])

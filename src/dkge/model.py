@@ -35,8 +35,8 @@ holds the four row tables only; those backward passes compute no encoder,
 attention or gate gradient.
 
 A store can carry the joint embedding of every object, encoded on one
-snapshot and keyed by that snapshot's digest; ``joint_table`` serves those
-rows for that snapshot and encodes everything afresh for any other.
+snapshot, with that snapshot; ``joint_table`` serves those rows for a
+snapshot of the same digest and encodes everything afresh for any other.
 """
 from __future__ import annotations
 
@@ -71,11 +71,16 @@ class ParameterStore:
     cap: int
     seed: int
     # joint embeddings of every object under these parameters, encoded on
-    # the snapshot whose digest is joint_digest; None until train or update
-    # fills them, and never set while the parameters still move
+    # joint_snapshot; None until train or update fills them, and never set
+    # while the parameters still move
     ent_star: np.ndarray | None = None   # (n_e, d)
     rel_star: np.ndarray | None = None   # (n_r, d)
-    joint_digest: str | None = None
+    joint_snapshot: Snapshot | None = None
+
+    @property
+    def joint_digest(self) -> str | None:
+        """The digest of the snapshot the joint tables were encoded on."""
+        return None if self.joint_snapshot is None else self.joint_snapshot.digest
 
     @property
     def num_entities(self) -> int:
@@ -86,7 +91,8 @@ class ParameterStore:
         return len(self.relation_names)
 
     def copy(self) -> "ParameterStore":
-        return copy.deepcopy(self)
+        # a snapshot is immutable, so the copy shares it
+        return copy.deepcopy(self, {id(self.joint_snapshot): self.joint_snapshot})
 
     def matches_snapshot(self, snapshot: Snapshot) -> bool:
         return (self.entity_names == snapshot.entity_names
@@ -136,7 +142,7 @@ class ParameterStore:
         ``snapshot``; ``stored_joint`` serves them for that snapshot only."""
         self.require_snapshot(snapshot)
         self.ent_star, self.rel_star = joint
-        self.joint_digest = snapshot.digest
+        self.joint_snapshot = snapshot
 
 
 def init_params(snapshot: Snapshot, d: int, rng: np.random.Generator, *,

@@ -1,4 +1,5 @@
-"""Checkpoint serialization: exact round trips, stable bytes, version gate."""
+"""Checkpoint serialization: exact round trips, stable bytes, version gate,
+the trained snapshot's fields, and damaged payloads."""
 import copy
 import pickle
 import re
@@ -8,9 +9,10 @@ import pytest
 
 from dkge.checkpoint import load_checkpoint, save_checkpoint
 from dkge.errors import IntegrityError
+from dkge.kg_store import load_snapshot_dir
 from dkge.model import joint_table
 
-from graphs import tiny_store, toy_snapshot
+from graphs import TOY_T1, tiny_store, toy_snapshot, write_snapshot_dir
 
 
 @pytest.fixture()
@@ -46,15 +48,15 @@ def test_rewrite_is_byte_identical(tmp_path, store):
 
 
 def test_equal_parameters_save_to_equal_bytes(tmp_path, store):
-    """A loaded store and a copy of it whose ``ent_know`` is a fresh array
-    with equal values save to the same bytes: an unpickled array's dtype
-    is not numpy's own float64 instance, and pickle memoizes by identity."""
+    """A loaded store and a copy of it whose ``ent_know`` is an array with
+    equal values unpickled on its own save to the same bytes: that array's
+    dtype is not numpy's own float64 instance, and pickle memoizes by
+    identity."""
     save_checkpoint(store, tmp_path / "a.pkl")
     loaded = load_checkpoint(tmp_path / "a.pkl")
-    assert loaded.ent_know.dtype is not np.dtype(np.float64)
     fresh = copy.copy(loaded)
-    fresh.ent_know = np.empty(loaded.ent_know.shape)
-    fresh.ent_know[...] = loaded.ent_know
+    fresh.ent_know = pickle.loads(pickle.dumps(loaded.ent_know, protocol=4))
+    assert fresh.ent_know.dtype is not np.dtype(np.float64)
     save_checkpoint(loaded, tmp_path / "b.pkl")
     save_checkpoint(fresh, tmp_path / "c.pkl")
     assert (tmp_path / "b.pkl").read_bytes() == (tmp_path / "c.pkl").read_bytes()
@@ -115,7 +117,7 @@ def test_version_2_rejected(tmp_path, store):
     path = tmp_path / "model.pkl"
     save_checkpoint(store, path)
     payload = pickle.loads(path.read_bytes())
-    for version in (2, 3, 4, 5):
+    for version in (2, 3, 4, 5, 6):
         payload["format_version"] = version
         path.write_bytes(pickle.dumps(payload, protocol=4))
         with pytest.raises(IntegrityError, match=f"model.pkl.*version: {version}"):
@@ -161,6 +163,53 @@ def test_missing_key_rejected(tmp_path, store):
         load_checkpoint(path)
 
 
+def test_round_trip_rebuilds_the_trained_snapshot(tmp_path, store):
+    """The snapshot the joint tables were encoded on comes back field for
+    field, and a directory holding the same train.txt bytes hands it back
+    without a parse; other bytes are parsed afresh."""
+    snap = tmp_path / "s"
+    write_snapshot_dir(snap, TOY_T1 + TOY_T1[:1])
+    g = load_snapshot_dir(snap).train
+    store.attach_joint(joint_table(store, g), g)
+    save_checkpoint(store, tmp_path / "model.pkl")
+    rebuilt = load_checkpoint(tmp_path / "model.pkl").joint_snapshot
+    assert rebuilt.triple_ids.tobytes() == g.triple_ids.tobytes()
+    assert rebuilt.triple_ids.dtype == np.int64 and not rebuilt.triple_ids.flags.writeable
+    assert (rebuilt.entity_names, rebuilt.relation_names) == (g.entity_names, g.relation_names)
+    assert (rebuilt.duplicates_collapsed, rebuilt.file_digest, rebuilt.digest) == (
+        1, g.file_digest, g.digest)
+    assert load_snapshot_dir(snap, rebuilt).train is rebuilt
+    (snap / "train.txt").write_bytes(b"\n" + (snap / "train.txt").read_bytes())
+    again = load_snapshot_dir(snap, rebuilt).train
+    assert again is not rebuilt and again.digest == g.digest
+
+
+class Called:
+    """Pickles as a call of ``record``, which would note that it ran."""
+
+    ran = []
+
+    def __reduce__(self):
+        return Called.record, ("ran",)
+
+    @staticmethod
+    def record(what):
+        Called.ran.append(what)
+
+
+def test_loading_calls_nothing_the_file_names(tmp_path, store):
+    """A payload that names a function is refused by the checks, and the
+    function never runs."""
+    path = tmp_path / "model.pkl"
+    save_checkpoint(store, path)
+    payload = pickle.loads(path.read_bytes())
+    payload["cap"] = Called()
+    path.write_bytes(pickle.dumps(payload, protocol=4))
+    with pytest.raises(IntegrityError, match="model.pkl: checkpoint cap is <"):
+        load_checkpoint(path)
+    assert not Called.ran
+
+
 def _damaged(tmp_path, store, key, damage):
     """Save ``store`` with its joint tables, replace the payload's ``key``
     by ``damage`` of its value and write it back; returns the path."""
@@ -172,6 +221,12 @@ def _damaged(tmp_path, store, key, damage):
     payload[key] = damage(payload[key])
     path.write_bytes(pickle.dumps(payload, protocol=4))
     return path
+
+
+def _with_row(a, i, row):
+    a = a.copy()
+    a[i] = row
+    return a
 
 
 DAMAGES = [
@@ -192,6 +247,19 @@ DAMAGES = [
     ("entity_names", lambda names: None),
     ("entity_names", lambda names: names[:1] + names[:-1]),
     ("relation_names", lambda names: tuple(range(len(names)))),
+    ("triple_ids", lambda a: a.astype(np.int32)),
+    ("triple_ids", lambda a: a[:, :2]),
+    ("triple_ids", list),
+    ("triple_ids", lambda a: np.where(a == a.max(), 99, a)),
+    ("triple_ids", lambda a: np.concatenate((a, a[:1]))),
+    # (e2, r2, e5) is the only triple naming r2
+    ("triple_ids", lambda a: np.delete(a, TOY_T1.index(("e2", "r2", "e5")), axis=0)),
+    # (e1, r1, e4) for the last triple (e1, r1, e2): every name still used
+    ("triple_ids", lambda a: _with_row(a, -1, [a[-1, 0], a[-1, 1], a[5, 2]])),
+    ("file_digest", lambda digest: b"\x00" * 16),
+    ("duplicates_collapsed", lambda dups: -1),
+    ("duplicates_collapsed", lambda dups: 0.0),
+    ("duplicates_collapsed", lambda dups: True),
 ]
 
 
@@ -202,10 +270,21 @@ def test_damaged_array_names_path_and_key(tmp_path, store, key, damage):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["ent_star", "rel_star", "joint_digest"])
+@pytest.mark.parametrize("key", ["ent_star", "rel_star", "joint_digest", "triple_ids",
+                                 "duplicates_collapsed"])
 def test_joint_tables_all_or_none(tmp_path, store, key):
     path = _damaged(tmp_path, store, key, lambda value: None)
     with pytest.raises(IntegrityError, match="model.pkl.*all None"):
+        load_checkpoint(path)
+
+
+def test_file_digest_needs_joint_tables(tmp_path, store):
+    path = tmp_path / "model.pkl"
+    save_checkpoint(store, path)
+    payload = pickle.loads(path.read_bytes())
+    payload["file_digest"] = "0" * 32
+    path.write_bytes(pickle.dumps(payload, protocol=4))
+    with pytest.raises(IntegrityError, match="model.pkl.*file_digest is set without"):
         load_checkpoint(path)
 
 

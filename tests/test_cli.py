@@ -4,14 +4,17 @@ import contextlib
 import io
 import json
 import pickle
+import pickletools
 import re
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dkge.agcn
 import dkge.contexts
+import dkge.kg_store
 from dkge.checkpoint import load_checkpoint, save_checkpoint
 from dkge.cli import (CONFIG_KEYS, EVAL_KEYS, TRAIN_KEYS, build_parser, main,
                       parse_config_file)
@@ -438,7 +441,7 @@ def test_eval_filter_all_mode(dirs, capsys):
 
 def _without_joint_tables(src, dst):
     store = load_checkpoint(src)
-    store.ent_star = store.rel_star = store.joint_digest = None
+    store.ent_star = store.rel_star = store.joint_snapshot = None
     save_checkpoint(store, dst)
 
 
@@ -713,14 +716,117 @@ def test_cli_runs_are_reproducible(dirs, capsys):
     assert ra == rb
 
 
+# -- the checkpoint's snapshot ------------------------------------------------
+
+def _mask(text):
+    return re.sub(r"seconds=\d+\.\d+", "seconds=_", text)
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """The triple files parsed since the fixture was set up, by name."""
+    paths = []
+    read = dkge.kg_store._read_columns
+
+    def counted(path, data):
+        paths.append(path.name)
+        return read(path, data)
+
+    monkeypatch.setattr(dkge.kg_store, "_read_columns", counted)
+    return paths
+
+
+def test_unchanged_train_files_are_not_parsed(dirs, capsys, parsed):
+    """``eval`` and ``answer`` on the checkpoint's own snapshot parse no
+    train.txt, ``update`` parses only the new one, and an old directory
+    with other triples is parsed and refused."""
+    tmp, old, new = dirs
+    run(capsys, "train", str(old), str(tmp / "m1.pkl"), *FAST_FLAGS)
+    assert parsed == ["train.txt"]
+    parsed.clear()
+    assert run(capsys, "update", str(old), str(new), str(tmp / "m1.pkl"),
+               str(tmp / "m2.pkl"), *FAST_FLAGS)[0] == 0
+    assert parsed == ["train.txt", "test.txt"]
+    parsed.clear()
+    _eval_and_answer(capsys, new, tmp / "m2.pkl")
+    assert parsed == ["test.txt"] * 2
+    parsed.clear()
+    code, _, err = run(capsys, "update", str(new), str(new), str(tmp / "m1.pkl"),
+                       str(tmp / "m3.pkl"), *FAST_FLAGS)
+    assert (code, parsed) == (1, ["train.txt", "test.txt"]) and err.startswith("error: ")
+
+
+# the toy steps with their rows reordered, keeping every name's first
+# occurrence, or with a comment line: the same snapshots from other bytes
+def _reordered(triples):
+    moved = TOY_T1.index(("e1", "r1", "e2"))
+    return (triples[0], triples[moved], *triples[1:moved], *triples[moved + 1:])
+
+
+def _commented(path):
+    text = (path / "train.txt").read_text(encoding="utf-8")
+    (path / "train.txt").write_text("# the same triples\n" + text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("change", ["reordered", "commented"])
+def test_other_bytes_take_the_full_parse(dirs, capsys, parsed, change):
+    """A train.txt with the checkpoint's triples in other bytes is parsed,
+    and ``update``, ``eval`` and ``answer`` print what they print on the
+    original file."""
+    tmp, old, new = dirs
+    other_old, other_new = tmp / "old2", tmp / "new2"
+    test = [("e1", "r1", "e5"), ("e6", "r5", "e3")]
+    for path, triples, files in ((other_old, TOY_T1, {}), (other_new, TOY_T2, {"test": test})):
+        write_snapshot_dir(path, _reordered(triples) if change == "reordered" else triples,
+                           **files)
+        if change == "commented":
+            _commented(path)
+    run(capsys, "train", str(old), str(tmp / "m1.pkl"), *FAST_FLAGS)
+    outputs = {}
+    for old_dir, new_dir in ((old, new), (other_old, other_new)):
+        parsed.clear()
+        code, out, _ = run(capsys, "update", str(old_dir), str(new), str(tmp / "m1.pkl"),
+                           str(tmp / "m2.pkl"), *FAST_FLAGS)
+        assert code == 0 and parsed.count("train.txt") == 1 + (old_dir != old)
+        outputs.setdefault("update", []).append(
+            (_mask(out), (tmp / "m2.pkl").read_bytes()))
+        parsed.clear()
+        outputs.setdefault("eval, answer", []).append(
+            _eval_and_answer(capsys, new_dir, tmp / "m2.pkl"))
+        assert parsed.count("train.txt") == 2 * (new_dir != new)
+    for what, (want, got) in outputs.items():
+        assert got == want, what
+
+
+def test_duplicate_rows_warn_on_both_paths(tmp_path, capsys, caplog, parsed):
+    """A train.txt with a duplicate row logs the same warning whether it
+    is parsed or taken from the checkpoint."""
+    snap, other = tmp_path / "s", tmp_path / "s2"
+    for path in (snap, other):
+        write_snapshot_dir(path, TOY_T1 + TOY_T1[:2], test=[("e1", "r1", "e5")])
+    _commented(other)
+    run(capsys, "train", str(snap), str(tmp_path / "m.pkl"), *FAST_FLAGS)
+    warnings = []
+    for path in (snap, other):
+        caplog.clear()
+        parsed.clear()
+        _eval_and_answer(capsys, path, tmp_path / "m.pkl")
+        assert parsed.count("train.txt") == 2 * (path == other)
+        warnings.append([r.getMessage().replace(str(path), "<dir>")
+                         for r in caplog.records if "collapsed" in r.getMessage()])
+    assert warnings[0] == warnings[1] == ["<dir>/train.txt: collapsed 2 duplicate triples"] * 2
+
+
 # -- misuse -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def misuse_dirs(tmp_path_factory):
     """A checkpoint of toy step 1; toy step 2, which it does not match; toy
     step 1 without (e3, r1, e4), which keeps every name; toy step 1 with a
-    scorable, an empty and an all-unknown test file; a copy of the
-    checkpoint with a NaN row in ``ent_star``; 4,000-line train files with
+    scorable, an empty and an all-unknown test file; copies of the
+    checkpoint with a NaN row in ``ent_star``, with a stored triple
+    repeated in ``triple_ids``, with the flags of the first dtype state set
+    and with a first frame of 2**62 bytes; 4,000-line train files with
     one malformed or undecodable line; and a config file setting the
     removed ``max_midpoints``."""
     tmp = tmp_path_factory.mktemp("misuse")
@@ -735,6 +841,19 @@ def misuse_dirs(tmp_path_factory):
     payload = pickle.loads((tmp / "m1.pkl").read_bytes())
     payload["ent_star"][2] = np.nan
     (tmp / "nan.pkl").write_bytes(pickle.dumps(payload, protocol=4))
+    payload = pickle.loads((tmp / "m1.pkl").read_bytes())
+    payload["triple_ids"] = np.concatenate((payload["triple_ids"], payload["triple_ids"][:1]))
+    (tmp / "ids.pkl").write_bytes(pickle.dumps(payload, protocol=4))
+    data = bytearray((tmp / "m1.pkl").read_bytes())
+    ops = list(pickletools.genops(bytes(data)))
+    # the state (3, "<", None, None, None, -1, -1, flags) of the first dtype
+    at = next(i for i, (_, arg, _) in enumerate(ops) if arg == "<")
+    data[next(ops[i - 1][2] + 1 for i in range(at, len(ops)) if ops[i][0].name == "TUPLE")] = 1
+    (tmp / "flags.pkl").write_bytes(data)
+    data = bytearray((tmp / "m1.pkl").read_bytes())
+    assert ops[1][0].name == "FRAME"
+    data[3:11] = (1 << 62).to_bytes(8, "little")
+    (tmp / "frame.pkl").write_bytes(data)
     lines = [b"e%d\tr\te%d\n" % (i, i + 1) for i in range(4000)]
     for name, bad_at, bad in (("malformed", 3000, b"e1\tr\n"),
                               ("undecodable", 4000, b"e1\tr\t\xffe2\n")):
@@ -782,11 +901,18 @@ def misuse_dirs(tmp_path_factory):
      "unknown object (2 skipped)"),
     (("train", "{t1}", "{tmp}/m3.pkl", "--config", "{tmp}/midpoints.cfg"),
      "{tmp}/midpoints.cfg:1: unknown key 'max_midpoints'"),
+    (("eval", "{tmp}/t1-test", "{tmp}/ids.pkl"),
+     "{tmp}/ids.pkl: checkpoint triple_ids: duplicate triples in snapshot"),
+    (("answer", "{t1}", "{tmp}/flags.pkl", "e1", "r1"),
+     "{tmp}/flags.pkl: checkpoint ent_know is not a stored array"),
+    (("answer", "{t1}", "{tmp}/frame.pkl", "e1", "r1"),
+     "{tmp}/frame.pkl: not a readable checkpoint: MemoryError()"),
 ], ids=["k-zero", "k-negative", "answer-mismatch", "eval-mismatch", "update-mismatch",
         "malformed-line", "non-utf8-byte", "missing-train", "update-wrong-old",
         "train-diverges", "nan-checkpoint", "train-missing-out-dir", "train-out-is-dir",
         "update-out-is-dir", "eval-missing-report-dir", "eval-empty-test",
-        "eval-unknown-test", "config-max-midpoints"])
+        "eval-unknown-test", "config-max-midpoints", "eval-repeated-stored-triple",
+        "checkpoint-dtype-flags", "checkpoint-frame-too-long"])
 def test_misuse_prints_one_error_line(misuse_dirs, capsys, argv, message):
     """A bad invocation exits 1 with one stderr line naming the file or the
     flag, and writes no checkpoint and no report."""
@@ -796,3 +922,29 @@ def test_misuse_prints_one_error_line(misuse_dirs, capsys, argv, message):
     assert (code, err) == (1, f"error: {message.format(**paths)}\n")
     written = {"m2.pkl", "m3.pkl", "m2.pkl.report.json", "m3.pkl.report.json"}
     assert not written & {p.name for p in misuse_dirs.iterdir()}
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_damaged_checkpoints_end_in_one_error_line(misuse_dirs, data):
+    """A checkpoint cut at any length, or with any one byte changed, makes
+    ``eval`` and ``answer`` exit 0, or exit 1 with one error line."""
+    good = (misuse_dirs / "m1.pkl").read_bytes()
+    at = data.draw(st.integers(0, len(good) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = good[:at]
+    else:
+        damaged = bytearray(good)
+        damaged[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path = misuse_dirs / "damaged.pkl"
+    path.write_bytes(damaged)
+    snap = str(misuse_dirs / "t1-test")
+    for argv in (["eval", snap, str(path)], ["answer", snap, str(path), "e1", "r1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert not err.getvalue()

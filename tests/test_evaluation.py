@@ -34,6 +34,7 @@ def test_rank_random_models_match_oracle():
     for trial in range(12):
         g = random_snapshot(rng, n_triples=18, n_entities=9, n_relations=3)
         store, table = tiny_store(g, d=5, seed=trial)
+        store.attach_joint(joint_table(store, g, table), g)
         for triple in list(g.triples)[:6]:
             for direction in (HEAD, TAIL):
                 got = rank_entity((direction, triple), store, g, g.triple_set)

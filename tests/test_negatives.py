@@ -105,3 +105,33 @@ def test_batch_loss_same_from_array_and_triple_pairs():
                         other if isinstance(other, list) else [other], strict=True):
             assert a.tobytes() == b.tobytes(), name
     assert batch_loss(pairs[:0], store, table, 2.0) == batch_loss([], store, table, 2.0) == 0.0
+
+
+class ScriptedRng:
+    """Always replaces the tail; the first ``collisions`` replacement draws
+    give ``known`` and every later one ``fresh``."""
+
+    def __init__(self, collisions, known, fresh):
+        self.tails = [known] * collisions
+        self.fresh = fresh
+
+    def random(self, k):
+        return np.ones(k)
+
+    def integers(self, n, size):
+        draw = self.tails.pop(0) if self.tails else self.fresh
+        return np.full(size, draw, dtype=np.int64)
+
+
+def test_retries_run_max_retries_plus_one_rounds():
+    """A row whose first MAX_RETRIES candidates are known triples is kept by
+    the last round; one collision more and it is dropped."""
+    g = Snapshot.from_name_triples([("a", "r", "b"), ("b", "r", "c")])
+    row = g.triple_ids[:1]
+    a, b = g.entity_id("a"), g.entity_id("b")
+    for collisions, kept in ((model.MAX_RETRIES, True), (model.MAX_RETRIES + 1, False)):
+        pairs = corrupt_rows(row, relation_stats(g), g, ScriptedRng(collisions, b, a))
+        if kept:
+            assert pairs.tolist() == [[row[0].tolist(), [a, g.relation_id("r"), a]]]
+        else:
+            assert pairs.shape == (0, 2, 3)

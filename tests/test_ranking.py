@@ -154,8 +154,8 @@ def test_eval_reads_the_sorted_codes_not_the_tuple_views(tmp_path, capsys, monke
     loaded = []
     load = dkge.cli.load_snapshot_dir
 
-    def recording_load(path):
-        loaded.append(load(path))
+    def recording_load(path, known=None):
+        loaded.append(load(path, known))
         return loaded[-1]
 
     monkeypatch.setattr(dkge.cli, "load_snapshot_dir", recording_load)
